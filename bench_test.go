@@ -28,6 +28,7 @@ import (
 
 	"cloudqc/internal/exp"
 	"cloudqc/internal/loadgen"
+	"cloudqc/internal/partition"
 	"cloudqc/internal/place"
 	"cloudqc/internal/plan"
 	"cloudqc/internal/sched"
@@ -251,7 +252,7 @@ func benchClusterOnline(b *testing.B, run func(*Cluster, []*Job) ([]*JobResult, 
 	// apart on long local stretches, so most EPRAttempt slots have no
 	// ready remote gate — the regime the lock-step clock handles worst.
 	sparse := Workload{Name: "SparseChains", Circuits: []string{"ghz_n127", "cat_n130"}}
-	var rounds, events float64
+	var rounds, events, compiles, hits float64
 	for i := 0; i < b.N; i++ {
 		jobs, err := sparse.PoissonBatch(12, 4000, seed)
 		if err != nil {
@@ -278,9 +279,20 @@ func benchClusterOnline(b *testing.B, run func(*Cluster, []*Job) ([]*JobResult, 
 		}
 		rounds += float64(ct.LastRunStats().Rounds)
 		events += float64(ct.LastRunStats().Events)
+		compiles += float64(ct.PlanCacheStats().Misses)
+		hits += float64(ct.PlanCacheStats().Hits)
 	}
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
 	b.ReportMetric(events/float64(b.N), "events/run")
+	reportCompiles(b, compiles, hits)
+}
+
+// reportCompiles reports the placer runs (plan-cache misses) and
+// plan-cache hits per iteration. Both are deterministic, so CI gates
+// them: a shift means admission started compiling differently.
+func reportCompiles(b *testing.B, compiles, hits float64) {
+	b.ReportMetric(compiles/float64(b.N), "compiles/run")
+	b.ReportMetric(hits/float64(b.N), "plancache_hits/run")
 }
 
 func BenchmarkClusterOnline(b *testing.B) {
@@ -297,7 +309,7 @@ func BenchmarkClusterOnline(b *testing.B) {
 func BenchmarkLiveController(b *testing.B) {
 	const seed = 7
 	sparse := Workload{Name: "SparseChains", Circuits: []string{"ghz_n127", "cat_n130"}}
-	var rounds, events float64
+	var rounds, events, compiles, hits float64
 	for i := 0; i < b.N; i++ {
 		jobs, err := sparse.PoissonBatch(12, 4000, seed)
 		if err != nil {
@@ -332,9 +344,12 @@ func BenchmarkLiveController(b *testing.B) {
 		}
 		rounds += float64(lc.RunStats().Rounds)
 		events += float64(lc.RunStats().Events)
+		compiles += float64(lc.PlanCacheStats().Misses)
+		hits += float64(lc.PlanCacheStats().Hits)
 	}
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
 	b.ReportMetric(events/float64(b.N), "events/run")
+	reportCompiles(b, compiles, hits)
 }
 
 // BenchmarkLiveControllerTraced is BenchmarkLiveController with the
@@ -408,7 +423,7 @@ func BenchmarkClusterOnlineWFQ(b *testing.B) {
 	const seed = 7
 	sparse := Workload{Name: "SparseChains", Circuits: []string{"ghz_n127", "cat_n130"}}
 	mix := DefaultTenantMix(sparse, 4, "poisson", 4000)
-	var rounds, events float64
+	var rounds, events, compiles, hits float64
 	for i := 0; i < b.N; i++ {
 		jobs, err := MultiTenantJobs(mix, seed)
 		if err != nil {
@@ -437,9 +452,12 @@ func BenchmarkClusterOnlineWFQ(b *testing.B) {
 		}
 		rounds += float64(ct.LastRunStats().Rounds)
 		events += float64(ct.LastRunStats().Events)
+		compiles += float64(ct.PlanCacheStats().Misses)
+		hits += float64(ct.PlanCacheStats().Hits)
 	}
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
 	b.ReportMetric(events/float64(b.N), "events/run")
+	reportCompiles(b, compiles, hits)
 }
 
 // BenchmarkFederation times the federated controller tier end to end:
@@ -697,8 +715,9 @@ func BenchmarkAllocPolicyTenantWeighted(b *testing.B) {
 
 // Plan-cache micro-benchmarks: the admit path's compile stage —
 // placement + remote-DAG contraction + execution-state setup — cold
-// (the full placer pipeline every job pays without the cache) vs
-// through a warmed plan cache (what a repeated template pays). CI
+// (the full placer pipeline a never-seen template pays: a fresh placer
+// each iteration, so its partition memo is empty too) vs through a
+// warmed plan cache (what a repeated template pays). CI
 // records both and gates their allocs/op; the hit path must stay >= 5x
 // faster than the cold path.
 
@@ -710,11 +729,10 @@ func BenchmarkPlanCacheCold(b *testing.B) {
 	}
 	pcfg := DefaultPlacerConfig()
 	pcfg.Seed = 7
-	p := NewPlacer(pcfg)
 	lat := DefaultModel().Latency
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl, err := p.Place(cl, circ)
+		pl, err := NewPlacer(pcfg).Place(cl, circ)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -790,6 +808,71 @@ func BenchmarkPlacementCloudQCKnn67(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlaceRetry re-places one circuit under a changing free
+// state, as a queued job is retried after every release: the plan cache
+// would miss each time, while the placer's partition memo hits, so only
+// the capacity tier (QPU sets, part mapping, scoring) runs.
+func BenchmarkPlaceRetry(b *testing.B) {
+	circ, err := BuildCircuit("knn_n67")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := NewRandomCloud(20, 0.3, 20, 5, 1)
+	p := NewPlacer(DefaultPlacerConfig())
+	if _, err := p.Place(cl, circ); err != nil { // warm the memo
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := i % cl.NumQPUs()
+		if err := cl.Reserve(q, 5); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Place(cl, circ); err != nil {
+			b.Fatal(err)
+		}
+		cl.Release(q, 5)
+	}
+}
+
+// BenchmarkKWayKnn67 is Algorithm 1's full partition sweep on knn_n67:
+// k = 2..20 parts at each of the default imbalance factors.
+func BenchmarkKWayKnn67(b *testing.B) {
+	circ, err := BuildCircuit("knn_n67")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ig := circ.InteractionGraph()
+	alphas := DefaultPlacerConfig().ImbalanceFactors
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, alpha := range alphas {
+			for k := 2; k <= 20; k++ {
+				if _, err := partition.KWay(ig, k, alpha, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGraphCenter times Graph.Center (one BFS per vertex) on a
+// qlib interaction graph.
+func BenchmarkGraphCenter(b *testing.B) {
+	circ, err := BuildCircuit("knn_n67")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ig := circ.InteractionGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		centerSink = ig.Center()
+	}
+}
+
+// centerSink keeps BenchmarkGraphCenter's call from being optimized away.
+var centerSink int
 
 func BenchmarkRemoteDAGQFT160(b *testing.B) {
 	circ, err := BuildCircuit("qft_n160")

@@ -11,14 +11,12 @@ func (g *Graph) Center() int {
 	if g.n == 0 {
 		panic("graph: center of empty graph")
 	}
+	// One BFS per vertex, all sharing one distance array and queue.
+	dist, queue := make([]int, g.n), make([]int, 0, g.n)
 	best, bestEcc, bestDeg := -1, -1, 0.0
 	for v := 0; v < g.n; v++ {
-		ecc := 0
-		for _, d := range g.HopDistances(v) {
-			if d > ecc {
-				ecc = d
-			}
-		}
+		var ecc int
+		ecc, queue = g.hops(v, dist, queue)
 		deg := g.WeightedDegree(v)
 		switch {
 		case best < 0, ecc < bestEcc, ecc == bestEcc && deg > bestDeg:

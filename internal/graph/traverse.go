@@ -1,22 +1,25 @@
 package graph
 
+// Every breadth-first search here walks the sorted adjacency lists in
+// place with an index-head queue: neighbours are visited in ascending
+// index order, so results are deterministic, and a search allocates only
+// the slices it returns plus one queue.
+
 // BFSOrder returns the vertices reachable from start in breadth-first
 // order. Neighbors are visited in ascending index order, so the result is
 // deterministic.
 func (g *Graph) BFSOrder(start int) []int {
 	g.check(start)
 	visited := make([]bool, g.n)
-	order := make([]int, 0, g.n)
-	queue := []int{start}
+	order := make([]int, 1, g.n)
+	order[0] = start
 	visited[start] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.Neighbors(u) {
-			if !visited[v] {
-				visited[v] = true
-				queue = append(queue, v)
+	// order doubles as the queue: it holds exactly the enqueued vertices.
+	for head := 0; head < len(order); head++ {
+		for _, a := range g.adj[order[head]] {
+			if !visited[a.To] {
+				visited[a.To] = true
+				order = append(order, a.To)
 			}
 		}
 	}
@@ -28,22 +31,52 @@ func (g *Graph) BFSOrder(start int) []int {
 func (g *Graph) HopDistances(start int) []int {
 	g.check(start)
 	dist := make([]int, g.n)
+	g.hops(start, dist, make([]int, 0, g.n))
+	return dist
+}
+
+// hops fills dist with start's hop distances (-1 for unreachable) using
+// queue as scratch, and returns the eccentricity of start together with
+// the queue so callers can reuse its storage. len(dist) must be g.n.
+func (g *Graph) hops(start int, dist, queue []int) (int, []int) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[start] = 0
-	queue := []int{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+	queue = append(queue[:0], start)
+	ecc := 0
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, a := range g.adj[u] {
+			if dist[a.To] < 0 {
+				dist[a.To] = du
+				ecc = du
+				queue = append(queue, a.To)
 			}
 		}
 	}
-	return dist
+	return ecc, queue
+}
+
+// HopScratch is reusable storage for repeated hop-distance searches:
+// after the first search on a graph of a given size, further searches
+// allocate nothing. The zero value is ready to use.
+type HopScratch struct {
+	dist, queue []int
+}
+
+// HopDistances is Graph.HopDistances into s's storage. The returned
+// slice is valid until s is next used.
+func (s *HopScratch) HopDistances(g *Graph, start int) []int {
+	g.check(start)
+	if cap(s.dist) < g.n {
+		s.dist = make([]int, g.n)
+		s.queue = make([]int, 0, g.n)
+	}
+	s.dist = s.dist[:g.n]
+	_, s.queue = g.hops(start, s.dist, s.queue)
+	return s.dist
 }
 
 // AllPairsHops returns the hop-count distance matrix via one BFS per
@@ -73,15 +106,15 @@ func (g *Graph) HopTree(start int) (dist, parent []int) {
 	}
 	dist[start] = 0
 	parent[start] = start
-	queue := []int{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				parent[v] = u
-				queue = append(queue, v)
+	queue := make([]int, 1, g.n)
+	queue[0] = start
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, a := range g.adj[u] {
+			if dist[a.To] < 0 {
+				dist[a.To] = dist[u] + 1
+				parent[a.To] = u
+				queue = append(queue, a.To)
 			}
 		}
 	}
@@ -102,32 +135,29 @@ func (g *Graph) ShortestPath(u, v int) []int {
 		prev[i] = -1
 	}
 	prev[u] = u
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == v {
-			break
-		}
-		for _, nb := range g.Neighbors(x) {
-			if prev[nb] < 0 {
-				prev[nb] = x
-				queue = append(queue, nb)
+	queue := make([]int, 1, g.n)
+	queue[0] = u
+	for head := 0; head < len(queue) && prev[v] < 0; head++ {
+		x := queue[head]
+		for _, a := range g.adj[x] {
+			if prev[a.To] < 0 {
+				prev[a.To] = x
+				queue = append(queue, a.To)
 			}
 		}
 	}
 	if prev[v] < 0 {
 		return nil
 	}
-	var rev []int
+	n := 1
 	for x := v; x != u; x = prev[x] {
-		rev = append(rev, x)
+		n++
 	}
-	rev = append(rev, u)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]int, n)
+	for x, i := v, n-1; i >= 0; x, i = prev[x], i-1 {
+		path[i] = x
 	}
-	return rev
+	return path
 }
 
 // Connected reports whether the graph is connected. The empty graph and
@@ -152,9 +182,8 @@ func (g *Graph) Components() [][]int {
 		for _, u := range comp {
 			visited[u] = true
 		}
-		sorted := append([]int(nil), comp...)
-		insertionSort(sorted)
-		comps = append(comps, sorted)
+		insertionSort(comp)
+		comps = append(comps, comp)
 	}
 	return comps
 }

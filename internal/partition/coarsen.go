@@ -6,21 +6,15 @@ import (
 	"cloudqc/internal/graph"
 )
 
-// neighbor is one adjacency entry in a level's cached adjacency lists.
-type neighbor struct {
-	v int
-	w float64
-}
-
 // level is one graph in the multilevel hierarchy. weights[v] counts the
 // original vertices collapsed into coarse vertex v; coarseMap[v] names
-// the coarse vertex that fine vertex v was merged into. adj caches the
-// sorted adjacency lists so the hot refinement loops never re-sort.
+// the coarse vertex that fine vertex v was merged into. The hot
+// refinement loops walk the graph's sorted adjacency (Graph.Arcs)
+// directly.
 type level struct {
 	g         *graph.Graph
 	weights   []int
 	coarseMap []int // set by coarsen on the *parent* level
-	adj       [][]neighbor
 }
 
 func newLevel(g *graph.Graph) *level {
@@ -28,18 +22,7 @@ func newLevel(g *graph.Graph) *level {
 	for i := range w {
 		w[i] = 1
 	}
-	return &level{g: g, weights: w, adj: buildAdjacency(g)}
-}
-
-func buildAdjacency(g *graph.Graph) [][]neighbor {
-	adj := make([][]neighbor, g.N())
-	for _, e := range g.Edges() {
-		adj[e.U] = append(adj[e.U], neighbor{v: e.V, w: e.W})
-		adj[e.V] = append(adj[e.V], neighbor{v: e.U, w: e.W})
-	}
-	// Entries are ascending by construction: Edges is sorted by (U, V),
-	// so each vertex's list accumulates increasing partner ids.
-	return adj
+	return &level{g: g, weights: w}
 }
 
 // coarsen builds the next-coarser level via heavy-edge matching: visit
@@ -64,16 +47,16 @@ func (l *level) coarsen(seed int64, maxW int) *level {
 			continue
 		}
 		best, bestW := -1, 0.0
-		for _, nb := range l.adj[u] {
-			if match[nb.v] >= 0 || l.weights[u]+l.weights[nb.v] > maxW {
+		for _, nb := range l.g.Arcs(u) {
+			if match[nb.To] >= 0 || l.weights[u]+l.weights[nb.To] > maxW {
 				continue
 			}
 			// Prefer heavier edges; among equals prefer lighter coarse
 			// vertices to keep weights balanced; then lower index.
-			if best < 0 || nb.w > bestW ||
-				(nb.w == bestW && l.weights[nb.v] < l.weights[best]) ||
-				(nb.w == bestW && l.weights[nb.v] == l.weights[best] && nb.v < best) {
-				best, bestW = nb.v, nb.w
+			if best < 0 || nb.W > bestW ||
+				(nb.W == bestW && l.weights[nb.To] < l.weights[best]) ||
+				(nb.W == bestW && l.weights[nb.To] == l.weights[best] && nb.To < best) {
+				best, bestW = nb.To, nb.W
 			}
 		}
 		if best >= 0 {
@@ -111,15 +94,15 @@ func (l *level) coarsen(seed int64, maxW int) *level {
 	}
 	for u := 0; u < n; u++ {
 		cu := l.coarseMap[u]
-		for _, nb := range l.adj[u] {
-			if u < nb.v {
-				if cv := l.coarseMap[nb.v]; cu != cv {
-					coarse.AddEdge(cu, cv, nb.w)
+		for _, nb := range l.g.Arcs(u) {
+			if u < nb.To {
+				if cv := l.coarseMap[nb.To]; cu != cv {
+					coarse.AddEdge(cu, cv, nb.W)
 				}
 			}
 		}
 	}
-	return &level{g: coarse, weights: weights, adj: buildAdjacency(coarse)}
+	return &level{g: coarse, weights: weights}
 }
 
 // project lifts a coarse partition back to this level's vertices.

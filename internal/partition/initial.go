@@ -1,5 +1,7 @@
 package partition
 
+import "cloudqc/internal/graph"
+
 // initialPartition produces a k-way assignment of the coarsest graph by
 // greedy graph growing: k seeds spread by repeated farthest-vertex BFS,
 // then parts claim their most-connected boundary vertex in round-robin
@@ -72,6 +74,7 @@ func (l *level) spreadSeeds(k int) []int {
 	}
 	seeds := []int{l.g.Center()}
 	minDist := l.g.HopDistances(seeds[0])
+	var hops graph.HopScratch
 	for len(seeds) < k {
 		best, bestD := -1, -2
 		for v := 0; v < n; v++ {
@@ -87,7 +90,7 @@ func (l *level) spreadSeeds(k int) []int {
 			}
 		}
 		seeds = append(seeds, best)
-		for v, d := range l.g.HopDistances(best) {
+		for v, d := range hops.HopDistances(l.g, best) {
 			if d >= 0 && (minDist[v] < 0 || d < minDist[v]) {
 				minDist[v] = d
 			}
@@ -114,9 +117,9 @@ func (l *level) bestBoundary(parts []int, p, loadP, cap int) int {
 			continue
 		}
 		var w float64
-		for _, nb := range l.adj[v] {
-			if parts[nb.v] == p {
-				w += nb.w
+		for _, nb := range l.g.Arcs(v) {
+			if parts[nb.To] == p {
+				w += nb.W
 			}
 		}
 		if w > bestW {

@@ -107,9 +107,11 @@ func coarsestSize(k int) int {
 // parts under the given assignment.
 func Cut(g *graph.Graph, parts []int) float64 {
 	var cut float64
-	for _, e := range g.Edges() {
-		if parts[e.U] != parts[e.V] {
-			cut += e.W
+	for u := 0; u < g.N(); u++ {
+		for _, a := range g.Arcs(u) {
+			if u < a.To && parts[u] != parts[a.To] {
+				cut += a.W
+			}
 		}
 	}
 	return cut

@@ -31,9 +31,9 @@ func (l *level) refine(parts []int, k, cap int) {
 				conn[i] = 0
 			}
 			boundary := false
-			for _, nb := range l.adj[v] {
-				conn[parts[nb.v]] += nb.w
-				if parts[nb.v] != from {
+			for _, nb := range l.g.Arcs(v) {
+				conn[parts[nb.To]] += nb.W
+				if parts[nb.To] != from {
 					boundary = true
 				}
 			}

@@ -1,7 +1,7 @@
 package place
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 
 	"cloudqc/internal/circuit"
@@ -49,8 +49,15 @@ func DefaultConfig() Config {
 // parts onto a feasible QPU set found by community detection
 // (Algorithm 2), score every candidate by estimated runtime and
 // communication cost, and keep the best.
+//
+// Compile splits along the paper's seam. The circuit tier (partitions,
+// interaction edges) is memoized per circuit fingerprint across calls;
+// the capacity tier (feasible QPU sets, their centers, part mapping,
+// scoring) is rebuilt once per call from the free snapshot. A CloudQC is
+// safe for concurrent use.
 type CloudQC struct {
-	cfg Config
+	cfg  Config
+	memo *circuitMemo
 }
 
 // NewCloudQC returns a CloudQC placer with the given configuration.
@@ -64,13 +71,14 @@ func NewCloudQC(cfg Config) *CloudQC {
 	if cfg.Model.EPRAttempt == 0 {
 		cfg.Model = epr.DefaultModel()
 	}
-	return &CloudQC{cfg: cfg}
+	return &CloudQC{cfg: cfg, memo: newCircuitMemo()}
 }
 
 // DeterministicPlacement marks CloudQC (and CloudQC-BFS) as cacheable:
 // the partitioner and community detection seed their randomness per
-// call from the configured seed, so Place is a pure function of
-// (circuit, free-capacity state).
+// call from the configured seed, and the memo holds only partitions of
+// the circuit itself, so Place is a pure function of (circuit,
+// free-capacity state).
 func (p *CloudQC) DeterministicPlacement() {}
 
 // Name implements Placer.
@@ -109,9 +117,6 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		return &Placement{Circuit: c, QubitToQPU: assign}, nil
 	}
 
-	ig := c.InteractionGraph()
-	igEdges := ig.Edges()
-	dag := circuit.BuildDAG(c)
 	kMin := minParts(size, cl)
 	kMax := feasibleQPUs(cl)
 	if kMax > size {
@@ -124,15 +129,30 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		return nil, &ErrInfeasible{Circuit: c.Name, Need: size, Free: cl.TotalFreeComputing()}
 	}
 
-	var best *Placement
-	bestScore := 0.0
+	parts := p.memo.parts(c)
+	tier := p.newCapacityTier(cl, size)
+	var (
+		ig        *graph.Graph // built on the first partition memo miss
+		dag       *circuit.DAG // built for the first feasible candidate
+		best      *Placement
+		bestScore float64
+	)
 	for _, alpha := range p.cfg.ImbalanceFactors {
 		for k := kMin; k <= kMax; k++ {
-			res, err := partition.KWay(ig, k, alpha, p.cfg.Seed)
-			if err != nil {
+			pt := sweepPoint{alpha: alpha, k: k}
+			res, seen := p.memo.result(parts, pt)
+			if !seen {
+				if ig == nil {
+					ig = c.InteractionGraph()
+				}
+				// A rejected point yields nil, which is memoized too.
+				res, _ = partition.KWay(ig, k, alpha, p.cfg.Seed)
+				p.memo.record(parts, pt, res)
+			}
+			if res == nil {
 				continue
 			}
-			assign, err := p.mapParts(cl, ig, res)
+			assign, err := tier.mapParts(parts.edges, res)
 			if err != nil {
 				continue
 			}
@@ -141,8 +161,11 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 					continue
 				}
 			}
+			if dag == nil {
+				dag = circuit.BuildDAG(c)
+			}
 			t := EstimateTime(dag, cl, p.cfg.Model, assign)
-			cost := commCostEdges(igEdges, cl, assign)
+			cost := commCostEdges(parts.edges, cl, assign)
 			s := Score(p.cfg.ScoreAlpha, p.cfg.ScoreBeta, t, cost)
 			if best == nil || s > bestScore {
 				best = &Placement{Circuit: c, QubitToQPU: assign}
@@ -185,28 +208,104 @@ func exceedsRemoteEps(c *circuit.Circuit, numQPUs int, assign []int, eps int) bo
 	return false
 }
 
-// mapParts is Algorithm 2: find a feasible QPU set (community detection
-// on the capacity-weighted cloud graph, or BFS for the -BFS variant),
+// errNoFit is mapParts' failure: some part fits on no unused QPU. The
+// sweep simply moves on to its next candidate.
+var errNoFit = errors.New("place: no QPU fits a part")
+
+// capacityTier is everything one Place call derives from free capacity
+// and shares across its (α, k) candidates: the free snapshot, the
+// candidate QPU sets Algorithm 2 maps into, and each set's center.
+type capacityTier struct {
+	cl   *cloud.Cloud
+	size int
+	free []int // snapshot; mapParts consumes a copy in scratch
+	// sets lists the candidate QPU sets: the community groups (or the
+	// single BFS-grown set for -BFS), then the whole cloud last.
+	sets    [][]int
+	setFree []int // free capacity of each set
+	centers []int // each set's topology center; -1 until computed
+	useBFS  bool
+	scratch []int
+}
+
+// newCapacityTier finds the feasible QPU sets once per Place call:
+// community detection on the capacity-weighted cloud graph, or the
+// BFS-grown set for the -BFS variant. Sets are ordered for
+// deterministic iteration.
+func (p *CloudQC) newCapacityTier(cl *cloud.Cloud, size int) *capacityTier {
+	t := &capacityTier{cl: cl, size: size, free: cl.FreeSnapshot(), useBFS: p.cfg.UseBFS}
+	if p.cfg.UseBFS {
+		t.sets = [][]int{bfsQPUSet(cl, size)}
+	} else {
+		t.sets = community.Detect(cl.CapacityGraph()).Groups
+	}
+	t.sets = append(t.sets, allQPUs(cl))
+	t.setFree = make([]int, len(t.sets))
+	t.centers = make([]int, len(t.sets))
+	for i, set := range t.sets {
+		for _, q := range set {
+			t.setFree[i] += t.free[q]
+		}
+		t.centers[i] = -1
+	}
+	return t
+}
+
+// setFor returns the index of the QPU set k parts map into: the BFS set
+// for -BFS, else the tightest community with at least k QPUs and room
+// for the circuit — it leaves the rest of the cloud contiguous for
+// future jobs — or the whole cloud when no community qualifies.
+func (t *capacityTier) setFor(k int) int {
+	if t.useBFS {
+		return 0
+	}
+	all := len(t.sets) - 1
+	best := all
+	for i, g := range t.sets[:all] {
+		if len(g) < k || t.setFree[i] < t.size {
+			continue
+		}
+		if best == all || t.setFree[i] < t.setFree[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// center returns the center of set i's induced topology subgraph,
+// computing it on first use.
+func (t *capacityTier) center(i int) int {
+	if t.centers[i] < 0 {
+		sub, verts := t.cl.Topology().Subgraph(t.sets[i])
+		t.centers[i] = verts[sub.Center()]
+	}
+	return t.centers[i]
+}
+
+// mapParts is Algorithm 2: take the feasible QPU set for res.K parts,
 // map the partition interaction graph's center to the QPU set's center,
 // then expand outward by BFS, placing each part on the feasible QPU
-// closest to its already-placed heaviest neighbor.
-func (p *CloudQC) mapParts(cl *cloud.Cloud, ig *graph.Graph, res *partition.Result) ([]int, error) {
+// closest to its already-placed heaviest neighbor. edges is the
+// circuit's interaction edge list.
+func (t *capacityTier) mapParts(edges []graph.Edge, res *partition.Result) ([]int, error) {
 	k := res.K
 	// Part interaction graph: how strongly parts talk to each other.
 	pg := graph.New(k)
-	for _, e := range ig.Edges() {
+	for _, e := range edges {
 		if res.Parts[e.U] != res.Parts[e.V] {
 			pg.AddEdge(res.Parts[e.U], res.Parts[e.V], e.W)
 		}
 	}
 
-	candidates := p.qpuCandidates(cl, res)
-	free := cl.FreeSnapshot()
+	set := t.setFor(k)
+	candidates, all := t.sets[set], t.sets[len(t.sets)-1]
+	t.scratch = append(t.scratch[:0], t.free...)
+	free := t.scratch
 	partQPU := make([]int, k)
 	for i := range partQPU {
 		partQPU[i] = -1
 	}
-	used := make([]bool, cl.NumQPUs())
+	used := make([]bool, t.cl.NumQPUs())
 
 	// Center-to-center seed mapping.
 	cp := pg.Center()
@@ -226,14 +325,17 @@ func (p *CloudQC) mapParts(cl *cloud.Cloud, ig *graph.Graph, res *partition.Resu
 	}
 
 	for _, part := range order {
-		anchor := p.anchorFor(cl, pg, partQPU, part, candidates)
-		qpu := pickQPU(cl, candidates, used, free, res.Sizes[part], anchor)
+		anchor := anchorFor(pg, partQPU, part)
+		if anchor < 0 {
+			anchor = t.center(set)
+		}
+		qpu := pickQPU(t.cl, candidates, used, free, res.Sizes[part], anchor)
 		if qpu < 0 {
 			// Community too small: retry against the whole cloud.
-			qpu = pickQPU(cl, allQPUs(cl), used, free, res.Sizes[part], anchor)
+			qpu = pickQPU(t.cl, all, used, free, res.Sizes[part], anchor)
 		}
 		if qpu < 0 {
-			return nil, fmt.Errorf("place: no QPU fits part %d (size %d)", part, res.Sizes[part])
+			return nil, errNoFit
 		}
 		partQPU[part] = qpu
 		used[qpu] = true
@@ -245,47 +347,6 @@ func (p *CloudQC) mapParts(cl *cloud.Cloud, ig *graph.Graph, res *partition.Resu
 		assign[qb] = partQPU[pt]
 	}
 	return assign, nil
-}
-
-// qpuCandidates returns the QPU set Algorithm 2 maps into: the best
-// community (enough capacity, dense, capacity-weighted) or the BFS-grown
-// set for the -BFS variant. The set is ordered for deterministic
-// iteration.
-func (p *CloudQC) qpuCandidates(cl *cloud.Cloud, res *partition.Result) []int {
-	size := 0
-	for _, s := range res.Sizes {
-		size += s
-	}
-	if p.cfg.UseBFS {
-		return bfsQPUSet(cl, size)
-	}
-	comms := community.Detect(cl.CapacityGraph())
-	type scored struct {
-		group []int
-		free  int
-	}
-	var best *scored
-	for _, g := range comms.Groups {
-		if len(g) < res.K {
-			continue
-		}
-		freeSum := 0
-		for _, q := range g {
-			freeSum += cl.FreeComputing(q)
-		}
-		if freeSum < size {
-			continue
-		}
-		// Prefer the tightest adequate community: it leaves the rest of
-		// the cloud contiguous for future jobs.
-		if best == nil || freeSum < best.free {
-			best = &scored{group: g, free: freeSum}
-		}
-	}
-	if best == nil {
-		return allQPUs(cl)
-	}
-	return best.group
 }
 
 // bfsQPUSet grows a QPU set by BFS from the freest QPU until the
@@ -322,23 +383,16 @@ func allQPUs(cl *cloud.Cloud) []int {
 }
 
 // anchorFor returns the QPU the part wants to sit near: the QPU of its
-// heaviest already-placed neighbor part, or the candidate set's center
-// for the first part.
-func (p *CloudQC) anchorFor(cl *cloud.Cloud, pg *graph.Graph, partQPU []int, part int, candidates []int) int {
+// heaviest already-placed neighbor part, or -1 when none is placed yet
+// (the caller then anchors on the candidate set's center).
+func anchorFor(pg *graph.Graph, partQPU []int, part int) int {
 	bestQPU, bestW := -1, 0.0
-	for _, nb := range pg.Neighbors(part) {
-		if partQPU[nb] < 0 {
-			continue
-		}
-		if w := pg.Weight(part, nb); w > bestW {
-			bestQPU, bestW = partQPU[nb], w
+	for _, a := range pg.Arcs(part) {
+		if partQPU[a.To] >= 0 && a.W > bestW {
+			bestQPU, bestW = partQPU[a.To], a.W
 		}
 	}
-	if bestQPU >= 0 {
-		return bestQPU
-	}
-	sub, verts := cl.Topology().Subgraph(candidates)
-	return verts[sub.Center()]
+	return bestQPU
 }
 
 // pickQPU selects the unused candidate QPU with enough free capacity

@@ -1,0 +1,224 @@
+package place
+
+import (
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"cloudqc/internal/circuit"
+	"cloudqc/internal/cloud"
+	"cloudqc/internal/graph"
+	"cloudqc/internal/plan"
+	"cloudqc/internal/qlib"
+)
+
+// memoTemplates are the qlib circuits the memo tests place: 28 to 71
+// qubits, so each needs two or more of the cloud's 20-qubit QPUs.
+var memoTemplates = []string{
+	"vqe_uccsd_n28", "wstate_n36", "qugan_n39", "adder_n64",
+	"ising_n66", "knn_n67", "qugan_n71",
+}
+
+// placeCall is one Place call of a seeded sequence: the cloud's free
+// snapshot, the circuit, and what a fresh placer returned.
+type placeCall struct {
+	free       []int
+	circuit    *circuit.Circuit
+	assign     []int // nil when infeasible
+	infeasible bool
+}
+
+// outcome reduces a Place result to what the differential compares.
+func outcome(t *testing.T, pl *Placement, err error) (assign []int, infeasible bool) {
+	t.Helper()
+	if err != nil {
+		var inf *ErrInfeasible
+		if !errors.As(err, &inf) {
+			t.Fatalf("Place: unexpected error %v", err)
+		}
+		return nil, true
+	}
+	return pl.QubitToQPU, false
+}
+
+// placeSequence drives one long-lived placer over a seeded sequence of
+// Reserve/Release states and checks every call against a fresh
+// NewCloudQC(cfg), which has nothing memoized. It returns the calls
+// made, with the fresh placer's answers.
+func placeSequence(t *testing.T, cfg Config, seed int64, steps int) []placeCall {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cl := cloud.NewRandom(20, 0.3, 20, 5, seed)
+	circuits := make([]*circuit.Circuit, len(memoTemplates))
+	for i, name := range memoTemplates {
+		circuits[i] = qlib.MustBuild(name)
+	}
+	longLived := NewCloudQC(cfg)
+	var held []*Placement
+	var calls []placeCall
+	for step := 0; step < steps; step++ {
+		// Perturb the free state: now and then release a held job, and
+		// nibble a few qubits off a random QPU for this call only.
+		if len(held) > 0 && rng.Intn(4) == 0 {
+			i := rng.Intn(len(held))
+			held[i].Release(cl)
+			held = slices.Delete(held, i, i+1)
+		}
+		q, n := rng.Intn(cl.NumQPUs()), rng.Intn(6)
+		if n > cl.FreeComputing(q) {
+			n = cl.FreeComputing(q)
+		}
+		if err := cl.Reserve(q, n); err != nil {
+			t.Fatal(err)
+		}
+
+		c := circuits[rng.Intn(len(circuits))]
+		fresh, err := NewCloudQC(cfg).Place(cl, c)
+		want, wantInf := outcome(t, fresh, err)
+		pl, err := longLived.Place(cl, c)
+		got, gotInf := outcome(t, pl, err)
+		if gotInf != wantInf || !slices.Equal(got, want) {
+			t.Fatalf("step %d %s free=%v: long-lived placer gave (%v, infeasible=%v), fresh gave (%v, infeasible=%v)",
+				step, c.Name, cl.FreeSnapshot(), got, gotInf, want, wantInf)
+		}
+		calls = append(calls, placeCall{free: cl.FreeSnapshot(), circuit: c, assign: want, infeasible: wantInf})
+
+		cl.Release(q, n)
+		if !wantInf { // hold it, so the cloud fills and calls start failing
+			pl := &Placement{Circuit: c, QubitToQPU: want}
+			if err := pl.Reserve(cl); err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, pl)
+		}
+	}
+	return calls
+}
+
+// digestCalls hashes a sequence's circuits, verdicts and placements.
+func digestCalls(calls []placeCall) uint64 {
+	h := fnv.New64a()
+	for _, c := range calls {
+		fmt.Fprintln(h, c.circuit.Name, c.infeasible, c.assign)
+	}
+	return h.Sum64()
+}
+
+func memoConfigs() map[string]Config {
+	bfs := DefaultConfig()
+	bfs.UseBFS = true
+	eps := DefaultConfig()
+	eps.RemoteOpsEpsilon = 40
+	return map[string]Config{"default": DefaultConfig(), "bfs": bfs, "epsilon": eps}
+}
+
+// sequenceDigests are digestCalls of placeSequence(cfg, 5, 24), recorded
+// with the placer from before partitions were memoized and graphs kept
+// sorted adjacency lists, when every call ran the whole pipeline.
+var sequenceDigests = map[string]uint64{
+	"default": 0x5d91e46143e35684,
+	"bfs":     0x6cde67ecf4e0bf91,
+	"epsilon": 0x6da3215db084058d,
+}
+
+// TestCircuitMemoDifferential: memoizing partitions across calls never
+// changes a placement or an infeasibility verdict, and the placements
+// are the ones the unmemoized placer produced.
+func TestCircuitMemoDifferential(t *testing.T) {
+	for name, cfg := range memoConfigs() {
+		t.Run(name, func(t *testing.T) {
+			calls := placeSequence(t, cfg, 5, 24)
+			if got := digestCalls(calls); got != sequenceDigests[name] {
+				t.Errorf("placement digest %#x, want %#x", got, sequenceDigests[name])
+			}
+			feasible, infeasible := 0, 0
+			for _, c := range calls {
+				if c.infeasible {
+					infeasible++
+				} else {
+					feasible++
+				}
+			}
+			t.Logf("%d feasible, %d infeasible calls", feasible, infeasible)
+			// The sequence must exercise both outcomes to mean anything.
+			if feasible == 0 || infeasible == 0 {
+				t.Fatalf("degenerate sequence: %d feasible, %d infeasible calls", feasible, infeasible)
+			}
+		})
+	}
+}
+
+// TestCircuitMemoConcurrent shares one placer, and one cloud topology,
+// between goroutines — as experiment workers and federation shards do
+// — and checks every call against the serial answers. Run under -race
+// it also proves the memo and the shared graph race-clean.
+func TestCircuitMemoConcurrent(t *testing.T) {
+	const workers = 4
+	cfg := DefaultConfig()
+	calls := placeSequence(t, cfg, 9, 12)
+	shared := NewCloudQC(cfg)
+	topo := graph.Random(20, 0.3, 9) // the topology placeSequence's cloud used
+	var wg sync.WaitGroup
+	errs := make(chan string, len(calls)*workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl := cloud.New(topo, 20, 5)
+			// Each worker walks the calls from a different offset, so
+			// the memo fills in a different order on each.
+			for i := range calls {
+				c := calls[(i+w*len(calls)/workers)%len(calls)]
+				for q, f := range c.free {
+					cl.Release(q, cl.QPU(q).UsedComputing())
+					if err := cl.Reserve(q, cl.QPU(q).Computing-f); err != nil {
+						errs <- err.Error()
+						return
+					}
+				}
+				pl, err := shared.Place(cl, c.circuit)
+				var got []int
+				if err == nil {
+					got = pl.QubitToQPU
+				}
+				if (err != nil) != c.infeasible || !slices.Equal(got, c.assign) {
+					errs <- c.circuit.Name + ": concurrent placement differs from the serial run"
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestCircuitMemoCapacity pins the memo's bound to the plan cache's
+// default, which place cannot import directly.
+func TestCircuitMemoCapacity(t *testing.T) {
+	if memoCapacity != plan.DefaultCapacity {
+		t.Fatalf("memoCapacity = %d, plan.DefaultCapacity = %d", memoCapacity, plan.DefaultCapacity)
+	}
+}
+
+// TestCircuitMemoBounded: the memo evicts its oldest circuit once it
+// holds memoCapacity of them.
+func TestCircuitMemoBounded(t *testing.T) {
+	m := newCircuitMemo()
+	first := qlib.GHZ(3)
+	m.parts(first)
+	for n := 4; n < 4+memoCapacity; n++ {
+		m.parts(qlib.GHZ(n))
+	}
+	if len(m.entries) != memoCapacity || len(m.order) != memoCapacity {
+		t.Fatalf("memo holds %d entries (%d ordered), want %d", len(m.entries), len(m.order), memoCapacity)
+	}
+	if _, ok := m.entries[first.Fingerprint()]; ok {
+		t.Fatal("oldest circuit survived eviction")
+	}
+}

@@ -50,6 +50,8 @@ func KShortest(g *graph.Graph, u, v, k int) [][]int {
 			// Remove root nodes (except spur) by detaching their edges,
 			// keeping paths loopless.
 			for _, rn := range root[:len(root)-1] {
+				// Neighbors returns a copy, so detaching rn while
+				// ranging over it is safe.
 				for _, nb := range work.Neighbors(rn) {
 					work.SetEdge(rn, nb, 0)
 				}
