@@ -566,25 +566,22 @@ func (ct *Controller) Run(jobs []*Job) ([]*JobResult, error) {
 	// Fault events land on the engine before the workload's arrivals,
 	// so at a shared instant the fault transition precedes the arrival.
 	st.faultInit()
-	first := math.Inf(1)
 	for _, j := range jobs {
 		j := j
 		at := j.Arrival
 		if at < 0 {
 			at = 0 // like the lock-step loop, a negative arrival means "already here"
 		}
-		if at < first {
-			first = at
-		}
 		// Priority scheduling: arrivals precede any controller tick at
 		// the same instant, whether queued up front (here) or injected
 		// mid-run (LiveController.Submit).
 		st.eng.SchedulePriority(at, func() { st.arrive(j) })
 	}
-	if ct.cfg.Recorder != nil && first > 0 {
-		// Opening sample: the idle span before the first arrival belongs
+	if next, ok := st.eng.NextAt(); ct.cfg.Recorder != nil && (!ok || next > 0) {
+		// Opening sample: the idle span before the first event belongs
 		// to the recorded horizon (the lock-step loop's t=0 iteration
-		// captures it too).
+		// captures it too). A fault event at t=0 counts as the first
+		// event, exactly as in LiveController.begin.
 		ct.cfg.Recorder.Record(metrics.Sample{Time: 0, Utilization: ct.cfg.Cloud.Utilization()})
 	}
 	st.eng.Run()

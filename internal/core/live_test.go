@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cloudqc/internal/cloud"
+	"cloudqc/internal/fault"
 	"cloudqc/internal/graph"
 	"cloudqc/internal/metrics"
 	"cloudqc/internal/place"
@@ -69,21 +70,35 @@ func TestLiveControllerMatchesRun(t *testing.T) {
 		name             string
 		poisson, tenants bool
 		mode             Mode
+		// outage shifts every arrival by +500 CX and downs QPU 0 over
+		// [0, 100): the first event is a fault, not an arrival, so both
+		// paths must agree on whether the horizon starts idle.
+		outage bool
 	}{
-		{"batch-fifo", false, false, FIFOMode},
-		{"batch-wfq", false, true, WFQMode},
-		{"poisson-fifo", true, false, FIFOMode},
-		{"poisson-wfq", true, true, WFQMode},
-		{"poisson-batchmode", true, false, BatchMode},
-		{"poisson-edf", true, true, EDFMode},
+		{"batch-fifo", false, false, FIFOMode, false},
+		{"batch-wfq", false, true, WFQMode, false},
+		{"poisson-fifo", true, false, FIFOMode, false},
+		{"poisson-wfq", true, true, WFQMode, false},
+		{"poisson-batchmode", true, false, BatchMode, false},
+		{"poisson-edf", true, true, EDFMode, false},
+		{"poisson-fifo-outage-t0", true, false, FIFOMode, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				jobsA := liveStream(t, tc.poisson, tc.tenants, seed)
 				jobsB := liveStream(t, tc.poisson, tc.tenants, seed)
+				var faults *fault.Plan
+				if tc.outage {
+					for i := range jobsA {
+						jobsA[i].Arrival += 500
+						jobsB[i].Arrival += 500
+					}
+					faults = &fault.Plan{Events: []fault.Event{{Kind: fault.KindQPUOutage, QPU: 0, From: 0, To: 100}}}
+				}
 
 				cfgA, recA := liveEquivConfig(seed, tc.mode)
+				cfgA.Faults = faults
 				ref, err := NewController(cfgA)
 				if err != nil {
 					t.Fatal(err)
@@ -94,6 +109,7 @@ func TestLiveControllerMatchesRun(t *testing.T) {
 				}
 
 				cfgB, recB := liveEquivConfig(seed, tc.mode)
+				cfgB.Faults = faults
 				lc, err := NewLiveController(cfgB)
 				if err != nil {
 					t.Fatal(err)
