@@ -150,8 +150,9 @@ type (
 	// LiveController is the incremental multi-tenant controller behind
 	// the job service: jobs are submitted at any virtual time
 	// (Submit), the clock advances in steps (StepUntil), and the
-	// backlog can be run dry (Drain) — bit-identical to Cluster.Run
-	// when fed the same stream at the same arrival times.
+	// backlog can be run dry (Drain). Cluster.Run is Submit-all plus
+	// Drain on the same engine, so feeding a stream incrementally at
+	// its arrival times is bit-identical to Cluster.Run of it.
 	LiveController = core.LiveController
 	// JobStatus is a live job's lifecycle state (pending, queued,
 	// running, completed, failed).

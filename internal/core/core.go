@@ -5,11 +5,13 @@
 // sharing every QPU's communication qubits across tenants each EPR round
 // and releasing computing qubits as jobs complete.
 //
-// Run is driven by the discrete-event engine in internal/des: job
-// arrivals, maturing computing-qubit releases, placement retries, and
+// The controller is driven by the discrete-event engine in internal/des:
+// job arrivals, maturing computing-qubit releases, placement retries, and
 // shared EPR rounds are scheduled events, and spans where every active
 // job waits on local gate tails are skipped in one clock jump instead of
-// being simulated round by round. RunLockStep keeps the original
+// being simulated round by round. There is one engine path: a
+// LiveController accepts jobs incrementally, and Run is Submit-all plus
+// Drain on the same state. RunLockStep keeps the original
 // round-per-iteration loop as a reference implementation; on batch
 // workloads the two produce bit-identical results (see TestRunMatchesLockStep).
 package core
@@ -200,17 +202,18 @@ type Config struct {
 	// boundaries (default PreemptOff). With PreemptOff the controller is
 	// bit-identical to the pre-preemption code path.
 	Preempt PreemptPolicy
-	// ExportPreempted, when set on a live controller, exports preempted
-	// jobs through TakePreempted instead of re-enqueueing them locally,
-	// so the federation layer can re-route a resume to a different
-	// shard. Set by fed.New on multi-shard federations; meaningless for
-	// one-shot runs.
+	// ExportPreempted exports preempted and evicted jobs through
+	// TakePreempted instead of re-enqueueing them locally, so the
+	// federation layer can re-route a resume to a different shard. Set
+	// by fed.New on multi-shard federations. Only a run still taking
+	// submissions exports: once draining (Drain, and so all of Run)
+	// nobody would collect the export, and victims re-enqueue locally.
 	ExportPreempted bool
-	// OnTransition, when non-nil, is invoked at every live job lifecycle
-	// transition (the service layer derives its SSE streams from these).
-	// Fires synchronously inside the scheduling loop: the hook must be
-	// fast and must not call back into the controller. Never fires for
-	// one-shot Run calls, which keep no status index.
+	// OnTransition, when non-nil, is invoked at every job lifecycle
+	// transition, during Run as well as on a LiveController (the service
+	// layer derives its SSE streams from these). Fires synchronously
+	// inside the scheduling loop: the hook must be fast and must not call
+	// back into the controller.
 	OnTransition func(Transition)
 	// Trace, when non-nil, records virtual-time execution spans and JCT
 	// attribution for every job (see internal/trace). All hooks sit
@@ -230,11 +233,12 @@ type Config struct {
 	Faults *fault.Plan
 }
 
-// RunStats summarizes the control-loop work of the last Run, for
-// benchmarking the event-driven core against the lock-step reference.
+// RunStats summarizes the control-loop work of a run (the last Run call,
+// or a LiveController so far), for benchmarking the event-driven engine
+// against the lock-step reference.
 type RunStats struct {
 	// Rounds counts executed scheduling rounds: every loop iteration in
-	// RunLockStep, every round tick in the event-driven Run.
+	// RunLockStep, every round tick on the event-driven engine.
 	Rounds int
 	// Events counts live discrete events the controller handled
 	// (arrivals plus executed ticks; superseded tick closures are not
@@ -253,7 +257,8 @@ type Controller struct {
 	// table, plus the global virtual time. Private clocks reset per
 	// run; a Config.SharedWFQ clock is federation-owned and persists.
 	wfq *WFQClock
-	// stats describes the last Run/RunLockStep call.
+	// stats describes the current or last run (Run, RunLockStep, or a
+	// LiveController).
 	stats RunStats
 	// preempt counts preemption activity; reset with the per-run
 	// scheduling state.
@@ -434,25 +439,13 @@ func validateJob(j *Job, results map[int]*JobResult) error {
 	return nil
 }
 
-// prepare validates the submitted jobs, initializes their result slots,
-// and resets the per-run scheduling state.
-func (ct *Controller) prepare(jobs []*Job) (map[int]*JobResult, int, error) {
-	results := make(map[int]*JobResult, len(jobs))
-	totalComputing := ct.resetScheduling(len(jobs))
-	for _, j := range jobs {
-		if err := validateJob(j, results); err != nil {
-			return nil, 0, err
-		}
-	}
-	return results, totalComputing, nil
-}
-
 // LastRunStats reports the control-loop work of the most recent Run or
 // RunLockStep call.
 func (ct *Controller) LastRunStats() RunStats { return ct.stats }
 
-// runState is the event-driven Run's mutable state, shared by the event
-// closures scheduled on the engine.
+// runState is one event-driven run's mutable state, shared by the event
+// closures scheduled on the engine. Run and LiveController build it the
+// same way (Controller.startLive).
 type runState struct {
 	ct             *Controller
 	eng            *des.Engine
@@ -497,31 +490,28 @@ type runState struct {
 	// maxFinished tracks the latest job completion for the closing
 	// recorder sample.
 	maxFinished float64
-	// live marks a LiveController-owned state: jobs the placer can never
-	// fit on an all-free cloud are marked failed instead of aborting the
-	// run — an always-on service must survive one impossible job — and
-	// the controller wakes at maturing releases even with nothing queued
-	// or pending, since more jobs may arrive at any time. Run keeps the
-	// one-shot behavior on both counts.
-	live bool
-	// status indexes per-job lifecycle states for the live controller
-	// (nil in one-shot runs), with settled counters alongside, so
-	// status queries and snapshots cost O(1) instead of scanning the
-	// full submission history. Maintained via setStatus at every
-	// transition point.
+	// strict is Run's contract: queued jobs the placer can never fit on
+	// an all-free cloud abort the run with an error. Otherwise (the
+	// LiveController) they are marked failed and the run goes on — an
+	// always-on service must survive one impossible job.
+	strict bool
+	// status indexes per-job lifecycle states, with settled counters
+	// alongside, so status queries and snapshots cost O(1) instead of
+	// scanning the full submission history. Maintained via setStatus at
+	// every transition point.
 	status    map[int]JobStatus
 	completed int
 	failed    int
-	// draining ends a live run: no more submissions are coming, so
-	// trailing releases are applied silently like Run's tail instead of
-	// waking the controller.
+	// draining means no more submissions are coming (Drain, and so all
+	// of Run): trailing releases are applied silently at the end instead
+	// of waking the controller, and nothing is exported.
 	draining bool
 	err      error
-	// Preemption state, nil/empty with PreemptOff configured so the off
-	// path carries no behavior change: resume maps a preempted job's ID
-	// to its checkpoint for the re-admission pass, rescued marks jobs
-	// whose queueing triggered a rescue preemption (their on-time finish
-	// increments RescuedDeadlines), and exported collects preempted jobs
+	// Preemption state, empty with PreemptOff configured so the off path
+	// carries no behavior change: resume maps a preempted or evicted
+	// job's ID to its checkpoint for the re-admission pass, rescued marks
+	// jobs whose queueing triggered a rescue preemption (their on-time
+	// finish increments RescuedDeadlines), and exported collects victims
 	// awaiting federation re-routing (TakePreempted).
 	resume   map[int]*resumeState
 	rescued  map[int]bool
@@ -534,109 +524,38 @@ type runState struct {
 	halted bool
 }
 
-// Run executes the jobs to completion and returns their results ordered
-// by job ID. The cloud's computing-qubit reservations are restored to
-// their initial state before returning.
+// Run executes the jobs to completion and returns their results in
+// the order given. The cloud's computing-qubit reservations are restored
+// to their initial state before returning.
 //
-// Run is event-driven: arrivals, maturing releases, placement retries,
-// and shared EPR rounds are events on an internal/des engine, and when
-// every active job's ready set is empty the clock jumps straight to the
-// next enabling time instead of spinning one iteration per EPRAttempt
-// slot. On batch workloads it reproduces RunLockStep's results
-// bit-identically while executing strictly fewer scheduling rounds.
+// Run is Submit-all plus Drain on a live run of this controller (see
+// LiveController), with one difference: a job that can never be placed
+// aborts the run with an error instead of being marked failed. The
+// controller's rng, plan cache, and state pool carry over between calls.
+// On batch workloads it reproduces RunLockStep's results bit-identically
+// while executing strictly fewer scheduling rounds.
 func (ct *Controller) Run(jobs []*Job) ([]*JobResult, error) {
-	results, totalComputing, err := ct.prepare(jobs)
-	if err != nil {
-		return nil, err
-	}
-	st := &runState{
-		ct:              ct,
-		eng:             des.NewEngine(),
-		results:         results,
-		totalComputing:  totalComputing,
-		pendingArrivals: len(jobs),
-		budget:          make([]int, ct.cfg.Cloud.NumQPUs()),
-		nextRound:       math.NaN(),
-		tickAt:          math.NaN(),
-	}
-	if ct.cfg.Preempt != PreemptOff {
-		st.resume = make(map[int]*resumeState)
-		st.rescued = make(map[int]bool)
-	}
-	// Fault events land on the engine before the workload's arrivals,
-	// so at a shared instant the fault transition precedes the arrival.
-	st.faultInit()
+	lc := ct.startLive(len(jobs), true)
 	for _, j := range jobs {
-		j := j
-		at := j.Arrival
-		if at < 0 {
-			at = 0 // like the lock-step loop, a negative arrival means "already here"
+		if err := lc.Submit(j); err != nil {
+			return nil, err
 		}
-		// Priority scheduling: arrivals precede any controller tick at
-		// the same instant, whether queued up front (here) or injected
-		// mid-run (LiveController.Submit).
-		st.eng.SchedulePriority(at, func() { st.arrive(j) })
 	}
-	if next, ok := st.eng.NextAt(); ct.cfg.Recorder != nil && (!ok || next > 0) {
-		// Opening sample: the idle span before the first event belongs
-		// to the recorded horizon (the lock-step loop's t=0 iteration
-		// captures it too). A fault event at t=0 counts as the first
-		// event, exactly as in LiveController.begin.
-		ct.cfg.Recorder.Record(metrics.Sample{Time: 0, Utilization: ct.cfg.Cloud.Utilization()})
-	}
-	st.eng.Run()
-	if st.err != nil {
-		// Failed runs must not leak reservations either: release every
-		// still-active placement, pending release, and outage hold so
-		// the shared cloud is usable for the next Run.
-		for _, aj := range st.active {
-			aj.placement.Release(ct.cfg.Cloud)
-		}
-		for _, r := range st.releases {
-			r.placement.Release(ct.cfg.Cloud)
-		}
-		st.releaseFaultHolds()
-		return nil, st.err
-	}
-
-	// Final releases restore the cloud. Outage holds were returned by
-	// their qpuUp events (the engine drains every scheduled fault).
-	for _, r := range st.releases {
-		r.placement.Release(ct.cfg.Cloud)
-	}
-	if ct.cfg.Recorder != nil && len(jobs) > 0 {
-		// Closing sample: thinned recorders would otherwise drop the
-		// end-of-run state and under-cover the horizon (see
-		// metrics.Recorder.Flush).
-		end := st.eng.Now()
-		if st.maxFinished > end {
-			end = st.maxFinished
-		}
-		ct.cfg.Recorder.Flush(metrics.Sample{
-			Time:        end,
-			Utilization: ct.cfg.Cloud.Utilization(),
-		})
-	}
-
-	out := make([]*JobResult, 0, len(results))
-	for _, j := range jobs {
-		out = append(out, results[j.ID])
-	}
-	return out, nil
+	return lc.Drain()
 }
 
-// setStatus records a live job's lifecycle transition and keeps the
-// settled counters current. A nil receiver or one-shot run (no status
-// index) is a no-op, so the shared admission/retire paths can call it
-// unconditionally.
+// setStatus records a job's lifecycle transition, keeps the settled
+// counters current, and fires the OnTransition hook. A nil receiver
+// (the lock-step loop) is a no-op, so the shared admission path can call
+// it unconditionally.
 func (st *runState) setStatus(id int, s JobStatus) {
 	st.setStatusReason(id, s, ReasonNone)
 }
 
 // setStatusReason is setStatus with an explicit transition reason for
-// the OnTransition hook (preemption and resume paths).
+// the OnTransition hook (preemption, eviction, and resume paths).
 func (st *runState) setStatusReason(id int, s JobStatus, why TransitionReason) {
-	if st == nil || st.status == nil {
+	if st == nil {
 		return
 	}
 	old := st.status[id]
@@ -647,7 +566,9 @@ func (st *runState) setStatusReason(id int, s JobStatus, why TransitionReason) {
 	case StatusFailed:
 		st.failed++
 	}
-	st.notify(Transition{JobID: id, From: old, To: s, At: st.eng.Now(), Reason: why})
+	if fn := st.ct.cfg.OnTransition; fn != nil {
+		fn(Transition{JobID: id, From: old, To: s, At: st.eng.Now(), Reason: why})
+	}
 }
 
 // arrive is the arrival event: the job joins the admission queue and a
@@ -854,7 +775,7 @@ func (st *runState) tick() {
 		}
 		st.releases = append(st.releases, release{at: finished, placement: aj.placement})
 		st.setStatus(aj.job.ID, StatusCompleted)
-		if st.rescued != nil && st.rescued[aj.job.ID] {
+		if st.rescued[aj.job.ID] {
 			delete(st.rescued, aj.job.ID)
 			if aj.job.Deadline > 0 && finished <= aj.job.Deadline {
 				ct.preempt.RescuedDeadlines++
@@ -895,16 +816,15 @@ func zeroInts(buf []int, n int) []int {
 func (st *runState) scheduleNext(t float64) {
 	if len(st.active) == 0 {
 		st.nextRound = math.NaN()
-		if len(st.queue) == 0 && st.pendingArrivals == 0 && (!st.live || st.draining) {
+		if len(st.queue) == 0 && st.pendingArrivals == 0 && st.draining {
 			return // done: only the final releases remain
 		}
 		// Wake at the next maturing release even with nothing queued:
 		// later arrivals need the freed capacity applied, and the
 		// Recorder's sample-and-hold series must see utilization drop at
-		// the release, not at the next arrival. A live controller wakes
-		// even with nothing pending at all — more jobs may arrive at any
-		// time, which is exactly the state pendingArrivals > 0 models in
-		// a one-shot run.
+		// the release, not at the next arrival. Before Drain the
+		// controller wakes even with nothing pending at all — more jobs
+		// may be submitted at any time.
 		next := math.Inf(1)
 		for _, r := range st.releases {
 			if r.at > t && r.at < next {
@@ -925,20 +845,20 @@ func (st *runState) scheduleNext(t float64) {
 			// preemption no tick is ever pending here, so the guard is
 			// vacuous on the off path.
 			// Nothing active, nothing maturing, nothing still to arrive:
-			// the queued jobs can never be placed. The one-shot Run
-			// aborts; a live controller fails the jobs and keeps serving.
-			if st.live {
-				for _, j := range st.queue {
-					st.results[j.ID].Failed = true
-					if tc := st.ct.cfg.Trace; tc != nil {
-						tc.Fail(j.ID, t)
-					}
-					st.setStatus(j.ID, StatusFailed)
-				}
-				st.queue = st.queue[:0]
-			} else {
+			// the queued jobs can never be placed. Run (strict) aborts; a
+			// live controller fails the jobs and keeps serving.
+			if st.strict {
 				st.err = fmt.Errorf("core: %d jobs unplaceable with all resources free", len(st.queue))
+				return
 			}
+			for _, j := range st.queue {
+				st.results[j.ID].Failed = true
+				if tc := st.ct.cfg.Trace; tc != nil {
+					tc.Fail(j.ID, t)
+				}
+				st.setStatus(j.ID, StatusFailed)
+			}
+			st.queue = st.queue[:0]
 		}
 		return
 	}
@@ -975,8 +895,8 @@ func (st *runState) scheduleNext(t float64) {
 
 // admit tries to place every waiting job that has arrived, in the
 // configured admission order (batch intensity, FIFO, EDF, or WFQ). Jobs
-// larger than the whole cloud are marked failed. st carries the live
-// status index (nil from the lock-step loop).
+// larger than the whole cloud are marked failed. st carries the status
+// index and resume checkpoints (nil from the lock-step loop).
 func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*JobResult, t float64, totalComputing int, st *runState) ([]*Job, []*activeJob, error) {
 	// Partition in place: not-yet-arrived jobs compact into queue's
 	// prefix, arrived ones move to a controller-owned scratch list.
@@ -1024,7 +944,7 @@ func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*
 		// virtual-clock charge from the first placement stands (resuming
 		// is not new service, so the tenant is not billed twice).
 		var rs *resumeState
-		if st != nil && st.resume != nil {
+		if st != nil {
 			rs = st.resume[j.ID]
 		}
 		var wfqStart float64

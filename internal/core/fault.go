@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"cloudqc/internal/fault"
@@ -94,25 +95,35 @@ func validateFaults(cfg *Config) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	topo := cfg.Cloud.Topology()
 	for i, e := range p.Events {
-		switch e.Kind {
-		case fault.KindShardDrain:
-			return fmt.Errorf("core: fault event %d is a shard_drain — a federation-tier fault (fed.Config.Faults splits plans with ForShard)", i)
-		case fault.KindQPUOutage:
-			if e.QPU >= cfg.Cloud.NumQPUs() {
-				return fmt.Errorf("core: fault event %d downs QPU %d, cloud has %d", i, e.QPU, cfg.Cloud.NumQPUs())
-			}
-		case fault.KindLinkDegrade:
-			if e.U >= topo.N() || e.V >= topo.N() || !topo.HasEdge(e.U, e.V) {
-				return fmt.Errorf("core: fault event %d degrades nonexistent link (%d, %d)", i, e.U, e.V)
-			}
-			// The satellite guarantee: validate at the same checkpoint
-			// the fault layer scales through, so a degraded probability
-			// can hit exactly 0 but never go negative.
-			if _, err := cfg.Model.DegradedProb(e.Scale); err != nil {
-				return fmt.Errorf("core: fault event %d: %w", i, err)
-			}
+		if err := validateFaultEvent(cfg, e); err != nil {
+			return fmt.Errorf("core: fault event %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// validateFaultEvent range-checks one shape-valid event against the
+// cloud and the EPR model — for a configured plan and for live
+// injection alike. Shard drains are the federation tier's concern.
+func validateFaultEvent(cfg *Config, e fault.Event) error {
+	switch e.Kind {
+	case fault.KindShardDrain:
+		return errors.New("shard_drain is a federation-tier fault (fed.Config.Faults splits plans with ForShard; fed.Federation.Inject injects one)")
+	case fault.KindQPUOutage:
+		if e.QPU >= cfg.Cloud.NumQPUs() {
+			return fmt.Errorf("fault downs QPU %d, cloud has %d", e.QPU, cfg.Cloud.NumQPUs())
+		}
+	case fault.KindLinkDegrade:
+		topo := cfg.Cloud.Topology()
+		if e.U >= topo.N() || e.V >= topo.N() || !topo.HasEdge(e.U, e.V) {
+			return fmt.Errorf("fault degrades nonexistent link (%d, %d)", e.U, e.V)
+		}
+		// Validate at the same checkpoint the fault layer scales
+		// through, so a degraded probability can hit exactly 0 but never
+		// go negative.
+		if _, err := cfg.Model.DegradedProb(e.Scale); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -261,7 +272,8 @@ func placementUses(qubitToQPU []int, q int) bool {
 	return false
 }
 
-// compactActive drops evicted entries (state nil) from the active set.
+// compactActive drops preempted and evicted entries (state nil) from
+// the active set.
 func (st *runState) compactActive() {
 	remaining := st.active[:0]
 	for _, aj := range st.active {
@@ -279,33 +291,11 @@ func (st *runState) compactActive() {
 // in-flight partial entanglement, which is physically what an outage
 // does, and Checkpoint snapshots exactly the completed gates.
 func (st *runState) rescueVictim(aj *activeJob, t float64, kind string) {
-	ct := st.ct
-	cp := aj.state.Checkpoint()
-	ct.releaseJobState(aj.state)
-	aj.state = nil
-	id := aj.job.ID
 	if aj.tr != nil {
 		aj.tr.Fault(t, kind)
 		aj.tr.Preempt(t)
 	}
-	if ct.cfg.ExportPreempted && st.live && !st.draining {
-		// Federation re-routes the resume exactly like a preemption
-		// export: this shard forgets the job so SubmitResume can
-		// re-validate it wherever the router rehomes it.
-		if st.status != nil {
-			st.notify(Transition{JobID: id, From: st.status[id], To: StatusQueued, At: t, Reason: ReasonEvicted})
-		}
-		delete(st.results, id)
-		delete(st.status, id)
-		st.exported = append(st.exported, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
-		return
-	}
-	if st.resume == nil {
-		st.resume = make(map[int]*resumeState) // PreemptOff runs have no resume map yet
-	}
-	st.resume[id] = &resumeState{cp: cp, firstPlacedAt: aj.firstPlacedAt}
-	st.queue = append(st.queue, aj.job)
-	st.setStatusReason(id, StatusQueued, ReasonEvicted)
+	st.requeue(aj, ReasonEvicted)
 }
 
 // failVictim fails one evicted job outright (RecoveryNone, or an
@@ -348,18 +338,25 @@ func (st *runState) faultTopUp() {
 	}
 }
 
-// releaseFaultHolds returns every outage hold to the cloud — the
-// error-path and evacuation counterpart of qpuUp's release, so a
-// poisoned or drained run never leaks the injector's reservations.
-func (st *runState) releaseFaultHolds() {
-	f := st.faults
-	if f == nil {
-		return
+// releaseAll returns every reservation the run still holds to the cloud
+// — active placements, trailing releases, and outage holds (the
+// error-path and evacuation counterpart of qpuUp's release) — so a
+// finished, poisoned, or evacuated run never leaks capacity.
+func (st *runState) releaseAll() {
+	cl := st.ct.cfg.Cloud
+	for _, aj := range st.active {
+		aj.placement.Release(cl)
 	}
-	for q, n := range f.hold {
-		if n > 0 {
-			st.ct.cfg.Cloud.Release(q, n)
-			f.hold[q] = 0
+	for _, r := range st.releases {
+		r.placement.Release(cl)
+	}
+	st.active, st.releases = nil, nil
+	if f := st.faults; f != nil {
+		for q, n := range f.hold {
+			if n > 0 {
+				cl.Release(q, n)
+				f.hold[q] = 0
+			}
 		}
 	}
 }

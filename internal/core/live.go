@@ -80,9 +80,9 @@ type LiveSnapshot struct {
 }
 
 // LiveController is the incremental façade over the event-driven
-// multi-tenant controller: where Run consumes a complete workload and
-// executes it to completion, a LiveController accepts jobs at any
-// virtual time after the run starts and advances the clock in steps.
+// multi-tenant controller: it accepts jobs at any virtual time after the
+// run starts and advances the clock in steps. Run is the batch form of
+// the same engine: it submits a whole workload up front and drains it.
 //
 //	lc, _ := core.NewLiveController(cfg)
 //	lc.Submit(job)            // at any time, arrival = now
@@ -90,11 +90,10 @@ type LiveSnapshot struct {
 //	lc.Snapshot()             // cluster state, lc.Status(id) per job
 //	results, _ := lc.Drain()  // run the backlog dry and stop
 //
-// Admission, placement, EPR-round allocation, and metrics reuse the
-// exact event machinery behind Run: submitting a workload's jobs at
-// their arrival times (Submit before the clock passes each arrival)
-// reproduces Run's results bit-identically — same rounds, same JCTs,
-// same recorder series (see TestLiveControllerMatchesRun).
+// Submitting a workload's jobs at their arrival times (Submit before the
+// clock passes each arrival) with steps in between reproduces Run's
+// up-front submission bit-identically — same rounds, same JCTs, same
+// recorder series (see TestLiveControllerMatchesRun).
 //
 // A LiveController is not safe for concurrent use; the service layer
 // (internal/service) serializes access.
@@ -104,7 +103,7 @@ type LiveController struct {
 	// jobs preserves submission order for Results.
 	jobs []*Job
 	// started latches the first clock advance, which decides the
-	// recorder's opening sample exactly like Run's pre-loop check.
+	// recorder's opening sample.
 	started bool
 	drained bool
 }
@@ -116,24 +115,31 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := ct.resetScheduling(0)
+	return ct.startLive(0, false), nil
+}
+
+// startLive resets ct's per-run scheduling state and opens a live run
+// on it with the clock at 0: the one constructor behind both Run and
+// NewLiveController. jobHint sizes the per-job maps; strict selects
+// Run's abort-on-unplaceable contract (see runState.strict).
+func (ct *Controller) startLive(jobHint int, strict bool) *LiveController {
 	st := &runState{
 		ct:             ct,
 		eng:            des.NewEngine(),
-		results:        make(map[int]*JobResult),
-		totalComputing: total,
-		budget:         make([]int, cfg.Cloud.NumQPUs()),
+		results:        make(map[int]*JobResult, jobHint),
+		totalComputing: ct.resetScheduling(jobHint),
+		budget:         make([]int, ct.cfg.Cloud.NumQPUs()),
 		nextRound:      math.NaN(),
 		tickAt:         math.NaN(),
-		live:           true,
-		status:         make(map[int]JobStatus),
+		strict:         strict,
+		status:         make(map[int]JobStatus, jobHint),
+		resume:         make(map[int]*resumeState),
+		rescued:        make(map[int]bool),
 	}
-	if ct.cfg.Preempt != PreemptOff {
-		st.resume = make(map[int]*resumeState)
-		st.rescued = make(map[int]bool)
-	}
+	// Fault events land on the engine before any arrival, so at a shared
+	// instant the fault transition precedes the arrival.
 	st.faultInit()
-	return &LiveController{ct: ct, st: st}, nil
+	return &LiveController{ct: ct, st: st, jobs: make([]*Job, 0, jobHint)}
 }
 
 // Now returns the current virtual time in CX units.
@@ -142,30 +148,11 @@ func (lc *LiveController) Now() float64 { return lc.st.eng.Now() }
 // Submit injects a job into the run. The job arrives at
 // max(Job.Arrival, Now()): a future Arrival schedules it ahead of time,
 // a zero or past one means "arrives now" (Job.Arrival itself is left
-// untouched — JCT accounting charges from the caller's stamp, exactly
-// like Run). Submissions at the current instant precede any controller
-// tick already scheduled there, so a job submitted at time t is
+// untouched — JCT accounting charges from the caller's stamp).
+// Submissions at the current instant precede any controller tick
+// already scheduled there, so a job submitted at time t is
 // indistinguishable from one queued up front with Arrival t.
-func (lc *LiveController) Submit(j *Job) error {
-	if lc.drained {
-		return ErrDrained
-	}
-	if lc.st.err != nil {
-		return lc.st.err
-	}
-	if err := validateJob(j, lc.st.results); err != nil {
-		return err
-	}
-	at := j.Arrival
-	if now := lc.st.eng.Now(); at < now {
-		at = now
-	}
-	lc.jobs = append(lc.jobs, j)
-	lc.st.setStatusReason(j.ID, StatusPending, ReasonNone)
-	lc.st.pendingArrivals++
-	lc.st.eng.SchedulePriority(at, func() { lc.st.arrive(j) })
-	return nil
-}
+func (lc *LiveController) Submit(j *Job) error { return lc.enqueue(j, nil) }
 
 // SubmitResume injects a preempted job exported by another controller
 // (TakePreempted on the preempting shard): the job re-enters admission
@@ -174,28 +161,37 @@ func (lc *LiveController) Submit(j *Job) error {
 // strict superset of nothing, so execution only moves forward. Like
 // Submit, the arrival event fires at max(Job.Arrival, Now()).
 func (lc *LiveController) SubmitResume(pj PreemptedJob) error {
+	return lc.enqueue(pj.Job, &resumeState{cp: pj.cp, firstPlacedAt: pj.firstPlacedAt})
+}
+
+// enqueue validates j, claims its result slot, and schedules its arrival
+// event; a non-nil rs makes it a resume-job carrying that checkpoint.
+func (lc *LiveController) enqueue(j *Job, rs *resumeState) error {
+	st := lc.st
 	if lc.drained {
 		return ErrDrained
 	}
-	if lc.st.err != nil {
-		return lc.st.err
+	if st.err != nil {
+		return st.err
 	}
-	j := pj.Job
-	if err := validateJob(j, lc.st.results); err != nil {
+	if err := validateJob(j, st.results); err != nil {
 		return err
 	}
-	if lc.st.resume == nil {
-		lc.st.resume = make(map[int]*resumeState)
+	why := ReasonNone
+	if rs != nil {
+		st.resume[j.ID] = rs
+		why = ReasonResumed
 	}
-	lc.st.resume[j.ID] = &resumeState{cp: pj.cp, firstPlacedAt: pj.firstPlacedAt}
 	at := j.Arrival
-	if now := lc.st.eng.Now(); at < now {
+	if now := st.eng.Now(); at < now {
 		at = now
 	}
 	lc.jobs = append(lc.jobs, j)
-	lc.st.setStatusReason(j.ID, StatusPending, ReasonResumed)
-	lc.st.pendingArrivals++
-	lc.st.eng.SchedulePriority(at, func() { lc.st.arrive(j) })
+	st.setStatusReason(j.ID, StatusPending, why)
+	st.pendingArrivals++
+	// Priority scheduling: arrivals precede any controller tick at the
+	// same instant.
+	st.eng.SchedulePriority(at, func() { st.arrive(j) })
 	return nil
 }
 
@@ -215,27 +211,36 @@ func (lc *LiveController) TakePreempted() []PreemptedJob {
 	for _, pj := range out {
 		gone[pj.Job.ID] = true
 	}
+	lc.forget(gone)
+	return out
+}
+
+// forget drops jobs from the controller entirely — result slots, status,
+// and submission-order entries — so Submit/SubmitResume re-validate them
+// wherever the federation rehomes them.
+func (lc *LiveController) forget(gone map[int]bool) {
 	kept := lc.jobs[:0]
 	for _, j := range lc.jobs {
-		if !gone[j.ID] {
+		if gone[j.ID] {
+			delete(lc.st.results, j.ID)
+			delete(lc.st.status, j.ID)
+		} else {
 			kept = append(kept, j)
 		}
 	}
-	for i := len(kept); i < len(lc.jobs); i++ {
-		lc.jobs[i] = nil
-	}
+	clear(lc.jobs[len(kept):])
 	lc.jobs = kept
-	return out
 }
 
 // PreemptStats reports the controller's cumulative preemption counters.
 func (lc *LiveController) PreemptStats() PreemptStats { return lc.ct.preempt }
 
 // begin latches the first clock advance and emits the recorder's
-// opening sample when the horizon starts idle — the same "idle span
-// before the first arrival" rule Run applies before draining its event
-// queue. target is how far the caller is about to advance; a no-op
-// step (nothing scheduled, clock staying at 0) defers the decision.
+// opening sample when the horizon starts idle: the idle span before the
+// first event (an arrival or a fault) belongs to the recorded horizon,
+// as the lock-step loop's t=0 iteration captures it too. target is how
+// far the caller is about to advance; a no-op step (nothing scheduled,
+// clock staying at 0) defers the decision.
 func (lc *LiveController) begin(target float64) {
 	if lc.started {
 		return
@@ -280,9 +285,10 @@ func (lc *LiveController) Drain() ([]*JobResult, error) {
 	}
 	lc.begin(math.Inf(1))
 	// No more submissions are coming: stop waking at trailing releases
-	// (Run's tail applies them silently), and cancel an already-pending
-	// idle wake — when the system is idle with nothing queued or still
-	// arriving, the only tick that can be scheduled is such a wake.
+	// (the sweep below applies them silently), and cancel an
+	// already-pending idle wake — when the system is idle with nothing
+	// queued or still arriving, the only tick that can be scheduled is
+	// such a wake.
 	lc.st.draining = true
 	if len(lc.st.active) == 0 && len(lc.st.queue) == 0 && lc.st.pendingArrivals == 0 &&
 		!math.IsNaN(lc.st.tickAt) {
@@ -291,33 +297,23 @@ func (lc *LiveController) Drain() ([]*JobResult, error) {
 	}
 	lc.st.eng.Run()
 	lc.drained = true
-	cl := lc.ct.cfg.Cloud
+	// Return every reservation still held. On success that is only the
+	// trailing releases: nothing stays active once the engine runs dry,
+	// and outage holds were returned by their qpuUp events. A poisoned
+	// run must not leak reservations on the shared cloud either.
+	lc.st.releaseAll()
 	if lc.st.err != nil {
-		// Like Run's failure path: a poisoned run must not leak
-		// reservations on the shared cloud.
-		for _, aj := range lc.st.active {
-			aj.placement.Release(cl)
-		}
-		for _, r := range lc.st.releases {
-			r.placement.Release(cl)
-		}
-		lc.st.active, lc.st.releases = nil, nil
-		lc.st.releaseFaultHolds()
 		return nil, lc.st.err
 	}
-	for _, r := range lc.st.releases {
-		r.placement.Release(cl)
-	}
-	lc.st.releases = nil
-	// Outage holds were returned by their qpuUp events (the engine
-	// drained every scheduled fault); sweep any injected leftovers.
-	lc.st.releaseFaultHolds()
 	if lc.ct.cfg.Recorder != nil && len(lc.jobs) > 0 {
+		// Closing sample: thinned recorders would otherwise drop the
+		// end-of-run state and under-cover the horizon (see
+		// metrics.Recorder.Flush).
 		end := lc.st.eng.Now()
 		if lc.st.maxFinished > end {
 			end = lc.st.maxFinished
 		}
-		lc.ct.cfg.Recorder.Flush(metrics.Sample{Time: end, Utilization: cl.Utilization()})
+		lc.ct.cfg.Recorder.Flush(metrics.Sample{Time: end, Utilization: lc.ct.cfg.Cloud.Utilization()})
 	}
 	return lc.Results(), nil
 }
@@ -479,22 +475,8 @@ func (lc *LiveController) InjectFault(e fault.Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	cl := lc.ct.cfg.Cloud
-	switch e.Kind {
-	case fault.KindShardDrain:
-		return errors.New("core: shard_drain is a federation-tier fault (fed.Federation.Inject)")
-	case fault.KindQPUOutage:
-		if e.QPU >= cl.NumQPUs() {
-			return fmt.Errorf("core: fault downs QPU %d, cloud has %d", e.QPU, cl.NumQPUs())
-		}
-	case fault.KindLinkDegrade:
-		topo := cl.Topology()
-		if e.U >= topo.N() || e.V >= topo.N() || !topo.HasEdge(e.U, e.V) {
-			return fmt.Errorf("core: fault degrades nonexistent link (%d, %d)", e.U, e.V)
-		}
-		if _, err := lc.ct.cfg.Model.DegradedProb(e.Scale); err != nil {
-			return err
-		}
+	if err := validateFaultEvent(&lc.ct.cfg, e); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if now := lc.st.eng.Now(); e.From < now {
 		e.From = now
@@ -518,13 +500,13 @@ func (lc *LiveController) InjectFault(e fault.Event) error {
 // are inert and every mutating call fails with ErrDrained.
 func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 	st := lc.st
-	ct := lc.ct
 	t := st.eng.Now()
-	tc := ct.cfg.Trace
-	for _, aj := range st.active {
-		aj.placement.Release(ct.cfg.Cloud)
+	tc := lc.ct.cfg.Trace
+	active := st.active
+	st.releaseAll()
+	for _, aj := range active {
 		cp := aj.state.Checkpoint()
-		ct.releaseJobState(aj.state)
+		lc.ct.releaseJobState(aj.state)
 		aj.state = nil
 		if aj.tr != nil {
 			aj.tr.Fault(t, fault.KindShardDrain)
@@ -532,7 +514,6 @@ func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 		}
 		resumes = append(resumes, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
 	}
-	st.active = nil
 	collect := func(j *Job) {
 		if tc != nil {
 			if tr := tc.Get(j.ID); tr != nil {
@@ -558,14 +539,6 @@ func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 	}
 	resumes = append(resumes, st.exported...)
 	st.exported = nil
-	for _, r := range st.releases {
-		r.placement.Release(ct.cfg.Cloud)
-	}
-	st.releases = nil
-	st.releaseFaultHolds()
-	// Forget the moved jobs entirely — result slots, status, and
-	// submission-order entries — so SubmitResume/Submit re-validate
-	// them wherever the router rehomes them.
 	gone := make(map[int]bool, len(resumes)+len(waiting))
 	for _, pj := range resumes {
 		gone[pj.Job.ID] = true
@@ -573,19 +546,7 @@ func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 	for _, j := range waiting {
 		gone[j.ID] = true
 	}
-	kept := lc.jobs[:0]
-	for _, j := range lc.jobs {
-		if gone[j.ID] {
-			delete(st.results, j.ID)
-			delete(st.status, j.ID)
-		} else {
-			kept = append(kept, j)
-		}
-	}
-	for i := len(kept); i < len(lc.jobs); i++ {
-		lc.jobs[i] = nil
-	}
-	lc.jobs = kept
+	lc.forget(gone)
 	st.halted = true
 	lc.drained = true
 	return resumes, waiting

@@ -19,9 +19,12 @@ import (
 // New code should call Run; RunLockStep exists for differential testing
 // and benchmarking only.
 func (ct *Controller) RunLockStep(jobs []*Job) ([]*JobResult, error) {
-	results, totalComputing, err := ct.prepare(jobs)
-	if err != nil {
-		return nil, err
+	results := make(map[int]*JobResult, len(jobs))
+	totalComputing := ct.resetScheduling(len(jobs))
+	for _, j := range jobs {
+		if err := validateJob(j, results); err != nil {
+			return nil, err
+		}
 	}
 	queue := append([]*Job(nil), jobs...)
 

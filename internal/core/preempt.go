@@ -80,7 +80,7 @@ func (s *PreemptStats) Add(other PreemptStats) {
 }
 
 // PreemptStats reports the preemption counters of the current run (reset
-// by each Run/RunLockStep call; monotone over a LiveController's life).
+// by each Run call; monotone over a LiveController's life).
 func (ct *Controller) PreemptStats() PreemptStats { return ct.preempt }
 
 // PreemptedJob is a preempted job exported for resumption elsewhere: the
@@ -238,13 +238,7 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 	for _, aj := range cands[:released] {
 		st.preemptVictim(aj, t)
 	}
-	remaining := st.active[:0]
-	for _, aj := range st.active {
-		if aj.state != nil {
-			remaining = append(remaining, aj)
-		}
-	}
-	st.active = remaining
+	st.compactActive()
 	if ct.cfg.Preempt == PreemptRescue {
 		st.rescued[trig.ID] = true
 	}
@@ -256,40 +250,37 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 }
 
 // preemptVictim checkpoints one victim whose reservations the probe
-// already released: snapshot its completed remote gates, retire its
-// execution state to the pool, and either re-enqueue it locally as a
-// resume-job or export it for the federation layer to re-route. The
-// victim keeps its ID, arrival, and first-placement timestamp, so its
-// eventual result reports admission wait only (requeue time lands in
-// JCT, not WaitTime).
+// already released and requeues it (see requeue).
 func (st *runState) preemptVictim(aj *activeJob, t float64) {
-	ct := st.ct
-	ct.preempt.Preemptions++
-	cp := aj.state.Checkpoint()
-	ct.releaseJobState(aj.state)
-	aj.state = nil
-	id := aj.job.ID
+	st.ct.preempt.Preemptions++
 	if aj.tr != nil {
 		// The suspension span opens here and closes at the resume
 		// placement — on whichever shard the federation rehomes it to,
 		// since the recorder is shared.
 		aj.tr.Preempt(t)
 	}
-	if ct.cfg.ExportPreempted && st.live && !st.draining {
-		// Federation re-routes the resume (possibly to another shard):
-		// this shard forgets the job entirely — result slot, status, and
-		// ID reservation — so SubmitResume can re-validate it wherever it
-		// lands. The transition hook fires before the status entry is
-		// deleted, so observers still see the Running→Queued preemption.
-		if st.status != nil {
-			st.notify(Transition{JobID: id, From: st.status[id], To: StatusQueued, At: t, Reason: ReasonPreempted})
-		}
-		delete(st.results, id)
-		delete(st.status, id)
+	st.requeue(aj, ReasonPreempted)
+}
+
+// requeue checkpoints a job taken off the cloud (its reservations
+// already released): snapshot its completed remote gates, retire its
+// execution state to the pool, and move it to StatusQueued. A
+// federation shard still taking submissions (ExportPreempted, not
+// draining) exports it for the router to re-route, possibly to another
+// shard, and forgets it at TakePreempted; otherwise it re-enqueues
+// locally as a resume-job. Either way the job keeps its ID, arrival,
+// and first-placement timestamp, so its eventual result reports
+// admission wait only (requeue time lands in JCT, not WaitTime).
+func (st *runState) requeue(aj *activeJob, why TransitionReason) {
+	cp := aj.state.Checkpoint()
+	st.ct.releaseJobState(aj.state)
+	aj.state = nil
+	id := aj.job.ID
+	st.setStatusReason(id, StatusQueued, why)
+	if st.ct.cfg.ExportPreempted && !st.draining {
 		st.exported = append(st.exported, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
 		return
 	}
 	st.resume[id] = &resumeState{cp: cp, firstPlacedAt: aj.firstPlacedAt}
 	st.queue = append(st.queue, aj.job)
-	st.setStatusReason(id, StatusQueued, ReasonPreempted)
 }

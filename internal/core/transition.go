@@ -41,8 +41,8 @@ func (r TransitionReason) String() string {
 	}
 }
 
-// Transition is one job lifecycle state change on a live controller, as
-// delivered to the Config.OnTransition hook: the job moved From→To at
+// Transition is one job lifecycle state change, as delivered to the
+// Config.OnTransition hook: the job moved From→To at
 // virtual time At. Reason disambiguates preemption-driven transitions
 // from ordinary ones.
 type Transition struct {
@@ -55,9 +55,9 @@ type Transition struct {
 
 // SetOnTransition installs (or, with nil, removes) the controller's
 // lifecycle-transition hook. The hook fires synchronously from inside
-// the scheduling loop at every live-status change — it must be fast and
-// must not call back into the controller. One-shot Run calls keep no
-// status index and never fire it.
+// the scheduling loop at every status change, during Run as well as on
+// a LiveController — it must be fast and must not call back into the
+// controller.
 func (ct *Controller) SetOnTransition(fn func(Transition)) { ct.cfg.OnTransition = fn }
 
 // Mode returns the admission mode currently applied to new ticks.
@@ -74,12 +74,4 @@ func (ct *Controller) SetMode(m Mode) error {
 	}
 	ct.cfg.Mode = m
 	return nil
-}
-
-// notify delivers a transition to the configured hook, if any. Callers
-// must only invoke it for live-status changes (st.status != nil).
-func (st *runState) notify(tr Transition) {
-	if fn := st.ct.cfg.OnTransition; fn != nil {
-		fn(tr)
-	}
 }
