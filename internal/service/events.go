@@ -163,14 +163,32 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "job id must be an integer", 0)
 		return
 	}
-	s.mu.Lock()
-	_, status := s.f.Result(id)
-	s.mu.Unlock()
-	if status == core.StatusUnknown {
+	if s.status(id) == core.StatusUnknown {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %d", id), 0)
 		return
 	}
 	s.streamEvents(w, r, id)
+}
+
+// status reports a job's lifecycle state under s.mu.
+func (s *Server) status(id int) core.JobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, status := s.f.Result(id)
+	return status
+}
+
+// poll is one streamEvents pass under s.mu: advance the clock, sweep,
+// and return the retained events past since plus the channel that
+// signals the next append.
+func (s *Server) poll(since int) ([]Event, chan struct{}, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.advance(s.cfg.Now()); err != nil {
+		return nil, nil, err
+	}
+	s.sweep()
+	return s.events.after(since), s.events.waitCh(), nil
 }
 
 // streamEvents serves one SSE connection: replay the retained backlog
@@ -206,15 +224,10 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID int)
 	heartbeat := time.NewTimer(s.cfg.Heartbeat)
 	defer heartbeat.Stop()
 	for {
-		s.mu.Lock()
-		if err := s.advance(s.cfg.Now()); err != nil {
-			s.mu.Unlock()
+		evs, wake, err := s.poll(since)
+		if err != nil {
 			return
 		}
-		s.sweep()
-		evs := s.events.after(since)
-		wake := s.events.waitCh()
-		s.mu.Unlock()
 
 		done := false
 		for _, ev := range evs {

@@ -61,18 +61,26 @@ var metricFamilies = []metricFamily{
 // dependency for what is a few fmt.Fprintf calls.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	s.mu.Lock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		s.mu.Unlock()
+	if err := s.scrape(&buf); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
 		return
 	}
-	s.sweep()
-	s.renderMetrics(&buf)
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// scrape is handleMetrics' locked section: advance, sweep, and render
+// the exposition into buf.
+func (s *Server) scrape(buf *bytes.Buffer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.advance(s.cfg.Now()); err != nil {
+		return err
+	}
+	s.sweep()
+	s.renderMetrics(buf)
+	return nil
 }
 
 // renderMetrics writes the full exposition. Callers hold s.mu and have

@@ -421,10 +421,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The response is built under the lock but written after releasing
 	// it (all handlers do this): a client that stops reading its socket
-	// must stall only its own connection, never the daemon.
-	s.mu.Lock()
+	// must stall only its own connection, never the daemon. Every locked
+	// section is a helper that unlocks with defer, so a panic inside it
+	// (which net/http recovers) cannot leave the daemon wedged.
 	code, resp, retryAfter := s.submit(req, circ)
-	s.mu.Unlock()
 	if code == http.StatusAccepted {
 		writeJSON(w, code, resp)
 	} else {
@@ -436,6 +436,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the response payload (JobResponse on 202, error text otherwise), and
 // the 429 retry hint.
 func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
 		return http.StatusConflict, "server is drained; submissions are closed", 0
 	}
@@ -552,9 +554,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err), 0)
 		return
 	}
-	s.mu.Lock()
 	code, resp := s.injectFault(e)
-	s.mu.Unlock()
 	if code == http.StatusAccepted {
 		writeJSON(w, code, resp)
 	} else {
@@ -568,6 +568,8 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 // same durability bar as accepted submissions, so a restarted daemon
 // re-injects it at the same position in the replayed operation stream.
 func (s *Server) injectFault(e fault.Event) (int, any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
 		return http.StatusConflict, "server is drained; fault injection is closed"
 	}
@@ -634,23 +636,29 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "job id must be an integer", 0)
 		return
 	}
-	s.mu.Lock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		s.mu.Unlock()
+	resp, ok, err := s.job(id)
+	switch {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
-	}
-	_, status := s.f.Result(id)
-	var resp JobResponse
-	if status != core.StatusUnknown {
-		resp = s.jobResponse(id)
-	}
-	s.mu.Unlock()
-	if status == core.StatusUnknown {
+	case !ok:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %d", id), 0)
-		return
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+}
+
+// job is handleJob's locked section: advance the clock and render the
+// job, ok false for an unknown id.
+func (s *Server) job(id int) (JobResponse, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.advance(s.cfg.Now()); err != nil {
+		return JobResponse{}, false, err
+	}
+	if _, status := s.f.Result(id); status == core.StatusUnknown {
+		return JobResponse{}, false, nil
+	}
+	return s.jobResponse(id), true, nil
 }
 
 // jobResponse renders a job's current state; callers hold s.mu and
@@ -718,23 +726,30 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "tracing is disabled (start the daemon with -trace)", 0)
 		return
 	}
-	s.mu.Lock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		s.mu.Unlock()
+	resp, ok, err := s.jobTrace(rec, id)
+	switch {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
+	case !ok:
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no trace for job %d", id), 0)
+	default:
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// jobTrace is handleTrace's locked section: advance the clock and render
+// the job's trace, ok false when the recorder holds none.
+func (s *Server) jobTrace(rec *trace.Recorder, id int) (TraceResponse, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.advance(s.cfg.Now()); err != nil {
+		return TraceResponse{}, false, err
 	}
 	tr := rec.Get(id)
-	var resp TraceResponse
-	if tr != nil {
-		resp = traceResponse(tr)
-	}
-	s.mu.Unlock()
 	if tr == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no trace for job %d", id), 0)
-		return
+		return TraceResponse{}, false, nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return traceResponse(tr), true, nil
 }
 
 // traceResponse renders one trace; callers hold s.mu (the recorder
@@ -882,11 +897,20 @@ type TenantSLOWire struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		s.mu.Unlock()
+	resp, err := s.stats()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
 		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// stats is handleStats' locked section.
+func (s *Server) stats() (StatsResponse, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.advance(s.cfg.Now()); err != nil {
+		return StatsResponse{}, err
 	}
 	s.sweep()
 	settled := s.sortedSettled()
@@ -906,8 +930,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if rec := s.f.Trace(); rec != nil {
 		resp.Attribution = rec.Tenants()
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // ClusterResponse is GET /v1/cluster: the federation's instantaneous
@@ -931,11 +954,20 @@ type ShardClusterWire struct {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		s.mu.Unlock()
+	resp, err := s.cluster()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
 		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// cluster is handleCluster's locked section.
+func (s *Server) cluster() (ClusterResponse, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.advance(s.cfg.Now()); err != nil {
+		return ClusterResponse{}, err
 	}
 	snaps := s.f.ShardSnapshots()
 	loads := s.f.QPULoads()
@@ -950,8 +982,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		resp.Shards[i] = ShardClusterWire{Shard: i, Snapshot: snaps[i], QPUs: loads[i]}
 		resp.QPUs = append(resp.QPUs, loads[i]...)
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // bucket is one tenant's token bucket (tokens = submissions).

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +21,7 @@ import (
 	"cloudqc/internal/fed"
 	"cloudqc/internal/metrics"
 	"cloudqc/internal/place"
+	"cloudqc/internal/sched"
 )
 
 // fakeClock drives the virtual-time pacer deterministically.
@@ -528,5 +532,73 @@ func TestServiceQuotaDoesNotBurnRateTokens(t *testing.T) {
 	clock.advance(100 * time.Millisecond)
 	if code, e := submit(); code != http.StatusAccepted {
 		t.Fatalf("post-settle submit: %d %+v (quota rejections burned the rate budget?)", code, e)
+	}
+}
+
+// panicOncePolicy panics on its first Allocate call and allocates like
+// CloudQC's policy afterwards.
+type panicOncePolicy struct{ fired atomic.Bool }
+
+func (p *panicOncePolicy) Name() string { return "panic-once" }
+
+func (p *panicOncePolicy) Allocate(reqs []sched.Request, budget []int, rng *rand.Rand) map[sched.NodeKey]int {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("allocate exploded")
+	}
+	return sched.CloudQCPolicy{}.Allocate(reqs, budget, rng)
+}
+
+// TestHandlerPanicReleasesLock: a panic inside a locked section (here
+// the scheduler policy, reached through the pacer's clock advance) must
+// not leave the server mutex held. net/http recovers the panic and
+// fails that one request; the next request still gets an answer and
+// the server still shuts down.
+func TestHandlerPanicReleasesLock(t *testing.T) {
+	ccfg := testControllerConfig(1, core.FIFOMode)
+	ccfg.Policy = &panicOncePolicy{}
+	lc, err := core.NewLiveController(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := newFakeClock()
+	srv, err := New(Config{Controller: lc, Now: clock.now, TimeScale: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack trace
+	ts.Start()
+	client := &http.Client{Timeout: 2 * time.Second}
+
+	resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"tenant":0,"circuit":"qft_n29"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	clock.advance(time.Second) // the next advance runs the job's first EPR round
+	if resp, err := client.Get(ts.URL + "/v1/stats"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking request answered %d", resp.StatusCode)
+	}
+	resp, err = client.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats after the panic: status %d", resp.StatusCode)
+	}
+	closed := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("server Close hung after a handler panic")
 	}
 }
