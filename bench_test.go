@@ -794,15 +794,20 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 // Component micro-benchmarks: the pieces the end-to-end numbers are made
 // of.
 
+// BenchmarkPlacementCloudQCKnn67 times one cold Place: each iteration
+// gets a fresh placer, built with the timer stopped, so the partition
+// memo never serves a hit (BenchmarkPlaceRetry times the warm path).
 func BenchmarkPlacementCloudQCKnn67(b *testing.B) {
 	circ, err := BuildCircuit("knn_n67")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cl := NewRandomCloud(20, 0.3, 20, 5, 1)
-	p := NewPlacer(DefaultPlacerConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := NewPlacer(DefaultPlacerConfig())
+		b.StartTimer()
 		if _, err := p.Place(cl, circ); err != nil {
 			b.Fatal(err)
 		}
