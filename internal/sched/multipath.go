@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/epr"
@@ -77,11 +78,11 @@ func RunMultipath(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *r
 // path so later gates see earlier gates' claims.
 func orderedRoute(s *JobState, ready []int, table *route.Table, virtual []int) {
 	order := append([]int(nil), ready...)
-	sort.Slice(order, func(i, j int) bool {
-		if s.Priority(order[i]) != s.Priority(order[j]) {
-			return s.Priority(order[i]) > s.Priority(order[j])
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(s.Priority(b), s.Priority(a)); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	for _, u := range order {
 		cur := s.Path(u)

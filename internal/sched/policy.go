@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // NodeKey identifies a remote gate within a (possibly multi-job) round:
@@ -14,7 +15,9 @@ type NodeKey struct {
 }
 
 // Request asks the allocation policy for communication qubits on behalf
-// of one ready remote gate.
+// of one ready remote gate. Within one round every Key is unique: the
+// core controller, Run, RunMultipath and RunFidelity all build one
+// request per ready node, keyed by that node's job and id.
 type Request struct {
 	Key NodeKey
 	// Path lists the QPUs whose communication qubits one EPR pair for
@@ -35,23 +38,56 @@ type Request struct {
 // ready gates. Implementations must never allocate beyond budget and
 // must be deterministic given the same rng state. Allocate may reorder
 // reqs in place — callers hand over ownership of the slice for the round
-// and must not rely on its order afterwards.
+// and must not rely on its order afterwards. Callers must not pass two
+// requests with the same Key in one round: the policies count grants per
+// request and key the result by Key.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Allocate returns EPR attempt pairs per requesting gate. budget is
 	// the per-QPU free communication qubit count for this round and is
-	// consumed in place, as is the order of reqs.
+	// consumed in place, as is the order of reqs. The returned map holds
+	// only keys granted at least one pair, and the caller owns it.
 	Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int
+}
+
+// stackGrants is the largest round whose per-request grant counts live
+// in a stack buffer; measured rounds average about six requests, so
+// larger rounds are rare enough to pay for a heap slice.
+const stackGrants = 64
+
+// grantScratch returns n zeroed per-request counters: buf[:n] when the
+// round fits, a fresh slice otherwise. buf must be zeroed.
+func grantScratch(buf []int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, n)
+}
+
+// grantMap builds the map Allocate returns from per-request grant
+// counts, holding only the requests granted at least one pair.
+func grantMap(reqs []Request, grants []int) map[NodeKey]int {
+	n := 0
+	for _, g := range grants {
+		if g > 0 {
+			n++
+		}
+	}
+	alloc := make(map[NodeKey]int, n)
+	for i, g := range grants {
+		if g > 0 {
+			alloc[reqs[i].Key] = g
+		}
+	}
+	return alloc
 }
 
 // grantOne consumes one communication qubit on every QPU of the request
 // path if all have budget, returning whether the grant happened.
-func grantOne(r Request, budget []int) bool {
-	for _, q := range r.Path {
-		if budget[q] < 1 {
-			return false
-		}
+func grantOne(r *Request, budget []int) bool {
+	if !canGrant(r, budget) {
+		return false
 	}
 	for _, q := range r.Path {
 		budget[q]--
@@ -59,21 +95,59 @@ func grantOne(r Request, budget []int) bool {
 	return true
 }
 
+func canGrant(r *Request, budget []int) bool {
+	for _, q := range r.Path {
+		if budget[q] < 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // sortByPriority orders requests by descending priority, breaking ties
-// by job then node id for determinism. It sorts in place: Allocate owns
-// its request slice for the round (every caller rebuilds it from
-// JobState.Requests each round), so the per-round copy this used to make
-// was pure allocator pressure on the hot path.
+// by job then node id. Keys are unique within a round, so this is a
+// total order and every sort algorithm yields the same result. It sorts
+// in place: Allocate owns its request slice for the round. Small rounds,
+// the common case, take an insertion sort that compares through
+// pointers, about twice as fast as slices.SortFunc's by-value
+// comparator on a 64-byte Request; larger ones take slices.SortFunc.
 func sortByPriority(reqs []Request) {
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].Priority != reqs[j].Priority {
-			return reqs[i].Priority > reqs[j].Priority
+	if len(reqs) > smallSort {
+		slices.SortFunc(reqs, func(a, b Request) int { return comparePriority(&a, &b) })
+		return
+	}
+	for i := 1; i < len(reqs); i++ {
+		if comparePriority(&reqs[i], &reqs[i-1]) >= 0 {
+			continue
 		}
-		if reqs[i].Key.Job != reqs[j].Key.Job {
-			return reqs[i].Key.Job < reqs[j].Key.Job
+		r := reqs[i]
+		j := i
+		for ; j > 0 && comparePriority(&r, &reqs[j-1]) < 0; j-- {
+			reqs[j] = reqs[j-1]
 		}
-		return reqs[i].Key.Node < reqs[j].Key.Node
-	})
+		reqs[j] = r
+	}
+}
+
+// smallSort is the largest round sortByPriority insertion-sorts, the
+// same cutoff slices.SortFunc uses before switching to pdqsort.
+const smallSort = 12
+
+// comparePriority orders a before b when it has the higher priority,
+// then the smaller key.
+func comparePriority(a, b *Request) int {
+	if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+		return c
+	}
+	return compareKeys(a.Key, b.Key)
+}
+
+// compareKeys orders keys by job then node id.
+func compareKeys(a, b NodeKey) int {
+	if c := cmp.Compare(a.Job, b.Job); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Node, b.Node)
 }
 
 // CloudQCPolicy is the paper's scheduler: every ready gate first gets one
@@ -87,54 +161,56 @@ func (CloudQCPolicy) Name() string { return "CloudQC" }
 
 // Allocate implements Policy.
 func (CloudQCPolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	alloc := make(map[NodeKey]int, len(reqs))
+	var buf [stackGrants]int
+	grants := grantScratch(buf[:], len(reqs))
 	sortByPriority(reqs)
-	for _, r := range reqs {
-		if grantOne(r, budget) {
-			alloc[r.Key]++
+	for i := range reqs {
+		if grantOne(&reqs[i], budget) {
+			grants[i] = 1
 		}
 	}
-	waterFill(reqs, alloc, budget)
-	return alloc
+	waterFill(reqs, grants, budget)
+	return grantMap(reqs, grants)
 }
 
 // waterFill spends the remaining budget on extra pairs: repeatedly grant
 // +1 to the already-granted request minimizing granted/weight, weight =
 // priority + 1, so critical-path gates accumulate redundant pairs. Ties
-// resolve to higher priority, then request order in ordered. Requests
-// with no pairs are skipped — they were starved by budget and extras
-// would also fail.
-func waterFill(ordered []Request, alloc map[NodeKey]int, budget []int) {
+// resolve to the earliest request in ordered. grants[i] counts the pairs
+// of ordered[i]. Requests with no pairs are skipped — they were starved
+// by budget and extras would also fail. Budget only shrinks, so a
+// request that cannot be granted once never can again: each pass drops
+// such requests from the live list instead of rescanning them.
+func waterFill(ordered []Request, grants, budget []int) {
+	var buf [stackGrants]int
+	live := grantScratch(buf[:], len(ordered))[:0]
+	for i, g := range grants {
+		if g > 0 {
+			live = append(live, i)
+		}
+	}
 	for {
 		bestIdx := -1
 		var bestRatio float64
-		for i, r := range ordered {
-			if alloc[r.Key] == 0 {
+		n := 0
+		for _, i := range live {
+			if !canGrant(&ordered[i], budget) {
 				continue
 			}
-			if !canGrant(r, budget) {
-				continue
-			}
-			ratio := float64(alloc[r.Key]) / float64(r.Priority+1)
+			live[n] = i
+			n++
+			ratio := float64(grants[i]) / float64(ordered[i].Priority+1)
 			if bestIdx < 0 || ratio < bestRatio {
 				bestIdx, bestRatio = i, ratio
 			}
 		}
+		live = live[:n]
 		if bestIdx < 0 {
-			break
+			return
 		}
-		grantOne(ordered[bestIdx], budget)
-		alloc[ordered[bestIdx].Key]++
+		grantOne(&ordered[bestIdx], budget)
+		grants[bestIdx]++
 	}
-}
-
-func canGrant(r Request, budget []int) bool {
-	for _, q := range r.Path {
-		if budget[q] < 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // GreedyPolicy always gives the highest-priority gate every pair its
@@ -148,14 +224,15 @@ func (GreedyPolicy) Name() string { return "Greedy" }
 
 // Allocate implements Policy.
 func (GreedyPolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	alloc := make(map[NodeKey]int, len(reqs))
+	var buf [stackGrants]int
+	grants := grantScratch(buf[:], len(reqs))
 	sortByPriority(reqs)
-	for _, r := range reqs {
-		for grantOne(r, budget) {
-			alloc[r.Key]++
+	for i := range reqs {
+		for grantOne(&reqs[i], budget) {
+			grants[i]++
 		}
 	}
-	return alloc
+	return grantMap(reqs, grants)
 }
 
 // AveragePolicy distributes pairs evenly: round-robin single grants in
@@ -167,18 +244,14 @@ func (AveragePolicy) Name() string { return "Average" }
 
 // Allocate implements Policy.
 func (AveragePolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	alloc := make(map[NodeKey]int, len(reqs))
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].Key.Job != reqs[j].Key.Job {
-			return reqs[i].Key.Job < reqs[j].Key.Job
-		}
-		return reqs[i].Key.Node < reqs[j].Key.Node
-	})
+	var buf [stackGrants]int
+	grants := grantScratch(buf[:], len(reqs))
+	slices.SortFunc(reqs, func(a, b Request) int { return compareKeys(a.Key, b.Key) })
 	for {
 		granted := false
-		for _, r := range reqs {
-			if grantOne(r, budget) {
-				alloc[r.Key]++
+		for i := range reqs {
+			if grantOne(&reqs[i], budget) {
+				grants[i]++
 				granted = true
 			}
 		}
@@ -186,7 +259,7 @@ func (AveragePolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[No
 			break
 		}
 	}
-	return alloc
+	return grantMap(reqs, grants)
 }
 
 // RandomPolicy hands out single pairs to uniformly random ready gates
@@ -206,7 +279,7 @@ func (RandomPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[N
 	live := append([]Request(nil), reqs...)
 	for len(live) > 0 {
 		i := rng.Intn(len(live))
-		if grantOne(live[i], budget) {
+		if grantOne(&live[i], budget) {
 			alloc[live[i].Key]++
 			continue
 		}

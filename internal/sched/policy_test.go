@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +194,245 @@ func TestQuickPoliciesRespectBudget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The map-based allocation policies below are the reference the
+// slice-based ones in policy.go and tenantpolicy.go must match exactly:
+// grants counted in a map keyed by NodeKey, reflection sorts, and a
+// water-fill that rescans every request on every step.
+
+func refSortByPriority(reqs []Request) {
+	sort.Slice(reqs, func(i, j int) bool {
+		if reqs[i].Priority != reqs[j].Priority {
+			return reqs[i].Priority > reqs[j].Priority
+		}
+		if reqs[i].Key.Job != reqs[j].Key.Job {
+			return reqs[i].Key.Job < reqs[j].Key.Job
+		}
+		return reqs[i].Key.Node < reqs[j].Key.Node
+	})
+}
+
+func refCanGrant(r Request, budget []int) bool {
+	for _, q := range r.Path {
+		if budget[q] < 1 {
+			return false
+		}
+	}
+	return true
+}
+
+func refGrantOne(r Request, budget []int) bool {
+	if !refCanGrant(r, budget) {
+		return false
+	}
+	for _, q := range r.Path {
+		budget[q]--
+	}
+	return true
+}
+
+func refWaterFill(ordered []Request, alloc map[NodeKey]int, budget []int) {
+	for {
+		bestIdx := -1
+		var bestRatio float64
+		for i, r := range ordered {
+			if alloc[r.Key] == 0 {
+				continue
+			}
+			if !refCanGrant(r, budget) {
+				continue
+			}
+			ratio := float64(alloc[r.Key]) / float64(r.Priority+1)
+			if bestIdx < 0 || ratio < bestRatio {
+				bestIdx, bestRatio = i, ratio
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		refGrantOne(ordered[bestIdx], budget)
+		alloc[ordered[bestIdx].Key]++
+	}
+}
+
+func refCloudQC(reqs []Request, budget []int) map[NodeKey]int {
+	alloc := make(map[NodeKey]int, len(reqs))
+	refSortByPriority(reqs)
+	for _, r := range reqs {
+		if refGrantOne(r, budget) {
+			alloc[r.Key]++
+		}
+	}
+	refWaterFill(reqs, alloc, budget)
+	return alloc
+}
+
+func refGreedy(reqs []Request, budget []int) map[NodeKey]int {
+	alloc := make(map[NodeKey]int, len(reqs))
+	refSortByPriority(reqs)
+	for _, r := range reqs {
+		for refGrantOne(r, budget) {
+			alloc[r.Key]++
+		}
+	}
+	return alloc
+}
+
+func refAverage(reqs []Request, budget []int) map[NodeKey]int {
+	alloc := make(map[NodeKey]int, len(reqs))
+	sort.Slice(reqs, func(i, j int) bool {
+		if reqs[i].Key.Job != reqs[j].Key.Job {
+			return reqs[i].Key.Job < reqs[j].Key.Job
+		}
+		return reqs[i].Key.Node < reqs[j].Key.Node
+	})
+	for {
+		granted := false
+		for _, r := range reqs {
+			if refGrantOne(r, budget) {
+				alloc[r.Key]++
+				granted = true
+			}
+		}
+		if !granted {
+			break
+		}
+	}
+	return alloc
+}
+
+// refTenantWeighted is the weighted deficit round-robin of first pairs
+// over per-tenant maps and a sorted tenant list, then refWaterFill.
+func refTenantWeighted(reqs []Request, budget []int) map[NodeKey]int {
+	alloc := make(map[NodeKey]int, len(reqs))
+	refSortByPriority(reqs)
+	groups := make(map[int][]Request)
+	for _, r := range reqs {
+		groups[r.Tenant] = append(groups[r.Tenant], r)
+	}
+	tenants := slices.Sorted(maps.Keys(groups))
+	served := make(map[int]float64)
+	cursor := make(map[int]int)
+	for {
+		best, found := 0, false
+		for _, t := range tenants {
+			if cursor[t] >= len(groups[t]) {
+				continue
+			}
+			if !found || served[t] < served[best] {
+				best, found = t, true
+			}
+		}
+		if !found {
+			break
+		}
+		for cursor[best] < len(groups[best]) {
+			r := groups[best][cursor[best]]
+			cursor[best]++
+			if refGrantOne(r, budget) {
+				alloc[r.Key]++
+				served[best] += 1 / float64(tenantWeight(r))
+				break
+			}
+		}
+	}
+	refWaterFill(reqs, alloc, budget)
+	return alloc
+}
+
+// randomRound draws n requests with unique keys over 20 QPUs: 1–3-hop
+// paths of distinct QPUs, priorities 0–3 so ties are common, and 1–4
+// tenants with fixed weights 1–8, plus per-QPU budgets 0–5.
+func randomRound(rng *rand.Rand, n int) ([]Request, []int) {
+	const nQPU = 20
+	weights := make([]int, 1+rng.Intn(4))
+	for t := range weights {
+		weights[t] = 1 + rng.Intn(8)
+	}
+	keys := make(map[NodeKey]bool, n)
+	reqs := make([]Request, 0, n)
+	for len(reqs) < n {
+		k := NodeKey{Job: rng.Intn(4), Node: rng.Intn(3 * n)}
+		if keys[k] {
+			continue
+		}
+		keys[k] = true
+		tenant := rng.Intn(len(weights))
+		reqs = append(reqs, Request{
+			Key:          k,
+			Path:         rng.Perm(nQPU)[:2+rng.Intn(3)],
+			Priority:     rng.Intn(4),
+			Tenant:       tenant,
+			TenantWeight: weights[tenant],
+		})
+	}
+	budget := make([]int, nQPU)
+	for q := range budget {
+		budget[q] = rng.Intn(6)
+	}
+	return reqs, budget
+}
+
+// matchesReference runs every slice-based policy and its map-based
+// reference on copies of one round and reports the first difference in
+// the returned map or the residual budget.
+func matchesReference(tw *TenantWeightedPolicy, reqs []Request, budget []int) error {
+	pairs := []struct {
+		p   Policy
+		ref func([]Request, []int) map[NodeKey]int
+	}{
+		{CloudQCPolicy{}, refCloudQC},
+		{tw, refTenantWeighted},
+		{GreedyPolicy{}, refGreedy},
+		{AveragePolicy{}, refAverage},
+	}
+	for _, c := range pairs {
+		gotBudget := slices.Clone(budget)
+		wantBudget := slices.Clone(budget)
+		got := c.p.Allocate(slices.Clone(reqs), gotBudget, nil)
+		want := c.ref(slices.Clone(reqs), wantBudget)
+		if !maps.Equal(got, want) {
+			return fmt.Errorf("%s: alloc %v, reference %v", c.p.Name(), got, want)
+		}
+		if !slices.Equal(gotBudget, wantBudget) {
+			return fmt.Errorf("%s: residual budget %v, reference %v", c.p.Name(), gotBudget, wantBudget)
+		}
+	}
+	return nil
+}
+
+// TestAllocateMatchesMapReference: on random rounds every policy
+// returns exactly the reference's map and leaves exactly its residual
+// budget. One TenantWeightedPolicy serves every round, so stale scratch
+// from an earlier round would show. Sizes 64 and 65 straddle the stack
+// buffer the grant counts use.
+func TestAllocateMatchesMapReference(t *testing.T) {
+	tw := NewTenantWeightedPolicy()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		reqs, budget := randomRound(rng, rng.Intn(31))
+		if err := matchesReference(tw, reqs, budget); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{smallSort, smallSort + 1, stackGrants, stackGrants + 1} {
+		for rep := 0; rep < 20; rep++ {
+			reqs, budget := randomRound(rng, n)
+			for q := range budget {
+				budget[q] += 10 // room for every request to be granted
+			}
+			if err := matchesReference(tw, reqs, budget); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+		}
 	}
 }

@@ -27,11 +27,11 @@ import "math/rand"
 // The policy carries per-round scratch behind a stable tenant→slot
 // table (the same flattening wfqOrder's admission path uses): grouping,
 // deficits, and cursors are slot-indexed slices reused across rounds,
-// so a round costs zero map operations beyond the slot lookups and zero
-// allocations once the scratch is warm. Construct instances with
-// NewTenantWeightedPolicy; the scratch makes a policy value stateful
-// (though rounds are independent — only capacity persists), so
-// concurrent controllers must not share one.
+// so a round costs zero map operations beyond the slot lookups and,
+// once the scratch is warm, allocates only the map it returns. Construct
+// instances with NewTenantWeightedPolicy; the scratch makes a policy
+// value stateful (though rounds are independent — only capacity
+// persists), so concurrent controllers must not share one.
 type TenantWeightedPolicy struct {
 	// slots maps tenant id → scratch slot, append-only like WFQClock's
 	// table; ids is the inverse. Memory scales with distinct tenants
@@ -39,10 +39,12 @@ type TenantWeightedPolicy struct {
 	slots map[int]int
 	ids   []int
 	// groups, served, and cursor are the slot-indexed per-round state:
-	// each tenant's priority-ordered requests, normalized service, and
-	// walk position. round lists the slots active this round, sorted by
-	// tenant id so ties keep breaking to the smaller id.
-	groups [][]Request
+	// each tenant's request indices into the priority-sorted round, its
+	// normalized service, and its walk position. round lists the slots
+	// active this round, sorted by tenant id so ties keep breaking to the
+	// smaller id; it is kept until the next round, which empties those
+	// slots' groups before regrouping.
+	groups [][]int
 	round  []int
 	served []float64
 	cursor []int
@@ -57,17 +59,21 @@ func (*TenantWeightedPolicy) Name() string { return "TenantWeighted" }
 
 // Allocate implements Policy.
 func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	alloc := make(map[NodeKey]int, len(reqs))
+	var buf [stackGrants]int
+	grants := grantScratch(buf[:], len(reqs))
 	sortByPriority(reqs)
 
-	// Group requests by tenant slot, preserving priority order within
-	// each group.
+	// Group request indices by tenant slot, preserving priority order
+	// within each group.
 	if p.slots == nil {
 		p.slots = make(map[int]int)
 	}
 	groups := p.groups
+	for _, s := range p.round {
+		groups[s] = groups[s][:0]
+	}
 	round := p.round[:0]
-	for _, r := range reqs {
+	for i, r := range reqs {
 		s, ok := p.slots[r.Tenant]
 		if !ok {
 			s = len(p.ids)
@@ -82,26 +88,13 @@ func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, _ *rand.Ra
 		if len(groups[s]) == 0 {
 			round = append(round, s)
 		}
-		groups[s] = append(groups[s], r)
+		groups[s] = append(groups[s], i)
 	}
 	p.groups = groups
-	defer func() {
-		// Release the grouped requests (each holds a Path slice the [:0]
-		// reslice alone would pin) and leave every touched group empty for
-		// the next round's len==0 "new slot" test.
-		for _, s := range round {
-			g := groups[s]
-			for i := range g {
-				g[i] = Request{}
-			}
-			groups[s] = g[:0]
-		}
-		p.round = round[:0]
-	}()
+	p.round = round
 	// Slots are allocated in first-seen order; insertion-sort this
 	// round's slots by tenant id so the deficit round-robin keeps
-	// iterating tenants in ascending id, exactly as the map-based
-	// implementation's sorted-tenants loop did.
+	// iterating tenants in ascending id.
 	for i := 1; i < len(round); i++ {
 		s := round[i]
 		k := i
@@ -139,19 +132,19 @@ func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, _ *rand.Ra
 		// drops out of the round-robin on the next pass.
 		group := groups[best]
 		for cursor[best] < len(group) {
-			r := group[cursor[best]]
+			i := group[cursor[best]]
 			cursor[best]++
-			if grantOne(r, budget) {
-				alloc[r.Key]++
-				served[best] += 1 / float64(tenantWeight(r))
+			if grantOne(&reqs[i], budget) {
+				grants[i] = 1
+				served[best] += 1 / float64(tenantWeight(reqs[i]))
 				break
 			}
 		}
 	}
 
 	// Phase 2: leftover budget follows CloudQC's per-gate priority order.
-	waterFill(reqs, alloc, budget)
-	return alloc
+	waterFill(reqs, grants, budget)
+	return grantMap(reqs, grants)
 }
 
 // tenantWeight resolves a request's fair-share weight: non-positive
