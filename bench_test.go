@@ -713,6 +713,47 @@ func BenchmarkAllocPolicyTenantWeighted(b *testing.B) {
 	benchAllocPolicy(b, sched.NewTenantWeightedPolicy())
 }
 
+// benchAllocRound times one allocation round at the size sim-rounds
+// measures: about six ready gates per round, 20 QPUs with five
+// communication qubits each, and a mix of direct and one-swap paths.
+// The 120-request shape above is dominated by its sort; this one
+// exposes the per-round fixed costs (grant bookkeeping, the returned
+// map) that the controller's many small rounds pay.
+func benchAllocRound(b *testing.B, p sched.Policy) {
+	b.Helper()
+	base := []sched.Request{
+		{Key: sched.NodeKey{Job: 0, Node: 3}, Path: []int{0, 4}, Priority: 7},
+		{Key: sched.NodeKey{Job: 0, Node: 9}, Path: []int{4, 11, 2}, Priority: 3},
+		{Key: sched.NodeKey{Job: 1, Node: 1}, Path: []int{7, 13}, Priority: 7},
+		{Key: sched.NodeKey{Job: 1, Node: 5}, Path: []int{13, 0}, Priority: 0},
+		{Key: sched.NodeKey{Job: 2, Node: 2}, Path: []int{15, 6, 19}, Priority: 5},
+		{Key: sched.NodeKey{Job: 2, Node: 8}, Path: []int{19, 7}, Priority: 2},
+	}
+	for i := range base {
+		base[i].Tenant = base[i].Key.Job
+		base[i].TenantWeight = 1 + base[i].Key.Job
+	}
+	reqs := make([]sched.Request, len(base))
+	budget := make([]int, 20)
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(reqs, base)
+		for q := range budget {
+			budget[q] = 5
+		}
+		if alloc := p.Allocate(reqs, budget, rng); len(alloc) != len(base) {
+			b.Fatalf("granted %d of %d requests", len(alloc), len(base))
+		}
+	}
+}
+
+func BenchmarkAllocPolicyCloudQCRound(b *testing.B) { benchAllocRound(b, sched.CloudQCPolicy{}) }
+
+func BenchmarkAllocPolicyTenantWeightedRound(b *testing.B) {
+	benchAllocRound(b, sched.NewTenantWeightedPolicy())
+}
+
 // Plan-cache micro-benchmarks: the admit path's compile stage —
 // placement + remote-DAG contraction + execution-state setup — cold
 // (the full placer pipeline a never-seen template pays: a fresh placer

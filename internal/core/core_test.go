@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -667,4 +668,56 @@ func TestLocalJobJCTMatchesCriticalPath(t *testing.T) {
 	if math.Abs(res[0].JCT-6.1) > 1e-9 {
 		t.Fatalf("JCT = %v, want 6.1 (0.1 + 1 + 5)", res[0].JCT)
 	}
+}
+
+// TestRequestKeysUniquePerRound: the allocation policies count grants
+// per request and key the returned map by NodeKey, so tick must never
+// hand a policy two requests with one key, however many jobs share the
+// round. The stream is BenchmarkClusterOnline's shape, sparse chain
+// circuits arriving as a Poisson stream on a 20-QPU cloud, but arriving
+// ten times as fast so that several jobs share rounds.
+func TestRequestKeysUniquePerRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"ghz_n127", "cat_n130"}
+	jobs := make([]*Job, 0, 12)
+	arrival := 0.0
+	for i := 0; i < cap(jobs); i++ {
+		jobs = append(jobs, &Job{ID: i, Circuit: qlib.MustBuild(names[rng.Intn(len(names))]), Arrival: arrival})
+		arrival += rng.ExpFloat64() * 400
+	}
+	pCfg := place.DefaultConfig()
+	pCfg.Seed = 7
+	check := &keyCheckingPolicy{t: t}
+	ct := controller(t, Config{Placer: place.NewCloudQC(pCfg), Policy: check, Seed: 7})
+	if _, err := ct.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if check.maxJobs < 2 {
+		t.Fatalf("at most %d job per round: the stream never shared a round", check.maxJobs)
+	}
+}
+
+// keyCheckingPolicy delegates to CloudQC after failing the test on any
+// round that repeats a request key. maxJobs records the most distinct
+// jobs seen in one round.
+type keyCheckingPolicy struct {
+	t       *testing.T
+	inner   sched.CloudQCPolicy
+	maxJobs int
+}
+
+func (p *keyCheckingPolicy) Name() string { return "key-checking" }
+
+func (p *keyCheckingPolicy) Allocate(reqs []sched.Request, budget []int, rng *rand.Rand) map[sched.NodeKey]int {
+	seen := make(map[sched.NodeKey]bool, len(reqs))
+	jobs := make(map[int]bool)
+	for _, r := range reqs {
+		if seen[r.Key] {
+			p.t.Errorf("round repeats request key %+v", r.Key)
+		}
+		seen[r.Key] = true
+		jobs[r.Key.Job] = true
+	}
+	p.maxJobs = max(p.maxJobs, len(jobs))
+	return p.inner.Allocate(reqs, budget, rng)
 }
