@@ -690,6 +690,13 @@ func benchAllocPolicy(b *testing.B, p sched.Policy) {
 			TenantWeight: 1 << tenant,
 		})
 	}
+	runAllocRounds(b, p, base, nQPU)
+}
+
+// runAllocRounds times b.N rounds of base over nQPU QPUs with five
+// communication qubits each.
+func runAllocRounds(b *testing.B, p sched.Policy, base []sched.Request, nQPU int) {
+	b.Helper()
 	reqs := make([]sched.Request, len(base))
 	budget := make([]int, nQPU)
 	arng := rand.New(rand.NewSource(2))
@@ -733,19 +740,7 @@ func benchAllocRound(b *testing.B, p sched.Policy) {
 		base[i].Tenant = base[i].Key.Job
 		base[i].TenantWeight = 1 + base[i].Key.Job
 	}
-	reqs := make([]sched.Request, len(base))
-	budget := make([]int, 20)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(reqs, base)
-		for q := range budget {
-			budget[q] = 5
-		}
-		if alloc := p.Allocate(reqs, budget, rng); len(alloc) != len(base) {
-			b.Fatalf("granted %d of %d requests", len(alloc), len(base))
-		}
-	}
+	runAllocRounds(b, p, base, 20)
 }
 
 func BenchmarkAllocPolicyCloudQCRound(b *testing.B) { benchAllocRound(b, sched.CloudQCPolicy{}) }
