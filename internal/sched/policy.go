@@ -107,31 +107,10 @@ func canGrant(r *Request, budget []int) bool {
 // sortByPriority orders requests by descending priority, breaking ties
 // by job then node id. Keys are unique within a round, so this is a
 // total order and every sort algorithm yields the same result. It sorts
-// in place: Allocate owns its request slice for the round. Small rounds,
-// the common case, take an insertion sort that compares through
-// pointers, about twice as fast as slices.SortFunc's by-value
-// comparator on a 64-byte Request; larger ones take slices.SortFunc.
+// in place: Allocate owns its request slice for the round.
 func sortByPriority(reqs []Request) {
-	if len(reqs) > smallSort {
-		slices.SortFunc(reqs, func(a, b Request) int { return comparePriority(&a, &b) })
-		return
-	}
-	for i := 1; i < len(reqs); i++ {
-		if comparePriority(&reqs[i], &reqs[i-1]) >= 0 {
-			continue
-		}
-		r := reqs[i]
-		j := i
-		for ; j > 0 && comparePriority(&r, &reqs[j-1]) < 0; j-- {
-			reqs[j] = reqs[j-1]
-		}
-		reqs[j] = r
-	}
+	slices.SortFunc(reqs, func(a, b Request) int { return comparePriority(&a, &b) })
 }
-
-// smallSort is the largest round sortByPriority insertion-sorts, the
-// same cutoff slices.SortFunc uses before switching to pdqsort.
-const smallSort = 12
 
 // comparePriority orders a before b when it has the higher priority,
 // then the smaller key.

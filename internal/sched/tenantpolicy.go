@@ -28,7 +28,8 @@ import "math/rand"
 // table (the same flattening wfqOrder's admission path uses): grouping,
 // deficits, and cursors are slot-indexed slices reused across rounds,
 // so a round costs zero map operations beyond the slot lookups and,
-// once the scratch is warm, allocates only the map it returns. Construct
+// once the scratch is warm, a round of up to stackGrants requests
+// allocates only the map it returns. Construct
 // instances with NewTenantWeightedPolicy; the scratch makes a policy
 // value stateful (though rounds are independent — only capacity
 // persists), so concurrent controllers must not share one.
