@@ -239,18 +239,17 @@ func BenchmarkIncomingMode(b *testing.B) {
 	}
 }
 
-// benchClusterOnline drives the multi-tenant controller over a sparse
-// Poisson job stream with the given loop implementation and reports the
-// scheduling rounds it executed. Comparing BenchmarkClusterOnline
-// against BenchmarkClusterOnlineLockStep shows the event-driven core
-// skipping the empty rounds the lock-step clock burns while active jobs
-// stall on local tails and the cloud waits between arrivals.
-func benchClusterOnline(b *testing.B, run func(*Cluster, []*Job) ([]*JobResult, error)) {
-	b.Helper()
+// BenchmarkClusterOnline drives the multi-tenant controller over a
+// sparse Poisson job stream and reports the scheduling rounds it
+// executed. Active jobs stall on local tails and the cloud waits between
+// arrivals, so most EPRAttempt slots carry no ready remote gate: the
+// event-driven core skips them, and rounds/run counts only the round
+// slots where some job could attempt EPR generation.
+func BenchmarkClusterOnline(b *testing.B) {
 	const seed = 7
 	// Chain circuits (GHZ, cat): sparse remote DAGs whose gates sit far
 	// apart on long local stretches, so most EPRAttempt slots have no
-	// ready remote gate — the regime the lock-step clock handles worst.
+	// ready remote gate.
 	sparse := Workload{Name: "SparseChains", Circuits: []string{"ghz_n127", "cat_n130"}}
 	var rounds, events, compiles, hits float64
 	for i := 0; i < b.N; i++ {
@@ -268,7 +267,7 @@ func benchClusterOnline(b *testing.B, run func(*Cluster, []*Job) ([]*JobResult, 
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := run(ct, jobs)
+		res, err := ct.Run(jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,10 +292,6 @@ func benchClusterOnline(b *testing.B, run func(*Cluster, []*Job) ([]*JobResult, 
 func reportCompiles(b *testing.B, compiles, hits float64) {
 	b.ReportMetric(compiles/float64(b.N), "compiles/run")
 	b.ReportMetric(hits/float64(b.N), "plancache_hits/run")
-}
-
-func BenchmarkClusterOnline(b *testing.B) {
-	benchClusterOnline(b, (*Cluster).Run)
 }
 
 // BenchmarkLiveController times the streaming submit+step hot path: the
@@ -409,10 +404,6 @@ func BenchmarkLiveControllerTraced(b *testing.B) {
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
 	b.ReportMetric(events/float64(b.N), "events/run")
 	b.ReportMetric(traces/float64(b.N), "traces/run")
-}
-
-func BenchmarkClusterOnlineLockStep(b *testing.B) {
-	benchClusterOnline(b, (*Cluster).RunLockStep)
 }
 
 // BenchmarkClusterOnlineWFQ drives the same sparse-chain regime through

@@ -11,9 +11,10 @@
 // job waits on local gate tails are skipped in one clock jump instead of
 // being simulated round by round. There is one engine path: a
 // LiveController accepts jobs incrementally, and Run is Submit-all plus
-// Drain on the same state. RunLockStep keeps the original
-// round-per-iteration loop as a reference implementation; on batch
-// workloads the two produce bit-identical results (see TestRunMatchesLockStep).
+// Drain on the same state. Round times come from repeated EPRAttempt
+// addition from the instant execution (re)started, so skipping a stall
+// never perturbs them; arrivals are admitted on arrival, not on the
+// round grid.
 package core
 
 import (
@@ -234,15 +235,14 @@ type Config struct {
 }
 
 // RunStats summarizes the control-loop work of a run (the last Run call,
-// or a LiveController so far), for benchmarking the event-driven engine
-// against the lock-step reference.
+// or a LiveController so far), for benchmarking the event-driven engine.
 type RunStats struct {
-	// Rounds counts executed scheduling rounds: every loop iteration in
-	// RunLockStep, every round tick on the event-driven engine.
+	// Rounds counts executed scheduling rounds: round ticks on the
+	// EPRAttempt grid; skipped stall slots are not counted.
 	Rounds int
 	// Events counts live discrete events the controller handled
 	// (arrivals plus executed ticks; superseded tick closures are not
-	// counted); zero for RunLockStep.
+	// counted).
 	Events int
 }
 
@@ -257,8 +257,7 @@ type Controller struct {
 	// table, plus the global virtual time. Private clocks reset per
 	// run; a Config.SharedWFQ clock is federation-owned and persists.
 	wfq *WFQClock
-	// stats describes the current or last run (Run, RunLockStep, or a
-	// LiveController).
+	// stats describes the current or last run (Run or a LiveController).
 	stats RunStats
 	// preempt counts preemption activity; reset with the per-run
 	// scheduling state.
@@ -439,8 +438,7 @@ func validateJob(j *Job, results map[int]*JobResult) error {
 	return nil
 }
 
-// LastRunStats reports the control-loop work of the most recent Run or
-// RunLockStep call.
+// LastRunStats reports the control-loop work of the most recent Run call.
 func (ct *Controller) LastRunStats() RunStats { return ct.stats }
 
 // runState is one event-driven run's mutable state, shared by the event
@@ -451,10 +449,9 @@ type runState struct {
 	eng            *des.Engine
 	results        map[int]*JobResult
 	totalComputing int
-	// queue holds arrived jobs awaiting placement. Unlike the lock-step
-	// loop, jobs enter it only when their arrival event fires, so its
-	// length is exactly the arrived-but-unplaced count the Recorder
-	// samples as Queued.
+	// queue holds arrived jobs awaiting placement. Jobs enter it only
+	// when their arrival event fires, so its length is exactly the
+	// arrived-but-unplaced count the Recorder samples as Queued.
 	queue           []*Job
 	pendingArrivals int
 	active          []*activeJob
@@ -475,8 +472,7 @@ type runState struct {
 	hopsBuf     []int
 	// nextRound is the next shared EPR round's time. Round times advance
 	// by repeated EPRAttempt addition from the instant multi-tenant
-	// execution (re)started — exactly the float sequence the lock-step
-	// loop produces — and are NaN while no job is active.
+	// execution (re)started, and are NaN while no job is active.
 	nextRound float64
 	// capacityChanged gates admission: set by arrivals and maturing
 	// releases, consumed by the next tick.
@@ -532,8 +528,9 @@ type runState struct {
 // LiveController), with one difference: a job that can never be placed
 // aborts the run with an error instead of being marked failed. The
 // controller's rng, plan cache, and state pool carry over between calls.
-// On batch workloads it reproduces RunLockStep's results bit-identically
-// while executing strictly fewer scheduling rounds.
+// Rounds fall on the EPRAttempt grid from the instant execution
+// (re)started; grid slots where no job can attempt EPR generation are
+// skipped, not simulated.
 func (ct *Controller) Run(jobs []*Job) ([]*JobResult, error) {
 	lc := ct.startLive(len(jobs), true)
 	for _, j := range jobs {
@@ -545,9 +542,7 @@ func (ct *Controller) Run(jobs []*Job) ([]*JobResult, error) {
 }
 
 // setStatus records a job's lifecycle transition, keeps the settled
-// counters current, and fires the OnTransition hook. A nil receiver
-// (the lock-step loop) is a no-op, so the shared admission path can call
-// it unconditionally.
+// counters current, and fires the OnTransition hook.
 func (st *runState) setStatus(id int, s JobStatus) {
 	st.setStatusReason(id, s, ReasonNone)
 }
@@ -555,9 +550,6 @@ func (st *runState) setStatus(id int, s JobStatus) {
 // setStatusReason is setStatus with an explicit transition reason for
 // the OnTransition hook (preemption, eviction, and resume paths).
 func (st *runState) setStatusReason(id int, s JobStatus, why TransitionReason) {
-	if st == nil {
-		return
-	}
 	old := st.status[id]
 	st.status[id] = s
 	switch s {
@@ -572,9 +564,8 @@ func (st *runState) setStatusReason(id int, s JobStatus, why TransitionReason) {
 }
 
 // arrive is the arrival event: the job joins the admission queue and a
-// tick at the current instant places it if capacity allows — unlike the
-// lock-step loop, which only re-ran admission after a release and could
-// strand an arrival on an idle cloud until some other job finished.
+// tick at the current instant places it if capacity allows, so an
+// arrival is admitted on arrival rather than at the next release.
 func (st *runState) arrive(j *Job) {
 	if st.halted {
 		// Evacuated shard: the job was exported for rehoming (Evacuate
@@ -617,10 +608,9 @@ func (st *runState) requestTick(at float64) {
 	})
 }
 
-// tick is one controller pass at the current instant, mirroring one
-// lock-step loop iteration: apply matured releases, retry admission,
-// sample the recorder, run the shared EPR round if one is due, retire
-// finished jobs, and schedule the next tick.
+// tick is one controller pass at the current instant: apply matured
+// releases, retry admission, sample the recorder, run the shared EPR
+// round if one is due, retire finished jobs, and schedule the next tick.
 func (st *runState) tick() {
 	ct := st.ct
 	ct.stats.Events++
@@ -644,13 +634,10 @@ func (st *runState) tick() {
 	}
 
 	// Admission: try placing waiting jobs. Admitting onto an idle cloud
-	// (re)starts the round clock at this instant, matching the lock-step
-	// loop's jump-then-iterate behavior.
+	// (re)starts the round clock at this instant.
 	if st.capacityChanged {
 		wasIdle := len(st.active) == 0
-		var err error
-		st.queue, st.active, err = ct.admit(st.queue, st.active, st.results, t, st.totalComputing, st)
-		if err != nil {
+		if err := st.admit(t); err != nil {
 			st.err = err
 			return
 		}
@@ -672,9 +659,7 @@ func (st *runState) tick() {
 	// One shared EPR round across every active job, when a round is due.
 	// Off-grid ticks (an arrival landing between rounds) only admit; the
 	// round cadence of already-running jobs is preserved. Requests and
-	// ready sets accumulate into reused scratch buffers — the same
-	// values collectRequests (the lock-step reference's allocating
-	// variant) would produce.
+	// ready sets accumulate into reused scratch buffers.
 	if !math.IsNaN(st.nextRound) && t >= st.nextRound {
 		ct.stats.Rounds++
 		traced := ct.cfg.Trace != nil
@@ -865,7 +850,7 @@ func (st *runState) scheduleNext(t float64) {
 
 	// Earliest instant any active job can attempt EPR generation; a
 	// maturing release also matters (placement retries, utilization
-	// samples), processed on the round grid like the lock-step loop.
+	// samples), processed on the round grid.
 	st.statesBuf = st.statesBuf[:0]
 	for _, aj := range st.active {
 		st.statesBuf = append(st.statesBuf, aj.state)
@@ -882,8 +867,8 @@ func (st *runState) scheduleNext(t float64) {
 		}
 	}
 	// Advance to the first round slot covering wake by repeated
-	// EPRAttempt addition — the identical float sequence the lock-step
-	// loop walks, so skipping stalls cannot perturb round times (and
+	// EPRAttempt addition — the float sequence a round-per-slot clock
+	// would walk, so skipping stalls cannot perturb round times (and
 	// with them EPR sampling) by even one ulp.
 	next := st.nextRound
 	for next < wake {
@@ -893,19 +878,20 @@ func (st *runState) scheduleNext(t float64) {
 	st.requestTick(next)
 }
 
-// admit tries to place every waiting job that has arrived, in the
-// configured admission order (batch intensity, FIFO, EDF, or WFQ). Jobs
-// larger than the whole cloud are marked failed. st carries the status
-// index and resume checkpoints (nil from the lock-step loop).
-func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*JobResult, t float64, totalComputing int, st *runState) ([]*Job, []*activeJob, error) {
+// admit tries to place every queued job that has arrived by t, in the
+// configured admission order (batch intensity, FIFO, EDF, or WFQ),
+// moving placed jobs onto the active list. Jobs larger than the whole
+// cloud are marked failed.
+func (st *runState) admit(t float64) error {
+	ct := st.ct
 	// Partition in place: not-yet-arrived jobs compact into queue's
 	// prefix, arrived ones move to a controller-owned scratch list.
 	// Bounced jobs are appended back onto the prefix — the combined
 	// length never exceeds the original queue, so the hot path
 	// reallocates nothing once the scratch warms up.
 	arrived := ct.arrived[:0]
-	waiting := queue[:0]
-	for _, j := range queue {
+	waiting := st.queue[:0]
+	for _, j := range st.queue {
 		if j.Arrival <= t {
 			arrived = append(arrived, j)
 		} else {
@@ -914,8 +900,8 @@ func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*
 	}
 	ct.orderArrived(arrived)
 	for _, j := range arrived {
-		if j.Circuit.NumQubits() > totalComputing {
-			results[j.ID].Failed = true
+		if j.Circuit.NumQubits() > st.totalComputing {
+			st.results[j.ID].Failed = true
 			if tc := ct.cfg.Trace; tc != nil {
 				tc.Fail(j.ID, t)
 			}
@@ -929,10 +915,11 @@ func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*
 				waiting = append(waiting, j) // retry after a release
 				continue
 			}
-			// Return the state held so far: callers release the active
+			// Keep the state held so far: callers release the active
 			// placements on this path so the cloud is not leaked.
 			ct.arrived = arrived[:0]
-			return waiting, active, fmt.Errorf("core: placing job %d: %w", j.ID, err)
+			st.queue = waiting
+			return fmt.Errorf("core: placing job %d: %w", j.ID, err)
 		}
 		if err := pl.Reserve(ct.cfg.Cloud); err != nil {
 			waiting = append(waiting, j)
@@ -943,10 +930,7 @@ func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*
 		// keeps its original first-placement timestamp, and its WFQ
 		// virtual-clock charge from the first placement stands (resuming
 		// is not new service, so the tenant is not billed twice).
-		var rs *resumeState
-		if st != nil {
-			rs = st.resume[j.ID]
-		}
+		rs := st.resume[j.ID]
 		var wfqStart float64
 		wfqBilled := false
 		if ct.cfg.Mode == WFQMode && rs == nil {
@@ -971,9 +955,9 @@ func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*
 				aj.tr = tr
 			}
 		}
-		active = append(active, aj)
-		results[j.ID].RemoteGates = dag.Len()
-		results[j.ID].Placement = pl
+		st.active = append(st.active, aj)
+		st.results[j.ID].RemoteGates = dag.Len()
+		st.results[j.ID].Placement = pl
 		if rs != nil {
 			st.setStatusReason(j.ID, StatusRunning, ReasonResumed)
 		} else {
@@ -989,7 +973,8 @@ func (ct *Controller) admit(queue []*Job, active []*activeJob, results map[int]*
 		}
 		return waiting[i].ID < waiting[k].ID
 	})
-	return waiting, active, nil
+	st.queue = waiting
+	return nil
 }
 
 // compile resolves a job's placement and remote DAG against the cloud's
@@ -1278,26 +1263,6 @@ func (ct *Controller) chargeWFQ(j *Job) float64 {
 	w.service[s] = start + ct.intensity[j.ID]/j.weight()
 	w.vtime = start
 	return start
-}
-
-// collectRequests gathers one round's policy requests across the active
-// jobs, tagging each request with its submitting tenant and weight for
-// tenant-aware allocation policies. It also returns each job's ready
-// node set, which the caller replays into Attempt after allocation.
-func collectRequests(active []*activeJob, t float64) ([]sched.Request, map[int][]int) {
-	var reqs []sched.Request
-	readyByJob := make(map[int][]int, len(active))
-	for idx, aj := range active {
-		ready := aj.state.Ready(t)
-		readyByJob[idx] = ready
-		rs := aj.state.Requests(idx, ready)
-		for i := range rs {
-			rs[i].Tenant = aj.job.Tenant
-			rs[i].TenantWeight = aj.job.Priority
-		}
-		reqs = append(reqs, rs...)
-	}
-	return reqs, readyByJob
 }
 
 // Outcomes converts run results into the metrics layer's plain job

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -351,66 +352,35 @@ func equivConfig(t *testing.T, seed int64, mode Mode, qpus int) *Controller {
 }
 
 // TestRunMatchesLockStep is the seeded equivalence guarantee: on batch
-// workloads (all arrivals at 0) the event-driven Run must reproduce the
-// lock-step reference's JobResults bit-identically — same RNG draws at
-// the same round times, just without simulating the empty rounds.
+// workloads (all arrivals at 0) Run must reproduce the frozen lock-step
+// reference rows bit-identically — same RNG draws at the same round
+// times, just without simulating the empty rounds.
 func TestRunMatchesLockStep(t *testing.T) {
 	cases := []struct {
 		name  string
 		mode  Mode
 		qpus  int
-		batch func(seed int64) ([]*Job, error)
+		names []string
 	}{
-		{"qugan-batch", BatchMode, 20, func(seed int64) ([]*Job, error) {
-			return buildJobs([]string{"qugan_n39", "qugan_n71", "qugan_n111", "qugan_n39", "qugan_n71"})
-		}},
-		{"mixed-fifo", FIFOMode, 20, func(seed int64) ([]*Job, error) {
-			return buildJobs([]string{"knn_n67", "qft_n63", "ghz_n127", "ising_n66"})
-		}},
-		{"oversubscribed", BatchMode, 8, func(seed int64) ([]*Job, error) {
-			// 5 x 127-qubit jobs on a 160-qubit cloud force queueing and
-			// release-driven placement retries.
-			return buildJobs([]string{"ghz_n127", "ghz_n127", "ghz_n127", "ghz_n127", "ghz_n127"})
-		}},
+		{"qugan-batch", BatchMode, 20, []string{"qugan_n39", "qugan_n71", "qugan_n111", "qugan_n39", "qugan_n71"}},
+		{"mixed-fifo", FIFOMode, 20, []string{"knn_n67", "qft_n63", "ghz_n127", "ising_n66"}},
+		// 5 x 127-qubit jobs on a 160-qubit cloud force queueing and
+		// release-driven placement retries.
+		{"oversubscribed", BatchMode, 8, []string{"ghz_n127", "ghz_n127", "ghz_n127", "ghz_n127", "ghz_n127"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
-				jobsA, err := tc.batch(seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				jobsB, err := tc.batch(seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := equivConfig(t, seed, tc.mode, tc.qpus)
-				want, err := ref.RunLockStep(jobsA)
+				jobs, err := buildJobs(tc.names)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ev := equivConfig(t, seed, tc.mode, tc.qpus)
-				got, err := ev.Run(jobsB)
+				got, err := ev.Run(jobs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("result count %d vs %d", len(got), len(want))
-				}
-				for i := range want {
-					w, g := want[i], got[i]
-					if g.Job.ID != w.Job.ID || g.Failed != w.Failed ||
-						g.PlacedAt != w.PlacedAt || g.Finished != w.Finished ||
-						g.JCT != w.JCT || g.WaitTime != w.WaitTime ||
-						g.RemoteGates != w.RemoteGates {
-						t.Fatalf("seed %d job %d diverged:\nlock-step %+v\nevent     %+v",
-							seed, w.Job.ID, *w, *g)
-					}
-				}
-				if ev.LastRunStats().Rounds > ref.LastRunStats().Rounds {
-					t.Fatalf("event-driven run used more rounds (%d) than lock-step (%d)",
-						ev.LastRunStats().Rounds, ref.LastRunStats().Rounds)
-				}
+				checkLockStep(t, fmt.Sprintf("%s/%d", tc.name, seed), ev, got)
 			}
 		})
 	}
@@ -428,26 +398,24 @@ func buildJobs(names []string) ([]*Job, error) {
 	return jobs, nil
 }
 
+// lockStepStalledRounds is the round count the lock-step reference
+// controller executed on TestRunSkipsStalledRounds's workload: one round
+// per EPRAttempt slot while any job was active.
+const lockStepStalledRounds = 1442
+
 // TestRunSkipsStalledRounds checks the headline fix: when active jobs
 // wait on long local tails, the event-driven clock jumps instead of
 // spinning one round per EPRAttempt slot.
 func TestRunSkipsStalledRounds(t *testing.T) {
-	jobs := func() []*Job {
-		js, err := buildJobs([]string{"multiplier_n45", "adder_n64"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js
-	}
-	ref := equivConfig(t, 3, BatchMode, 20)
-	if _, err := ref.RunLockStep(jobs()); err != nil {
+	jobs, err := buildJobs([]string{"multiplier_n45", "adder_n64"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ev := equivConfig(t, 3, BatchMode, 20)
-	if _, err := ev.Run(jobs()); err != nil {
+	if _, err := ev.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	lock, event := ref.LastRunStats().Rounds, ev.LastRunStats().Rounds
+	lock, event := lockStepStalledRounds, ev.LastRunStats().Rounds
 	if event >= lock {
 		t.Fatalf("event-driven rounds %d not fewer than lock-step %d", event, lock)
 	}
@@ -525,15 +493,11 @@ func TestEmptyRegisterJobRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty register") {
 		t.Fatalf("err = %v, want empty-register rejection", err)
 	}
-	if _, err := ct.RunLockStep([]*Job{{ID: 0, Circuit: empty}}); err == nil {
-		t.Fatal("lock-step reference must reject empty registers too")
-	}
 }
 
-// TestOnlineArrivalAdmittedOnIdleCapacity: the lock-step loop only
-// re-ran admission after a release, so a job arriving while the cloud
-// had free capacity (but other jobs were running) waited for an
-// unrelated completion. The event-driven core admits it on arrival.
+// TestOnlineArrivalAdmittedOnArrival: a job arriving while the cloud
+// has free capacity (but other jobs are running) is admitted on
+// arrival, not held until an unrelated completion.
 func TestOnlineArrivalAdmittedOnArrival(t *testing.T) {
 	ct := controller(t, Config{Seed: 25})
 	res, err := ct.Run([]*Job{
@@ -554,32 +518,28 @@ func TestOnlineArrivalAdmittedOnArrival(t *testing.T) {
 	}
 }
 
+// lockStepSparseMeanUtil is the MeanUtilization the lock-step reference
+// controller recorded on TestSparseStreamUtilizationMatchesLockStep's
+// stream, sampling once per round.
+const lockStepSparseMeanUtil = 0.0035925759224453287
+
 // TestSparseStreamUtilizationMatchesLockStep: on a sparse online stream
 // the event-driven core must wake at release times even with nothing
 // queued, and must record the idle span before the first arrival —
 // otherwise sample-and-hold holds stale utilization across idle gaps
 // and MeanUtilization is grossly overstated vs the lock-step reference.
 func TestSparseStreamUtilizationMatchesLockStep(t *testing.T) {
-	mkJobs := func() []*Job {
-		c := qlib.MustBuild("knn_n67")
-		return []*Job{
-			{ID: 0, Circuit: c, Arrival: 1000},
-			{ID: 1, Circuit: c, Arrival: 200000},
-		}
-	}
-	recRef := metrics.NewRecorder(0)
-	ref := equivConfig(t, 5, BatchMode, 20)
-	ref.cfg.Recorder = recRef
-	if _, err := ref.RunLockStep(mkJobs()); err != nil {
-		t.Fatal(err)
-	}
+	c := qlib.MustBuild("knn_n67")
 	recEv := metrics.NewRecorder(0)
 	ev := equivConfig(t, 5, BatchMode, 20)
 	ev.cfg.Recorder = recEv
-	if _, err := ev.Run(mkJobs()); err != nil {
+	if _, err := ev.Run([]*Job{
+		{ID: 0, Circuit: c, Arrival: 1000},
+		{ID: 1, Circuit: c, Arrival: 200000},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	a, b := recRef.MeanUtilization(), recEv.MeanUtilization()
+	a, b := lockStepSparseMeanUtil, recEv.MeanUtilization()
 	if math.Abs(a-b) > 0.02 {
 		t.Fatalf("mean utilization diverged: lock-step %v, event-driven %v", a, b)
 	}
@@ -608,38 +568,33 @@ func (p *failingPlacer) Place(cl *cloud.Cloud, c *circuit.Circuit) (*place.Place
 // TestRunErrorReleasesReservations: a failed run must not leak computing
 // qubit reservations on the shared cloud.
 func TestRunErrorReleasesReservations(t *testing.T) {
-	for name, run := range map[string]func(*Controller, []*Job) ([]*JobResult, error){
-		"event":    (*Controller).Run,
-		"lockstep": (*Controller).RunLockStep,
-	} {
-		t.Run(name, func(t *testing.T) {
-			cl := testCloud()
-			ct, err := NewController(Config{
-				Cloud:  cl,
-				Placer: &failingPlacer{inner: place.NewCloudQC(place.DefaultConfig())},
-				Seed:   27,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = run(ct, []*Job{
-				{ID: 0, Circuit: qlib.GHZ(127)},
-				{ID: 1, Circuit: qlib.GHZ(127)},
-			})
-			if err == nil {
-				t.Fatal("second placement should have errored")
-			}
-			if cl.Utilization() != 0 {
-				t.Fatalf("%s leaked reservations: utilization %v after failed run", name, cl.Utilization())
-			}
+	t.Run("event", func(t *testing.T) {
+		cl := testCloud()
+		ct, err := NewController(Config{
+			Cloud:  cl,
+			Placer: &failingPlacer{inner: place.NewCloudQC(place.DefaultConfig())},
+			Seed:   27,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ct.Run([]*Job{
+			{ID: 0, Circuit: qlib.GHZ(127)},
+			{ID: 1, Circuit: qlib.GHZ(127)},
+		})
+		if err == nil {
+			t.Fatal("second placement should have errored")
+		}
+		if cl.Utilization() != 0 {
+			t.Fatalf("leaked reservations: utilization %v after failed run", cl.Utilization())
+		}
+	})
 }
 
 func TestRunUnplaceableWaitingJobsError(t *testing.T) {
 	// A job that fits the cloud's total capacity but can never be placed
-	// (per-QPU fragmentation) must surface the lock-step loop's
-	// "unplaceable with all resources free" error, not hang.
+	// (per-QPU fragmentation) must surface the "unplaceable with all
+	// resources free" error, not hang.
 	small := cloud.New(graph.Path(3), 10, 5)
 	ct := controller(t, Config{Cloud: small, Seed: 26})
 	big := qlib.GHZ(28) // 28 <= 30 total, but placement may still fail repeatedly

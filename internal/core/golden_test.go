@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -186,4 +187,57 @@ func TestGoldenRuns(t *testing.T) {
 			t.Errorf("%s: digest %s, golden %s", name, got, want[name])
 		}
 	}
+}
+
+// lockStepPath holds frozen reference rows from the original
+// round-per-iteration controller, a loop that advanced the clock one
+// EPRAttempt slot per iteration whenever any job was active and
+// admitted arrivals on that round grid. Each row is a case name, the
+// loop's round count, and a goldenDigest of its per-job results with
+// that count appended. The rows are reference output, not Run's, so no
+// flag regenerates them: Run must reproduce the results bit-identically
+// while executing no more rounds.
+const lockStepPath = "testdata/lockstep_runs.txt"
+
+// lockStepDigest hashes the observables the frozen reference rows pin.
+func lockStepDigest(results []*JobResult, rounds int) string {
+	d := goldenDigest{sha256.New()}
+	for _, r := range results {
+		d.i(int64(r.Job.ID), int64(r.RemoteGates))
+		d.v(r.Failed)
+		d.f(r.PlacedAt, r.Finished, r.JCT, r.WaitTime)
+	}
+	d.i(int64(rounds))
+	return fmt.Sprintf("%x", d.h.Sum(nil))
+}
+
+// checkLockStep compares the results and round count of ct's last Run
+// against the frozen reference row name.
+func checkLockStep(t *testing.T, name string, ct *Controller, got []*JobResult) {
+	t.Helper()
+	data, err := os.ReadFile(lockStepPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 || f[0] != name {
+			continue
+		}
+		rounds, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatalf("%s: bad round count %q", lockStepPath, f[1])
+		}
+		if lockStepDigest(got, rounds) != f[2] {
+			for _, r := range got {
+				t.Logf("job %d: %+v", r.Job.ID, *r)
+			}
+			t.Fatalf("%s diverged from the lock-step reference", name)
+		}
+		if ev := ct.LastRunStats().Rounds; ev > rounds {
+			t.Fatalf("%s: event-driven run used more rounds (%d) than lock-step (%d)", name, ev, rounds)
+		}
+		return
+	}
+	t.Fatalf("%s: no row %q", lockStepPath, name)
 }

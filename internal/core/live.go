@@ -238,9 +238,9 @@ func (lc *LiveController) PreemptStats() PreemptStats { return lc.ct.preempt }
 // begin latches the first clock advance and emits the recorder's
 // opening sample when the horizon starts idle: the idle span before the
 // first event (an arrival or a fault) belongs to the recorded horizon,
-// as the lock-step loop's t=0 iteration captures it too. target is how
-// far the caller is about to advance; a no-op step (nothing scheduled,
-// clock staying at 0) defers the decision.
+// which always starts at t=0. target is how far the caller is about to
+// advance; a no-op step (nothing scheduled, clock staying at 0) defers
+// the decision.
 func (lc *LiveController) begin(target float64) {
 	if lc.started {
 		return

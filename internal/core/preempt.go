@@ -80,7 +80,7 @@ func (s *PreemptStats) Add(other PreemptStats) {
 }
 
 // PreemptStats reports the preemption counters of the current run (reset
-// by each Run/RunLockStep call; monotone over a LiveController's life).
+// by each Run call; monotone over a LiveController's life).
 func (ct *Controller) PreemptStats() PreemptStats { return ct.preempt }
 
 // PreemptedJob is a preempted job exported for resumption elsewhere: the

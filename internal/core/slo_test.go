@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -125,12 +126,11 @@ func TestWFQSingleTenantMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestNewModesMatchLockStep extends the event-vs-lock-step equivalence
-// to the tenant-aware admission modes: on batch workloads (all arrivals
-// at 0 — the setting the equivalence guarantee covers; on timed streams
-// the event core deliberately admits arrivals immediately instead of on
-// the round grid) every new path must stay bit-identical between the
-// two controller loops.
+// TestNewModesMatchLockStep extends the lock-step equivalence to the
+// tenant-aware admission modes: on batch workloads (all arrivals at 0 —
+// the setting the equivalence guarantee covers; on timed streams Run
+// admits arrivals on arrival instead of on the round grid) every new
+// path must stay bit-identical to the frozen lock-step reference rows.
 func TestNewModesMatchLockStep(t *testing.T) {
 	mk := func() []*Job {
 		return tenantJobs(t, []struct {
@@ -149,24 +149,12 @@ func TestNewModesMatchLockStep(t *testing.T) {
 	}
 	for _, mode := range []Mode{EDFMode, WFQMode} {
 		for seed := int64(1); seed <= 2; seed++ {
-			ref := equivConfig(t, seed, mode, 20)
-			want, err := ref.RunLockStep(mk())
-			if err != nil {
-				t.Fatal(err)
-			}
 			ev := equivConfig(t, seed, mode, 20)
 			got, err := ev.Run(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				w, g := want[i], got[i]
-				if g.Failed != w.Failed || g.PlacedAt != w.PlacedAt ||
-					g.Finished != w.Finished || g.JCT != w.JCT || g.WaitTime != w.WaitTime {
-					t.Fatalf("mode %d seed %d job %d diverged:\nlock-step %+v\nevent     %+v",
-						mode, seed, w.Job.ID, *w, *g)
-				}
-			}
+			checkLockStep(t, fmt.Sprintf("%s/%d", mode, seed), ev, got)
 		}
 	}
 }

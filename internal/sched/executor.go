@@ -189,13 +189,9 @@ func (s *JobState) AppendReady(dst []int, t float64) []int {
 	return dst
 }
 
-// Requests converts ready nodes into policy requests tagged with job.
-func (s *JobState) Requests(job int, ready []int) []Request {
-	return s.AppendRequests(make([]Request, 0, len(ready)), job, ready)
-}
-
-// AppendRequests is Requests appending into dst, the zero-alloc variant
-// for the controller's per-round collection.
+// AppendRequests converts ready nodes into policy requests tagged with
+// job, appending into dst (usually a reused scratch buffer sliced to
+// length 0) so per-round collection allocates nothing once warm.
 func (s *JobState) AppendRequests(dst []Request, job int, ready []int) []Request {
 	for _, u := range ready {
 		dst = append(dst, Request{
@@ -262,31 +258,56 @@ func Run(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *rand.Rand)
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
+	return runSingle(dag, cl, m, p, rng, nil, nil)
+}
+
+// runSingle is the single-job round loop behind Run, RunMultipath and
+// RunFidelity; the caller validates the model first. It rejects clouds
+// with a QPU lacking communication qubits, then lets prepare, when
+// non-nil, adjust the fresh JobState (or reject the DAG) before the
+// first round. Each round collects the ready remote gates — jumping the
+// clock over stalls to the next enabling instant — refills every QPU's
+// full communication-qubit budget, runs round (when non-nil) on the
+// ready set and budget, allocates pairs under p, attempts them, and
+// advances the clock by one EPRAttempt slot.
+func runSingle(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *rand.Rand,
+	prepare func(s *JobState) error, round func(s *JobState, ready, budget []int)) (Result, error) {
 	for i := 0; i < cl.NumQPUs(); i++ {
 		if cl.QPU(i).Comm < 1 {
 			return Result{}, fmt.Errorf("sched: QPU %d has no communication qubits", i)
 		}
 	}
 	s := NewJobState(dag, 0)
+	if prepare != nil {
+		if err := prepare(s); err != nil {
+			return Result{}, err
+		}
+	}
 	res := Result{RemoteGates: dag.Len()}
 	if dag.Len() == 0 {
 		res.JCT = s.JCT()
 		return res, nil
 	}
 	budget := make([]int, cl.NumQPUs())
+	var ready []int
+	var reqs []Request
 	t := 0.0
 	for !s.Done() {
-		ready := s.Ready(t)
+		ready = s.AppendReady(ready[:0], t)
 		if len(ready) == 0 {
 			// All runnable nodes are waiting on finish times beyond t:
-			// jump to the next enabling instant aligned to round starts.
+			// jump to the next enabling instant.
 			t = s.nextEnableTime(t)
 			continue
 		}
 		for i := range budget {
 			budget[i] = cl.QPU(i).Comm
 		}
-		alloc := p.Allocate(s.Requests(0, ready), budget, rng)
+		if round != nil {
+			round(s, ready, budget)
+		}
+		reqs = s.AppendRequests(reqs[:0], 0, ready)
+		alloc := p.Allocate(reqs, budget, rng)
 		for _, u := range ready {
 			s.Attempt(u, alloc[NodeKey{Job: 0, Node: u}], t, m, rng)
 		}

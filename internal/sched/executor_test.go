@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cloudqc/internal/circuit"
@@ -71,13 +72,28 @@ func TestRunRejectsInvalidModel(t *testing.T) {
 	}
 }
 
+// TestRunRejectsZeroCommCloud covers the communication-qubit check every
+// single-job entry point shares.
 func TestRunRejectsZeroCommCloud(t *testing.T) {
 	cl := cloud.New(graph.Path(2), 10, 0)
 	c := circuit.New("r", 2)
 	c.Append(circuit.CX(0, 1))
 	d := BuildRemoteDAG(c, cl, []int{0, 1}, epr.DefaultLatency())
-	if _, err := Run(d, cl, epr.DefaultModel(), CloudQCPolicy{}, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("zero-comm cloud should error")
+	for _, e := range singleJobEntries {
+		t.Run(e.name, func(t *testing.T) {
+			_, err := e.run(d, cl, CloudQCPolicy{}, rand.New(rand.NewSource(1)))
+			if err == nil || !strings.Contains(err.Error(), "no communication qubits") {
+				t.Fatalf("err = %v, want zero-comm rejection", err)
+			}
+		})
+	}
+	// The comm check precedes RunFidelity's per-node purification check.
+	unreachable := epr.DefaultFidelityModel()
+	unreachable.LinkFidelity = 0.51
+	unreachable.Threshold = 0.999
+	_, err := RunFidelity(d, cl, unreachable, CloudQCPolicy{}, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "no communication qubits") {
+		t.Fatalf("err = %v, want zero-comm rejection before the purification check", err)
 	}
 }
 

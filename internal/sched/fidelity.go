@@ -18,43 +18,16 @@ func RunFidelity(dag *RemoteDAG, cl *cloud.Cloud, f epr.FidelityModel, p Policy,
 	if err := f.Validate(); err != nil {
 		return Result{}, err
 	}
-	for i := 0; i < cl.NumQPUs(); i++ {
-		if cl.QPU(i).Comm < 1 {
-			return Result{}, fmt.Errorf("sched: QPU %d has no communication qubits", i)
-		}
-	}
-	s := NewJobState(dag, 0)
 	// Scale every node's owed successes by its purification factor.
-	for u, n := range dag.Nodes {
-		pairs, err := f.PairsPerHop(n.Hops())
-		if err != nil {
-			return Result{}, fmt.Errorf("sched: node %d (%d hops): %w", u, n.Hops(), err)
+	scale := func(s *JobState) error {
+		for u, n := range dag.Nodes {
+			pairs, err := f.PairsPerHop(n.Hops())
+			if err != nil {
+				return fmt.Errorf("sched: node %d (%d hops): %w", u, n.Hops(), err)
+			}
+			s.hopsLeft[u] = n.Hops() * pairs
 		}
-		s.hopsLeft[u] = n.Hops() * pairs
+		return nil
 	}
-	res := Result{RemoteGates: dag.Len()}
-	if dag.Len() == 0 {
-		res.JCT = s.JCT()
-		return res, nil
-	}
-	budget := make([]int, cl.NumQPUs())
-	t := 0.0
-	for !s.Done() {
-		ready := s.Ready(t)
-		if len(ready) == 0 {
-			t = s.nextEnableTime(t)
-			continue
-		}
-		for i := range budget {
-			budget[i] = cl.QPU(i).Comm
-		}
-		alloc := p.Allocate(s.Requests(0, ready), budget, rng)
-		for _, u := range ready {
-			s.Attempt(u, alloc[NodeKey{Job: 0, Node: u}], t, f.Model, rng)
-		}
-		res.Rounds++
-		t += f.EPRAttempt
-	}
-	res.JCT = s.JCT()
-	return res, nil
+	return runSingle(dag, cl, f.Model, p, rng, scale, nil)
 }

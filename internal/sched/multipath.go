@@ -27,50 +27,19 @@ func RunMultipath(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *r
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
-	for i := 0; i < cl.NumQPUs(); i++ {
-		if cl.QPU(i).Comm < 1 {
-			return Result{}, fmt.Errorf("sched: QPU %d has no communication qubits", i)
-		}
-	}
-
 	// Precompute alternatives for every distinct endpoint pair.
 	pairs := make([][2]int, 0, dag.Len())
 	for _, n := range dag.Nodes {
 		pairs = append(pairs, [2]int{n.Path[0], n.Path[len(n.Path)-1]})
 	}
 	table := route.NewTable(cl.Topology(), pairs, k)
-
-	s := NewJobState(dag, 0)
-	res := Result{RemoteGates: dag.Len()}
-	if dag.Len() == 0 {
-		res.JCT = s.JCT()
-		return res, nil
-	}
-	budget := make([]int, cl.NumQPUs())
 	virtual := make([]int, cl.NumQPUs())
-	t := 0.0
-	for !s.Done() {
-		ready := s.Ready(t)
-		if len(ready) == 0 {
-			t = s.nextEnableTime(t)
-			continue
-		}
-		for i := range budget {
-			budget[i] = cl.QPU(i).Comm
-			virtual[i] = budget[i]
-		}
+	return runSingle(dag, cl, m, p, rng, nil, func(s *JobState, ready, budget []int) {
 		// Route first-time-ready gates in priority order against the
 		// virtual budget, so concurrent gates spread over the topology.
+		copy(virtual, budget)
 		orderedRoute(s, ready, table, virtual)
-		alloc := p.Allocate(s.Requests(0, ready), budget, rng)
-		for _, u := range ready {
-			s.Attempt(u, alloc[NodeKey{Job: 0, Node: u}], t, m, rng)
-		}
-		res.Rounds++
-		t += m.EPRAttempt
-	}
-	res.JCT = s.JCT()
-	return res, nil
+	})
 }
 
 // orderedRoute assigns paths to not-yet-attempted ready nodes, highest
