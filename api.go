@@ -226,11 +226,11 @@ func NewLiveController(cfg ClusterConfig) (*LiveController, error) {
 	return core.NewLiveController(cfg)
 }
 
-// NewJobService wraps a LiveController in the HTTP JSON submission
-// service: POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/stats,
-// GET /v1/cluster, with per-tenant token-bucket rate limiting and
-// in-flight quotas (429 + Retry-After) and a virtual-time pacer
-// mapping wall time onto EPR rounds. The returned service implements
+// NewJobService serves cfg.Federation (a single cloud is a 1-shard
+// federation) through the HTTP JSON submission service: POST /v1/jobs,
+// GET /v1/jobs/{id}, GET /v1/stats, GET /v1/cluster, with per-tenant
+// token-bucket rate limiting and in-flight quotas (429 + Retry-After)
+// and a virtual-time pacer mapping wall time onto EPR rounds. The returned service implements
 // http.Handler; call its Drain method on shutdown. For a standalone
 // daemon, see cmd/cloudqcd.
 func NewJobService(cfg ServiceConfig) (*JobService, error) { return service.New(cfg) }
@@ -239,15 +239,12 @@ func NewJobService(cfg ServiceConfig) (*JobService, error) { return service.New(
 // controller per cloud in cfg.Clouds behind a global admission router.
 // In WFQ mode all shards bill tenants into one shared virtual-clock
 // space, so weighted fairness holds federation-wide; with one cloud
-// the federation is bit-identical to NewLiveController. Pass the
-// result to NewJobService via ServiceConfig.Federation, or drive it
-// directly with Submit / StepUntil / Drain.
+// the federation is bit-identical to NewLiveController. Everything —
+// plan-cache size included — is fixed here, at construction. Pass the
+// result to NewJobService via ServiceConfig.Federation (the only way
+// to serve a live cloud), or drive it directly with Submit / StepUntil
+// / Drain.
 func NewFederation(cfg FederationConfig) (*Federation, error) { return fed.New(cfg) }
-
-// WrapLiveController lifts an existing LiveController into a 1-shard
-// Federation (same object, federation interface) — the migration path
-// for callers moving to the federated API.
-func WrapLiveController(lc *LiveController) *Federation { return fed.Wrap(lc) }
 
 // PartitionClouds splits one topology into n connected shard clouds of
 // balanced capacity (k-way graph partition, imbalance tolerance e.g.

@@ -945,7 +945,7 @@ func BenchmarkScheduleKnn67(b *testing.B) {
 }
 
 // BenchmarkLoadgen proves the service tier under sustained load: a
-// real HTTP server (httptest) over a FIFO live controller, hammered by
+// real HTTP server (httptest) over a FIFO 1-shard federation, hammered by
 // the internal/loadgen engine with 100k constant 3-qubit GHZ
 // submissions — the plan cache absorbs every compile after the first,
 // so the numbers measure the admission path itself. The huge timescale
@@ -958,15 +958,14 @@ func BenchmarkLoadgen(b *testing.B) {
 	const jobs = 100000
 	var settled, jps, p50, p95, p99 float64
 	for i := 0; i < b.N; i++ {
-		lc, err := NewLiveController(ClusterConfig{
-			Cloud: NewRandomCloud(20, 0.3, 20, 5, 1),
-			Mode:  FIFOMode,
-			Seed:  7,
+		f, err := NewFederation(FederationConfig{
+			Shard:  ClusterConfig{Mode: FIFOMode, Seed: 7},
+			Clouds: []*Cloud{NewRandomCloud(20, 0.3, 20, 5, 1)},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv, err := service.New(service.Config{Controller: lc, TimeScale: 1e7})
+		srv, err := service.New(service.Config{Federation: f, TimeScale: 1e7})
 		if err != nil {
 			b.Fatal(err)
 		}

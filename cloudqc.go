@@ -137,9 +137,10 @@ type (
 	// cloud shape, free-capacity signature), so repeated circuit
 	// templates admit without re-running the placement pipeline —
 	// bit-identically to uncached runs. Read it from
-	// Cluster.PlanCacheStats / LiveController.PlanCacheStats, size it
-	// with ClusterConfig.PlanCacheSize (or ServiceConfig.PlanCacheSize
-	// for the HTTP service, which also reports it on GET /v1/stats).
+	// Cluster.PlanCacheStats / LiveController.PlanCacheStats /
+	// Federation.PlanCacheStats and size it with
+	// ClusterConfig.PlanCacheSize, once, at construction (the HTTP
+	// service reports it on GET /v1/stats).
 	PlanCacheStats = plan.Stats
 	// CircuitFingerprint canonically identifies a circuit's structure
 	// (register size, gate count, gate-sequence hash); identical
@@ -162,28 +163,25 @@ type (
 	// QPULoad is one QPU's capacity and current reservation in a live
 	// cluster view.
 	QPULoad = core.QPULoad
-	// ServiceConfig assembles the HTTP job-submission service: live
-	// controller, virtual-time scale, per-tenant rate limit and quota.
+	// ServiceConfig assembles the HTTP job-submission service: the
+	// Federation to serve, virtual-time scale, per-tenant rate limit
+	// and quota.
 	ServiceConfig = service.Config
-	// JobService serves a LiveController over HTTP JSON
+	// JobService serves a Federation over HTTP JSON
 	// (POST /v1/jobs, GET /v1/jobs/{id}, /v1/stats, /v1/cluster); it
 	// implements http.Handler. The cloudqcd daemon is its standalone
 	// wrapper.
 	JobService = service.Server
-	// Federation is the federated controller tier: N shard controllers
-	// over N shard clouds behind one admission router, with WFQ billing
-	// into a shared virtual-clock space so weighted fairness holds
-	// federation-wide. A 1-shard Federation is bit-identical to the
-	// LiveController it wraps.
+	// Federation is the federated controller tier and the one live
+	// backend the job service serves: N shard controllers over N shard
+	// clouds behind one admission router, with WFQ billing into a
+	// shared virtual-clock space so weighted fairness holds
+	// federation-wide. A 1-shard Federation is bit-identical to a
+	// LiveController built from the same configuration.
 	Federation = fed.Federation
 	// FederationConfig assembles a Federation: the per-shard
 	// ClusterConfig template, the shard clouds, routing, spill depth.
 	FederationConfig = fed.Config
-	// FederationShard is one shard of a Federation: its controller plus
-	// the load/queue-depth/plan-cache signals the router reads.
-	FederationShard = core.Shard
-	// ShardSignals is one shard's routing signal snapshot.
-	ShardSignals = core.ShardSignals
 	// RoutingMode selects the federation's admission routing (affinity
 	// or random).
 	RoutingMode = fed.Routing

@@ -181,11 +181,12 @@ func build(args []string) (*daemon, error) {
 	pCfg := place.DefaultConfig()
 	pCfg.Seed = *seed
 	cfg := core.Config{
-		Placer:  place.NewCloudQC(pCfg),
-		Model:   model,
-		Mode:    m,
-		Seed:    *seed,
-		Preempt: pp,
+		Placer:        place.NewCloudQC(pCfg),
+		Model:         model,
+		Mode:          m,
+		Seed:          *seed,
+		Preempt:       pp,
+		PlanCacheSize: *planCache,
 	}
 	if *weighted {
 		cfg.Policy = sched.NewTenantWeightedPolicy()
@@ -235,7 +236,6 @@ func build(args []string) (*daemon, error) {
 		Rate:           *rate,
 		Burst:          *burst,
 		MaxInFlight:    *quota,
-		PlanCacheSize:  *planCache,
 		WAL:            wlog,
 		DegradeBacklog: *degrade,
 		ShedBacklog:    *shedAt,

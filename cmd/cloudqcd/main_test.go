@@ -76,6 +76,29 @@ func TestDaemonFlagsReachService(t *testing.T) {
 	if len(cr.QPUs) != 8 {
 		t.Fatalf("cluster has %d QPUs, want 8 (flag -qpus)", len(cr.QPUs))
 	}
+
+	// -plancache sizes the controller template's cache: a positive
+	// value is the LRU capacity, a negative one disables caching.
+	for _, tc := range []struct {
+		flag     string
+		enabled  bool
+		capacity int
+	}{{"3", true, 3}, {"-1", false, 0}} {
+		d, err := build([]string{"-addr", ":0", "-qpus", "8", "-plancache", tc.flag})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := httptest.NewRecorder()
+		d.svc.ServeHTTP(rw, httptest.NewRequest("GET", "/v1/stats", nil))
+		var stats service.StatsResponse
+		if err := json.NewDecoder(rw.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		if pc := stats.PlanCache; pc.Enabled != tc.enabled || pc.Capacity != tc.capacity {
+			t.Fatalf("-plancache %s: /v1/stats plan_cache %+v, want enabled %v capacity %d",
+				tc.flag, pc, tc.enabled, tc.capacity)
+		}
+	}
 }
 
 // TestDaemonShardsFlag boots a 3-shard daemon and checks the federated

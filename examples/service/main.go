@@ -1,5 +1,5 @@
-// Streaming job-submission service, in process: a LiveController
-// wrapped in the HTTP JSON JobService, driven through an httptest
+// Streaming job-submission service, in process: a 1-shard Federation
+// served by the HTTP JSON JobService, driven through an httptest
 // server — submit jobs for two tenants, step virtual time by polling,
 // read /v1/stats, and drain.
 //
@@ -24,11 +24,11 @@ import (
 )
 
 func main() {
-	// A live controller over the paper's default cloud, WFQ admission.
-	lc, err := cloudqc.NewLiveController(cloudqc.ClusterConfig{
-		Cloud: cloudqc.NewRandomCloud(20, 0.3, 20, 5, 42),
-		Mode:  cloudqc.WFQMode,
-		Seed:  42,
+	// A 1-shard federation over the paper's default cloud, WFQ
+	// admission — bit-identical to a lone live controller.
+	f, err := cloudqc.NewFederation(cloudqc.FederationConfig{
+		Shard:  cloudqc.ClusterConfig{Mode: cloudqc.WFQMode, Seed: 42},
+		Clouds: []*cloudqc.Cloud{cloudqc.NewRandomCloud(20, 0.3, 20, 5, 42)},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -37,12 +37,12 @@ func main() {
 	// The service normally paces virtual time off the wall clock
 	// (TimeScale CX units per wall second). The clock is injectable, so
 	// this demo drives it by hand: each step(d) advances the service's
-	// notion of "now", and the next request steps the controller to the
+	// notion of "now", and the next request steps the federation to the
 	// matching virtual time — deterministic, no sleeps.
 	clock := time.Unix(0, 0)
 	step := func(d time.Duration) { clock = clock.Add(d) }
 	svc, err := cloudqc.NewJobService(cloudqc.ServiceConfig{
-		Controller:  lc,
+		Federation:  f,
 		TimeScale:   1000, // 1000 CX per (virtual) wall second
 		MaxInFlight: 2,
 		Now:         func() time.Time { return clock },

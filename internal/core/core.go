@@ -352,24 +352,6 @@ func (ct *Controller) PlanCacheStats() plan.Stats {
 	return ct.planCache.Stats()
 }
 
-// ConfigurePlanCache re-bounds the plan cache: size > 0 sets the LRU
-// capacity (evicting down if needed), 0 resets to plan.DefaultCapacity,
-// negative disables caching entirely. Enabling on a controller whose
-// placer is not deterministic is a no-op.
-func (ct *Controller) ConfigurePlanCache(size int) {
-	if size < 0 {
-		ct.planCache = nil
-		return
-	}
-	if ct.planCache == nil {
-		if _, ok := ct.cfg.Placer.(place.DeterministicPlacer); ok {
-			ct.planCache = plan.New(size)
-		}
-		return
-	}
-	ct.planCache.SetCapacity(size)
-}
-
 // activeJob is one placed, executing job.
 type activeJob struct {
 	job       *Job

@@ -371,11 +371,6 @@ func (lc *LiveController) PlanCacheStats() plan.Stats { return lc.ct.PlanCacheSt
 // off).
 func (lc *LiveController) Trace() *trace.Recorder { return lc.ct.cfg.Trace }
 
-// ConfigurePlanCache re-bounds the plan cache mid-run: size > 0 sets
-// the LRU capacity, 0 resets to the default, negative disables caching
-// (see Controller.ConfigurePlanCache).
-func (lc *LiveController) ConfigurePlanCache(size int) { lc.ct.ConfigurePlanCache(size) }
-
 // Snapshot summarizes the cluster's current state.
 func (lc *LiveController) Snapshot() LiveSnapshot {
 	t := lc.st.eng.Now()

@@ -329,48 +329,18 @@ func TestPlanCacheEvictionStaysCorrect(t *testing.T) {
 
 // TestPlanCacheDisabledForStatefulPlacers: the Random baseline draws
 // from a persistent RNG, so memoizing it would change results — the
-// controller must refuse to cache it.
+// controller must refuse to cache it, even when a size is asked for.
 func TestPlanCacheDisabledForStatefulPlacers(t *testing.T) {
 	ct, err := NewController(Config{
-		Cloud:  cloud.NewRandom(10, 0.3, 20, 5, 1),
-		Placer: place.NewRandom(1),
-		Seed:   1,
+		Cloud:         cloud.NewRandom(10, 0.3, 20, 5, 1),
+		Placer:        place.NewRandom(1),
+		Seed:          1,
+		PlanCacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := ct.PlanCacheStats(); s.Enabled {
 		t.Fatalf("cache enabled for the stateful Random placer: %+v", s)
-	}
-	// Asking for a cache explicitly must stay a no-op.
-	ct.ConfigurePlanCache(64)
-	if s := ct.PlanCacheStats(); s.Enabled {
-		t.Fatal("ConfigurePlanCache enabled caching for a stateful placer")
-	}
-}
-
-// TestConfigurePlanCache: resizing and disabling through the public
-// knob.
-func TestConfigurePlanCache(t *testing.T) {
-	cfg, _ := cacheConfig(1, BatchMode, 0)
-	ct, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := ct.PlanCacheStats(); !s.Enabled || s.Capacity != plan.DefaultCapacity {
-		t.Fatalf("default cache stats %+v", s)
-	}
-	ct.ConfigurePlanCache(7)
-	if s := ct.PlanCacheStats(); s.Capacity != 7 {
-		t.Fatalf("capacity after resize = %d, want 7", s.Capacity)
-	}
-	ct.ConfigurePlanCache(-1)
-	if s := ct.PlanCacheStats(); s.Enabled {
-		t.Fatalf("cache still enabled after disable: %+v", s)
-	}
-	// Re-enabling restores a fresh cache for the deterministic placer.
-	ct.ConfigurePlanCache(16)
-	if s := ct.PlanCacheStats(); !s.Enabled || s.Capacity != 16 {
-		t.Fatalf("re-enable stats %+v", s)
 	}
 }

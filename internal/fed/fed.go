@@ -1,8 +1,10 @@
 // Package fed is CloudQC's federated multi-cloud controller tier: a
 // Federation owns N controller shards — each a self-contained
-// core.Shard over its own cloud (a separate provider region, or a
-// partition of one topology via PartitionClouds) — behind a global
-// admission router.
+// core.LiveController over its own cloud (a separate provider region,
+// or a partition of one topology via PartitionClouds) with its own RNG
+// stream and plan cache — behind a global admission router. It is the
+// one way a live cloud is built for serving: a single cloud is a
+// 1-shard federation.
 //
 // The router places each job by tenant+fingerprint affinity: repeated
 // templates from one tenant land on the shard whose plan cache already
@@ -20,7 +22,7 @@
 // that degenerates to the identity (see TestFederationSingleShardMatchesLive).
 //
 // A Federation is not safe for concurrent use; the service layer
-// serializes access, exactly as it does for a lone LiveController.
+// serializes access.
 package fed
 
 import (
@@ -88,7 +90,7 @@ const DefaultSpillDepth = 4
 // Federation owns N controller shards behind one admission router and
 // aggregates their results, statistics, and plan-cache counters.
 type Federation struct {
-	shards []*core.Shard
+	shards []*core.LiveController
 	wfq    *core.WFQClock
 	router *router
 	// jobs preserves global submission order for Results; shardOf maps
@@ -184,37 +186,19 @@ func New(cfg Config) (*Federation, error) {
 			scfg.Placer = cfg.NewPlacer(i)
 		}
 		scfg.Faults = cfg.Faults.ForShard(i)
-		sh, err := core.NewShard(i, scfg)
+		lc, err := core.NewLiveController(scfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fed: shard %d: %w", i, err)
 		}
-		f.shards = append(f.shards, sh)
+		f.shards = append(f.shards, lc)
 	}
-	f.epr = f.shards[0].Controller().EPRAttempt()
+	f.epr = f.shards[0].EPRAttempt()
 	r, err := newRouter(f.shards, cfg.Routing, cfg.SpillDepth, cfg.Shard.Seed)
 	if err != nil {
 		return nil, err
 	}
 	f.router = r
 	return f, nil
-}
-
-// Wrap adopts an existing live controller as a 1-shard federation
-// without disturbing its state — how the service layer lifts a
-// single-controller configuration into the federated backend. The
-// controller keeps its own (private) WFQ clock.
-func Wrap(lc *core.LiveController) *Federation {
-	shards := []*core.Shard{core.WrapShard(0, lc)}
-	r, _ := newRouter(shards, RouteAffinity, 0, 0)
-	return &Federation{
-		shards:   shards,
-		router:   r,
-		shardOf:  make(map[int]int),
-		seq:      make([]int, 1),
-		epr:      lc.EPRAttempt(),
-		trace:    lc.Trace(),
-		disabled: make([]bool, 1),
-	}
 }
 
 // ShardSeed derives shard i's RNG seed from the federation's base seed
@@ -235,16 +219,16 @@ func ShardSeed(seed int64, shard int) int64 {
 // NumShards returns the shard count.
 func (f *Federation) NumShards() int { return len(f.shards) }
 
-// Shard returns shard i.
-func (f *Federation) Shard(i int) *core.Shard { return f.shards[i] }
+// Shard returns shard i's live controller.
+func (f *Federation) Shard(i int) *core.LiveController { return f.shards[i] }
 
 // Now returns the federation's virtual time: the furthest shard clock
 // (shards advance in lockstep through StepUntil, so they differ only
 // in how far each one's last event landed before the common target).
 func (f *Federation) Now() float64 {
-	now := f.shards[0].Controller().Now()
+	now := f.shards[0].Now()
 	for _, s := range f.shards[1:] {
-		if t := s.Controller().Now(); t > now {
+		if t := s.Now(); t > now {
 			now = t
 		}
 	}
@@ -259,13 +243,19 @@ func (f *Federation) EPRAttempt() float64 { return f.epr }
 // Job.ID asks the federation to assign one: auto IDs are shard-tagged
 // (id ≡ shard mod N) so every shard owns a disjoint ID space.
 // Non-negative IDs are the caller's and are checked for federation-wide
-// uniqueness. Returns core.ErrDrained (wrapped) after Drain.
+// uniqueness. A job without a circuit or with an empty register is
+// refused before routing, so it ticks no router counter, pins no
+// affinity and burns no ID. Returns core.ErrDrained (wrapped) after
+// Drain.
 func (f *Federation) Submit(j *core.Job) error {
 	if f.drained {
 		return fmt.Errorf("fed: %w", core.ErrDrained)
 	}
 	if j.Circuit == nil {
 		return fmt.Errorf("fed: job %d has no circuit", j.ID)
+	}
+	if j.Circuit.NumQubits() == 0 {
+		return fmt.Errorf("fed: job %d has an empty register", j.ID)
 	}
 	if j.ID >= 0 {
 		if _, dup := f.shardOf[j.ID]; dup {
@@ -276,7 +266,7 @@ func (f *Federation) Submit(j *core.Job) error {
 	if j.ID < 0 {
 		j.ID = f.nextID(s)
 	}
-	if err := f.shards[s].Controller().Submit(j); err != nil {
+	if err := f.shards[s].Submit(j); err != nil {
 		return fmt.Errorf("fed: shard %d: %w", s, err)
 	}
 	f.jobs = append(f.jobs, j)
@@ -329,7 +319,7 @@ func (f *Federation) stepShards(t float64) error {
 		if f.disabled[i] {
 			continue
 		}
-		if err := s.Controller().StepUntil(t); err != nil {
+		if err := s.StepUntil(t); err != nil {
 			return fmt.Errorf("fed: shard %d: %w", i, err)
 		}
 	}
@@ -356,7 +346,7 @@ func (f *Federation) drainShard(shard int, at float64) error {
 		return fmt.Errorf("fed: refusing to drain shard %d: it is the last enabled shard", shard)
 	}
 	f.fstats.ShardDrains++
-	resumes, waiting := f.shards[shard].Controller().Evacuate()
+	resumes, waiting := f.shards[shard].Evacuate()
 	f.disabled[shard] = true
 	f.router.disable(shard)
 	submit := func(j *core.Job, run func(tgt int) error) error {
@@ -376,13 +366,13 @@ func (f *Federation) drainShard(shard int, at float64) error {
 	}
 	for _, pj := range resumes {
 		pj := pj
-		if err := submit(pj.Job, func(tgt int) error { return f.shards[tgt].Controller().SubmitResume(pj) }); err != nil {
+		if err := submit(pj.Job, func(tgt int) error { return f.shards[tgt].SubmitResume(pj) }); err != nil {
 			return err
 		}
 	}
 	for _, j := range waiting {
 		j := j
-		if err := submit(j, func(tgt int) error { return f.shards[tgt].Controller().Submit(j) }); err != nil {
+		if err := submit(j, func(tgt int) error { return f.shards[tgt].Submit(j) }); err != nil {
 			return err
 		}
 	}
@@ -421,7 +411,7 @@ func (f *Federation) Inject(e fault.Event) error {
 		f.drains[i] = e
 		return nil
 	}
-	if err := f.shards[e.Shard].Controller().InjectFault(e); err != nil {
+	if err := f.shards[e.Shard].InjectFault(e); err != nil {
 		return fmt.Errorf("fed: shard %d: %w", e.Shard, err)
 	}
 	return nil
@@ -432,7 +422,7 @@ func (f *Federation) Inject(e fault.Event) error {
 func (f *Federation) FaultStats() fault.Stats {
 	s := f.fstats
 	for _, sh := range f.shards {
-		s.Add(sh.Controller().FaultStats())
+		s.Add(sh.FaultStats())
 	}
 	return s
 }
@@ -445,7 +435,7 @@ func (f *Federation) FaultStats() fault.Stats {
 // The resume's arrival event fires on the target shard's next step.
 func (f *Federation) rehome() error {
 	for src, s := range f.shards {
-		for _, pj := range s.Controller().TakePreempted() {
+		for _, pj := range s.TakePreempted() {
 			before := f.router.stats
 			tgt := f.router.route(pj.Job)
 			if f.trace != nil {
@@ -460,7 +450,7 @@ func (f *Federation) rehome() error {
 					tr.Rehome(at, src, tgt, rehomeKind(before, f.router.stats))
 				}
 			}
-			if err := f.shards[tgt].Controller().SubmitResume(pj); err != nil {
+			if err := f.shards[tgt].SubmitResume(pj); err != nil {
 				return fmt.Errorf("fed: resuming job %d on shard %d: %w", pj.Job.ID, tgt, err)
 			}
 			f.shardOf[pj.Job.ID] = tgt
@@ -526,7 +516,7 @@ func (f *Federation) Drain() ([]*core.JobResult, error) {
 			// halted and holds only settled results.
 			continue
 		}
-		if _, err := s.Controller().Drain(); err != nil && firstErr == nil {
+		if _, err := s.Drain(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("fed: shard %d: %w", i, err)
 		}
 	}
@@ -549,7 +539,7 @@ func (f *Federation) Status(id int) core.JobStatus {
 	if !ok {
 		return core.StatusUnknown
 	}
-	return f.shards[s].Controller().Status(id)
+	return f.shards[s].Status(id)
 }
 
 // Result returns a job's result slot and status (see
@@ -559,7 +549,7 @@ func (f *Federation) Result(id int) (*core.JobResult, core.JobStatus) {
 	if !ok {
 		return nil, core.StatusUnknown
 	}
-	return f.shards[s].Controller().Result(id)
+	return f.shards[s].Result(id)
 }
 
 // Results returns every accepted job's result slot in global
@@ -591,7 +581,7 @@ func (f *Federation) SettledResults() []*core.JobResult {
 func (f *Federation) RunStats() core.RunStats {
 	var rs core.RunStats
 	for _, s := range f.shards {
-		st := s.Controller().RunStats()
+		st := s.RunStats()
 		rs.Rounds += st.Rounds
 		rs.Events += st.Events
 	}
@@ -604,7 +594,7 @@ func (f *Federation) RunStats() core.RunStats {
 func (f *Federation) PlanCacheStats() plan.Stats {
 	var m plan.Stats
 	for _, s := range f.shards {
-		ps := s.Controller().PlanCacheStats()
+		ps := s.PlanCacheStats()
 		m.Hits += ps.Hits
 		m.Misses += ps.Misses
 		m.Evictions += ps.Evictions
@@ -621,17 +611,9 @@ func (f *Federation) PlanCacheStats() plan.Stats {
 func (f *Federation) PreemptStats() core.PreemptStats {
 	var ps core.PreemptStats
 	for _, s := range f.shards {
-		ps.Add(s.Controller().PreemptStats())
+		ps.Add(s.PreemptStats())
 	}
 	return ps
-}
-
-// ConfigurePlanCache re-bounds every shard's plan cache (see
-// Controller.ConfigurePlanCache); the size applies per shard.
-func (f *Federation) ConfigurePlanCache(size int) {
-	for _, s := range f.shards {
-		s.Controller().ConfigurePlanCache(size)
-	}
 }
 
 // RouterStats reports the admission router's cumulative decision
@@ -645,8 +627,7 @@ func (f *Federation) Trace() *trace.Recorder { return f.trace }
 // Routing returns the configured routing discipline.
 func (f *Federation) Routing() Routing { return f.router.routing }
 
-// WFQClock returns the federation's shared WFQ clock (nil for a
-// Wrap-adopted controller, which keeps its private clock).
+// WFQClock returns the clock every shard bills WFQ admission into.
 func (f *Federation) WFQClock() *core.WFQClock { return f.wfq }
 
 // Snapshot aggregates the shards' live snapshots: job counts, rounds,
@@ -658,7 +639,7 @@ func (f *Federation) Snapshot() core.LiveSnapshot {
 	totalCap := 0
 	weighted := 0.0
 	for _, s := range f.shards {
-		snap := s.Controller().Snapshot()
+		snap := s.Snapshot()
 		if snap.Now > agg.Now {
 			agg.Now = snap.Now
 		}
@@ -670,7 +651,7 @@ func (f *Federation) Snapshot() core.LiveSnapshot {
 		agg.PendingReleases += snap.PendingReleases
 		agg.Rounds += snap.Rounds
 		agg.Events += snap.Events
-		cap := s.Controller().TotalComputing()
+		cap := s.TotalComputing()
 		totalCap += cap
 		weighted += snap.Utilization * float64(cap)
 	}
@@ -685,7 +666,7 @@ func (f *Federation) Snapshot() core.LiveSnapshot {
 func (f *Federation) ShardSnapshots() []core.LiveSnapshot {
 	out := make([]core.LiveSnapshot, len(f.shards))
 	for i, s := range f.shards {
-		out[i] = s.Controller().Snapshot()
+		out[i] = s.Snapshot()
 	}
 	return out
 }
@@ -695,7 +676,7 @@ func (f *Federation) ShardSnapshots() []core.LiveSnapshot {
 func (f *Federation) QPULoads() [][]core.QPULoad {
 	out := make([][]core.QPULoad, len(f.shards))
 	for i, s := range f.shards {
-		out[i] = s.Controller().QPULoads()
+		out[i] = s.QPULoads()
 	}
 	return out
 }
@@ -708,25 +689,25 @@ func (f *Federation) QPULoads() [][]core.QPULoad {
 func (f *Federation) SetOnTransition(fn func(shard int, tr core.Transition)) {
 	for i, s := range f.shards {
 		if fn == nil {
-			s.Controller().SetOnTransition(nil)
+			s.SetOnTransition(nil)
 			continue
 		}
 		i := i
-		s.Controller().SetOnTransition(func(tr core.Transition) { fn(i, tr) })
+		s.SetOnTransition(func(tr core.Transition) { fn(i, tr) })
 	}
 }
 
 // Mode returns the shards' current admission mode (uniform by
 // construction: fed.New configures every shard alike and SetMode
 // switches them together).
-func (f *Federation) Mode() core.Mode { return f.shards[0].Controller().Mode() }
+func (f *Federation) Mode() core.Mode { return f.shards[0].Mode() }
 
 // SetMode switches every shard's admission mode from its next tick on —
 // the service layer's overload degradation (WFQ→FIFO) and recovery.
 // WFQ virtual clocks survive a round trip through another mode.
 func (f *Federation) SetMode(m core.Mode) error {
 	for _, s := range f.shards {
-		if err := s.Controller().SetMode(m); err != nil {
+		if err := s.SetMode(m); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cloudqc/internal/circuit"
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/core"
 	"cloudqc/internal/graph"
@@ -216,6 +217,64 @@ func TestFederationAutoIDsShardTagged(t *testing.T) {
 	}
 	if _, err := f.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFederationRejectedSubmitLeavesNoTrace: a submission the
+// federation refuses — here a zero-value circuit with an empty
+// register — must not touch the router (no counter tick, no affinity
+// pin, no random draw), burn an auto ID, or write one into the
+// caller's Job. A twin federation that never saw the rejected job must
+// hand the next submission the same ID on the same shard.
+func TestFederationRejectedSubmitLeavesNoTrace(t *testing.T) {
+	for _, routing := range []Routing{RouteAffinity, RouteRandom} {
+		t.Run(routing.String(), func(t *testing.T) {
+			build := func() *Federation {
+				f, err := New(Config{
+					Shard:   shardTemplate(1, core.FIFOMode),
+					Clouds:  uniformClouds(2, 8),
+					Routing: routing,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Submit(&core.Job{ID: -1, Circuit: qlib.GHZ(6)}); err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			f, twin := build(), build()
+			stats, pins := f.RouterStats(), len(f.router.affinity)
+
+			bad := &core.Job{ID: -1, Tenant: 1, Circuit: &circuit.Circuit{}}
+			if err := f.Submit(bad); err == nil {
+				t.Fatal("empty-register circuit accepted")
+			}
+			if bad.ID != -1 {
+				t.Fatalf("rejected submit wrote ID %d into the caller's job", bad.ID)
+			}
+			if got := f.RouterStats(); got != stats {
+				t.Fatalf("rejected submit moved router stats %+v -> %+v", stats, got)
+			}
+			if got := len(f.router.affinity); got != pins {
+				t.Fatalf("rejected submit pinned an affinity entry (%d -> %d)", pins, got)
+			}
+
+			next := &core.Job{ID: -1, Tenant: 2, Circuit: qlib.GHZ(6)}
+			want := &core.Job{ID: -1, Tenant: 2, Circuit: qlib.GHZ(6)}
+			if err := f.Submit(next); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Submit(want); err != nil {
+				t.Fatal(err)
+			}
+			if next.ID != want.ID {
+				t.Fatalf("next auto ID %d after a rejected submit, want %d", next.ID, want.ID)
+			}
+			if got := f.RouterStats(); got != twin.RouterStats() {
+				t.Fatalf("router stats %+v, twin %+v", got, twin.RouterStats())
+			}
+		})
 	}
 }
 

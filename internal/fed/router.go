@@ -74,7 +74,7 @@ type affinityKey struct {
 
 // router is the federation's global admission router.
 type router struct {
-	shards  []*core.Shard
+	shards  []*core.LiveController
 	routing Routing
 	// spill is the resolved backlog slack (-1 disables spillover).
 	spill    int
@@ -96,7 +96,7 @@ type router struct {
 	numDisabled int
 }
 
-func newRouter(shards []*core.Shard, routing Routing, spillDepth int, seed int64) (*router, error) {
+func newRouter(shards []*core.LiveController, routing Routing, spillDepth int, seed int64) (*router, error) {
 	if routing != RouteAffinity && routing != RouteRandom {
 		return nil, fmt.Errorf("fed: unknown routing %d", int(routing))
 	}
@@ -108,7 +108,7 @@ func newRouter(shards []*core.Shard, routing Routing, spillDepth int, seed int64
 	}
 	caps := make([]float64, len(shards))
 	for i, s := range shards {
-		caps[i] = float64(s.Controller().TotalComputing())
+		caps[i] = float64(s.TotalComputing())
 		if caps[i] <= 0 {
 			caps[i] = 1
 		}
@@ -174,9 +174,9 @@ func (r *router) route(j *core.Job) int {
 			r.depths[i] = 0
 			continue
 		}
-		sig := s.Signals()
-		r.depths[i] = sig.Depth
-		if sig.TotalComputing >= width {
+		snap := s.Snapshot()
+		r.depths[i] = snap.Pending + snap.Queued + snap.Active
+		if s.TotalComputing() >= width {
 			anyFits = true
 		}
 	}
@@ -184,7 +184,7 @@ func (r *router) route(j *core.Job) int {
 		if r.disabled[i] {
 			return false
 		}
-		return !anyFits || r.shards[i].Controller().TotalComputing() >= width
+		return !anyFits || r.shards[i].TotalComputing() >= width
 	}
 	// Load is capacity-normalized backlog; least is the fitting shard
 	// with the smallest load, ties to the lower index.

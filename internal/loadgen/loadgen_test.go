@@ -6,6 +6,7 @@ import (
 
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/core"
+	"cloudqc/internal/fed"
 	"cloudqc/internal/service"
 )
 
@@ -15,11 +16,14 @@ import (
 // timescale makes virtual time effectively free so the backlog drains
 // as fast as the wall clock polls.
 func TestLoadgenSmall(t *testing.T) {
-	lc, err := core.NewLiveController(core.Config{Cloud: cloud.NewRandom(10, 0.3, 20, 5, 1), Mode: core.FIFOMode, Seed: 1})
+	f, err := fed.New(fed.Config{
+		Shard:  core.Config{Mode: core.FIFOMode, Seed: 1},
+		Clouds: []*cloud.Cloud{cloud.NewRandom(10, 0.3, 20, 5, 1)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := service.New(service.Config{Controller: lc, TimeScale: 1e7})
+	srv, err := service.New(service.Config{Federation: f, TimeScale: 1e7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,20 +169,6 @@ func (c *Cache) Insert(key Key, free []int, e *Entry) {
 	c.pushFront(n)
 }
 
-// SetCapacity re-bounds the cache (DefaultCapacity when non-positive),
-// evicting LRU entries down to the new capacity.
-func (c *Cache) SetCapacity(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	for len(c.entries) > c.capacity {
-		c.evict()
-	}
-}
-
 // Stats returns the cache's counters. A live Cache always reports
 // Enabled; controllers running without a cache report the zero Stats.
 func (c *Cache) Stats() Stats {

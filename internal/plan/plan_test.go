@@ -88,30 +88,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestSetCapacity: shrinking evicts down to the bound; non-positive
-// resets to the default.
-func TestSetCapacity(t *testing.T) {
-	c := New(8)
-	free := []int{5}
-	for i := uint64(1); i <= 6; i++ {
-		c.Insert(key(i), free, entry(0))
-	}
-	c.SetCapacity(2)
-	if s := c.Stats(); s.Size != 2 || s.Capacity != 2 || s.Evictions != 4 {
-		t.Fatalf("stats after shrink = %+v", s)
-	}
-	// The two most recently inserted survive.
-	for _, k := range []Key{key(5), key(6)} {
-		if _, ok := c.Lookup(k, free); !ok {
-			t.Fatalf("entry %v should have survived the shrink", k)
-		}
-	}
-	c.SetCapacity(0)
-	if s := c.Stats(); s.Capacity != DefaultCapacity {
-		t.Fatalf("capacity after reset = %d, want %d", s.Capacity, DefaultCapacity)
-	}
-}
-
 // TestReinsertReplaces: inserting an existing key swaps the entry
 // without growing the cache.
 func TestReinsertReplaces(t *testing.T) {

@@ -46,24 +46,3 @@ func TestStatsReportsPlanCache(t *testing.T) {
 		t.Fatalf("cache reports empty after inserts: %+v", pc)
 	}
 }
-
-// TestPlanCacheSizeKnob: ServiceConfig.PlanCacheSize resizes or
-// disables the controller's cache at construction.
-func TestPlanCacheSizeKnob(t *testing.T) {
-	srv, _, _ := newTestServer(t, Config{PlanCacheSize: 3}, 22, core.FIFOMode)
-	if s := srv.f.PlanCacheStats(); !s.Enabled || s.Capacity != 3 {
-		t.Fatalf("PlanCacheSize 3 gave stats %+v", s)
-	}
-
-	off, ts, _ := newTestServer(t, Config{PlanCacheSize: -1}, 23, core.FIFOMode)
-	if s := off.f.PlanCacheStats(); s.Enabled {
-		t.Fatalf("PlanCacheSize -1 left the cache enabled: %+v", s)
-	}
-	var stats StatsResponse
-	if code, _ := doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats); code != 200 {
-		t.Fatalf("stats code %d", code)
-	}
-	if stats.PlanCache.Enabled {
-		t.Fatalf("disabled cache reported enabled on the wire: %+v", stats.PlanCache)
-	}
-}

@@ -30,11 +30,10 @@
 //	                          load, per-shard snapshots
 //	GET  /metrics             Prometheus text-format scrape
 //
-// The server owns a fed.Federation (a single live controller is
-// wrapped into a one-shard federation, preserving its behavior
-// bit-for-bit) and serializes all access; the wall clock is
-// injectable, so tests drive virtual time deterministically with
-// httptest.
+// The server owns a fed.Federation (a single cloud is a one-shard
+// federation, bit-identical to a bare live controller) and serializes
+// all access; the wall clock is injectable, so tests drive virtual
+// time deterministically with httptest.
 //
 // Durability: with Config.WAL set, every clock advance and accepted
 // submission is appended to a write-ahead log (submissions fsynced
@@ -67,16 +66,12 @@ import (
 	"cloudqc/internal/wal"
 )
 
-// Config assembles a Server. Exactly one of Controller and Federation
-// must be set.
+// Config assembles a Server.
 type Config struct {
-	// Controller is a single live controller to serve; the server wraps
-	// it into a one-shard federation (bit-identical behavior) and
-	// assumes exclusive ownership.
-	Controller *core.LiveController
-	// Federation is a multi-shard federation to serve; the server
-	// assumes exclusive ownership. Submissions carry no shard choice —
-	// the federation's admission router decides.
+	// Federation is the federation to serve (required; a single cloud
+	// is a one-shard federation). The server assumes exclusive
+	// ownership. Submissions carry no shard choice — the federation's
+	// admission router decides.
 	Federation *fed.Federation
 	// TimeScale maps wall time onto virtual time: CX units per wall
 	// second (default 1000). With Table I's 10-CX EPR attempt, the
@@ -94,11 +89,6 @@ type Config struct {
 	// running); submissions beyond it are rejected 429 until jobs
 	// settle. Non-positive means unlimited.
 	MaxInFlight int
-	// PlanCacheSize re-bounds every shard's compile-once plan cache:
-	// positive sets the LRU capacity, negative disables caching, zero
-	// leaves the controllers' configuration untouched. Hit/miss
-	// counters surface on GET /v1/stats as "plan_cache".
-	PlanCacheSize int
 	// Now injects the wall clock; defaults to time.Now. Tests use a
 	// fake clock to drive the pacer deterministically.
 	Now func() time.Time
@@ -171,16 +161,9 @@ type Server struct {
 
 // New validates the configuration and returns a serving-ready Server.
 func New(cfg Config) (*Server, error) {
-	var f *fed.Federation
-	switch {
-	case cfg.Controller != nil && cfg.Federation != nil:
-		return nil, errors.New("service: set exactly one of Config.Controller and Config.Federation, not both")
-	case cfg.Federation != nil:
-		f = cfg.Federation
-	case cfg.Controller != nil:
-		f = fed.Wrap(cfg.Controller)
-	default:
-		return nil, errors.New("service: one of Config.Controller and Config.Federation is required")
+	f := cfg.Federation
+	if f == nil {
+		return nil, errors.New("service: Config.Federation is required")
 	}
 	if cfg.TimeScale < 0 {
 		return nil, fmt.Errorf("service: negative TimeScale %v", cfg.TimeScale)
@@ -196,9 +179,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.PlanCacheSize != 0 {
-		f.ConfigurePlanCache(cfg.PlanCacheSize)
 	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 8192
@@ -623,7 +603,7 @@ func (s *Server) applyDegrade(backlog int) {
 // the shedding watermark: one EPR round of virtual time, converted to
 // wall seconds — a floor on when retrying could possibly succeed.
 func (s *Server) shedRetryAfter() float64 {
-	round := s.f.Shard(0).Controller().EPRAttempt()
+	round := s.f.EPRAttempt()
 	if wait := round / s.cfg.TimeScale; wait > 1 {
 		return wait
 	}
@@ -845,7 +825,7 @@ func (s *Server) federationWire() FederationWire {
 		fw.PerShard[i] = ShardWire{
 			Shard:     i,
 			Snapshot:  snaps[i],
-			PlanCache: s.f.Shard(i).Controller().PlanCacheStats(),
+			PlanCache: s.f.Shard(i).PlanCacheStats(),
 		}
 	}
 	return fw

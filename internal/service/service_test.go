@@ -45,14 +45,29 @@ func testControllerConfig(seed int64, mode core.Mode) core.Config {
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config, seed int64, mode core.Mode) (*Server, *httptest.Server, *fakeClock) {
+// oneShard builds a one-shard federation from a single-controller
+// configuration: its cloud, recorder and span recorder move to their
+// federation-level slots.
+func oneShard(t *testing.T, cfg core.Config) *fed.Federation {
 	t.Helper()
-	lc, err := core.NewLiveController(testControllerConfig(seed, mode))
+	c, rec, trc := cfg.Cloud, cfg.Recorder, cfg.Trace
+	cfg.Cloud, cfg.Recorder, cfg.Trace = nil, nil, nil
+	f, err := fed.New(fed.Config{
+		Shard:     cfg,
+		Clouds:    []*cloud.Cloud{c},
+		Recorders: []*metrics.Recorder{rec},
+		Trace:     trc,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func newTestServer(t *testing.T, cfg Config, seed int64, mode core.Mode) (*Server, *httptest.Server, *fakeClock) {
+	t.Helper()
 	clock := newFakeClock()
-	cfg.Controller = lc
+	cfg.Federation = oneShard(t, testControllerConfig(seed, mode))
 	cfg.Now = clock.now
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1000
@@ -413,17 +428,14 @@ func TestServiceConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil backend should error")
 	}
-	lc, err := core.NewLiveController(testControllerConfig(1, core.BatchMode))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := New(Config{TimeScale: 1000, Rate: 2.5, MaxInFlight: 4}); err == nil || !strings.Contains(err.Error(), "Federation") {
+		t.Fatalf("no Federation: err %v, want one naming Config.Federation", err)
 	}
-	if _, err := New(Config{Controller: lc, Federation: fed.Wrap(lc)}); err == nil {
-		t.Fatal("both Controller and Federation should error")
-	}
-	if _, err := New(Config{Controller: lc, TimeScale: -1}); err == nil {
+	f := oneShard(t, testControllerConfig(1, core.BatchMode))
+	if _, err := New(Config{Federation: f, TimeScale: -1}); err == nil {
 		t.Fatal("negative TimeScale should error")
 	}
-	srv, err := New(Config{Controller: lc, Rate: 2.5})
+	srv, err := New(Config{Federation: f, Rate: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,11 +450,8 @@ func TestServiceConfigValidation(t *testing.T) {
 // between them, so the race lane (go test -race) exercises it for real.
 // Uses the real wall clock: interleavings are arbitrary by design.
 func TestServiceConcurrentRequests(t *testing.T) {
-	lc, err := core.NewLiveController(testControllerConfig(17, core.WFQMode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Controller: lc, TimeScale: 100000, Rate: 1000, Burst: 4, MaxInFlight: 8})
+	f := oneShard(t, testControllerConfig(17, core.WFQMode))
+	srv, err := New(Config{Federation: f, TimeScale: 100000, Rate: 1000, Burst: 4, MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,8 +498,8 @@ func TestServiceConcurrentRequests(t *testing.T) {
 	if _, err := srv.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range lc.Results() {
-		if !lc.Status(res.Job.ID).Settled() {
+	for _, res := range f.Results() {
+		if !f.Status(res.Job.ID).Settled() {
 			t.Fatalf("job %d unsettled after drain", res.Job.ID)
 		}
 	}
@@ -556,12 +565,8 @@ func (p *panicOncePolicy) Allocate(reqs []sched.Request, budget []int, rng *rand
 func TestHandlerPanicReleasesLock(t *testing.T) {
 	ccfg := testControllerConfig(1, core.FIFOMode)
 	ccfg.Policy = &panicOncePolicy{}
-	lc, err := core.NewLiveController(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := newFakeClock()
-	srv, err := New(Config{Controller: lc, Now: clock.now, TimeScale: 1000})
+	srv, err := New(Config{Federation: oneShard(t, ccfg), Now: clock.now, TimeScale: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

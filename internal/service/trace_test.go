@@ -27,18 +27,16 @@ func newTracedWALServer(t *testing.T, path string) (*Server, *fakeClock, *trace.
 	ccfg := testControllerConfig(7, core.WFQMode)
 	ccfg.Recorder = metrics.NewRecorder(5)
 	ccfg.Trace = trc
-	lc, err := core.NewLiveController(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := oneShard(t, ccfg)
 	var wlog *wal.Log
 	if path != "" {
+		var err error
 		if wlog, _, err = wal.Open(path); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clock := newFakeClock()
-	srv, err := New(Config{Controller: lc, Now: clock.now, TimeScale: 1000, WAL: wlog})
+	srv, err := New(Config{Federation: f, Now: clock.now, TimeScale: 1000, WAL: wlog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +293,8 @@ func TestTraceCrossShardRehome(t *testing.T) {
 // dropped marker (monotone seq, missed count), a fresh client gets
 // none, and the daemon-wide drop counter surfaces on /metrics.
 func TestEventsDroppedMarker(t *testing.T) {
-	lc, err := core.NewLiveController(testControllerConfig(7, core.FIFOMode))
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := newFakeClock()
-	srv, err := New(Config{Controller: lc, Now: clock.now, TimeScale: 1000, EventBuffer: 4})
+	srv, err := New(Config{Federation: oneShard(t, testControllerConfig(7, core.FIFOMode)), Now: clock.now, TimeScale: 1000, EventBuffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,13 +36,13 @@ func newWALServer(t *testing.T, path string) (*Server, *fakeClock, *core.LiveCon
 	rec := metrics.NewRecorder(5)
 	ccfg := testControllerConfig(7, core.WFQMode)
 	ccfg.Recorder = rec
-	lc, err := core.NewLiveController(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := oneShard(t, ccfg)
 	var wlog *wal.Log
 	if path != "" {
-		var recovered []wal.Record
+		var (
+			recovered []wal.Record
+			err       error
+		)
 		if wlog, recovered, err = wal.Open(path); err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +51,11 @@ func newWALServer(t *testing.T, path string) (*Server, *fakeClock, *core.LiveCon
 		}
 	}
 	clock := newFakeClock()
-	srv, err := New(Config{Controller: lc, Now: clock.now, TimeScale: 1000, WAL: wlog})
+	srv, err := New(Config{Federation: f, Now: clock.now, TimeScale: 1000, WAL: wlog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, clock, lc, rec, wlog
+	return srv, clock, f.Shard(0), rec, wlog
 }
 
 // rawGET runs one request through the handler without a socket and
