@@ -869,7 +869,8 @@ func BenchmarkPlaceRetry(b *testing.B) {
 }
 
 // BenchmarkKWayKnn67 is Algorithm 1's full partition sweep on knn_n67:
-// k = 2..20 parts at each of the default imbalance factors.
+// k = 2..20 parts at each of the default imbalance factors, through
+// one partition.Hierarchy as a cold Place runs it.
 func BenchmarkKWayKnn67(b *testing.B) {
 	circ, err := BuildCircuit("knn_n67")
 	if err != nil {
@@ -879,9 +880,10 @@ func BenchmarkKWayKnn67(b *testing.B) {
 	alphas := DefaultPlacerConfig().ImbalanceFactors
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		h := partition.NewHierarchy(ig, 1)
 		for _, alpha := range alphas {
 			for k := 2; k <= 20; k++ {
-				if _, err := partition.KWay(ig, k, alpha, 1); err != nil {
+				if _, err := h.Partition(k, alpha); err != nil {
 					b.Fatal(err)
 				}
 			}

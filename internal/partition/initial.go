@@ -1,7 +1,5 @@
 package partition
 
-import "cloudqc/internal/graph"
-
 // initialPartition produces a k-way assignment of the coarsest graph by
 // greedy graph growing: k seeds spread by repeated farthest-vertex BFS,
 // then parts claim their most-connected boundary vertex in round-robin
@@ -63,25 +61,30 @@ func (l *level) initialPartition(k, cap int) []int {
 	return parts
 }
 
-// spreadSeeds picks k mutually distant vertices: the graph center first,
-// then repeatedly the vertex maximizing the minimum hop distance to the
-// chosen set (unreachable vertices count as infinitely far, so separate
-// components get seeds early).
+// spreadSeeds picks k mutually distant vertices (all n when k > n):
+// the graph center first, then repeatedly the vertex maximizing the
+// minimum hop distance to the chosen set (unreachable vertices count as
+// infinitely far, so separate components get seeds early). Each step
+// depends only on the seeds before it, so the seeds for k parts are a
+// prefix of the seeds for k+1: the level keeps one walk, extends it
+// when a larger k asks, and hands out a prefix that callers must not
+// modify.
 func (l *level) spreadSeeds(k int) []int {
 	n := l.g.N()
 	if k > n {
 		k = n
 	}
-	seeds := []int{l.g.Center()}
-	minDist := l.g.HopDistances(seeds[0])
-	var hops graph.HopScratch
-	for len(seeds) < k {
+	if l.seeds == nil {
+		c := l.g.Center()
+		l.seeds, l.minDist = []int{c}, l.g.HopDistances(c)
+	}
+	for len(l.seeds) < k {
 		best, bestD := -1, -2
 		for v := 0; v < n; v++ {
-			if chosen(seeds, v) {
+			if chosen(l.seeds, v) {
 				continue
 			}
-			d := minDist[v]
+			d := l.minDist[v]
 			if d < 0 {
 				d = n + 1 // unreachable: maximally far
 			}
@@ -89,14 +92,14 @@ func (l *level) spreadSeeds(k int) []int {
 				best, bestD = v, d
 			}
 		}
-		seeds = append(seeds, best)
-		for v, d := range hops.HopDistances(l.g, best) {
-			if d >= 0 && (minDist[v] < 0 || d < minDist[v]) {
-				minDist[v] = d
+		l.seeds = append(l.seeds, best)
+		for v, d := range l.hops.HopDistances(l.g, best) {
+			if d >= 0 && (l.minDist[v] < 0 || d < l.minDist[v]) {
+				l.minDist[v] = d
 			}
 		}
 	}
-	return seeds
+	return l.seeds[:k:k]
 }
 
 func chosen(seeds []int, v int) bool {

@@ -32,14 +32,47 @@ type Result struct {
 // minimized heuristically. The same inputs always produce the same
 // partition (seed controls matching tie-breaks).
 //
-// imbalance must be >= 0; 0.05 to 0.5 are typical sweep values.
+// imbalance must be finite and >= 0; 0.05 to 0.5 are typical sweep
+// values. KWay is a one-shot Hierarchy: a caller partitioning one graph
+// at several (k, imbalance) points should build the Hierarchy itself.
 func KWay(g *graph.Graph, k int, imbalance float64, seed int64) (*Result, error) {
+	return NewHierarchy(g, seed).Partition(k, imbalance)
+}
+
+// Hierarchy is the multilevel coarsening of one graph under one seed,
+// shared by every (k, imbalance) point partitioned through it. Each
+// point coarsens with its own vertex-weight cap; a coarsening pass is
+// kept with the range of caps it is exact for, and the coarsest
+// level's seed spreading with it, so points that agree on a pass run
+// it once. Partition returns exactly what KWay returns for the same
+// arguments, in any order of calls.
+//
+// A Hierarchy holds every level it has built and is not safe for
+// concurrent use.
+type Hierarchy struct {
+	root *level
+	seed int64
+}
+
+// NewHierarchy returns an empty hierarchy over g; levels are built as
+// Partition asks for them. g must not be mutated while the Hierarchy
+// is in use.
+func NewHierarchy(g *graph.Graph, seed int64) *Hierarchy {
+	return &Hierarchy{root: newLevel(g), seed: seed}
+}
+
+// Partition is KWay(g, k, imbalance, seed) for the hierarchy's graph
+// and seed.
+func (h *Hierarchy) Partition(k int, imbalance float64) (*Result, error) {
+	g := h.root.g
 	n := g.N()
 	switch {
 	case k < 1:
 		return nil, fmt.Errorf("partition: k = %d < 1", k)
 	case k > n:
 		return nil, fmt.Errorf("partition: k = %d exceeds %d vertices", k, n)
+	case math.IsNaN(imbalance) || math.IsInf(imbalance, 0):
+		return nil, fmt.Errorf("partition: non-finite imbalance %v", imbalance)
 	case imbalance < 0:
 		return nil, fmt.Errorf("partition: negative imbalance %v", imbalance)
 	}
@@ -62,24 +95,24 @@ func KWay(g *graph.Graph, k int, imbalance float64, seed int64) (*Result, error)
 	if maxVertexWeight < 2 {
 		maxVertexWeight = 2
 	}
-	lvl := newLevel(g)
-	var stack []*level
+	lvl := h.root
+	var parents []*level
+	var passes []*pass
 	for lvl.g.N() > coarsestSize(k) {
-		next := lvl.coarsen(seed, maxVertexWeight)
-		if next == nil { // matching made no progress
+		p := lvl.passFor(h.seed, maxVertexWeight)
+		if p.child == nil { // matching made no progress
 			break
 		}
-		stack = append(stack, lvl)
-		lvl = next
+		parents = append(parents, lvl)
+		passes = append(passes, p)
+		lvl = p.child
 	}
 
 	parts := lvl.initialPartition(k, cap)
 	lvl.refine(parts, k, cap)
-	for i := len(stack) - 1; i >= 0; i-- {
-		parent := stack[i]
-		parts = parent.project(parts)
-		lvl = parent
-		lvl.refine(parts, k, cap)
+	for i := len(passes) - 1; i >= 0; i-- {
+		parts = passes[i].project(parts)
+		parents[i].refine(parts, k, cap)
 	}
 	return finish(g, parts, k), nil
 }

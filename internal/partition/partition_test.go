@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,17 @@ func TestKWayArgs(t *testing.T) {
 	}
 	if _, err := KWay(g, 2, -0.1, 1); err == nil {
 		t.Fatal("negative imbalance should error")
+	}
+	// NaN passes a plain < 0 check, and a non-finite cap converts to
+	// an int silently; both must be rejected up front.
+	h := NewHierarchy(g, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := KWay(g, 2, bad, 1); err == nil {
+			t.Fatalf("KWay imbalance %v should error", bad)
+		}
+		if _, err := h.Partition(2, bad); err == nil {
+			t.Fatalf("Hierarchy.Partition imbalance %v should error", bad)
+		}
 	}
 }
 

@@ -50,11 +50,13 @@ func DefaultConfig() Config {
 // (Algorithm 2), score every candidate by estimated runtime and
 // communication cost, and keep the best.
 //
-// Compile splits along the paper's seam. The circuit tier (partitions,
-// interaction edges) is memoized per circuit fingerprint across calls;
-// the capacity tier (feasible QPU sets, their centers, part mapping,
-// scoring) is rebuilt once per call from the free snapshot. A CloudQC is
-// safe for concurrent use.
+// Compile splits along the paper's seam. The circuit tier (partitions
+// with the order and anchors their parts are mapped by, interaction
+// edges) is memoized per circuit fingerprint across calls; a call that
+// must partition builds one partition.Hierarchy for its whole sweep.
+// The capacity tier (feasible QPU sets, their centers, part mapping,
+// scoring) is rebuilt once per call from the free snapshot. A CloudQC
+// is safe for concurrent use.
 type CloudQC struct {
 	cfg  Config
 	memo *circuitMemo
@@ -76,8 +78,8 @@ func NewCloudQC(cfg Config) *CloudQC {
 
 // DeterministicPlacement marks CloudQC (and CloudQC-BFS) as cacheable:
 // the partitioner and community detection seed their randomness per
-// call from the configured seed, and the memo holds only partitions of
-// the circuit itself, so Place is a pure function of (circuit,
+// call from the configured seed, and the memo holds only what the
+// circuit itself determines, so Place is a pure function of (circuit,
 // free-capacity state).
 func (p *CloudQC) DeterministicPlacement() {}
 
@@ -129,30 +131,35 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		return nil, &ErrInfeasible{Circuit: c.Name, Need: size, Free: cl.TotalFreeComputing()}
 	}
 
-	parts := p.memo.parts(c)
+	parts, ig := p.memo.parts(c)
 	tier := p.newCapacityTier(cl, size)
 	var (
-		ig        *graph.Graph // built on the first partition memo miss
-		dag       *circuit.DAG // built for the first feasible candidate
+		h         *partition.Hierarchy // built on the first memo miss
+		dag       *circuit.DAG         // built for the first feasible candidate
 		best      *Placement
 		bestScore float64
 	)
 	for _, alpha := range p.cfg.ImbalanceFactors {
 		for k := kMin; k <= kMax; k++ {
 			pt := sweepPoint{alpha: alpha, k: k}
-			res, seen := p.memo.result(parts, pt)
+			cd, seen := p.memo.result(parts, pt)
 			if !seen {
-				if ig == nil {
-					ig = c.InteractionGraph()
+				if h == nil {
+					if ig == nil {
+						ig = c.InteractionGraph()
+					}
+					h = partition.NewHierarchy(ig, p.cfg.Seed)
 				}
-				// A rejected point yields nil, which is memoized too.
-				res, _ = partition.KWay(ig, k, alpha, p.cfg.Seed)
-				p.memo.record(parts, pt, res)
+				// A rejected point stays nil, which is memoized too.
+				if res, err := h.Partition(k, alpha); err == nil {
+					cd = newCandidate(parts.edges, res)
+				}
+				p.memo.record(parts, pt, cd)
 			}
-			if res == nil {
+			if cd == nil {
 				continue
 			}
-			assign, err := tier.mapParts(parts.edges, res)
+			assign, err := tier.mapParts(cd)
 			if err != nil {
 				continue
 			}
@@ -282,54 +289,70 @@ func (t *capacityTier) center(i int) int {
 	return t.centers[i]
 }
 
-// mapParts is Algorithm 2: take the feasible QPU set for res.K parts,
-// map the partition interaction graph's center to the QPU set's center,
-// then expand outward by BFS, placing each part on the feasible QPU
-// closest to its already-placed heaviest neighbor. edges is the
-// circuit's interaction edge list.
-func (t *capacityTier) mapParts(edges []graph.Edge, res *partition.Result) ([]int, error) {
+// newCandidate computes the part-side half of Algorithm 2 for res: the
+// part interaction graph (how strongly parts talk to each other), its
+// BFS order from its center, and each part's anchor. edges is the
+// circuit's interaction edge list. mapParts places the parts in order
+// and gives up at the first part that fits nowhere, so when it maps
+// order[i], exactly the parts order[:i] hold QPUs; the anchor, the
+// heaviest of those neighbors, is therefore fixed by the partition.
+func newCandidate(edges []graph.Edge, res *partition.Result) *candidate {
 	k := res.K
-	// Part interaction graph: how strongly parts talk to each other.
 	pg := graph.New(k)
 	for _, e := range edges {
-		if res.Parts[e.U] != res.Parts[e.V] {
-			pg.AddEdge(res.Parts[e.U], res.Parts[e.V], e.W)
+		if pu, pv := res.Parts[e.U], res.Parts[e.V]; pu != pv {
+			pg.AddEdge(pu, pv, e.W)
 		}
 	}
-
-	set := t.setFor(k)
-	candidates, all := t.sets[set], t.sets[len(t.sets)-1]
-	t.scratch = append(t.scratch[:0], t.free...)
-	free := t.scratch
-	partQPU := make([]int, k)
-	for i := range partQPU {
-		partQPU[i] = -1
+	order := pg.BFSOrder(pg.Center())
+	pos := make([]int, k) // index in order, -1 while unreached
+	for i := range pos {
+		pos[i] = -1
 	}
-	used := make([]bool, t.cl.NumQPUs())
-
-	// Center-to-center seed mapping.
-	cp := pg.Center()
-	order := pg.BFSOrder(cp)
-	if len(order) < k {
-		// Disconnected part graph: append the remaining parts in index
-		// order so every part still gets mapped.
-		inOrder := make([]bool, k)
-		for _, pt := range order {
-			inOrder[pt] = true
+	for i, pt := range order {
+		pos[pt] = i
+	}
+	// Disconnected part graph: append the remaining parts in index
+	// order so every part still gets mapped.
+	for pt := 0; pt < k; pt++ {
+		if pos[pt] < 0 {
+			pos[pt] = len(order)
+			order = append(order, pt)
 		}
-		for pt := 0; pt < k; pt++ {
-			if !inOrder[pt] {
-				order = append(order, pt)
+	}
+	anchor := make([]int, k)
+	for i, pt := range order {
+		best, bestW := -1, 0.0
+		for _, a := range pg.Arcs(pt) {
+			if pos[a.To] < i && a.W > bestW {
+				best, bestW = a.To, a.W
 			}
 		}
+		anchor[i] = best
 	}
+	return &candidate{res: res, order: order, anchor: anchor}
+}
 
-	for _, part := range order {
-		anchor := anchorFor(pg, partQPU, part)
-		if anchor < 0 {
-			anchor = t.center(set)
+// mapParts is Algorithm 2: take the feasible QPU set for the
+// candidate's K parts, map the part interaction graph's center to the
+// QPU set's center, then expand outward in the candidate's order,
+// placing each part on the feasible QPU closest to the QPU of its
+// anchor part.
+func (t *capacityTier) mapParts(cd *candidate) ([]int, error) {
+	res := cd.res
+	set := t.setFor(res.K)
+	group, all := t.sets[set], t.sets[len(t.sets)-1]
+	t.scratch = append(t.scratch[:0], t.free...)
+	free := t.scratch
+	partQPU := make([]int, res.K)
+	used := make([]bool, t.cl.NumQPUs())
+
+	for i, part := range cd.order {
+		anchor := t.center(set)
+		if a := cd.anchor[i]; a >= 0 {
+			anchor = partQPU[a]
 		}
-		qpu := pickQPU(t.cl, candidates, used, free, res.Sizes[part], anchor)
+		qpu := pickQPU(t.cl, group, used, free, res.Sizes[part], anchor)
 		if qpu < 0 {
 			// Community too small: retry against the whole cloud.
 			qpu = pickQPU(t.cl, all, used, free, res.Sizes[part], anchor)
@@ -380,19 +403,6 @@ func allQPUs(cl *cloud.Cloud) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// anchorFor returns the QPU the part wants to sit near: the QPU of its
-// heaviest already-placed neighbor part, or -1 when none is placed yet
-// (the caller then anchors on the candidate set's center).
-func anchorFor(pg *graph.Graph, partQPU []int, part int) int {
-	bestQPU, bestW := -1, 0.0
-	for _, a := range pg.Arcs(part) {
-		if partQPU[a.To] >= 0 && a.W > bestW {
-			bestQPU, bestW = partQPU[a.To], a.W
-		}
-	}
-	return bestQPU
 }
 
 // pickQPU selects the unused candidate QPU with enough free capacity

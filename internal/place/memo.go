@@ -12,14 +12,17 @@ import (
 // first partitions the circuit and only then maps the parts onto free
 // QPUs (Algorithm 2); the partitions depend on the circuit alone, never
 // on free capacity. The memo keeps, per circuit fingerprint, the
-// interaction graph's edge list and every (α, k) partition the sweep
+// interaction graph's edge list and every (α, k) candidate the sweep
 // has asked for, failed ones included, so a job re-placed after a
-// release runs partition.KWay only for sweep points it has never seen.
+// release partitions only at sweep points it has never seen. A
+// candidate carries the part-side half of Algorithm 2 with its
+// partition: the order parts are mapped in and the part each one
+// anchors on.
 //
-// It retains no DAGs or graphs, holds at most memoCapacity circuits
-// (oldest evicted first), and is safe for concurrent use:
-// experiment workers and federation shards share one placer. Results
-// are shared read-only between calls.
+// It retains no DAGs, graphs or partition hierarchies, holds at most
+// memoCapacity circuits (oldest evicted first), and is safe for
+// concurrent use: experiment workers and federation shards share one
+// placer. Candidates are shared read-only between calls.
 type circuitMemo struct {
 	mu      sync.Mutex
 	entries map[circuit.Fingerprint]*circuitParts
@@ -36,9 +39,21 @@ const memoCapacity = 256
 type circuitParts struct {
 	// edges is the interaction graph's edge list (graph.Edges order).
 	edges []graph.Edge
-	// results maps a sweep point to KWay's result; a nil value records
-	// that KWay rejected the point.
-	results map[sweepPoint]*partition.Result
+	// results maps a sweep point to its candidate; a nil value records
+	// that the partitioner rejected the point.
+	results map[sweepPoint]*candidate
+}
+
+// candidate is one sweep point's partition together with the part-side
+// work of Algorithm 2, which depends on the partition alone.
+type candidate struct {
+	res *partition.Result
+	// order is the part interaction graph's BFS order from its center;
+	// parts it cannot reach follow in index order.
+	order []int
+	// anchor[i] is the part order[i] is mapped next to: its heaviest
+	// neighbor among order[:i], or -1 when it has none.
+	anchor []int
 }
 
 // sweepPoint is one (α, k) pair of Algorithm 1's sweep.
@@ -52,23 +67,26 @@ func newCircuitMemo() *circuitMemo {
 }
 
 // parts returns c's memo entry, creating it with the interaction
-// graph's edge list on first sight.
-func (m *circuitMemo) parts(c *circuit.Circuit) *circuitParts {
+// graph's edge list on first sight. When it had to build the
+// interaction graph it returns that too, for the caller to partition;
+// otherwise ig is nil.
+func (m *circuitMemo) parts(c *circuit.Circuit) (e *circuitParts, ig *graph.Graph) {
 	fp := c.Fingerprint()
 	m.mu.Lock()
 	e, ok := m.entries[fp]
 	m.mu.Unlock()
 	if ok {
-		return e
+		return e, nil
 	}
+	ig = c.InteractionGraph()
 	fresh := &circuitParts{
-		edges:   c.InteractionGraph().Edges(),
-		results: make(map[sweepPoint]*partition.Result),
+		edges:   ig.Edges(),
+		results: make(map[sweepPoint]*candidate),
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.entries[fp]; ok { // another caller got there first
-		return e
+		return e, ig
 	}
 	if len(m.order) >= memoCapacity {
 		delete(m.entries, m.order[0])
@@ -76,20 +94,20 @@ func (m *circuitMemo) parts(c *circuit.Circuit) *circuitParts {
 	}
 	m.entries[fp] = fresh
 	m.order = append(m.order, fp)
-	return fresh
+	return fresh, ig
 }
 
-// result returns the memoized KWay result for pt and whether pt has
-// been partitioned before.
-func (m *circuitMemo) result(e *circuitParts, pt sweepPoint) (*partition.Result, bool) {
+// result returns the memoized candidate for pt and whether pt has been
+// partitioned before.
+func (m *circuitMemo) result(e *circuitParts, pt sweepPoint) (*candidate, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, ok := e.results[pt]
 	return r, ok
 }
 
-// record stores KWay's result for pt (nil when KWay rejected it).
-func (m *circuitMemo) record(e *circuitParts, pt sweepPoint, r *partition.Result) {
+// record stores pt's candidate (nil when the partitioner rejected pt).
+func (m *circuitMemo) record(e *circuitParts, pt sweepPoint, r *candidate) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e.results[pt] = r

@@ -222,3 +222,19 @@ func TestCircuitMemoBounded(t *testing.T) {
 		t.Fatal("oldest circuit survived eviction")
 	}
 }
+
+// TestCircuitMemoHandsOverGraph: the memo builds a circuit's
+// interaction graph only on first sight and hands it to that caller,
+// so a cold Place partitions the graph the memo took its edges from
+// instead of building a second one.
+func TestCircuitMemoHandsOverGraph(t *testing.T) {
+	m := newCircuitMemo()
+	c := qlib.MustBuild("knn_n67")
+	e, ig := m.parts(c)
+	if ig == nil || !slices.Equal(e.edges, ig.Edges()) {
+		t.Fatal("first sight: no interaction graph, or one that differs from the memoized edges")
+	}
+	if again, ig := m.parts(c); again != e || ig != nil {
+		t.Fatal("second sight: want the same entry and no graph")
+	}
+}
