@@ -37,8 +37,8 @@ type faultState struct {
 	// degraded links toward plan.Budget().
 	retries map[int]int
 	// base is the model's fault-free success probability; probFn the
-	// per-edge probability closure handed to AttemptDegraded, bound
-	// once so the round hot path does not allocate a method value.
+	// per-edge probability closure handed to Attempt, bound once so the
+	// round hot path does not allocate a method value.
 	base   float64
 	probFn func(a, b int) float64
 }
@@ -361,17 +361,16 @@ func (st *runState) releaseAll() {
 	}
 }
 
-// attempt dispatches one ready node's EPR attempt: the fault-free path
-// calls Attempt untouched; with any degrade active, AttemptDegraded
-// draws per-edge probabilities — same draw count, so runs are
-// deterministic and a vacuous overlay reproduces Attempt bit-for-bit.
+// attempt runs one ready node's EPR attempt, picking the per-edge
+// probability overlay: nil on the fault-free path, the degrade overlay
+// while any link is degraded (same draw count either way, so a vacuous
+// overlay reproduces the fault-free run bit-for-bit).
 func (st *runState) attempt(s *sched.JobState, u, pairs int, t float64) {
-	f := st.faults
-	if f == nil || len(f.scale) == 0 {
-		s.Attempt(u, pairs, t, st.ct.cfg.Model, st.ct.rng)
-		return
+	var prob func(a, b int) float64
+	if f := st.faults; f != nil && len(f.scale) > 0 {
+		prob = f.probFn
 	}
-	s.AttemptDegraded(u, pairs, t, st.ct.cfg.Model, st.ct.rng, f.probFn)
+	s.Attempt(u, pairs, t, st.ct.cfg.Model, st.ct.rng, prob)
 }
 
 // faultRetryPass runs after a round's attempts: each granted node still

@@ -345,19 +345,6 @@ func (lc *LiveController) Results() []*JobResult {
 	return out
 }
 
-// SettledResults returns the results of completed and failed jobs in
-// submission order — the stream slice metrics aggregation consumes
-// mid-run (Outcomes + AggregateSLO, AggregateOnline).
-func (lc *LiveController) SettledResults() []*JobResult {
-	out := make([]*JobResult, 0, len(lc.jobs))
-	for _, j := range lc.jobs {
-		if lc.Status(j.ID).Settled() {
-			out = append(out, lc.st.results[j.ID])
-		}
-	}
-	return out
-}
-
 // RunStats reports the cumulative scheduling-round and event counts of
 // the live run so far.
 func (lc *LiveController) RunStats() RunStats { return lc.ct.stats }

@@ -28,6 +28,7 @@ package fed
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/core"
@@ -262,7 +263,7 @@ func (f *Federation) Submit(j *core.Job) error {
 			return fmt.Errorf("fed: duplicate job ID %d", j.ID)
 		}
 	}
-	s := f.router.route(j)
+	s, _ := f.router.route(j)
 	if j.ID < 0 {
 		j.ID = f.nextID(s)
 	}
@@ -299,6 +300,16 @@ func (f *Federation) StepUntil(t float64) error {
 	if f.drained {
 		return fmt.Errorf("fed: %w", core.ErrDrained)
 	}
+	if err := f.fireDrains(t); err != nil {
+		return err
+	}
+	return f.stepShards(t)
+}
+
+// fireDrains intercepts, in schedule order, every pending shard drain
+// whose instant lies before t: the shards step to the drain instant and
+// the doomed shard is evacuated and rehomed.
+func (f *Federation) fireDrains(t float64) error {
 	for len(f.drains) > 0 && f.drains[0].From < t {
 		d := f.drains[0]
 		if err := f.stepShards(d.From); err != nil {
@@ -309,7 +320,7 @@ func (f *Federation) StepUntil(t float64) error {
 			return err
 		}
 	}
-	return f.stepShards(t)
+	return nil
 }
 
 // stepShards advances every enabled shard to t and rehomes the step's
@@ -349,33 +360,43 @@ func (f *Federation) drainShard(shard int, at float64) error {
 	resumes, waiting := f.shards[shard].Evacuate()
 	f.disabled[shard] = true
 	f.router.disable(shard)
-	submit := func(j *core.Job, run func(tgt int) error) error {
-		before := f.router.stats
-		tgt := f.router.route(j)
-		if f.trace != nil {
-			if tr := f.trace.Get(j.ID); tr != nil {
-				tr.Rehome(at, shard, tgt, rehomeKind(before, f.router.stats))
-			}
-		}
-		if err := run(tgt); err != nil {
-			return fmt.Errorf("fed: rehoming job %d off drained shard %d: %w", j.ID, shard, err)
-		}
-		f.shardOf[j.ID] = tgt
-		f.fstats.RescuedDrain++
-		return nil
-	}
-	for _, pj := range resumes {
-		pj := pj
-		if err := submit(pj.Job, func(tgt int) error { return f.shards[tgt].SubmitResume(pj) }); err != nil {
+	for i := range resumes {
+		if err := f.reroute(resumes[i].Job, &resumes[i], shard, at); err != nil {
 			return err
 		}
+		f.fstats.RescuedDrain++
 	}
 	for _, j := range waiting {
-		j := j
-		if err := submit(j, func(tgt int) error { return f.shards[tgt].Submit(j) }); err != nil {
+		if err := f.reroute(j, nil, shard, at); err != nil {
 			return err
 		}
+		f.fstats.RescuedDrain++
 	}
+	return nil
+}
+
+// reroute sends a job that left shard src back through the admission
+// router and re-enters it on the chosen shard under its original ID:
+// as a resume when pj carries its checkpoint, as a plain submission
+// otherwise. The trace records the rehome at virtual time at with the
+// router's decision kind.
+func (f *Federation) reroute(j *core.Job, pj *core.PreemptedJob, src int, at float64) error {
+	tgt, kind := f.router.route(j)
+	if f.trace != nil {
+		if tr := f.trace.Get(j.ID); tr != nil {
+			tr.Rehome(at, src, tgt, kind)
+		}
+	}
+	var err error
+	if pj != nil {
+		err = f.shards[tgt].SubmitResume(*pj)
+	} else {
+		err = f.shards[tgt].Submit(j)
+	}
+	if err != nil {
+		return fmt.Errorf("fed: rehoming job %d from shard %d to shard %d: %w", j.ID, src, tgt, err)
+	}
+	f.shardOf[j.ID] = tgt
 	return nil
 }
 
@@ -436,45 +457,20 @@ func (f *Federation) FaultStats() fault.Stats {
 func (f *Federation) rehome() error {
 	for src, s := range f.shards {
 		for _, pj := range s.TakePreempted() {
-			before := f.router.stats
-			tgt := f.router.route(pj.Job)
+			// The rehome happened at the preemption instant: the open
+			// suspension's From.
+			at := 0.0
 			if f.trace != nil {
-				if tr := f.trace.Get(pj.Job.ID); tr != nil {
-					// The rehome happened at the preemption instant — the
-					// open suspension's From — and the decision kind falls
-					// out of which router counter the route ticked.
-					at := 0.0
-					if n := len(tr.Suspends); n > 0 {
-						at = tr.Suspends[n-1].From
-					}
-					tr.Rehome(at, src, tgt, rehomeKind(before, f.router.stats))
+				if tr := f.trace.Get(pj.Job.ID); tr != nil && len(tr.Suspends) > 0 {
+					at = tr.Suspends[len(tr.Suspends)-1].From
 				}
 			}
-			if err := f.shards[tgt].SubmitResume(pj); err != nil {
-				return fmt.Errorf("fed: resuming job %d on shard %d: %w", pj.Job.ID, tgt, err)
+			if err := f.reroute(pj.Job, &pj, src, at); err != nil {
+				return err
 			}
-			f.shardOf[pj.Job.ID] = tgt
 		}
 	}
 	return nil
-}
-
-// rehomeKind names the router decision a route() call made, by diffing
-// its cumulative counters around the call. "direct" covers the 1-shard
-// degenerate route, which ticks nothing.
-func rehomeKind(before, after RouterStats) string {
-	switch {
-	case after.AffinityHits > before.AffinityHits:
-		return "affinity"
-	case after.Spills > before.Spills:
-		return "spill"
-	case after.Cold > before.Cold:
-		return "cold"
-	case after.Random > before.Random:
-		return "random"
-	default:
-		return "direct"
-	}
 }
 
 // Drain runs every shard's backlog to completion and retires the
@@ -486,22 +482,10 @@ func (f *Federation) Drain() ([]*core.JobResult, error) {
 	if f.drained {
 		return nil, fmt.Errorf("fed: %w", core.ErrDrained)
 	}
-	var firstErr error
 	// Scheduled shard drains not yet reached still fire: step to each
 	// drain instant and evacuate, so a plan's final drain lands even if
 	// the caller never stepped past it.
-	for len(f.drains) > 0 {
-		d := f.drains[0]
-		if err := f.stepShards(d.From); err != nil {
-			firstErr = err
-			break
-		}
-		f.drains = f.drains[1:]
-		if err := f.drainShard(d.Shard, d.From); err != nil {
-			firstErr = err
-			break
-		}
-	}
+	firstErr := f.fireDrains(math.Inf(1))
 	f.drained = true
 	// Jobs preempted on the final step are still awaiting re-routing;
 	// hand them to their shards before the backlog runs dry. (During the
@@ -559,19 +543,6 @@ func (f *Federation) Results() []*core.JobResult {
 	for _, j := range f.jobs {
 		r, _ := f.Result(j.ID)
 		out = append(out, r)
-	}
-	return out
-}
-
-// SettledResults returns completed and failed jobs' results in global
-// submission order.
-func (f *Federation) SettledResults() []*core.JobResult {
-	out := make([]*core.JobResult, 0, len(f.jobs))
-	for _, j := range f.jobs {
-		if f.Status(j.ID).Settled() {
-			r, _ := f.Result(j.ID)
-			out = append(out, r)
-		}
 	}
 	return out
 }

@@ -133,19 +133,21 @@ func (r *router) disable(shard int) {
 	}
 }
 
-// route picks the shard for one job. Deterministic given the
-// submission sequence: load signals come from the shards' own state,
-// ties break to the lower shard index, and the random arm draws from a
-// seeded stream.
-func (r *router) route(j *core.Job) int {
+// route picks the shard for one job and names the decision kind —
+// "affinity", "spill", "cold" or "random", the counter it ticked, or
+// "direct" for the 1-shard degenerate route, which ticks nothing.
+// Deterministic given the submission sequence: load signals come from
+// the shards' own state, ties break to the lower shard index, and the
+// random arm draws from a seeded stream.
+func (r *router) route(j *core.Job) (int, string) {
 	n := len(r.shards)
 	if n == 1 {
-		return 0
+		return 0, "direct"
 	}
 	if r.routing == RouteRandom {
 		r.stats.Random++
 		if r.numDisabled == 0 {
-			return r.rng.Intn(n)
+			return r.rng.Intn(n), "random"
 		}
 		// Draw over the enabled shards only, walking the seeded stream
 		// once per decision exactly as the fault-free arm does.
@@ -155,7 +157,7 @@ func (r *router) route(j *core.Job) int {
 				continue
 			}
 			if k == 0 {
-				return i
+				return i, "random"
 			}
 			k--
 		}
@@ -208,12 +210,12 @@ func (r *router) route(j *core.Job) int {
 		if r.spill >= 0 && float64(r.depths[s]) >= load(least)*r.caps[s]+float64(r.spill) {
 			r.stats.Spills++
 			r.affinity[key] = least
-			return least
+			return least, "spill"
 		}
 		r.stats.AffinityHits++
-		return s
+		return s, "affinity"
 	}
 	r.stats.Cold++
 	r.affinity[key] = least
-	return least
+	return least, "cold"
 }

@@ -208,13 +208,28 @@ func (s *JobState) AppendRequests(dst []Request, job int, ready []int) []Request
 // entangled by the round's end, the gate completes: entanglement
 // swapping at intermediates, gate execution, and measurement follow.
 // roundStart is the round's opening time.
-func (s *JobState) Attempt(u, pairs int, roundStart float64, m epr.Model, rng *rand.Rand) {
+//
+// edgeProb, when non-nil, is a per-edge success-probability overlay for
+// degraded links: hop k of u's path (the edge path[k]→path[k+1]) then
+// succeeds with edgeProb(path[k], path[k+1]) instead of the model's
+// uniform probability. The unentangled hops are the path's suffix (the
+// first len(path)-1-hopsLeft are banked). Either way each unfinished
+// hop draws exactly one trial, so a uniform overlay reproduces the nil
+// one bit-for-bit on the same RNG stream.
+func (s *JobState) Attempt(u, pairs int, roundStart float64, m epr.Model, rng *rand.Rand, edgeProb func(a, b int) float64) {
 	if pairs <= 0 || s.hopsLeft[u] == 0 {
 		return
 	}
 	s.attempted[u] = true
-	for h := s.hopsLeft[u]; h > 0; h-- {
-		if m.SampleRoundSuccess(rng, pairs) {
+	q := m.RoundSuccess(pairs)
+	path := s.paths[u]
+	hops := len(path) - 1
+	for k := hops - s.hopsLeft[u]; k < hops; k++ {
+		p := q
+		if edgeProb != nil {
+			p = epr.RoundSuccessProb(edgeProb(path[k], path[k+1]), pairs)
+		}
+		if rng.Float64() < p {
 			s.hopsLeft[u]--
 		}
 	}
@@ -309,7 +324,7 @@ func runSingle(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *rand
 		reqs = s.AppendRequests(reqs[:0], 0, ready)
 		alloc := p.Allocate(reqs, budget, rng)
 		for _, u := range ready {
-			s.Attempt(u, alloc[NodeKey{Job: 0, Node: u}], t, m, rng)
+			s.Attempt(u, alloc[NodeKey{Job: 0, Node: u}], t, m, rng, nil)
 		}
 		res.Rounds++
 		t += m.EPRAttempt

@@ -1,50 +1,15 @@
 package sched
 
-import (
-	"fmt"
-	"math/rand"
+import "fmt"
 
-	"cloudqc/internal/epr"
-)
-
-// This file is the executor's fault surface: a per-edge-probability
-// variant of Attempt for degraded links, a mid-execution Reroute that
-// (unlike SetPath) may discard banked entanglement, and the accessors
-// the controller's retry/route-around policy reads. None of it is on
-// the fault-free path — Attempt and SetPath are untouched.
+// This file is the executor's fault surface: a mid-execution Reroute
+// that (unlike SetPath) may discard banked entanglement, and the
+// accessors the controller's retry/route-around policy reads. Degraded
+// links reach Attempt through its edgeProb overlay. None of it is on
+// the fault-free path — SetPath is untouched.
 
 // HopsLeft returns how many EPR links node u still has to entangle.
 func (s *JobState) HopsLeft(u int) int { return s.hopsLeft[u] }
-
-// AttemptDegraded is Attempt under a per-edge success-probability
-// overlay: hop k of node u's path (the edge path[k]→path[k+1]) succeeds
-// with edgeProb(path[k], path[k+1]) instead of the model's uniform
-// probability. The unentangled hops are the path's suffix — the first
-// len(path)-1-hopsLeft hops are banked — and each draws exactly one
-// Bernoulli trial per round, the same draw count as Attempt, so a
-// uniform edgeProb reproduces Attempt bit-for-bit on the same RNG
-// stream.
-func (s *JobState) AttemptDegraded(u, pairs int, roundStart float64, m epr.Model, rng *rand.Rand, edgeProb func(a, b int) float64) {
-	if pairs <= 0 || s.hopsLeft[u] == 0 {
-		return
-	}
-	s.attempted[u] = true
-	path := s.paths[u]
-	hops := len(path) - 1
-	for k := hops - s.hopsLeft[u]; k < hops; k++ {
-		p := m.SuccessProb
-		if edgeProb != nil {
-			p = edgeProb(path[k], path[k+1])
-		}
-		if rng.Float64() < epr.RoundSuccessProb(p, pairs) {
-			s.hopsLeft[u]--
-		}
-	}
-	if s.hopsLeft[u] == 0 {
-		swaps := float64(len(s.paths[u])-2) * m.Measure
-		s.complete(u, roundStart+m.EPRAttempt+swaps+m.TwoQubit+m.Measure)
-	}
-}
 
 // Reroute repoints node u onto a new entanglement path mid-execution,
 // discarding any banked hop entanglement. SetPath forbids this —

@@ -121,18 +121,22 @@ func (l *eventLog) after(since int) []Event {
 func (l *eventLog) waitCh() chan struct{} { return l.wake }
 
 // onTransition is the federation's status-transition hook: it maps core
-// lifecycle transitions onto wire events. It fires synchronously inside
-// StepUntil — the caller already holds s.mu, so it must only touch
-// plain state (never lock, never call back into the federation beyond
-// what transition delivery allows).
+// lifecycle transitions onto wire events and settles completed and
+// failed jobs. It fires synchronously inside StepUntil — the caller
+// already holds s.mu, so it must only touch plain state (never lock,
+// never call back into the federation beyond reading the result slot
+// of the shard that delivered the transition). That shard holds the
+// job even mid-rehome, when ShardOf may still name another.
 func (s *Server) onTransition(shard int, tr core.Transition) {
-	ev := Event{Job: tr.JobID, Tenant: s.jobTenant[tr.JobID], Shard: shard, VTime: tr.At}
-	switch {
-	case tr.To == core.StatusPending:
+	if tr.To == core.StatusPending {
 		// Internal: submission acceptance already emitted EventSubmit,
 		// and a cross-shard resume's re-validation lands as EventResumed
 		// when the checkpoint is re-placed.
 		return
+	}
+	res, _ := s.f.Shard(shard).Result(tr.JobID)
+	ev := Event{Job: tr.JobID, Tenant: res.Job.Tenant, Shard: shard, VTime: tr.At}
+	switch {
 	case tr.To == core.StatusQueued && tr.Reason == core.ReasonPreempted:
 		ev.Type = EventPreempted
 	case tr.To == core.StatusQueued && tr.Reason == core.ReasonEvicted:
@@ -146,7 +150,7 @@ func (s *Server) onTransition(shard int, tr core.Transition) {
 	case tr.To == core.StatusCompleted || tr.To == core.StatusFailed:
 		ev.Type = EventDone
 		ev.Status = tr.To.String()
-		delete(s.jobTenant, tr.JobID)
+		s.settle(res)
 	default:
 		return
 	}
@@ -178,16 +182,15 @@ func (s *Server) status(id int) core.JobStatus {
 	return status
 }
 
-// poll is one streamEvents pass under s.mu: advance the clock, sweep,
-// and return the retained events past since plus the channel that
-// signals the next append.
+// poll is one streamEvents pass under s.mu: advance the clock and
+// return the retained events past since plus the channel that signals
+// the next append.
 func (s *Server) poll(since int) ([]Event, chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.advance(s.cfg.Now()); err != nil {
 		return nil, nil, err
 	}
-	s.sweep()
 	return s.events.after(since), s.events.waitCh(), nil
 }
 

@@ -70,36 +70,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// scrape is handleMetrics' locked section: advance, sweep, and render
-// the exposition into buf.
+// scrape is handleMetrics' locked section: advance and render the
+// exposition into buf.
 func (s *Server) scrape(buf *bytes.Buffer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.advance(s.cfg.Now()); err != nil {
 		return err
 	}
-	s.sweep()
 	s.renderMetrics(buf)
 	return nil
 }
 
 // renderMetrics writes the full exposition. Callers hold s.mu and have
-// advanced + swept.
+// advanced.
 func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	snap := s.f.Snapshot()
 	shardSnaps := s.f.ShardSnapshots()
 	pc := s.f.PlanCacheStats()
 	pre := s.f.PreemptStats()
 	rt := s.f.RouterStats()
-
-	completed, failed := 0, 0
-	for _, res := range s.settled {
-		if res.Failed {
-			failed++
-		} else {
-			completed++
-		}
-	}
 
 	emit := func(name string, sample func()) {
 		fam := familyNamed(name)
@@ -122,8 +112,8 @@ func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	})
 	plain("cloudqcd_jobs_submitted_total", float64(s.submitted))
 	plain("cloudqcd_jobs_settled_total", float64(len(s.settled)))
-	plain("cloudqcd_jobs_completed_total", float64(completed))
-	plain("cloudqcd_jobs_failed_total", float64(failed))
+	plain("cloudqcd_jobs_completed_total", float64(snap.Completed))
+	plain("cloudqcd_jobs_failed_total", float64(snap.Failed))
 	emit("cloudqcd_jobs_rejected_total", func() {
 		for _, t := range sortedKeys(s.rejRate) {
 			fmt.Fprintf(buf, "cloudqcd_jobs_rejected_total{tenant=\"%d\",reason=\"rate\"} %d\n", t, s.rejRate[t])
@@ -138,13 +128,8 @@ func (s *Server) renderMetrics(buf *bytes.Buffer) {
 		}
 	})
 	emit("cloudqcd_tenant_inflight", func() {
-		tenants := make([]int, 0, len(s.unsettled))
-		for t := range s.unsettled {
-			tenants = append(tenants, t)
-		}
-		sort.Ints(tenants)
-		for _, t := range tenants {
-			fmt.Fprintf(buf, "cloudqcd_tenant_inflight{tenant=\"%d\"} %d\n", t, len(s.unsettled[t]))
+		for _, t := range sortedKeys(s.inflight) {
+			fmt.Fprintf(buf, "cloudqcd_tenant_inflight{tenant=\"%d\"} %d\n", t, s.inflight[t])
 		}
 	})
 	degraded := 0.0

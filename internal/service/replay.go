@@ -1,12 +1,10 @@
 package service
 
 import (
-	"time"
-
 	"errors"
 	"fmt"
+	"time"
 
-	"cloudqc/internal/core"
 	"cloudqc/internal/wal"
 )
 
@@ -21,13 +19,15 @@ import (
 // and recorder sample bit-identical to the uninterrupted run
 // (TestWALReplayDifferential).
 //
+// Each job record goes through accept, the live submit's own path.
 // Rate limits and quotas are not re-checked — each logged job already
-// passed them — but the load-shedding degrade rule is re-applied at
-// each record, reproducing any WFQ→FIFO stretches. Shed (503) and
-// rejected (429) submissions were never logged, so nothing replays
-// them. After Replay the wall→virtual epoch is re-anchored so the
-// pacer continues from the recovered virtual time instead of jumping
-// back to zero.
+// passed them — but accept re-applies the degrade rule at each job
+// record, exactly where the live daemon applied it, reproducing any
+// WFQ→FIFO stretches. Shed (503) and rejected (429) submissions were
+// never logged and never touched the admission mode, so nothing
+// replays them. After Replay the wall→virtual epoch is re-anchored so
+// the pacer continues from the recovered virtual time instead of
+// jumping back to zero.
 //
 // The record stream may be fed in consecutive chunks (each call
 // continues where the previous ended), but never twice: a step record
@@ -55,24 +55,9 @@ func (s *Server) Replay(recs []wal.Record) (jobs int, err error) {
 			if cerr != nil {
 				return jobs, fmt.Errorf("service: replay record %d: %v", i, cerr)
 			}
-			// The same degrade decision the live path took before this
-			// submission, at the same backlog (and the same skip of the
-			// backlog snapshot when no watermark is configured).
-			if s.cfg.ShedBacklog > 0 || s.cfg.DegradeBacklog > 0 {
-				s.applyDegrade(s.backlog())
-			}
-			job := &core.Job{
-				ID:       -1,
-				Circuit:  circ,
-				Arrival:  rec.V,
-				Tenant:   rec.Tenant,
-				Priority: rec.Priority,
-				Deadline: rec.Deadline,
-			}
-			if serr := s.f.Submit(job); serr != nil {
+			if _, serr := s.accept(rec, circ); serr != nil {
 				return jobs, fmt.Errorf("service: replay record %d (job): %w", i, serr)
 			}
-			s.noteSubmitted(job)
 			jobs++
 		case wal.TypeFault:
 			// Re-inject at the same stream position. The live path only
@@ -89,7 +74,6 @@ func (s *Server) Replay(recs []wal.Record) (jobs int, err error) {
 			return jobs, fmt.Errorf("service: replay record %d has unknown type %q", i, rec.Type)
 		}
 	}
-	s.sweep()
 	// Re-anchor the pacer: the next advance at wall time "now" must map
 	// onto the replayed virtual position, not restart at zero. Nanosecond
 	// rounding can land the next computed v a hair below walV; the

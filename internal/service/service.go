@@ -99,11 +99,12 @@ type Config struct {
 	// restart, pass wal.Open's recovered records to Replay before
 	// serving traffic.
 	WAL *wal.Log
-	// DegradeBacklog is the load-shedding soft watermark: while the
-	// federation backlog (pending + queued jobs) is at or above it,
-	// admission degrades to FIFO — cheaper than WFQ's per-tick ordering
-	// — and restores the configured mode once the backlog falls below.
-	// Non-positive disables degradation.
+	// DegradeBacklog is the load-shedding soft watermark, checked at
+	// each accepted submission: while the federation backlog (pending +
+	// queued jobs) is at or above it, admission degrades to FIFO —
+	// cheaper than WFQ's per-tick ordering — and restores the configured
+	// mode once the backlog falls below. Non-positive disables
+	// degradation.
 	DegradeBacklog int
 	// ShedBacklog is the hard watermark: at or above it, submissions
 	// are shed with 503 + Retry-After (never logged to the WAL, never
@@ -129,21 +130,19 @@ type Server struct {
 	// epoch anchors the wall→virtual mapping at the first request.
 	epoch   time.Time
 	buckets map[int]*bucket
-	// unsettled tracks each tenant's in-flight job ids and settled
-	// caches finished/failed results in settle order, so per-request
-	// bookkeeping scales with the in-flight backlog, not with every job
-	// the daemon ever accepted (see sweep).
-	unsettled    map[int]map[int]bool
+	// inflight counts each tenant's unsettled jobs and settled caches
+	// finished/failed results in settle order. Both change only in
+	// accept and in the transition hook's settle, so no request walks
+	// the in-flight backlog or the settled history to keep them current.
+	inflight     map[int]int
 	settled      []*core.JobResult
 	settledDirty bool
 	submitted    int
 	rejected     int
 	draining     bool
 	// events is the bounded SSE ring fed by the federation's
-	// status-transition hook; jobTenant resolves a live job's tenant for
-	// event payloads and per-tenant metrics (entries die with the job).
-	events    *eventLog
-	jobTenant map[int]int
+	// status-transition hook.
+	events *eventLog
 	// walV is the highest virtual time logged to the WAL; -1 until the
 	// first advance so a freshly anchored epoch's v=0 is still logged
 	// (and duplicate replay is detected from the very first record).
@@ -187,17 +186,16 @@ func New(cfg Config) (*Server, error) {
 		cfg.Heartbeat = time.Second
 	}
 	s := &Server{
-		cfg:       cfg,
-		f:         f,
-		buckets:   make(map[int]*bucket),
-		unsettled: make(map[int]map[int]bool),
-		events:    newEventLog(cfg.EventBuffer),
-		jobTenant: make(map[int]int),
-		walV:      -1,
-		baseMode:  f.Mode(),
-		rejRate:   make(map[int]int),
-		rejQuota:  make(map[int]int),
-		shed:      make(map[int]int),
+		cfg:      cfg,
+		f:        f,
+		buckets:  make(map[int]*bucket),
+		inflight: make(map[int]int),
+		events:   newEventLog(cfg.EventBuffer),
+		walV:     -1,
+		baseMode: f.Mode(),
+		rejRate:  make(map[int]int),
+		rejQuota: make(map[int]int),
+		shed:     make(map[int]int),
 	}
 	f.SetOnTransition(s.onTransition)
 	s.mux = http.NewServeMux()
@@ -281,37 +279,22 @@ func (s *Server) advance(now time.Time) error {
 	return err
 }
 
-// sweep moves freshly settled jobs out of the per-tenant in-flight sets
-// into the settled cache. The cache is kept sorted by job id (=
-// submission order) only lazily: when jobs settle in id order — the
-// common case under FIFO — each batch appends in O(batch); an
-// out-of-order settle just marks the cache dirty and sortedSettled
-// re-sorts it on the next order-sensitive read. That keeps a sustained
-// submission stream linear instead of re-merging the full history on
-// every request. Callers hold s.mu and have advanced the controller.
-func (s *Server) sweep() {
-	var fresh []*core.JobResult
-	for tenant, ids := range s.unsettled {
-		for id := range ids {
-			res, status := s.f.Result(id)
-			if !status.Settled() {
-				continue
-			}
-			delete(ids, id)
-			fresh = append(fresh, res)
-		}
-		if len(ids) == 0 {
-			delete(s.unsettled, tenant)
-		}
+// settle moves a job that just completed or failed from its tenant's
+// in-flight count into the settled cache; the transition hook calls it
+// once per job. The cache is kept sorted by job id (= submission order)
+// only lazily: when jobs settle in id order — the common case under
+// FIFO — each settle appends in O(1); an out-of-order settle just marks
+// the cache dirty and sortedSettled re-sorts it on the next
+// order-sensitive read. Callers hold s.mu.
+func (s *Server) settle(res *core.JobResult) {
+	t := res.Job.Tenant
+	if s.inflight[t]--; s.inflight[t] == 0 {
+		delete(s.inflight, t)
 	}
-	if len(fresh) == 0 {
-		return
-	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Job.ID < fresh[j].Job.ID })
-	if n := len(s.settled); n > 0 && !s.settledDirty && fresh[0].Job.ID < s.settled[n-1].Job.ID {
+	if n := len(s.settled); n > 0 && res.Job.ID < s.settled[n-1].Job.ID {
 		s.settledDirty = true
 	}
-	s.settled = append(s.settled, fresh...)
+	s.settled = append(s.settled, res)
 }
 
 // sortedSettled returns the settled cache in job-id (= submission)
@@ -337,11 +320,7 @@ func (s *Server) Drain() ([]*core.JobResult, error) {
 		return nil, errors.New("service: already drained")
 	}
 	s.draining = true
-	results, err := s.f.Drain()
-	if err == nil {
-		s.sweep() // the whole backlog just settled; stats stay consistent
-	}
-	return results, err
+	return s.f.Drain()
 }
 
 // SubmitRequest is POST /v1/jobs' body. Exactly one of Circuit and
@@ -425,26 +404,20 @@ func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, flo
 	if err := s.advance(now); err != nil {
 		return http.StatusInternalServerError, err.Error(), 0
 	}
-	s.sweep()
 	// Load shedding before any per-tenant accounting: a shed submission
-	// is never WAL-logged (replay reproduces the same shed decisions
-	// because it applies the same watermarks at the same backlogs) and
-	// must not debit the tenant's token bucket. The backlog snapshot
-	// walks every in-flight job, so skip it when no watermark is set.
-	if s.cfg.ShedBacklog > 0 || s.cfg.DegradeBacklog > 0 {
-		backlog := s.backlog()
-		if wm := s.cfg.ShedBacklog; wm > 0 && backlog >= wm {
+	// is never WAL-logged and must not debit the tenant's token bucket.
+	if wm := s.cfg.ShedBacklog; wm > 0 {
+		if backlog := s.backlog(); backlog >= wm {
 			s.shed[req.Tenant]++
 			s.shedded++
 			return http.StatusServiceUnavailable,
 				fmt.Sprintf("backlog %d at or above shedding watermark %d", backlog, wm), s.shedRetryAfter()
 		}
-		s.applyDegrade(backlog)
 	}
 	// Quota before rate: a submission the quota refuses must not debit
 	// the tenant's token bucket, or retry-polling for a free slot would
 	// exhaust the rate budget the eventual accepted submission needs.
-	if q := s.cfg.MaxInFlight; q > 0 && len(s.unsettled[req.Tenant]) >= q {
+	if q := s.cfg.MaxInFlight; q > 0 && s.inflight[req.Tenant] >= q {
 		s.rejected++
 		s.rejQuota[req.Tenant]++
 		return http.StatusTooManyRequests,
@@ -458,32 +431,19 @@ func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, flo
 	}
 
 	arrival := s.f.Now()
-	// ID -1 lets the federation assign the next shard-tagged id
-	// (id mod shards = the routed shard; dense 0,1,2,… on one shard).
-	job := &core.Job{
-		ID:       -1,
-		Circuit:  circ,
-		Arrival:  arrival,
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
+	rec := wal.Record{
+		Type: wal.TypeJob, V: arrival,
+		Tenant: req.Tenant, Priority: req.Priority,
+		Circuit: req.Circuit, QASM: req.QASM,
 	}
 	if req.DeadlineSlack > 0 {
-		job.Deadline = arrival + float64(circ.Depth())*req.DeadlineSlack
+		rec.Deadline = arrival + float64(circ.Depth())*req.DeadlineSlack
 	}
 	// Durability before admission: the submission is framed, appended,
 	// and fsynced first, so every job a client saw accepted survives a
 	// crash. A WAL failure refuses the job — accepting it un-logged
 	// would break the replay guarantee.
 	if w := s.cfg.WAL; w != nil {
-		rec := wal.Record{
-			Type: wal.TypeJob, V: arrival,
-			Tenant: req.Tenant, Priority: req.Priority, Deadline: job.Deadline,
-			Circuit: req.Circuit, QASM: req.QASM,
-		}
-		if rec.Circuit == "" && rec.QASM == "" {
-			// Defensive: buildCircuit guarantees one is set.
-			rec.QASM = qasm.Write(circ)
-		}
 		if err := w.Append(rec); err != nil {
 			return http.StatusInternalServerError, err.Error(), 0
 		}
@@ -491,32 +451,47 @@ func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, flo
 			return http.StatusInternalServerError, err.Error(), 0
 		}
 	}
-	if err := s.f.Submit(job); err != nil {
+	id, err := s.accept(rec, circ)
+	if err != nil {
 		if errors.Is(err, core.ErrDrained) {
 			return http.StatusConflict, err.Error(), 0
 		}
 		return http.StatusInternalServerError, err.Error(), 0
 	}
-	s.noteSubmitted(job)
-	return http.StatusAccepted, s.jobResponse(job.ID), 0
+	return http.StatusAccepted, s.jobResponse(id), 0
 }
 
-// noteSubmitted records an accepted job's bookkeeping (shared between
-// the live submit path and WAL replay): counters, the tenant's
-// in-flight set, the tenant index for events/metrics, and the "submit"
-// event. Callers hold s.mu.
-func (s *Server) noteSubmitted(job *core.Job) {
-	s.submitted++
-	if s.unsettled[job.Tenant] == nil {
-		s.unsettled[job.Tenant] = make(map[int]bool)
+// accept admits one logged submission. It is the one path for both
+// the live submit (after shedding, quota, rate and the WAL append) and
+// Replay's job records, so a recovered daemon takes every decision the
+// live one took: the degrade rule at the current backlog, the job built
+// from the record, the federation submit, and the bookkeeping — the
+// counter, the tenant's in-flight count and the "submit" event. Only
+// logged submissions reach here, so only they can flip the admission
+// mode. Returns the assigned job id. Callers hold s.mu.
+func (s *Server) accept(rec wal.Record, circ *circuit.Circuit) (int, error) {
+	s.applyDegrade()
+	// ID -1 lets the federation assign the next shard-tagged id
+	// (id mod shards = the routed shard; dense 0,1,2,… on one shard).
+	job := &core.Job{
+		ID:       -1,
+		Circuit:  circ,
+		Arrival:  rec.V,
+		Tenant:   rec.Tenant,
+		Priority: rec.Priority,
+		Deadline: rec.Deadline,
 	}
-	s.unsettled[job.Tenant][job.ID] = true
-	s.jobTenant[job.ID] = job.Tenant
+	if err := s.f.Submit(job); err != nil {
+		return 0, err
+	}
+	s.submitted++
+	s.inflight[job.Tenant]++
 	shard, _ := s.f.ShardOf(job.ID)
 	s.events.append(Event{
 		Type: EventSubmit, Job: job.ID, Tenant: job.Tenant,
 		Shard: shard, VTime: job.Arrival,
 	})
+	return job.ID, nil
 }
 
 // FaultResponse acknowledges an accepted fault injection.
@@ -578,17 +553,17 @@ func (s *Server) backlog() int {
 	return snap.Pending + snap.Queued
 }
 
-// applyDegrade switches admission WFQ→FIFO at the soft watermark and
-// back below it. Mode changes go through the federation so every shard
-// flips together; WFQ virtual clocks survive the round trip. Replay
-// applies the same rule at the same backlogs, so a recovered daemon
-// reproduces the degraded stretches exactly. Callers hold s.mu.
-func (s *Server) applyDegrade(backlog int) {
+// applyDegrade switches admission WFQ→FIFO while the backlog is at or
+// above the soft watermark and back below it; accept evaluates it once
+// per accepted submission. Mode changes go through the federation so
+// every shard flips together; WFQ virtual clocks survive the round
+// trip. Callers hold s.mu.
+func (s *Server) applyDegrade() {
 	wm := s.cfg.DegradeBacklog
 	if wm <= 0 || s.baseMode == core.FIFOMode {
 		return
 	}
-	if degrade := backlog >= wm; degrade != s.degraded {
+	if degrade := s.backlog() >= wm; degrade != s.degraded {
 		mode := s.baseMode
 		if degrade {
 			mode = core.FIFOMode
@@ -892,7 +867,6 @@ func (s *Server) stats() (StatsResponse, error) {
 	if err := s.advance(s.cfg.Now()); err != nil {
 		return StatsResponse{}, err
 	}
-	s.sweep()
 	settled := s.sortedSettled()
 	resp := StatsResponse{
 		VirtualNow: s.f.Now(),

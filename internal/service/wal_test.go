@@ -385,3 +385,93 @@ func TestWALReplayCrossShard(t *testing.T) {
 		t.Fatalf("post-drain victim %+v", jr)
 	}
 }
+
+// newWatermarkServer builds a WFQ server with a soft degrade watermark
+// of 4 and a one-job quota per tenant, with a WAL when path is set.
+func newWatermarkServer(t *testing.T, path string) (*Server, *fakeClock, *fed.Federation) {
+	t.Helper()
+	f := oneShard(t, testControllerConfig(7, core.WFQMode))
+	var wlog *wal.Log
+	if path != "" {
+		var err error
+		if wlog, _, err = wal.Open(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := newFakeClock()
+	srv, err := New(Config{
+		Federation: f, Now: clock.now, TimeScale: 1000, WAL: wlog,
+		DegradeBacklog: 4, MaxInFlight: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, clock, f
+}
+
+// TestWALReplayWatermarks: a submission refused with 429 while the
+// backlog sits past the degrade watermark is never logged, so it must
+// not flip the admission mode either — otherwise the live daemon runs
+// FIFO while its replay runs WFQ. Live and replayed daemons must agree
+// on the mode at the crash point, the drained results, and /v1/stats
+// (apart from the rejection counter, which replay never sees).
+func TestWALReplayWatermarks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	srvA, clockA, fA := newWatermarkServer(t, path)
+	for tenant, name := range []string{"qft_n100", "ising_n98", "knn_n67", "qaoa_n64"} {
+		submitRaw(t, srvA, SubmitRequest{Tenant: tenant, Circuit: name}, http.StatusAccepted)
+	}
+	if b := srvA.backlog(); b < 4 {
+		t.Fatalf("setup: backlog %d, want at or past the watermark 4", b)
+	}
+	submitRaw(t, srvA, SubmitRequest{Tenant: 0, Circuit: "qft_n100"}, http.StatusTooManyRequests)
+	clockA.advance(30 * time.Millisecond)
+	rawGET(t, srvA, "/v1/stats")
+	wantMode := fA.Mode()
+
+	_, recs, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvB, _, fB := newWatermarkServer(t, "")
+	if n, err := srvB.Replay(recs); err != nil || n != 4 {
+		t.Fatalf("replay: %d jobs, %v (want 4)", n, err)
+	}
+	if got := fB.Mode(); got != wantMode {
+		t.Fatalf("replayed admission mode %v, live daemon crashed in %v", got, wantMode)
+	}
+
+	resA, err := srvA.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resB, err := srvB.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultsJSON(t, resA), resultsJSON(t, resB); a != b {
+		t.Fatalf("drained results diverge\nlive   %s\nreplay %s", a, b)
+	}
+	var stA, stB StatsResponse
+	if err := json.Unmarshal([]byte(rawGET(t, srvA, "/v1/stats")), &stA); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(rawGET(t, srvB, "/v1/stats")), &stB); err != nil {
+		t.Fatal(err)
+	}
+	if stA.Rejected != 1 || stB.Rejected != 0 {
+		t.Fatalf("rejected live %d, replayed %d; want 1 and 0", stA.Rejected, stB.Rejected)
+	}
+	stA.Rejected = 0
+	a, err := json.Marshal(stA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(stB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("stats diverge\nlive   %s\nreplay %s", a, b)
+	}
+}
