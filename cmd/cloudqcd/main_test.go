@@ -15,8 +15,9 @@ import (
 func TestBuildBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "nope"},
-		{"-epr-prob", "0"}, // Model.Validate rejects SuccessProb outside (0, 1]
-		{"-epr-prob", "2"}, // ditto
+		{"-epr-prob", "0"},   // Model.Validate rejects SuccessProb outside (0, 1]
+		{"-epr-prob", "2"},   // ditto
+		{"-epr-prob", "NaN"}, // ditto: NaN fails every comparison
 		{"-timescale", "-5"},
 		{"-unknown-flag"},
 		{"-shards", "0"},

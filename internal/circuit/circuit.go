@@ -8,8 +8,9 @@ import (
 )
 
 // Circuit is an ordered list of gates over a fixed qubit register.
-// Gate order in the slice is program order; the dependency DAG derives the
-// true partial order.
+// Gate order in the slice is program order. A gate depends on the last
+// earlier gate on each of its qubits, so a program-order pass with a
+// per-qubit ready time walks the dependency partial order.
 type Circuit struct {
 	// Name identifies the circuit in workloads and reports ("qft_n160").
 	Name string

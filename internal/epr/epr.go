@@ -11,7 +11,6 @@ package epr
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cloudqc/internal/circuit"
 )
@@ -63,12 +62,20 @@ func DefaultModel() Model {
 	return Model{Latency: DefaultLatency(), SuccessProb: 0.3}
 }
 
-// Validate reports whether the model's parameters are usable.
+// Validate reports whether the model's parameters are usable:
+// SuccessProb in (0, 1], every latency finite and ≥ 0, and EPRAttempt
+// and TwoQubit positive. The checks are written as !(ok) so that NaN,
+// which fails every comparison, is rejected.
 func (m Model) Validate() error {
-	if m.SuccessProb <= 0 || m.SuccessProb > 1 {
+	if !(m.SuccessProb > 0 && m.SuccessProb <= 1) {
 		return fmt.Errorf("epr: success probability %v outside (0, 1]", m.SuccessProb)
 	}
-	if m.EPRAttempt <= 0 || m.TwoQubit <= 0 {
+	for _, d := range [...]float64{m.OneQubit, m.TwoQubit, m.Measure, m.EPRAttempt} {
+		if !(d >= 0 && d <= math.MaxFloat64) {
+			return fmt.Errorf("epr: latency not finite and non-negative %+v", m.Latency)
+		}
+	}
+	if !(m.EPRAttempt > 0 && m.TwoQubit > 0) {
 		return fmt.Errorf("epr: non-positive latency %+v", m.Latency)
 	}
 	return nil
@@ -107,15 +114,6 @@ func (m Model) RoundSuccess(pairs int) float64 {
 		return 0
 	}
 	return 1 - math.Pow(1-m.SuccessProb, float64(pairs))
-}
-
-// SampleRoundSuccess draws one Bernoulli round outcome for the given
-// number of parallel attempt pairs.
-func (m Model) SampleRoundSuccess(rng *rand.Rand, pairs int) bool {
-	if pairs <= 0 {
-		return false
-	}
-	return rng.Float64() < m.RoundSuccess(pairs)
 }
 
 // ExpectedRounds returns the expected number of attempt rounds until the

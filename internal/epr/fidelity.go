@@ -51,15 +51,6 @@ func Purify(f float64) float64 {
 	return f * f / (f*f + (1-f)*(1-f))
 }
 
-// PathFidelity returns the unpurified end-to-end fidelity over hops
-// links: LinkFidelity^hops.
-func (f FidelityModel) PathFidelity(hops int) float64 {
-	if hops < 1 {
-		hops = 1
-	}
-	return math.Pow(f.LinkFidelity, float64(hops))
-}
-
 // maxPurifyRounds bounds the purification recursion; past this the
 // threshold is declared unreachable (2^6 = 64 raw pairs per hop already
 // exceeds any plausible communication qubit budget).

@@ -29,19 +29,6 @@ func TestPurifyKnownValue(t *testing.T) {
 	}
 }
 
-func TestPathFidelityDecays(t *testing.T) {
-	f := DefaultFidelityModel()
-	if got := f.PathFidelity(1); math.Abs(got-0.97) > 1e-12 {
-		t.Fatalf("1-hop fidelity = %v", got)
-	}
-	if got := f.PathFidelity(3); math.Abs(got-math.Pow(0.97, 3)) > 1e-12 {
-		t.Fatalf("3-hop fidelity = %v", got)
-	}
-	if f.PathFidelity(0) != f.PathFidelity(1) {
-		t.Fatal("hops < 1 should clamp to 1")
-	}
-}
-
 func TestPurifyRoundsZeroWhenAlreadyGood(t *testing.T) {
 	f := DefaultFidelityModel()
 	f.LinkFidelity = 0.99

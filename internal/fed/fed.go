@@ -578,7 +578,10 @@ func (f *Federation) PlanCacheStats() plan.Stats {
 
 // PreemptStats sums the shards' preemption counters: a job preempted on
 // one shard and resumed on another counts its preemption there and its
-// resume here, so federation-wide Preemptions ≥ Resumes always holds.
+// resume here. Resumes also count jobs checkpointed off a QPU outage or
+// a drained shard, which were never preempted, so Resumes may exceed
+// Preemptions; Resumes ≤ Preemptions + RescuedOutage + RescuedDrain of
+// FaultStats holds instead.
 func (f *Federation) PreemptStats() core.PreemptStats {
 	var ps core.PreemptStats
 	for _, s := range f.shards {

@@ -135,7 +135,6 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 	tier := p.newCapacityTier(cl, size)
 	var (
 		h         *partition.Hierarchy // built on the first memo miss
-		dag       *circuit.DAG         // built for the first feasible candidate
 		best      *Placement
 		bestScore float64
 	)
@@ -168,10 +167,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 					continue
 				}
 			}
-			if dag == nil {
-				dag = circuit.BuildDAG(c)
-			}
-			t := EstimateTime(dag, cl, p.cfg.Model, assign)
+			t := EstimateTime(c, cl, p.cfg.Model, assign)
 			cost := commCostEdges(parts.edges, cl, assign)
 			s := Score(p.cfg.ScoreAlpha, p.cfg.ScoreBeta, t, cost)
 			if best == nil || s > bestScore {

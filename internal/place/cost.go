@@ -38,23 +38,42 @@ func RemoteOps(c *circuit.Circuit, qubitToQPU []int) int {
 	return n
 }
 
-// EstimateTime returns the DAG critical-path runtime of the circuit under
+// EstimateTime returns the critical-path runtime of the circuit under
 // the placement: local gates cost their Table I latency; remote two-qubit
 // gates cost the expected EPR + swap + execution latency for their hop
 // distance. This is Algorithm 1's estimate_time — it deliberately ignores
 // communication-qubit contention, which the network scheduler handles.
-func EstimateTime(dag *circuit.DAG, cl *cloud.Cloud, m epr.Model, qubitToQPU []int) float64 {
-	gates := dag.Circuit().Gates()
-	total, _ := dag.CriticalPath(func(i int) float64 {
-		g := gates[i]
+//
+// A gate's dependency predecessors are the last gates on its qubits, so
+// one program-order pass with a per-qubit ready time walks the critical
+// path: a gate starts at the latest ready time of its qubits, floored at
+// 0, and finishes its duration later. Maxima use > so a NaN duration is
+// skipped, never propagated.
+func EstimateTime(c *circuit.Circuit, cl *cloud.Cloud, m epr.Model, qubitToQPU []int) float64 {
+	ready := make([]float64, c.NumQubits())
+	var total float64
+	for _, g := range c.Gates() {
+		qs := g.Qubits[:g.Arity()]
+		dur := m.GateDuration(g.Kind)
 		if g.Kind == circuit.Two {
-			a, b := qubitToQPU[g.Qubits[0]], qubitToQPU[g.Qubits[1]]
-			if a != b {
-				return m.ExpectedRemoteLatency(cl.Distance(a, b))
+			if a, b := qubitToQPU[qs[0]], qubitToQPU[qs[1]]; a != b {
+				dur = m.ExpectedRemoteLatency(cl.Distance(a, b))
 			}
 		}
-		return m.GateDuration(g.Kind)
-	})
+		start := 0.0
+		for _, q := range qs {
+			if ready[q] > start {
+				start = ready[q]
+			}
+		}
+		finish := start + dur
+		for _, q := range qs {
+			ready[q] = finish
+		}
+		if finish > total {
+			total = finish
+		}
+	}
 	return total
 }
 

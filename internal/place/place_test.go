@@ -398,17 +398,16 @@ func TestEstimateTimeLocalVsRemote(t *testing.T) {
 	cl := smallCloud()
 	c := circuit.New("t", 2)
 	c.Append(circuit.CX(0, 1))
-	dag := circuit.BuildDAG(c)
 	cfg := DefaultConfig()
-	local := EstimateTime(dag, cl, cfg.Model, []int{0, 0})
-	remote := EstimateTime(dag, cl, cfg.Model, []int{0, 3})
+	local := EstimateTime(c, cl, cfg.Model, []int{0, 0})
+	remote := EstimateTime(c, cl, cfg.Model, []int{0, 3})
 	if local != 1 {
 		t.Fatalf("local estimate = %v, want 1", local)
 	}
 	if remote <= local {
 		t.Fatal("remote gate must cost more than local")
 	}
-	nearer := EstimateTime(dag, cl, cfg.Model, []int{0, 1})
+	nearer := EstimateTime(c, cl, cfg.Model, []int{0, 1})
 	if nearer >= remote {
 		t.Fatal("closer QPUs must cost less than distant ones")
 	}

@@ -1,0 +1,49 @@
+package qasm
+
+import (
+	"math"
+	"testing"
+
+	"cloudqc/internal/circuit"
+	"cloudqc/internal/qlib"
+)
+
+// FuzzQASMParse feeds arbitrary source to Parse, the parser behind the
+// daemon's inline-QASM submissions. Parse must never panic, and any
+// circuit it accepts must survive a Write/Parse round trip: the same
+// register size and, gate by gate, the same name, kind, qubits and
+// parameter, where Write emits one.
+//
+// Run it with: go test ./internal/qasm -run '^$' -fuzz FuzzQASMParse
+func FuzzQASMParse(f *testing.F) {
+	f.Add(sample)
+	for _, c := range []*circuit.Circuit{qlib.GHZ(4), qlib.QFT(5), qlib.QAOA(6, 1, 1), qlib.Grover(6)} {
+		f.Add(Write(c))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := Parse("fuzz", src)
+		if err != nil {
+			return
+		}
+		out := Write(c)
+		again, err := Parse("fuzz", out)
+		if err != nil {
+			t.Fatalf("written source does not parse: %v\n%s", err, out)
+		}
+		if again.NumQubits() != c.NumQubits() || again.Len() != c.Len() {
+			t.Fatalf("round trip changed size: %d qubits, %d gates -> %d, %d",
+				c.NumQubits(), c.Len(), again.NumQubits(), again.Len())
+		}
+		for i, g := range c.Gates() {
+			h := again.Gates()[i]
+			want := 0.0 // Write drops the parameter of unparameterized gates
+			if parameterized(g.Name) {
+				want = g.Param
+			}
+			sameParam := h.Param == want || (math.IsNaN(h.Param) && math.IsNaN(want))
+			if h.Name != g.Name || h.Kind != g.Kind || h.Qubits != g.Qubits || !sameParam {
+				t.Fatalf("gate %d changed in the round trip: %+v -> %+v", i, g, h)
+			}
+		}
+	})
+}

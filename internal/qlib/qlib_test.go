@@ -1,10 +1,6 @@
 package qlib
 
-import (
-	"testing"
-
-	"cloudqc/internal/circuit"
-)
+import "testing"
 
 func TestRegistryComplete(t *testing.T) {
 	// Every Table II circuit must be buildable.
@@ -269,18 +265,5 @@ func TestVQEHasTwoQubitStructure(t *testing.T) {
 	}
 	if !c.InteractionGraph().Connected() {
 		t.Fatal("vqe interaction graph should be connected")
-	}
-}
-
-func TestAllGeneratorsProduceValidDAGs(t *testing.T) {
-	for _, name := range Names() {
-		c := MustBuild(name)
-		d := circuit.BuildDAG(c)
-		if d.Len() != c.Len() {
-			t.Fatalf("%s: DAG size mismatch", name)
-		}
-		if c.Len() > 0 && len(d.FrontLayer()) == 0 {
-			t.Fatalf("%s: empty front layer", name)
-		}
 	}
 }

@@ -106,11 +106,10 @@ func BuildRemoteDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.L
 		}
 	}
 	if len(d.Nodes) == 0 {
-		dag := circuit.BuildDAG(c)
-		d.LocalOnly, _ = dag.CriticalPath(func(i int) float64 {
-			return lat.GateDuration(c.Gates()[i].Kind)
-		})
-		d.Tail = 0
+		// With no remote nodes, lag[q] is qubit q's local ready time, so
+		// the largest lag is the local critical path. That needs every
+		// duration ≥ 0 (epr.Model.Validate): ready times then never fall.
+		d.LocalOnly, d.Tail = d.Tail, 0
 	}
 	return d
 }
@@ -128,17 +127,6 @@ func (d *RemoteDAG) Priorities() []int {
 		}
 	}
 	return p
-}
-
-// FrontLayer returns nodes with no predecessors.
-func (d *RemoteDAG) FrontLayer() []int {
-	var front []int
-	for i := range d.Preds {
-		if len(d.Preds[i]) == 0 {
-			front = append(front, i)
-		}
-	}
-	return front
 }
 
 // CriticalPathLen returns the number of nodes on the longest dependency

@@ -156,11 +156,10 @@ func BuildMigratingDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat ep
 		}
 	}
 	if len(d.Nodes) == 0 {
-		dag := circuit.BuildDAG(c)
-		d.LocalOnly, _ = dag.CriticalPath(func(i int) float64 {
-			return lat.GateDuration(gates[i].Kind)
-		})
-		d.Tail = 0
+		// With no remote nodes, lag[q] is qubit q's local ready time, so
+		// the largest lag is the local critical path. That needs every
+		// duration ≥ 0 (epr.Model.Validate): ready times then never fall.
+		d.LocalOnly, d.Tail = d.Tail, 0
 	}
 	stats.FinalAssign = cur
 	return d, stats

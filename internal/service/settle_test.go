@@ -114,5 +114,10 @@ func TestSettlementInvariants(t *testing.T) {
 	if fs.ShardDrains != 1 || fs.RescuedDrain == 0 {
 		t.Fatalf("drain never fired or moved nothing: %+v", fs)
 	}
+	// Every resume follows a preemption or a fault rescue (outage or
+	// drain); rescued waiting jobs resubmit without resuming.
+	if int64(ps.Resumes) > int64(ps.Preemptions)+fs.RescuedOutage+fs.RescuedDrain {
+		t.Fatalf("resumes exceed preemptions + rescues: %+v, %+v", ps, fs)
+	}
 	t.Logf("preempt %+v, faults %+v, router %+v", ps, fs, f.RouterStats())
 }
