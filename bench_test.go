@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -653,10 +654,9 @@ func BenchmarkFaultRecovery(b *testing.B) {
 }
 
 // Allocation-policy micro-benchmarks: the per-round cost of dividing
-// the communication-qubit budget across competing gates. sortByPriority
-// used to copy the request slice every round; these benches pin the
-// round cost so the hot-path fix (and any future regression) shows up
-// in the CI bench trajectory.
+// the communication-qubit budget across competing gates, through
+// sched.AllocateInto as the controller runs it. These benches pin the
+// round cost so any regression shows up in the CI bench trajectory.
 func benchAllocPolicy(b *testing.B, p sched.Policy) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -685,21 +685,20 @@ func benchAllocPolicy(b *testing.B, p sched.Policy) {
 }
 
 // runAllocRounds times b.N rounds of base over nQPU QPUs with five
-// communication qubits each.
-func runAllocRounds(b *testing.B, p sched.Policy, base []sched.Request, nQPU int) {
+// communication qubits each. AllocateInto leaves reqs as it found it,
+// so every round sees the same unsorted requests.
+func runAllocRounds(b *testing.B, p sched.Policy, reqs []sched.Request, nQPU int) {
 	b.Helper()
-	reqs := make([]sched.Request, len(base))
 	budget := make([]int, nQPU)
+	grants := make([]int, len(reqs))
 	arng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Each round hands the policy a freshly built, unsorted slice,
-		// like the controller does.
-		copy(reqs, base)
 		for q := range budget {
 			budget[q] = 5
 		}
-		if alloc := p.Allocate(reqs, budget, arng); len(alloc) == 0 {
+		sched.AllocateInto(p, reqs, budget, grants, arng)
+		if slices.Max(grants) == 0 {
 			b.Fatal("no grants")
 		}
 	}
@@ -715,8 +714,8 @@ func BenchmarkAllocPolicyTenantWeighted(b *testing.B) {
 // measures: about six ready gates per round, 20 QPUs with five
 // communication qubits each, and a mix of direct and one-swap paths.
 // The 120-request shape above is dominated by its sort; this one
-// exposes the per-round fixed costs (grant bookkeeping, the returned
-// map) that the controller's many small rounds pay.
+// exposes the per-round fixed costs (the permutation, grant
+// bookkeeping) that the controller's many small rounds pay.
 func benchAllocRound(b *testing.B, p sched.Policy) {
 	b.Helper()
 	base := []sched.Request{

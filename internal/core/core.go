@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cloudqc/internal/circuit"
@@ -441,14 +442,15 @@ type runState struct {
 	budget          []int
 	// Per-round scratch, reused across ticks so the hot path stops
 	// allocating: the flattened request list, each active job's ready
-	// set (inner slices keep their capacity), and the states slice
-	// scheduleNext hands to EarliestEnableTime.
+	// set (inner slices keep their capacity), the pairs granted to each
+	// request by position, and the states slice scheduleNext hands to
+	// EarliestEnableTime.
 	reqBuf    []sched.Request
 	readyBuf  [][]int
+	grants    []int
 	statesBuf []*sched.JobState
 	// Traced-round scratch (per-active request counts, granted sums,
-	// and max path hops), touched only when cfg.Trace is set so the
-	// untraced round loop stays exactly as it was.
+	// and max path hops), touched only when cfg.Trace is set.
 	reqCountBuf []int
 	grantBuf    []int
 	hopsBuf     []int
@@ -672,7 +674,7 @@ func (st *runState) tick() {
 				}
 			}
 		}
-		var alloc map[sched.NodeKey]int
+		var grants []int
 		if len(st.reqBuf) > 0 {
 			for i := range st.budget {
 				st.budget[i] = ct.cfg.Cloud.QPU(i).Comm
@@ -685,21 +687,22 @@ func (st *runState) tick() {
 					}
 				}
 			}
-			alloc = ct.cfg.Policy.Allocate(st.reqBuf, st.budget, ct.rng)
+			st.grants = slices.Grow(st.grants[:0], len(st.reqBuf))[:len(st.reqBuf)]
+			grants = st.grants
+			sched.AllocateInto(ct.cfg.Policy, st.reqBuf, st.budget, grants, ct.rng)
+			// reqBuf lists each active job's ready nodes in turn, so a
+			// running index walks grants in step with them.
+			k := 0
 			for idx, aj := range st.active {
-				if !traced {
-					for _, u := range st.readyBuf[idx] {
-						st.attempt(aj.state, u, alloc[sched.NodeKey{Job: idx, Node: u}], t)
-					}
-					continue
-				}
 				granted := 0
 				for _, u := range st.readyBuf[idx] {
-					g := alloc[sched.NodeKey{Job: idx, Node: u}]
-					st.attempt(aj.state, u, g, t)
-					granted += g
+					st.attempt(aj.state, u, grants[k], t)
+					granted += grants[k]
+					k++
 				}
-				st.grantBuf[idx] = granted
+				if traced {
+					st.grantBuf[idx] = granted
+				}
 			}
 		}
 		if traced {
@@ -716,7 +719,7 @@ func (st *runState) tick() {
 			// After the traced Round hooks so a retry-failed job's spans
 			// close in recording order; before retirement so a job that
 			// completed this round retires instead of failing.
-			st.faultRetryPass(t, alloc)
+			st.faultRetryPass(t, grants)
 		}
 		st.nextRound = t + ct.cfg.Model.EPRAttempt
 	}

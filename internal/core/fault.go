@@ -377,21 +377,28 @@ func (st *runState) attempt(s *sched.JobState, u, pairs int, t float64) {
 // short of entanglement whose path crosses a degraded edge burns one
 // retry — or, when the path is outright dead and the plan allows it,
 // reroutes onto a live path and pays nothing. Jobs that exhaust their
-// retry budget fail cleanly and release their capacity.
-func (st *runState) faultRetryPass(t float64, alloc map[sched.NodeKey]int) {
+// retry budget fail cleanly and release their capacity. grants holds
+// the round's pairs by request position (nil when nothing was
+// requested), in the order tick built the requests: each active job's
+// ready nodes in turn.
+func (st *runState) faultRetryPass(t float64, grants []int) {
 	f := st.faults
-	if len(f.scale) == 0 || alloc == nil {
+	if len(f.scale) == 0 || grants == nil {
 		return
 	}
 	ct := st.ct
 	budget := f.plan.Budget()
 	exhausted := false
+	k := 0
 	for idx, aj := range st.active {
+		ready := st.readyBuf[idx]
+		jobGrants := grants[k : k+len(ready)]
+		k += len(ready)
 		if aj.state.Done() {
 			continue // completed this round: retire, don't fail on a spent budget
 		}
-		for _, u := range st.readyBuf[idx] {
-			if alloc[sched.NodeKey{Job: idx, Node: u}] <= 0 || aj.state.HopsLeft(u) == 0 {
+		for i, u := range ready {
+			if jobGrants[i] <= 0 || aj.state.HopsLeft(u) == 0 {
 				continue
 			}
 			degraded, dead := f.pathDegradation(aj.state.Path(u))

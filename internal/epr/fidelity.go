@@ -32,15 +32,16 @@ func DefaultFidelityModel() FidelityModel {
 	return FidelityModel{Model: DefaultModel(), LinkFidelity: 0.97, Threshold: 0.9}
 }
 
-// Validate extends Model.Validate with the fidelity parameters.
+// Validate extends Model.Validate with the fidelity parameters. Like
+// Model.Validate it writes its range checks as !(ok), so NaN is rejected.
 func (f FidelityModel) Validate() error {
 	if err := f.Model.Validate(); err != nil {
 		return err
 	}
-	if f.LinkFidelity <= 0.5 || f.LinkFidelity > 1 {
+	if !(f.LinkFidelity > 0.5 && f.LinkFidelity <= 1) {
 		return fmt.Errorf("epr: link fidelity %v outside (0.5, 1]", f.LinkFidelity)
 	}
-	if f.Threshold <= 0 || f.Threshold > 1 {
+	if !(f.Threshold > 0 && f.Threshold <= 1) {
 		return fmt.Errorf("epr: fidelity threshold %v outside (0, 1]", f.Threshold)
 	}
 	return nil

@@ -76,20 +76,27 @@ func TestFidelityValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultFidelityModel()
-	bad.LinkFidelity = 0.4
-	if bad.Validate() == nil {
-		t.Fatal("fidelity <= 0.5 should be invalid")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*FidelityModel)
+	}{
+		{"fidelity <= 0.5", func(f *FidelityModel) { f.LinkFidelity = 0.4 }},
+		{"NaN fidelity", func(f *FidelityModel) { f.LinkFidelity = nan }},
+		{"+Inf fidelity", func(f *FidelityModel) { f.LinkFidelity = inf }},
+		{"-Inf fidelity", func(f *FidelityModel) { f.LinkFidelity = -inf }},
+		{"zero threshold", func(f *FidelityModel) { f.Threshold = 0 }},
+		{"NaN threshold", func(f *FidelityModel) { f.Threshold = nan }},
+		{"+Inf threshold", func(f *FidelityModel) { f.Threshold = inf }},
+		{"-Inf threshold", func(f *FidelityModel) { f.Threshold = -inf }},
+		{"invalid base model", func(f *FidelityModel) { f.SuccessProb = 0 }},
 	}
-	bad = DefaultFidelityModel()
-	bad.Threshold = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero threshold should be invalid")
-	}
-	bad = DefaultFidelityModel()
-	bad.SuccessProb = 0
-	if bad.Validate() == nil {
-		t.Fatal("invalid base model should propagate")
+	for _, c := range cases {
+		bad := DefaultFidelityModel()
+		c.mut(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s: should be invalid", c.name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package qasm
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cloudqc/internal/circuit"
@@ -17,6 +18,7 @@ import (
 // Run it with: go test ./internal/qasm -run '^$' -fuzz FuzzQASMParse
 func FuzzQASMParse(f *testing.F) {
 	f.Add(sample)
+	f.Add("qreg q[100000];" + strings.Repeat(" measure q;", 10))
 	for _, c := range []*circuit.Circuit{qlib.GHZ(4), qlib.QFT(5), qlib.QAOA(6, 1, 1), qlib.Grover(6)} {
 		f.Add(Write(c))
 	}

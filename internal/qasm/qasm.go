@@ -19,6 +19,16 @@ import (
 // ErrSyntax wraps all parse failures; use errors.Is to detect them.
 var ErrSyntax = errors.New("qasm: syntax error")
 
+// maxQubits and maxGates bound the circuit Parse builds, so a short
+// source cannot expand into an arbitrarily large gate list: a
+// whole-register measure appends one gate per qubit, at most maxQubits
+// past the gate limit before Parse rejects the circuit. The largest
+// benchmark circuit (qft_n160) has 160 qubits and 63,920 gates.
+const (
+	maxQubits = 1 << 12
+	maxGates  = 1 << 18
+)
+
 // Parse converts OpenQASM 2.0 source into a circuit. The circuit name is
 // taken from the caller since QASM has no name construct.
 func Parse(name, src string) (*circuit.Circuit, error) {
@@ -32,6 +42,9 @@ func Parse(name, src string) (*circuit.Circuit, error) {
 			}
 			if err := p.statement(stmt); err != nil {
 				return nil, fmt.Errorf("%w: line %d: %q: %v", ErrSyntax, lineNum+1, stmt, err)
+			}
+			if p.circ != nil && p.circ.Len() > maxGates {
+				return nil, fmt.Errorf("%w: line %d: circuit exceeds %d gates", ErrSyntax, lineNum+1, maxGates)
 			}
 		}
 	}
@@ -78,8 +91,8 @@ func (p *parser) qregDecl(stmt string) error {
 	if err != nil {
 		return err
 	}
-	if size <= 0 {
-		return fmt.Errorf("qreg size %d", size)
+	if size <= 0 || size > maxQubits {
+		return fmt.Errorf("qreg size %d outside [1, %d]", size, maxQubits)
 	}
 	p.qreg = name
 	p.circ = circuit.New(p.name, size)

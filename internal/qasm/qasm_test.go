@@ -2,6 +2,7 @@ package qasm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -90,6 +91,12 @@ func TestParseErrors(t *testing.T) {
 		{"missing operands", "qreg q[1]; h;"},
 		{"bad index", "qreg q[x];"},
 		{"empty", ""},
+		// A whole-register measure appends one gate per qubit, so these
+		// short sources would otherwise expand into 10^6 gates and ask
+		// for about 10^11 bytes.
+		{"huge qreg", "qreg q[100000];" + strings.Repeat(" measure q;", 10)},
+		{"giant qreg", "qreg q[2000000000]; measure q;"},
+		{"too many gates", fmt.Sprintf("qreg q[%d];", maxQubits) + strings.Repeat(" measure q;", maxGates/maxQubits+1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,6 +104,19 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("Parse(%q) err = %v, want ErrSyntax", tc.src, err)
 			}
 		})
+	}
+}
+
+// TestParseAtBounds: a register of maxQubits measured up to exactly
+// maxGates gates still parses.
+func TestParseAtBounds(t *testing.T) {
+	src := fmt.Sprintf("qreg q[%d];", maxQubits) + strings.Repeat(" measure q;", maxGates/maxQubits)
+	c, err := Parse("bound", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != maxGates {
+		t.Fatalf("gates = %d, want %d", c.Len(), maxGates)
 	}
 }
 

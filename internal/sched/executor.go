@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/epr"
@@ -304,7 +305,7 @@ func runSingle(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *rand
 		return res, nil
 	}
 	budget := make([]int, cl.NumQPUs())
-	var ready []int
+	var ready, grants []int
 	var reqs []Request
 	t := 0.0
 	for !s.Done() {
@@ -322,9 +323,10 @@ func runSingle(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *rand
 			round(s, ready, budget)
 		}
 		reqs = s.AppendRequests(reqs[:0], 0, ready)
-		alloc := p.Allocate(reqs, budget, rng)
-		for _, u := range ready {
-			s.Attempt(u, alloc[NodeKey{Job: 0, Node: u}], t, m, rng, nil)
+		grants = slices.Grow(grants[:0], len(reqs))[:len(reqs)]
+		AllocateInto(p, reqs, budget, grants, rng)
+		for k, u := range ready {
+			s.Attempt(u, grants[k], t, m, rng, nil)
 		}
 		res.Rounds++
 		t += m.EPRAttempt

@@ -15,7 +15,8 @@ type NodeKey struct {
 }
 
 // Request asks the allocation policy for communication qubits on behalf
-// of one ready remote gate. Within one round every Key is unique: the
+// of one ready remote gate. Within one round every Key must be unique:
+// AllocateInto reads a map-returning policy's grants back by Key. The
 // core controller, Run, RunMultipath and RunFidelity all build one
 // request per ready node, keyed by that node's job and id.
 type Request struct {
@@ -36,33 +37,86 @@ type Request struct {
 
 // Policy divides each round's communication qubit budget among competing
 // ready gates. Implementations must never allocate beyond budget and
-// must be deterministic given the same rng state. Allocate may reorder
-// reqs in place — callers hand over ownership of the slice for the round
-// and must not rely on its order afterwards. Callers must not pass two
-// requests with the same Key in one round: the policies count grants per
-// request and key the result by Key.
+// must be deterministic given the same rng state. The built-in policies
+// leave reqs as they found it; an external implementation may reorder
+// it, since AllocateInto hands it a copy. Callers must not pass two
+// requests with the same Key in one round: grants are keyed by Key.
+//
+// Rounds run through AllocateInto, which takes the built-in policies'
+// positional path and uses Allocate only for external implementations.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Allocate returns EPR attempt pairs per requesting gate. budget is
 	// the per-QPU free communication qubit count for this round and is
-	// consumed in place, as is the order of reqs. The returned map holds
-	// only keys granted at least one pair, and the caller owns it.
+	// consumed in place. The returned map holds only keys granted at
+	// least one pair, and the caller owns it.
 	Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int
 }
 
-// stackGrants is the largest round whose per-request grant counts live
-// in a stack buffer; measured rounds average about six requests, so
-// larger rounds are rare enough to pay for a heap slice.
+// positional is the allocation path every built-in policy implements:
+// allocate writes the pairs granted to reqs[i] into grants[i], which
+// arrives zeroed with len(reqs) entries, consumes budget in place and
+// leaves reqs unmodified.
+type positional interface {
+	allocate(reqs []Request, budget, grants []int, rng *rand.Rand)
+}
+
+// AllocateInto runs one allocation round of p: it writes the pairs
+// granted to reqs[i] into grants[i], overwriting grants[:len(reqs)], and
+// consumes budget in place. reqs is left unmodified. A built-in policy
+// allocates nothing for a round of up to stackGrants requests (once a
+// TenantWeightedPolicy's scratch is warm); any other Policy runs its
+// Allocate on a copy of reqs and has its map read back by Key.
+func AllocateInto(p Policy, reqs []Request, budget, grants []int, rng *rand.Rand) {
+	grants = grants[:len(reqs)]
+	clear(grants)
+	if pp, ok := p.(positional); ok {
+		pp.allocate(reqs, budget, grants, rng)
+		return
+	}
+	alloc := p.Allocate(slices.Clone(reqs), budget, rng)
+	for i := range reqs {
+		grants[i] = alloc[reqs[i].Key]
+	}
+}
+
+// allocateMap is the map form of a built-in policy's positional round:
+// the body of each built-in's exported Allocate.
+func allocateMap(p positional, reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	grants := make([]int, len(reqs))
+	p.allocate(reqs, budget, grants, rng)
+	return grantMap(reqs, grants)
+}
+
+// stackGrants is the largest round whose request permutation lives in a
+// stack buffer; measured rounds average about six requests, so larger
+// rounds are rare enough to pay for a heap slice.
 const stackGrants = 64
 
-// grantScratch returns n zeroed per-request counters: buf[:n] when the
-// round fits, a fresh slice otherwise. buf must be zeroed.
-func grantScratch(buf []int, n int) []int {
+// identity returns the permutation 0..n-1 in buf[:n] when the round
+// fits, in a fresh slice otherwise.
+func identity(buf []int32, n int) []int32 {
+	var perm []int32
 	if n <= len(buf) {
-		return buf[:n]
+		perm = buf[:n]
+	} else {
+		perm = make([]int32, n)
 	}
-	return make([]int, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
+}
+
+// priorityOrder returns the indices of reqs by descending priority,
+// breaking ties by job then node id, in buf when the round fits. Keys
+// are unique within a round, so this is a total order and every sort
+// algorithm yields the same permutation.
+func priorityOrder(reqs []Request, buf []int32) []int32 {
+	order := identity(buf, len(reqs))
+	slices.SortFunc(order, func(a, b int32) int { return comparePriority(&reqs[a], &reqs[b]) })
+	return order
 }
 
 // grantMap builds the map Allocate returns from per-request grant
@@ -104,14 +158,6 @@ func canGrant(r *Request, budget []int) bool {
 	return true
 }
 
-// sortByPriority orders requests by descending priority, breaking ties
-// by job then node id. Keys are unique within a round, so this is a
-// total order and every sort algorithm yields the same result. It sorts
-// in place: Allocate owns its request slice for the round.
-func sortByPriority(reqs []Request) {
-	slices.SortFunc(reqs, func(a, b Request) int { return comparePriority(&a, &b) })
-}
-
 // comparePriority orders a before b when it has the higher priority,
 // then the smaller key.
 func comparePriority(a, b *Request) int {
@@ -139,56 +185,58 @@ type CloudQCPolicy struct{}
 func (CloudQCPolicy) Name() string { return "CloudQC" }
 
 // Allocate implements Policy.
-func (CloudQCPolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	var buf [stackGrants]int
-	grants := grantScratch(buf[:], len(reqs))
-	sortByPriority(reqs)
-	for i := range reqs {
+func (p CloudQCPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	return allocateMap(p, reqs, budget, rng)
+}
+
+func (CloudQCPolicy) allocate(reqs []Request, budget, grants []int, _ *rand.Rand) {
+	var buf [stackGrants]int32
+	order := priorityOrder(reqs, buf[:])
+	for _, i := range order {
 		if grantOne(&reqs[i], budget) {
 			grants[i] = 1
 		}
 	}
-	waterFill(reqs, grants, budget)
-	return grantMap(reqs, grants)
+	waterFill(reqs, order, grants, budget)
 }
 
 // waterFill spends the remaining budget on extra pairs: repeatedly grant
 // +1 to the already-granted request minimizing granted/weight, weight =
 // priority + 1, so critical-path gates accumulate redundant pairs. Ties
-// resolve to the earliest request in ordered. grants[i] counts the pairs
-// of ordered[i]. Requests with no pairs are skipped — they were starved
-// by budget and extras would also fail. Budget only shrinks, so a
-// request that cannot be granted once never can again: each pass drops
-// such requests from the live list instead of rescanning them.
-func waterFill(ordered []Request, grants, budget []int) {
-	var buf [stackGrants]int
-	live := grantScratch(buf[:], len(ordered))[:0]
-	for i, g := range grants {
-		if g > 0 {
+// resolve to the request earliest in order, the round's priority
+// permutation, which waterFill consumes as its working list. Requests
+// with no pairs are skipped — they were starved by budget and extras
+// would also fail. Budget only shrinks, so a request that cannot be
+// granted once never can again: each pass drops such requests from the
+// live list instead of rescanning them.
+func waterFill(reqs []Request, order []int32, grants, budget []int) {
+	live := order[:0]
+	for _, i := range order {
+		if grants[i] > 0 {
 			live = append(live, i)
 		}
 	}
 	for {
-		bestIdx := -1
+		best := int32(-1)
 		var bestRatio float64
 		n := 0
 		for _, i := range live {
-			if !canGrant(&ordered[i], budget) {
+			if !canGrant(&reqs[i], budget) {
 				continue
 			}
 			live[n] = i
 			n++
-			ratio := float64(grants[i]) / float64(ordered[i].Priority+1)
-			if bestIdx < 0 || ratio < bestRatio {
-				bestIdx, bestRatio = i, ratio
+			ratio := float64(grants[i]) / float64(reqs[i].Priority+1)
+			if best < 0 || ratio < bestRatio {
+				best, bestRatio = i, ratio
 			}
 		}
 		live = live[:n]
-		if bestIdx < 0 {
+		if best < 0 {
 			return
 		}
-		grantOne(&ordered[bestIdx], budget)
-		grants[bestIdx]++
+		grantOne(&reqs[best], budget)
+		grants[best]++
 	}
 }
 
@@ -202,16 +250,17 @@ type GreedyPolicy struct{}
 func (GreedyPolicy) Name() string { return "Greedy" }
 
 // Allocate implements Policy.
-func (GreedyPolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	var buf [stackGrants]int
-	grants := grantScratch(buf[:], len(reqs))
-	sortByPriority(reqs)
-	for i := range reqs {
+func (p GreedyPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	return allocateMap(p, reqs, budget, rng)
+}
+
+func (GreedyPolicy) allocate(reqs []Request, budget, grants []int, _ *rand.Rand) {
+	var buf [stackGrants]int32
+	for _, i := range priorityOrder(reqs, buf[:]) {
 		for grantOne(&reqs[i], budget) {
 			grants[i]++
 		}
 	}
-	return grantMap(reqs, grants)
 }
 
 // AveragePolicy distributes pairs evenly: round-robin single grants in
@@ -222,23 +271,26 @@ type AveragePolicy struct{}
 func (AveragePolicy) Name() string { return "Average" }
 
 // Allocate implements Policy.
-func (AveragePolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	var buf [stackGrants]int
-	grants := grantScratch(buf[:], len(reqs))
-	slices.SortFunc(reqs, func(a, b Request) int { return compareKeys(a.Key, b.Key) })
+func (p AveragePolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	return allocateMap(p, reqs, budget, rng)
+}
+
+func (AveragePolicy) allocate(reqs []Request, budget, grants []int, _ *rand.Rand) {
+	var buf [stackGrants]int32
+	order := identity(buf[:], len(reqs))
+	slices.SortFunc(order, func(a, b int32) int { return compareKeys(reqs[a].Key, reqs[b].Key) })
 	for {
 		granted := false
-		for i := range reqs {
+		for _, i := range order {
 			if grantOne(&reqs[i], budget) {
 				grants[i]++
 				granted = true
 			}
 		}
 		if !granted {
-			break
+			return
 		}
 	}
-	return grantMap(reqs, grants)
 }
 
 // RandomPolicy hands out single pairs to uniformly random ready gates
@@ -249,22 +301,23 @@ type RandomPolicy struct{}
 func (RandomPolicy) Name() string { return "Random" }
 
 // Allocate implements Policy.
-func (RandomPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
-	alloc := make(map[NodeKey]int, len(reqs))
-	// Unlike the sorting policies, the lottery's outcome depends on the
-	// working list's order, so it keeps a private copy: swap-removing
-	// from reqs itself would make a repeat call with the same slice and
-	// rng state produce a different allocation.
-	live := append([]Request(nil), reqs...)
+func (p RandomPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	return allocateMap(p, reqs, budget, rng)
+}
+
+// allocate draws over an index list that starts in caller order, so
+// the same reqs and rng state always give the same allocation.
+func (RandomPolicy) allocate(reqs []Request, budget, grants []int, rng *rand.Rand) {
+	var buf [stackGrants]int32
+	live := identity(buf[:], len(reqs))
 	for len(live) > 0 {
-		i := rng.Intn(len(live))
-		if grantOne(&live[i], budget) {
-			alloc[live[i].Key]++
+		j := rng.Intn(len(live))
+		if i := live[j]; grantOne(&reqs[i], budget) {
+			grants[i]++
 			continue
 		}
 		// Path exhausted: drop this request from the lottery.
-		live[i] = live[len(live)-1]
+		live[j] = live[len(live)-1]
 		live = live[:len(live)-1]
 	}
-	return alloc
 }

@@ -257,7 +257,7 @@ func refWaterFill(ordered []Request, alloc map[NodeKey]int, budget []int) {
 	}
 }
 
-func refCloudQC(reqs []Request, budget []int) map[NodeKey]int {
+func refCloudQC(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
 	alloc := make(map[NodeKey]int, len(reqs))
 	refSortByPriority(reqs)
 	for _, r := range reqs {
@@ -269,7 +269,7 @@ func refCloudQC(reqs []Request, budget []int) map[NodeKey]int {
 	return alloc
 }
 
-func refGreedy(reqs []Request, budget []int) map[NodeKey]int {
+func refGreedy(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
 	alloc := make(map[NodeKey]int, len(reqs))
 	refSortByPriority(reqs)
 	for _, r := range reqs {
@@ -280,7 +280,7 @@ func refGreedy(reqs []Request, budget []int) map[NodeKey]int {
 	return alloc
 }
 
-func refAverage(reqs []Request, budget []int) map[NodeKey]int {
+func refAverage(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
 	alloc := make(map[NodeKey]int, len(reqs))
 	sort.Slice(reqs, func(i, j int) bool {
 		if reqs[i].Key.Job != reqs[j].Key.Job {
@@ -305,7 +305,7 @@ func refAverage(reqs []Request, budget []int) map[NodeKey]int {
 
 // refTenantWeighted is the weighted deficit round-robin of first pairs
 // over per-tenant maps and a sorted tenant list, then refWaterFill.
-func refTenantWeighted(reqs []Request, budget []int) map[NodeKey]int {
+func refTenantWeighted(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
 	alloc := make(map[NodeKey]int, len(reqs))
 	refSortByPriority(reqs)
 	groups := make(map[int][]Request)
@@ -375,39 +375,108 @@ func randomRound(rng *rand.Rand, n int) ([]Request, []int) {
 	return reqs, budget
 }
 
-// matchesReference runs every slice-based policy and its map-based
-// reference on copies of one round and reports the first difference in
-// the returned map or the residual budget.
+// refRandom is the map-based reference lottery: it draws over a private
+// copy of reqs, swap-removing exhausted requests.
+func refRandom(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	alloc := make(map[NodeKey]int, len(reqs))
+	live := append([]Request(nil), reqs...)
+	for len(live) > 0 {
+		i := rng.Intn(len(live))
+		if refGrantOne(live[i], budget) {
+			alloc[live[i].Key]++
+			continue
+		}
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	return alloc
+}
+
+// reversingPolicy is an external, map-only Policy: it reverses reqs in
+// place before delegating, which AllocateInto's copy must absorb.
+type reversingPolicy struct{ inner Policy }
+
+func (p reversingPolicy) Name() string { return "reversed " + p.inner.Name() }
+
+func (p reversingPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	slices.Reverse(reqs)
+	return p.inner.Allocate(reqs, budget, rng)
+}
+
+// sameRequests reports whether two request slices hold equal requests
+// in the same order.
+func sameRequests(a, b []Request) bool {
+	return slices.EqualFunc(a, b, func(x, y Request) bool {
+		return x.Key == y.Key && slices.Equal(x.Path, y.Path) && x.Priority == y.Priority &&
+			x.Tenant == y.Tenant && x.TenantWeight == y.TenantWeight
+	})
+}
+
+// matchesReference runs every policy and its map-based reference on
+// copies of one round, Random's on the same rng seed, and reports the
+// first difference. Each policy runs twice: its map-returning Allocate
+// must return the reference's map, and AllocateInto must write the
+// reference's grants by position and leave reqs unmodified. Both must
+// leave the reference's residual budget. The sorting policies also run
+// behind reversingPolicy, through AllocateInto's map adapter.
 func matchesReference(tw *TenantWeightedPolicy, reqs []Request, budget []int) error {
+	const seed = 5
 	pairs := []struct {
 		p   Policy
-		ref func([]Request, []int) map[NodeKey]int
+		ref func([]Request, []int, *rand.Rand) map[NodeKey]int
 	}{
 		{CloudQCPolicy{}, refCloudQC},
 		{tw, refTenantWeighted},
 		{GreedyPolicy{}, refGreedy},
 		{AveragePolicy{}, refAverage},
+		{RandomPolicy{}, refRandom},
+		{reversingPolicy{CloudQCPolicy{}}, refCloudQC},
+		{reversingPolicy{tw}, refTenantWeighted},
+		{reversingPolicy{GreedyPolicy{}}, refGreedy},
+		{reversingPolicy{AveragePolicy{}}, refAverage},
 	}
 	for _, c := range pairs {
-		gotBudget := slices.Clone(budget)
 		wantBudget := slices.Clone(budget)
-		got := c.p.Allocate(slices.Clone(reqs), gotBudget, nil)
-		want := c.ref(slices.Clone(reqs), wantBudget)
+		want := c.ref(slices.Clone(reqs), wantBudget, rand.New(rand.NewSource(seed)))
+
+		gotBudget := slices.Clone(budget)
+		got := c.p.Allocate(slices.Clone(reqs), gotBudget, rand.New(rand.NewSource(seed)))
 		if !maps.Equal(got, want) {
 			return fmt.Errorf("%s: alloc %v, reference %v", c.p.Name(), got, want)
 		}
 		if !slices.Equal(gotBudget, wantBudget) {
 			return fmt.Errorf("%s: residual budget %v, reference %v", c.p.Name(), gotBudget, wantBudget)
 		}
+
+		in := slices.Clone(reqs)
+		gotBudget = slices.Clone(budget)
+		grants := make([]int, len(in))
+		for i := range grants {
+			grants[i] = -1 // AllocateInto must overwrite every entry
+		}
+		AllocateInto(c.p, in, gotBudget, grants, rand.New(rand.NewSource(seed)))
+		for i, r := range reqs {
+			if grants[i] != want[r.Key] {
+				return fmt.Errorf("%s: AllocateInto grants[%d] (%v) = %d, reference %d",
+					c.p.Name(), i, r.Key, grants[i], want[r.Key])
+			}
+		}
+		if !slices.Equal(gotBudget, wantBudget) {
+			return fmt.Errorf("%s: AllocateInto residual budget %v, reference %v", c.p.Name(), gotBudget, wantBudget)
+		}
+		if !sameRequests(in, reqs) {
+			return fmt.Errorf("%s: AllocateInto modified reqs", c.p.Name())
+		}
 	}
 	return nil
 }
 
-// TestAllocateMatchesMapReference: on random rounds every policy
-// returns exactly the reference's map and leaves exactly its residual
-// budget. One TenantWeightedPolicy serves every round, so stale scratch
-// from an earlier round would show. Sizes 64 and 65 straddle the stack
-// buffer the grant counts use.
+// TestAllocateMatchesMapReference: on random rounds every policy, in
+// map form and through AllocateInto, grants exactly what the reference
+// does and leaves exactly its residual budget. One TenantWeightedPolicy
+// serves every round, so stale scratch from an earlier round would
+// show. Sizes 64 and 65 straddle the stack buffer the request
+// permutation uses.
 func TestAllocateMatchesMapReference(t *testing.T) {
 	tw := NewTenantWeightedPolicy()
 	f := func(seed int64) bool {
@@ -433,6 +502,35 @@ func TestAllocateMatchesMapReference(t *testing.T) {
 			if err := matchesReference(tw, reqs, budget); err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
+		}
+	}
+}
+
+// TestAllocateIntoRoundAllocatesNothing: a six-request round through
+// AllocateInto, the controller's per-round call, allocates nothing for
+// any built-in policy. AllocsPerRun's warm-up round warms
+// TenantWeighted's scratch.
+func TestAllocateIntoRoundAllocatesNothing(t *testing.T) {
+	reqs := []Request{
+		req(0, 3, 7, 0, 4), req(0, 9, 3, 4, 11, 2), req(1, 1, 7, 7, 13),
+		req(1, 5, 0, 13, 0), req(2, 2, 5, 15, 6, 19), req(2, 8, 2, 19, 7),
+	}
+	for i := range reqs {
+		reqs[i].Tenant = reqs[i].Key.Job
+		reqs[i].TenantWeight = 1 + reqs[i].Key.Job
+	}
+	budget := make([]int, 20)
+	grants := make([]int, len(reqs))
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range []Policy{CloudQCPolicy{}, NewTenantWeightedPolicy(), GreedyPolicy{}, AveragePolicy{}, RandomPolicy{}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for q := range budget {
+				budget[q] = 5
+			}
+			AllocateInto(p, reqs, budget, grants, rng)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per round, want 0", p.Name(), allocs)
 		}
 	}
 }

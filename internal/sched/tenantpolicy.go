@@ -29,10 +29,10 @@ import "math/rand"
 // deficits, and cursors are slot-indexed slices reused across rounds,
 // so a round costs zero map operations beyond the slot lookups and,
 // once the scratch is warm, a round of up to stackGrants requests
-// allocates only the map it returns. Construct
-// instances with NewTenantWeightedPolicy; the scratch makes a policy
-// value stateful (though rounds are independent — only capacity
-// persists), so concurrent controllers must not share one.
+// through AllocateInto allocates nothing. Construct instances with
+// NewTenantWeightedPolicy; the scratch makes a policy value stateful
+// (though rounds are independent — only capacity persists), so
+// concurrent controllers must not share one.
 type TenantWeightedPolicy struct {
 	// slots maps tenant id → scratch slot, append-only like WFQClock's
 	// table; ids is the inverse. Memory scales with distinct tenants
@@ -40,12 +40,12 @@ type TenantWeightedPolicy struct {
 	slots map[int]int
 	ids   []int
 	// groups, served, and cursor are the slot-indexed per-round state:
-	// each tenant's request indices into the priority-sorted round, its
-	// normalized service, and its walk position. round lists the slots
-	// active this round, sorted by tenant id so ties keep breaking to the
-	// smaller id; it is kept until the next round, which empties those
-	// slots' groups before regrouping.
-	groups [][]int
+	// each tenant's request indices in priority order, its normalized
+	// service, and its walk position. round lists the slots active this
+	// round, sorted by tenant id so ties keep breaking to the smaller
+	// id; it is kept until the next round, which empties those slots'
+	// groups before regrouping.
+	groups [][]int32
 	round  []int
 	served []float64
 	cursor []int
@@ -59,10 +59,13 @@ func NewTenantWeightedPolicy() *TenantWeightedPolicy { return &TenantWeightedPol
 func (*TenantWeightedPolicy) Name() string { return "TenantWeighted" }
 
 // Allocate implements Policy.
-func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, _ *rand.Rand) map[NodeKey]int {
-	var buf [stackGrants]int
-	grants := grantScratch(buf[:], len(reqs))
-	sortByPriority(reqs)
+func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, rng *rand.Rand) map[NodeKey]int {
+	return allocateMap(p, reqs, budget, rng)
+}
+
+func (p *TenantWeightedPolicy) allocate(reqs []Request, budget, grants []int, _ *rand.Rand) {
+	var buf [stackGrants]int32
+	order := priorityOrder(reqs, buf[:])
 
 	// Group request indices by tenant slot, preserving priority order
 	// within each group.
@@ -74,7 +77,8 @@ func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, _ *rand.Ra
 		groups[s] = groups[s][:0]
 	}
 	round := p.round[:0]
-	for i, r := range reqs {
+	for _, i := range order {
+		r := &reqs[i]
 		s, ok := p.slots[r.Tenant]
 		if !ok {
 			s = len(p.ids)
@@ -144,8 +148,7 @@ func (p *TenantWeightedPolicy) Allocate(reqs []Request, budget []int, _ *rand.Ra
 	}
 
 	// Phase 2: leftover budget follows CloudQC's per-gate priority order.
-	waterFill(reqs, grants, budget)
-	return grantMap(reqs, grants)
+	waterFill(reqs, order, grants, budget)
 }
 
 // tenantWeight resolves a request's fair-share weight: non-positive
