@@ -790,11 +790,9 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	dag := BuildRemoteDAG(circ, cl, pl.QubitToQPU, lat)
 	cache := plan.New(plan.DefaultCapacity)
 	cache.Insert(key, free, &plan.Entry{
-		Assign:    pl.QubitToQPU,
-		CommCost:  CommCost(circ, cl, pl.QubitToQPU),
-		RemoteOps: RemoteOps(circ, pl.QubitToQPU),
-		DAG:       dag,
-		Prio:      dag.Priorities(),
+		Assign: pl.QubitToQPU,
+		DAG:    dag,
+		Prio:   dag.Priorities(),
 	})
 	state := new(sched.JobState) // the admit path reuses pooled states on hits
 	scratch := make([]int, 0, cl.NumQPUs())

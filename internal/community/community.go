@@ -49,7 +49,7 @@ func Modularity(g *graph.Graph, assign []int) float64 {
 	}
 	var q float64
 	for c, ds := range degSum {
-		q += internal[c]/m2 - (ds/m2)*(ds/m2)
+		q += internal[c]/m2 - float64((ds/m2)*(ds/m2))
 	}
 	return q
 }
@@ -103,7 +103,7 @@ func Detect(g *graph.Graph) *Communities {
 					continue
 				}
 				w := between[a][b]
-				delta := 2 * (w/m2 - (deg[a]/m2)*(deg[b]/m2))
+				delta := 2 * (w/m2 - float64((deg[a]/m2)*(deg[b]/m2)))
 				if first || delta > bestDelta {
 					mergeA, mergeB, bestDelta = a, b, delta
 					first = false

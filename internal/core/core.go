@@ -104,7 +104,7 @@ func DefaultBatchWeights() BatchWeights { return BatchWeights{L1: 1, L2: 1, L3: 
 // Intensity computes Eq. 11 for a circuit.
 func Intensity(c *circuit.Circuit, w BatchWeights) float64 {
 	n := float64(c.NumQubits())
-	return w.L1*float64(c.TwoQubitGateCount())/n + w.L2*n + w.L3*float64(c.Depth())
+	return w.L1*float64(c.TwoQubitGateCount())/n + float64(w.L2*n) + float64(w.L3*float64(c.Depth()))
 }
 
 // Mode selects the job admission order.
@@ -1002,14 +1002,8 @@ func (ct *Controller) compile(j *Job) (*place.Placement, *sched.RemoteDAG, []int
 	prio := dag.Priorities()
 	ct.planCache.Insert(key, free, &plan.Entry{
 		Assign: pl.QubitToQPU,
-		// CommCost is an O(two-qubit gates) pass — noise next to the
-		// placement sweep this miss already paid; RemoteOps is the remote
-		// DAG's node count by construction (one node per QPU-crossing
-		// two-qubit gate), so it costs nothing to record.
-		CommCost:  place.CommCost(j.Circuit, cl, pl.QubitToQPU),
-		RemoteOps: dag.Len(),
-		DAG:       dag,
-		Prio:      prio,
+		DAG:    dag,
+		Prio:   prio,
 	})
 	return pl, dag, prio, false, nil
 }

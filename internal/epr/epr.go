@@ -138,6 +138,6 @@ func (m Model) ExpectedRemoteLatency(hops int) float64 {
 		hops = 1
 	}
 	eprTime := m.EPRAttempt * m.ExpectedRounds(1)
-	swaps := float64(hops-1) * m.Measure
-	return float64(hops)*eprTime + swaps + m.TwoQubit + m.Measure
+	swaps := float64(float64(hops-1) * m.Measure)
+	return float64(float64(hops)*eprTime) + swaps + m.TwoQubit + m.Measure
 }

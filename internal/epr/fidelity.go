@@ -49,7 +49,7 @@ func (f FidelityModel) Validate() error {
 
 // Purify applies one BBPSSW-style purification round to fidelity F.
 func Purify(f float64) float64 {
-	return f * f / (f*f + (1-f)*(1-f))
+	return f * f / (float64(f*f) + float64((1-f)*(1-f)))
 }
 
 // maxPurifyRounds bounds the purification recursion; past this the

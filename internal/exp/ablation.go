@@ -88,48 +88,29 @@ func AblationBatchOrder(o Options, w workload.Workload, batchSize int) ([]Ablati
 		{name: "intensity-asc", mode: core.BatchMode},
 		{name: "fifo", mode: core.FIFOMode},
 	}
-	batchJCTs, err := runIndexed(o.workers(), len(modes)*o.Reps, func(i int) ([]float64, error) {
-		mi, b := i/o.Reps, i%o.Reps
+	cells, err := runGrid(o, grid{1, 1, len(modes), o.Reps}, func(c cell, b int) (runRep, error) {
 		seed := taskSeed(o.Seed, 0, b) // shared across modes: paired batches
 		jobs, err := w.Batch(batchSize, seed)
 		if err != nil {
-			return nil, err
+			return runRep{}, err
 		}
-		ct, err := core.NewController(core.Config{
+		return runController(core.Config{
 			Cloud: o.cloudFor(),
 			Model: o.model(),
-			Mode:  modes[mi].mode,
+			Mode:  modes[c.arm].mode,
 			Seed:  seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return nil, err
-		}
-		var jcts []float64
-		for _, r := range results {
-			if !r.Failed {
-				jcts = append(jcts, r.JCT)
-			}
-		}
-		return jcts, nil
+		}, jobs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []AblationOrderRow
-	for mi, mode := range modes {
-		var jcts []float64
-		for b := 0; b < o.Reps; b++ {
-			jcts = append(jcts, batchJCTs[mi*o.Reps+b]...)
+	rows := make([]AblationOrderRow, len(cells))
+	for i, r := range cells {
+		rows[i] = AblationOrderRow{
+			Order:   modes[r.arm].name,
+			MeanJCT: stats.Mean(r.jcts),
+			P90JCT:  stats.Percentile(r.jcts, 0.9),
 		}
-		rows = append(rows, AblationOrderRow{
-			Order:   mode.name,
-			MeanJCT: stats.Mean(jcts),
-			P90JCT:  stats.Percentile(jcts, 0.9),
-		})
 	}
 	return rows, nil
 }
@@ -230,12 +211,6 @@ type IncomingRow struct {
 	PeakUtilization  float64
 }
 
-// incomingRep is one (arrival rate × rep) task's raw outcome.
-type incomingRep struct {
-	jcts, waits []float64
-	peak        float64
-}
-
 // IncomingMode evaluates the paper's sequential-arrival mode: jobs
 // arrive as a Poisson process and are placed FIFO; faster arrivals mean
 // more queueing and higher utilization. Arrival rates share per-rep
@@ -249,67 +224,35 @@ func IncomingMode(o Options, w workload.Workload, size int, interarrivals []floa
 	if len(interarrivals) == 0 {
 		interarrivals = []float64{500, 2000, 8000}
 	}
-	reps, err := runIndexed(o.workers(), len(interarrivals)*o.Reps, func(i int) (incomingRep, error) {
-		ii, rep := i/o.Reps, i%o.Reps
+	cells, err := runGrid(o, grid{1, len(interarrivals), 1, o.Reps}, func(c cell, rep int) (runRep, error) {
 		seed := taskSeed(o.Seed, 0, rep)
-		jobs, err := w.PoissonBatch(size, interarrivals[ii], seed)
+		jobs, err := w.PoissonBatch(size, interarrivals[c.x], seed)
 		if err != nil {
-			return incomingRep{}, err
+			return runRep{}, err
 		}
-		rec := metricsRecorder()
-		ct, err := core.NewController(core.Config{
-			Cloud:    o.cloudFor(),
-			Model:    o.model(),
-			Mode:     core.FIFOMode,
-			Seed:     seed,
-			Recorder: rec,
-		})
-		if err != nil {
-			return incomingRep{}, err
-		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return incomingRep{}, err
-		}
-		var r incomingRep
-		for _, res := range results {
-			if res.Failed {
-				continue
-			}
-			r.jcts = append(r.jcts, res.JCT)
-			r.waits = append(r.waits, res.WaitTime)
-		}
-		r.peak = rec.PeakUtilization()
-		return r, nil
+		return runController(core.Config{
+			Cloud: o.cloudFor(),
+			Model: o.model(),
+			Mode:  core.FIFOMode,
+			Seed:  seed,
+			// One sample per 100 time units bounds the recorder's memory.
+			Recorder: metrics.NewRecorder(100),
+		}, jobs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []IncomingRow
-	for ii, ia := range interarrivals {
-		var jcts, waits []float64
-		peak := 0.0
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[ii*o.Reps+rep]
-			jcts = append(jcts, r.jcts...)
-			waits = append(waits, r.waits...)
-			if r.peak > peak {
-				peak = r.peak
-			}
+	rows := make([]IncomingRow, len(cells))
+	for i, r := range cells {
+		rows[i] = IncomingRow{
+			MeanInterarrival: interarrivals[r.x],
+			MeanJCT:          stats.Mean(r.jcts),
+			MeanWait:         stats.Mean(r.waits),
+			PeakUtilization:  r.peak,
 		}
-		rows = append(rows, IncomingRow{
-			MeanInterarrival: ia,
-			MeanJCT:          stats.Mean(jcts),
-			MeanWait:         stats.Mean(waits),
-			PeakUtilization:  peak,
-		})
 	}
 	return rows, nil
 }
-
-// metricsRecorder returns the per-round recorder used by IncomingMode
-// (thinned to one sample per 100 time units to bound memory).
-func metricsRecorder() *metrics.Recorder { return metrics.NewRecorder(100) }
 
 // RenderIncoming renders incoming-mode rows.
 func RenderIncoming(rows []IncomingRow) string {

@@ -6,7 +6,6 @@ import (
 	"cloudqc/internal/core"
 	"cloudqc/internal/fault"
 	"cloudqc/internal/metrics"
-	"cloudqc/internal/place"
 	"cloudqc/internal/stats"
 	"cloudqc/internal/workload"
 )
@@ -46,15 +45,6 @@ type FaultRow struct {
 	Faults  fault.Stats
 }
 
-// faultRep is one (cell × rep) task's raw outcome.
-type faultRep struct {
-	outcomes    []metrics.JobOutcome
-	jcts, waits []float64
-	failed      int
-	makespan    float64
-	faults      fault.Stats
-}
-
 // faultOutageDuration is each injected outage's length in CX units —
 // long enough that jobs resident on the downed QPU are genuinely
 // interrupted, short enough that capacity recovers between outages.
@@ -76,112 +66,58 @@ const faultOutageDuration = 4000
 // tenant mixes against identical fault schedules.
 func Faults(o Options, process string, perTenant int, rates []int) ([]FaultRow, error) {
 	o = o.withDefaults()
-	if perTenant == 0 {
-		perTenant = 4
-	}
-	if perTenant < 0 {
-		return nil, fmt.Errorf("exp: negative per-tenant stream size %d", perTenant)
+	perTenant, err := tenantStreamSize(perTenant)
+	if err != nil {
+		return nil, err
 	}
 	if len(rates) == 0 {
 		rates = []int{2, 6, 12}
 	}
 	const interarrival = 1000.0
 	// The outage window covers the arrival span plus an execution tail.
-	horizon := float64(perTenant) * interarrival * 2
+	horizon := float64(float64(perTenant)*interarrival) * 2
+	// Every outage rate replays the same stream; only the plan differs.
+	interarrivals := make([]float64, len(rates))
+	for i := range interarrivals {
+		interarrivals[i] = interarrival
+	}
 	workloads := workload.All()
 	arms := faultArms()
-	points := len(workloads) * len(rates) * len(arms)
-	reps, err := runIndexed(o.workers(), points*o.Reps, func(i int) (faultRep, error) {
-		pt, rep := i/o.Reps, i%o.Reps
-		wi := pt / (len(rates) * len(arms))
-		ri := pt / len(arms) % len(rates)
-		ai := pt % len(arms)
-		seed := taskSeed(o.Seed, wi, rep)
-		mix := workload.DefaultTenantMix(workloads[wi], perTenant, process, interarrival)
-		jobs, err := workload.MultiTenant(mix, seed)
-		if err != nil {
-			return faultRep{}, err
-		}
-		cl := o.cloudFor()
-		plan := fault.OutageSchedule(o.QPUs, rates[ri], 0, horizon, faultOutageDuration, seed)
-		if plan == nil {
-			plan = &fault.Plan{}
-		}
-		// Two dead-link windows on real topology edges, identical across
-		// arms: only the route-around arm can path around them.
-		if edges := cl.Topology().Edges(); len(edges) > 0 {
-			for li, at := range []float64{horizon * 0.25, horizon * 0.55} {
-				e := edges[li*(len(edges)/2)%len(edges)]
-				plan.Events = append(plan.Events, fault.Event{
-					Kind: fault.KindLinkDegrade, U: e.U, V: e.V,
-					Scale: 0, From: at, To: at + horizon*0.15,
-				})
+	cells, err := runTenants(o, workloads, process, perTenant, interarrivals, len(arms),
+		func(c cell, cfg *core.Config) {
+			plan := fault.OutageSchedule(o.QPUs, rates[c.x], 0, horizon, faultOutageDuration, cfg.Seed)
+			if plan == nil {
+				plan = &fault.Plan{}
 			}
-		}
-		plan.Recovery = arms[ai].recovery
-		plan.RouteAround = arms[ai].reroute
-		pCfg := place.DefaultConfig()
-		pCfg.Seed = seed
-		ct, err := core.NewController(core.Config{
-			Cloud:  cl,
-			Placer: place.NewCloudQC(pCfg),
-			Model:  o.model(),
-			Mode:   core.EDFMode,
-			Seed:   seed,
-			Faults: plan,
+			// Two dead-link windows on real topology edges, identical
+			// across arms: only the route-around arm can path around them.
+			if edges := cfg.Cloud.Topology().Edges(); len(edges) > 0 {
+				for li, at := range []float64{horizon * 0.25, horizon * 0.55} {
+					e := edges[li*(len(edges)/2)%len(edges)]
+					plan.Events = append(plan.Events, fault.Event{
+						Kind: fault.KindLinkDegrade, U: e.U, V: e.V,
+						Scale: 0, From: at, To: at + float64(horizon*0.15),
+					})
+				}
+			}
+			plan.Recovery = arms[c.arm].recovery
+			plan.RouteAround = arms[c.arm].reroute
+			cfg.Mode = core.EDFMode
+			cfg.Faults = plan
 		})
-		if err != nil {
-			return faultRep{}, err
-		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return faultRep{}, fmt.Errorf("faults %s %s n=%d rep %d: %w",
-				workloads[wi].Name, arms[ai].name, rates[ri], rep, err)
-		}
-		r := faultRep{outcomes: core.Outcomes(results), faults: ct.FaultStats()}
-		for _, res := range results {
-			if res.Failed {
-				r.failed++
-				continue
-			}
-			r.jcts = append(r.jcts, res.JCT)
-			r.waits = append(r.waits, res.WaitTime)
-			if res.Finished > r.makespan {
-				r.makespan = res.Finished
-			}
-		}
-		return r, nil
-	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]FaultRow, 0, points)
-	for pt := 0; pt < points; pt++ {
-		wi := pt / (len(rates) * len(arms))
-		ri := pt / len(arms) % len(rates)
-		ai := pt % len(arms)
-		var outcomes []metrics.JobOutcome
-		var jcts, waits []float64
-		failed := 0
-		var makespan float64
-		var fs fault.Stats
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[pt*o.Reps+rep]
-			outcomes = append(outcomes, r.outcomes...)
-			jcts = append(jcts, r.jcts...)
-			waits = append(waits, r.waits...)
-			failed += r.failed
-			makespan += r.makespan
-			fs.Add(r.faults)
+	rows := make([]FaultRow, len(cells))
+	for i, r := range cells {
+		rows[i] = FaultRow{
+			Workload: workloads[r.w].Name,
+			Outages:  rates[r.x],
+			Policy:   arms[r.arm].name,
+			SLO:      metrics.AggregateSLO(r.outcomes),
+			Stream:   r.online(),
+			Faults:   r.faults,
 		}
-		rows = append(rows, FaultRow{
-			Workload: workloads[wi].Name,
-			Outages:  rates[ri],
-			Policy:   arms[ai].name,
-			SLO:      metrics.AggregateSLO(outcomes),
-			Stream:   metrics.AggregateOnline(jcts, waits, failed, makespan),
-			Faults:   fs,
-		})
 	}
 	return rows, nil
 }

@@ -36,18 +36,6 @@ type federationCell struct {
 	routing fed.Routing
 }
 
-// federationRep is one cell × rep task's raw outcome.
-type federationRep struct {
-	outcomes []metrics.JobOutcome
-	jcts     []float64
-	waits    []float64
-	failed   int
-	makespan float64
-	cache    float64 // hits
-	misses   float64
-	router   fed.RouterStats
-}
-
 // Federation evaluates the federated controller tier: one topology's
 // total capacity is split across 1, 2, 4, ... controller shards (via
 // the k-way partitioner) behind the global admission router, and an
@@ -88,19 +76,19 @@ func Federation(o Options, shardCounts []int, jobsPerTenant int, mode core.Mode)
 	}
 
 	topo := graph.Random(o.QPUs, o.EdgeProb, o.Seed)
-	reps, err := runIndexed(o.workers(), len(cells)*o.Reps, func(i int) (federationRep, error) {
-		cell, rep := cells[i/o.Reps], i%o.Reps
+	merged, err := runGrid(o, grid{1, 1, len(cells), o.Reps}, func(c cell, rep int) (runRep, error) {
+		fc := cells[c.arm]
 		// Every cell is compared against every other (shard counts
 		// against the 1-shard baseline, routing arms against each
 		// other), so all cells of a rep share one stream: point 0.
 		seed := taskSeed(o.Seed, 0, rep)
 		jobs, err := federationStream(jobsPerTenant, seed)
 		if err != nil {
-			return federationRep{}, err
+			return runRep{}, err
 		}
-		clouds, err := fed.PartitionClouds(topo, cell.shards, o.Computing, o.Comm, 0.1, o.Seed)
+		clouds, err := fed.PartitionClouds(topo, fc.shards, o.Computing, o.Comm, 0.1, o.Seed)
 		if err != nil {
-			return federationRep{}, err
+			return runRep{}, err
 		}
 		pCfg := place.DefaultConfig()
 		pCfg.Seed = seed
@@ -112,43 +100,30 @@ func Federation(o Options, shardCounts []int, jobsPerTenant int, mode core.Mode)
 				Seed:   seed,
 			},
 			Clouds:  clouds,
-			Routing: cell.routing,
+			Routing: fc.routing,
 			// Spill depth 1: yield plan-cache locality to load early,
 			// the fairness-leaning setting for bursty tenant mixes.
 			SpillDepth: 1,
 		})
 		if err != nil {
-			return federationRep{}, err
+			return runRep{}, err
 		}
 		for _, j := range jobs {
 			if err := f.StepUntil(j.Arrival); err != nil {
-				return federationRep{}, err
+				return runRep{}, err
 			}
 			if err := f.Submit(j); err != nil {
-				return federationRep{}, err
+				return runRep{}, err
 			}
 		}
 		results, err := f.Drain()
 		if err != nil {
-			return federationRep{}, fmt.Errorf("federation %d shards %s rep %d: %w",
-				cell.shards, cell.routing, rep, err)
+			return runRep{}, fmt.Errorf("federation %d shards %s rep %d: %w",
+				fc.shards, fc.routing, rep, err)
 		}
-		var r federationRep
-		r.outcomes = core.Outcomes(results)
-		for _, res := range results {
-			if res.Failed {
-				r.failed++
-				continue
-			}
-			r.jcts = append(r.jcts, res.JCT)
-			r.waits = append(r.waits, res.WaitTime)
-			if res.Finished > r.makespan {
-				r.makespan = res.Finished
-			}
-		}
+		r := collect(results)
 		pc := f.PlanCacheStats()
-		r.cache = float64(pc.Hits)
-		r.misses = float64(pc.Misses)
+		r.hits, r.misses = float64(pc.Hits), float64(pc.Misses)
 		r.router = f.RouterStats()
 		return r, nil
 	})
@@ -156,39 +131,20 @@ func Federation(o Options, shardCounts []int, jobsPerTenant int, mode core.Mode)
 		return nil, err
 	}
 
-	rows := make([]FederationRow, 0, len(cells))
-	for ci, cell := range cells {
-		var jcts, waits []float64
-		var outcomes []metrics.JobOutcome
-		failed := 0
-		var makespan, hits, misses float64
-		var router fed.RouterStats
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[ci*o.Reps+rep]
-			jcts = append(jcts, r.jcts...)
-			waits = append(waits, r.waits...)
-			outcomes = append(outcomes, r.outcomes...)
-			failed += r.failed
-			makespan += r.makespan
-			hits += r.cache
-			misses += r.misses
-			router.AffinityHits += r.router.AffinityHits
-			router.Spills += r.router.Spills
-			router.Cold += r.router.Cold
-			router.Random += r.router.Random
-		}
+	rows := make([]FederationRow, len(cells))
+	for i, r := range merged {
 		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = hits / (hits + misses)
+		if r.hits+r.misses > 0 {
+			hitRate = r.hits / (r.hits + r.misses)
 		}
-		rows = append(rows, FederationRow{
-			Shards:   cell.shards,
-			Routing:  cell.routing.String(),
-			Stats:    metrics.AggregateOnline(jcts, waits, failed, makespan),
-			Fairness: metrics.AggregateSLO(outcomes).Fairness,
+		rows[i] = FederationRow{
+			Shards:   cells[r.arm].shards,
+			Routing:  cells[r.arm].routing.String(),
+			Stats:    r.online(),
+			Fairness: metrics.AggregateSLO(r.outcomes).Fairness,
 			HitRate:  hitRate,
-			Router:   router,
-		})
+			Router:   r.router,
+		}
 	}
 	return rows, nil
 }

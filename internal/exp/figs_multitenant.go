@@ -41,44 +41,28 @@ func MultiTenantCDF(o Options, w workload.Workload, batches, batchSize int) ([]C
 	// experiment: its seed drives workload sampling and controller
 	// simulation alike, shared across methods so all three variants face
 	// identical job streams (the CDF comparison is paired).
-	batchJCTs, err := runIndexed(o.workers(), len(methods)*batches, func(i int) ([]float64, error) {
-		mi, b := i/batches, i%batches
+	cells, err := runGrid(o, grid{1, 1, len(methods), batches}, func(c cell, b int) (runRep, error) {
 		seed := taskSeed(o.Seed, 0, b)
 		jobs, err := w.Batch(batchSize, seed)
 		if err != nil {
-			return nil, err
+			return runRep{}, err
 		}
-		cfg, err := methodConfig(methods[mi], o, seed)
+		cfg, err := methodConfig(methods[c.arm], o, seed)
 		if err != nil {
-			return nil, err
+			return runRep{}, err
 		}
-		ct, err := core.NewController(cfg)
+		r, err := runController(cfg, jobs)
 		if err != nil {
-			return nil, err
+			return runRep{}, fmt.Errorf("multitenant %s batch %d: %w", methods[c.arm], b, err)
 		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return nil, fmt.Errorf("multitenant %s batch %d: %w", methods[mi], b, err)
-		}
-		var jcts []float64
-		for _, r := range results {
-			if r.Failed {
-				continue
-			}
-			jcts = append(jcts, r.JCT)
-		}
-		return jcts, nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []CDFSeries
-	for mi, method := range methods {
-		var jcts []float64
-		for b := 0; b < batches; b++ {
-			jcts = append(jcts, batchJCTs[mi*batches+b]...)
-		}
-		out = append(out, CDFSeries{Method: method, Points: stats.ECDF(jcts), JCTs: jcts})
+	out := make([]CDFSeries, len(cells))
+	for i, r := range cells {
+		out[i] = CDFSeries{Method: methods[r.arm], Points: stats.ECDF(r.jcts), JCTs: r.jcts}
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"cloudqc/internal/core"
 	"cloudqc/internal/metrics"
-	"cloudqc/internal/place"
 	"cloudqc/internal/sched"
 	"cloudqc/internal/stats"
 	"cloudqc/internal/workload"
@@ -19,14 +18,6 @@ type OnlineRow struct {
 	MeanInterarrival float64
 	Stats            metrics.OnlineStats
 	MeanUtilization  float64
-}
-
-// onlineRep is one (workload × rate × rep) task's raw outcome.
-type onlineRep struct {
-	jcts, waits []float64
-	failed      int
-	makespan    float64
-	utilization float64
 }
 
 // Online evaluates the paper's "incoming jobs" setting across the four
@@ -61,86 +52,44 @@ func Online(o Options, process string, size int, interarrivals []float64, mode c
 		interarrivals = []float64{500, 2000, 8000}
 	}
 	workloads := workload.All()
-	points := len(workloads) * len(interarrivals)
-	reps, err := runIndexed(o.workers(), points*o.Reps, func(i int) (onlineRep, error) {
-		pt, rep := i/o.Reps, i%o.Reps
-		wi, ii := pt/len(interarrivals), pt%len(interarrivals)
+	g := grid{len(workloads), len(interarrivals), 1, o.Reps}
+	cells, err := runGrid(o, g, func(c cell, rep int) (runRep, error) {
 		// Seed by (workload, rep) only: every arrival rate replays the
 		// same circuit draws and arrival-gap stream, stretched to its
 		// spacing, so the sweep isolates the rate.
-		seed := taskSeed(o.Seed, wi, rep)
-		jobs, err := workloads[wi].Arrivals(process, size, interarrivals[ii], seed)
+		seed := taskSeed(o.Seed, c.w, rep)
+		jobs, err := workloads[c.w].Arrivals(process, size, interarrivals[c.x], seed)
 		if err != nil {
-			return onlineRep{}, err
+			return runRep{}, err
 		}
-		pCfg := place.DefaultConfig()
-		pCfg.Seed = seed
-		rec := metrics.NewRecorder(0)
-		ct, err := core.NewController(core.Config{
-			Cloud:    o.cloudFor(),
-			Placer:   place.NewCloudQC(pCfg),
-			Policy:   sched.CloudQCPolicy{},
-			Model:    o.model(),
-			Mode:     mode,
-			Seed:     seed,
-			Recorder: rec,
-		})
+		cfg := o.baseConfig(seed)
+		cfg.Policy = sched.CloudQCPolicy{}
+		cfg.Mode = mode
+		cfg.Recorder = metrics.NewRecorder(0)
+		r, err := runController(cfg, jobs)
 		if err != nil {
-			return onlineRep{}, err
+			return runRep{}, fmt.Errorf("online %s ia=%v rep %d: %w",
+				workloads[c.w].Name, interarrivals[c.x], rep, err)
 		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return onlineRep{}, fmt.Errorf("online %s ia=%v rep %d: %w",
-				workloads[wi].Name, interarrivals[ii], rep, err)
-		}
-		var r onlineRep
-		for _, res := range results {
-			if res.Failed {
-				r.failed++
-				continue
-			}
-			r.jcts = append(r.jcts, res.JCT)
-			r.waits = append(r.waits, res.WaitTime)
-			if res.Finished > r.makespan {
-				r.makespan = res.Finished
-			}
-		}
-		r.utilization = rec.MeanUtilization()
 		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]OnlineRow, 0, points)
-	for pt := 0; pt < points; pt++ {
-		wi, ii := pt/len(interarrivals), pt%len(interarrivals)
-		var jcts, waits []float64
-		failed := 0
-		var makespan, utilArea float64
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[pt*o.Reps+rep]
-			jcts = append(jcts, r.jcts...)
-			waits = append(waits, r.waits...)
-			failed += r.failed
-			makespan += r.makespan
-			// Weight each rep's mean utilization by its horizon so the
-			// row's utilization and throughput cover the same combined
-			// span (an unweighted average would let a short rep's value
-			// count as much as a long one's).
-			utilArea += r.utilization * r.makespan
-		}
+	rows := make([]OnlineRow, len(cells))
+	for i, r := range cells {
 		util := 0.0
-		if makespan > 0 {
-			util = utilArea / makespan
+		if r.makespan > 0 {
+			util = r.utilArea / r.makespan
 		}
-		rows = append(rows, OnlineRow{
-			Workload:         workloads[wi].Name,
-			MeanInterarrival: interarrivals[ii],
+		rows[i] = OnlineRow{
+			Workload:         workloads[r.w].Name,
+			MeanInterarrival: interarrivals[r.x],
 			// Throughput over the summed makespans: completed jobs per
 			// kCX of simulated time across all reps.
-			Stats:           metrics.AggregateOnline(jcts, waits, failed, makespan),
+			Stats:           r.online(),
 			MeanUtilization: util,
-		})
+		}
 	}
 	return rows, nil
 }

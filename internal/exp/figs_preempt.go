@@ -5,7 +5,6 @@ import (
 
 	"cloudqc/internal/core"
 	"cloudqc/internal/metrics"
-	"cloudqc/internal/place"
 	"cloudqc/internal/stats"
 	"cloudqc/internal/workload"
 )
@@ -40,15 +39,6 @@ type PreemptRow struct {
 	Preempt          core.PreemptStats
 }
 
-// preemptRep is one (cell × rep) task's raw outcome.
-type preemptRep struct {
-	outcomes    []metrics.JobOutcome
-	jcts, waits []float64
-	failed      int
-	makespan    float64
-	preempt     core.PreemptStats
-}
-
 // Preemption traces SLO attainment and p99 JCT against load for
 // preemption off/rescue/priority: each cell runs the three-tenant mix
 // (weights 1/2/4, deadlines from circuit depth × slack) under EDF
@@ -62,91 +52,33 @@ type preemptRep struct {
 // identical tenant mixes.
 func Preemption(o Options, process string, perTenant int, interarrivals []float64) ([]PreemptRow, error) {
 	o = o.withDefaults()
-	if perTenant == 0 {
-		perTenant = 4
-	}
-	if perTenant < 0 {
-		return nil, fmt.Errorf("exp: negative per-tenant stream size %d", perTenant)
+	perTenant, err := tenantStreamSize(perTenant)
+	if err != nil {
+		return nil, err
 	}
 	if len(interarrivals) == 0 {
 		interarrivals = []float64{300, 1000, 4000}
 	}
 	workloads := workload.All()
 	arms := preemptArms()
-	points := len(workloads) * len(interarrivals) * len(arms)
-	reps, err := runIndexed(o.workers(), points*o.Reps, func(i int) (preemptRep, error) {
-		pt, rep := i/o.Reps, i%o.Reps
-		wi := pt / (len(interarrivals) * len(arms))
-		ii := pt / len(arms) % len(interarrivals)
-		ai := pt % len(arms)
-		seed := taskSeed(o.Seed, wi, rep)
-		mix := workload.DefaultTenantMix(workloads[wi], perTenant, process, interarrivals[ii])
-		jobs, err := workload.MultiTenant(mix, seed)
-		if err != nil {
-			return preemptRep{}, err
-		}
-		pCfg := place.DefaultConfig()
-		pCfg.Seed = seed
-		ct, err := core.NewController(core.Config{
-			Cloud:   o.cloudFor(),
-			Placer:  place.NewCloudQC(pCfg),
-			Model:   o.model(),
-			Mode:    core.EDFMode,
-			Seed:    seed,
-			Preempt: arms[ai].policy,
+	cells, err := runTenants(o, workloads, process, perTenant, interarrivals, len(arms),
+		func(c cell, cfg *core.Config) {
+			cfg.Mode = core.EDFMode
+			cfg.Preempt = arms[c.arm].policy
 		})
-		if err != nil {
-			return preemptRep{}, err
-		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return preemptRep{}, fmt.Errorf("preempt %s %s ia=%v rep %d: %w",
-				workloads[wi].Name, arms[ai].name, interarrivals[ii], rep, err)
-		}
-		r := preemptRep{outcomes: core.Outcomes(results), preempt: ct.PreemptStats()}
-		for _, res := range results {
-			if res.Failed {
-				r.failed++
-				continue
-			}
-			r.jcts = append(r.jcts, res.JCT)
-			r.waits = append(r.waits, res.WaitTime)
-			if res.Finished > r.makespan {
-				r.makespan = res.Finished
-			}
-		}
-		return r, nil
-	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]PreemptRow, 0, points)
-	for pt := 0; pt < points; pt++ {
-		wi := pt / (len(interarrivals) * len(arms))
-		ii := pt / len(arms) % len(interarrivals)
-		ai := pt % len(arms)
-		var outcomes []metrics.JobOutcome
-		var jcts, waits []float64
-		failed := 0
-		var makespan float64
-		var ps core.PreemptStats
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[pt*o.Reps+rep]
-			outcomes = append(outcomes, r.outcomes...)
-			jcts = append(jcts, r.jcts...)
-			waits = append(waits, r.waits...)
-			failed += r.failed
-			makespan += r.makespan
-			ps.Add(r.preempt)
+	rows := make([]PreemptRow, len(cells))
+	for i, r := range cells {
+		rows[i] = PreemptRow{
+			Workload:         workloads[r.w].Name,
+			MeanInterarrival: interarrivals[r.x],
+			Policy:           arms[r.arm].name,
+			SLO:              metrics.AggregateSLO(r.outcomes),
+			Stream:           r.online(),
+			Preempt:          r.preempt,
 		}
-		rows = append(rows, PreemptRow{
-			Workload:         workloads[wi].Name,
-			MeanInterarrival: interarrivals[ii],
-			Policy:           arms[ai].name,
-			SLO:              metrics.AggregateSLO(outcomes),
-			Stream:           metrics.AggregateOnline(jcts, waits, failed, makespan),
-			Preempt:          ps,
-		})
 	}
 	return rows, nil
 }

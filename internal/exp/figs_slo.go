@@ -6,7 +6,6 @@ import (
 
 	"cloudqc/internal/core"
 	"cloudqc/internal/metrics"
-	"cloudqc/internal/place"
 	"cloudqc/internal/sched"
 	"cloudqc/internal/stats"
 	"cloudqc/internal/workload"
@@ -52,14 +51,6 @@ type SLORow struct {
 	Stream metrics.OnlineStats
 }
 
-// sloRep is one (workload × rate × method × rep) task's raw outcome.
-type sloRep struct {
-	outcomes    []metrics.JobOutcome
-	jcts, waits []float64
-	failed      int
-	makespan    float64
-}
-
 // SLO evaluates tenant- and deadline-aware scheduling across the four
 // evaluation workloads: each cell runs a three-tenant mix (weights 1, 2,
 // and 4, per-tenant arrival processes, deadlines drawn from circuit
@@ -75,91 +66,32 @@ type sloRep struct {
 // mixes and the sweep isolates load and scheduling discipline.
 func SLO(o Options, process string, perTenant int, interarrivals []float64) ([]SLORow, error) {
 	o = o.withDefaults()
-	if perTenant == 0 {
-		perTenant = 4
-	}
-	if perTenant < 0 {
-		return nil, fmt.Errorf("exp: negative per-tenant stream size %d", perTenant)
+	perTenant, err := tenantStreamSize(perTenant)
+	if err != nil {
+		return nil, err
 	}
 	if len(interarrivals) == 0 {
 		interarrivals = []float64{500, 2000, 8000}
 	}
 	workloads := workload.All()
 	methods := sloMethods()
-	points := len(workloads) * len(interarrivals) * len(methods)
-	reps, err := runIndexed(o.workers(), points*o.Reps, func(i int) (sloRep, error) {
-		pt, rep := i/o.Reps, i%o.Reps
-		wi := pt / (len(interarrivals) * len(methods))
-		ii := pt / len(methods) % len(interarrivals)
-		mi := pt % len(methods)
-		// Seed by (workload, rep) only: every rate and every scheduler
-		// replays the same tenant mixes, so a cell difference isolates
-		// the load level or the scheduling discipline, never the draw.
-		seed := taskSeed(o.Seed, wi, rep)
-		mix := workload.DefaultTenantMix(workloads[wi], perTenant, process, interarrivals[ii])
-		jobs, err := workload.MultiTenant(mix, seed)
-		if err != nil {
-			return sloRep{}, err
-		}
-		pCfg := place.DefaultConfig()
-		pCfg.Seed = seed
-		ct, err := core.NewController(core.Config{
-			Cloud:  o.cloudFor(),
-			Placer: place.NewCloudQC(pCfg),
-			Policy: methods[mi].policy(),
-			Model:  o.model(),
-			Mode:   methods[mi].mode,
-			Seed:   seed,
+	cells, err := runTenants(o, workloads, process, perTenant, interarrivals, len(methods),
+		func(c cell, cfg *core.Config) {
+			cfg.Policy = methods[c.arm].policy()
+			cfg.Mode = methods[c.arm].mode
 		})
-		if err != nil {
-			return sloRep{}, err
-		}
-		results, err := ct.Run(jobs)
-		if err != nil {
-			return sloRep{}, fmt.Errorf("slo %s %s ia=%v rep %d: %w",
-				workloads[wi].Name, methods[mi].name, interarrivals[ii], rep, err)
-		}
-		r := sloRep{outcomes: core.Outcomes(results)}
-		for _, res := range results {
-			if res.Failed {
-				r.failed++
-				continue
-			}
-			r.jcts = append(r.jcts, res.JCT)
-			r.waits = append(r.waits, res.WaitTime)
-			if res.Finished > r.makespan {
-				r.makespan = res.Finished
-			}
-		}
-		return r, nil
-	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SLORow, 0, points)
-	for pt := 0; pt < points; pt++ {
-		wi := pt / (len(interarrivals) * len(methods))
-		ii := pt / len(methods) % len(interarrivals)
-		mi := pt % len(methods)
-		var outcomes []metrics.JobOutcome
-		var jcts, waits []float64
-		failed := 0
-		var makespan float64
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[pt*o.Reps+rep]
-			outcomes = append(outcomes, r.outcomes...)
-			jcts = append(jcts, r.jcts...)
-			waits = append(waits, r.waits...)
-			failed += r.failed
-			makespan += r.makespan
+	rows := make([]SLORow, len(cells))
+	for i, r := range cells {
+		rows[i] = SLORow{
+			Workload:         workloads[r.w].Name,
+			MeanInterarrival: interarrivals[r.x],
+			Method:           methods[r.arm].name,
+			SLO:              metrics.AggregateSLO(r.outcomes),
+			Stream:           r.online(),
 		}
-		rows = append(rows, SLORow{
-			Workload:         workloads[wi].Name,
-			MeanInterarrival: interarrivals[ii],
-			Method:           methods[mi].name,
-			SLO:              metrics.AggregateSLO(outcomes),
-			Stream:           metrics.AggregateOnline(jcts, waits, failed, makespan),
-		})
 	}
 	return rows, nil
 }

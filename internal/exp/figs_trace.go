@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cloudqc/internal/core"
-	"cloudqc/internal/place"
 	"cloudqc/internal/stats"
 	"cloudqc/internal/trace"
 	"cloudqc/internal/workload"
@@ -45,89 +44,35 @@ type AttributionRow struct {
 // identical tenant mixes.
 func Attribution(o Options, process string, perTenant int, interarrivals []float64) ([]AttributionRow, error) {
 	o = o.withDefaults()
-	if perTenant == 0 {
-		perTenant = 4
-	}
-	if perTenant < 0 {
-		return nil, fmt.Errorf("exp: negative per-tenant stream size %d", perTenant)
+	perTenant, err := tenantStreamSize(perTenant)
+	if err != nil {
+		return nil, err
 	}
 	if len(interarrivals) == 0 {
 		interarrivals = []float64{300, 1000, 4000}
 	}
 	workloads := workload.All()
 	modes := attrModes()
-	points := len(workloads) * len(interarrivals) * len(modes)
-	type attrRep struct {
-		completed, failed int
-		attr              trace.Attribution
-	}
-	reps, err := runIndexed(o.workers(), points*o.Reps, func(i int) (attrRep, error) {
-		pt, rep := i/o.Reps, i%o.Reps
-		wi := pt / (len(interarrivals) * len(modes))
-		ii := pt / len(modes) % len(interarrivals)
-		mi := pt % len(modes)
-		seed := taskSeed(o.Seed, wi, rep)
-		mix := workload.DefaultTenantMix(workloads[wi], perTenant, process, interarrivals[ii])
-		jobs, err := workload.MultiTenant(mix, seed)
-		if err != nil {
-			return attrRep{}, err
-		}
-		pCfg := place.DefaultConfig()
-		pCfg.Seed = seed
-		rec := trace.New()
-		ct, err := core.NewController(core.Config{
-			Cloud:  o.cloudFor(),
-			Placer: place.NewCloudQC(pCfg),
-			Model:  o.model(),
-			Mode:   modes[mi],
-			Seed:   seed,
-			Trace:  rec,
+	cells, err := runTenants(o, workloads, process, perTenant, interarrivals, len(modes),
+		func(c cell, cfg *core.Config) {
+			cfg.Mode = modes[c.arm]
+			cfg.Trace = trace.New()
 		})
-		if err != nil {
-			return attrRep{}, err
-		}
-		if _, err := ct.Run(jobs); err != nil {
-			return attrRep{}, fmt.Errorf("attribution %s %s ia=%v rep %d: %w",
-				workloads[wi].Name, modes[mi], interarrivals[ii], rep, err)
-		}
-		var r attrRep
-		for _, ta := range rec.Tenants() {
-			r.completed += ta.Completed
-			r.failed += ta.Failed
-			r.attr.JCT += ta.JCT
-			r.attr.Queue += ta.Queue
-			r.attr.Compile += ta.Compile
-			r.attr.Local += ta.Local
-			r.attr.Network += ta.Network
-			r.attr.Suspended += ta.Suspended
-		}
-		return r, nil
-	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AttributionRow, 0, points)
-	for pt := 0; pt < points; pt++ {
-		wi := pt / (len(interarrivals) * len(modes))
-		ii := pt / len(modes) % len(interarrivals)
-		mi := pt % len(modes)
-		row := AttributionRow{
-			Workload:         workloads[wi].Name,
-			MeanInterarrival: interarrivals[ii],
-			Mode:             modes[mi].String(),
+	rows := make([]AttributionRow, len(cells))
+	for i, r := range cells {
+		a := r.attr
+		rows[i] = AttributionRow{
+			Workload:         workloads[r.w].Name,
+			MeanInterarrival: interarrivals[r.x],
+			Mode:             modes[r.arm].String(),
+			Completed:        a.Completed,
+			Failed:           a.Failed,
+			Attr: trace.Attribution{JCT: a.JCT, Queue: a.Queue, Compile: a.Compile,
+				Local: a.Local, Network: a.Network, Suspended: a.Suspended},
 		}
-		for rep := 0; rep < o.Reps; rep++ {
-			r := reps[pt*o.Reps+rep]
-			row.Completed += r.completed
-			row.Failed += r.failed
-			row.Attr.JCT += r.attr.JCT
-			row.Attr.Queue += r.attr.Queue
-			row.Attr.Compile += r.attr.Compile
-			row.Attr.Local += r.attr.Local
-			row.Attr.Network += r.attr.Network
-			row.Attr.Suspended += r.attr.Suspended
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -273,7 +273,7 @@ func OutageSchedule(qpus, n int, start, horizon, duration float64, seed int64) *
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		q := int((z ^ (z >> 31)) % uint64(qpus))
-		at := start + float64(i)*gap
+		at := start + float64(float64(i)*gap)
 		evs = append(evs, Event{Kind: KindQPUOutage, QPU: q, From: at, To: at + duration})
 	}
 	return &Plan{Events: evs}

@@ -627,7 +627,7 @@ func (f *Federation) Snapshot() core.LiveSnapshot {
 		agg.Events += snap.Events
 		cap := s.TotalComputing()
 		totalCap += cap
-		weighted += snap.Utilization * float64(cap)
+		weighted += float64(snap.Utilization * float64(cap))
 	}
 	if totalCap > 0 {
 		agg.Utilization = weighted / float64(totalCap)

@@ -207,7 +207,7 @@ func (r *router) route(j *core.Job) (int, string) {
 		// jobs than it would at the least-loaded shard's (normalized)
 		// load; with equal capacities this is depth[s] >= depth[least]
 		// + spill.
-		if r.spill >= 0 && float64(r.depths[s]) >= load(least)*r.caps[s]+float64(r.spill) {
+		if r.spill >= 0 && float64(r.depths[s]) >= float64(load(least)*r.caps[s])+float64(r.spill) {
 			r.stats.Spills++
 			r.affinity[key] = least
 			return least, "spill"

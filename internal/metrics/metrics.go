@@ -104,12 +104,12 @@ func (r *Recorder) MeanUtilizationUntil(end float64) float64 {
 	var area, span float64
 	for i := 1; i < len(r.samples); i++ {
 		dt := r.samples[i].Time - r.samples[i-1].Time
-		area += r.samples[i-1].Utilization * dt
+		area += float64(r.samples[i-1].Utilization * dt)
 		span += dt
 	}
 	last := r.samples[len(r.samples)-1]
 	if end > last.Time {
-		area += last.Utilization * (end - last.Time)
+		area += float64(last.Utilization * (end - last.Time))
 		span += end - last.Time
 	}
 	if span == 0 {

@@ -126,7 +126,7 @@ func moveDelta(cl *cloud.Cloud, adj [][]weightedQubit, assign []int, qb, to int)
 	var d float64
 	for _, nb := range adj[qb] {
 		other := assign[nb.q]
-		d += nb.w * float64(cl.Distance(to, other)-cl.Distance(from, other))
+		d += float64(nb.w * float64(cl.Distance(to, other)-cl.Distance(from, other)))
 	}
 	return d
 }
@@ -140,14 +140,14 @@ func swapDelta(cl *cloud.Cloud, adj [][]weightedQubit, assign []int, qa, qb int)
 			continue // their mutual edge cost is unchanged by a swap
 		}
 		other := assign[nb.q]
-		d += nb.w * float64(cl.Distance(pb, other)-cl.Distance(pa, other))
+		d += float64(nb.w * float64(cl.Distance(pb, other)-cl.Distance(pa, other)))
 	}
 	for _, nb := range adj[qb] {
 		if nb.q == qa {
 			continue
 		}
 		other := assign[nb.q]
-		d += nb.w * float64(cl.Distance(pa, other)-cl.Distance(pb, other))
+		d += float64(nb.w * float64(cl.Distance(pa, other)-cl.Distance(pb, other)))
 	}
 	return d
 }

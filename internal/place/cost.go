@@ -21,7 +21,7 @@ func CommCost(c *circuit.Circuit, cl *cloud.Cloud, qubitToQPU []int) float64 {
 func commCostEdges(edges []graph.Edge, cl *cloud.Cloud, qubitToQPU []int) float64 {
 	var cost float64
 	for _, e := range edges {
-		cost += e.W * float64(cl.Distance(qubitToQPU[e.U], qubitToQPU[e.V]))
+		cost += float64(e.W * float64(cl.Distance(qubitToQPU[e.U], qubitToQPU[e.V])))
 	}
 	return cost
 }

@@ -47,7 +47,7 @@ func (g *Genetic) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		for qb, nbs := range adj {
 			for _, nb := range nbs {
 				if nb.q > qb {
-					total += nb.w * float64(cl.Distance(assign[qb], assign[nb.q]))
+					total += float64(nb.w * float64(cl.Distance(assign[qb], assign[nb.q])))
 				}
 			}
 		}

@@ -1,9 +1,8 @@
 // Package plan is CloudQC's compile-once plan cache: the expensive,
 // state-independent artifacts of admitting a job — the placement
-// assignment, its communication cost and remote-operation count, and
-// the contracted remote DAG skeleton with its critical-path priorities
-// — memoized per (circuit fingerprint, cloud shape, free-capacity
-// signature).
+// assignment and the contracted remote DAG skeleton with its
+// critical-path priorities — memoized per (circuit fingerprint, cloud
+// shape, free-capacity signature).
 //
 // Workload generators and the cloudqcd service draw jobs from a small
 // library of circuit templates, yet the controller used to re-run the
@@ -74,11 +73,6 @@ type Entry struct {
 	// Assign maps each qubit to its QPU — Placement.QubitToQPU. Callers
 	// must not modify it.
 	Assign []int
-	// CommCost is the paper's placement objective Σ D_ij·C_π(i)π(j)
-	// under Assign.
-	CommCost float64
-	// RemoteOps counts two-qubit gates crossing QPUs under Assign.
-	RemoteOps int
 	// DAG is the contracted remote DAG skeleton for Assign.
 	DAG *sched.RemoteDAG
 	// Prio is DAG.Priorities(), computed once per template instead of

@@ -52,8 +52,8 @@ func QAOA(n, rounds int, seed int64) *circuit.Circuit {
 		c.Append(circuit.H(q))
 	}
 	for r := 0; r < rounds; r++ {
-		gamma := 0.4 + 0.2*float64(r)
-		beta := 0.7 - 0.2*float64(r)
+		gamma := 0.4 + float64(0.2*float64(r))
+		beta := 0.7 - float64(0.2*float64(r))
 		for _, e := range edges {
 			zz(c, e.a, e.b, gamma)
 		}

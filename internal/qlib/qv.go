@@ -33,7 +33,7 @@ func QV(n, layers int, seed int64) *circuit.Circuit {
 		for i := 0; i+1 < n; i += 2 {
 			angles := make([]float64, 8)
 			for k := range angles {
-				angles[k] = rng.Float64() * 2 * math.Pi
+				angles[k] = float64(rng.Float64()) * 2 * math.Pi
 			}
 			su4(c, perm[i], perm[i+1], angles)
 		}

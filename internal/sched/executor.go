@@ -235,7 +235,7 @@ func (s *JobState) Attempt(u, pairs int, roundStart float64, m epr.Model, rng *r
 		}
 	}
 	if s.hopsLeft[u] == 0 {
-		swaps := float64(len(s.paths[u])-2) * m.Measure
+		swaps := float64(float64(len(s.paths[u])-2) * m.Measure)
 		s.complete(u, roundStart+m.EPRAttempt+swaps+m.TwoQubit+m.Measure)
 	}
 }

@@ -437,7 +437,7 @@ func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, flo
 		Circuit: req.Circuit, QASM: req.QASM,
 	}
 	if req.DeadlineSlack > 0 {
-		rec.Deadline = arrival + float64(circ.Depth())*req.DeadlineSlack
+		rec.Deadline = arrival + float64(float64(circ.Depth())*req.DeadlineSlack)
 	}
 	// Durability before admission: the submission is framed, appended,
 	// and fsynced first, so every job a client saw accepted survives a
@@ -956,7 +956,7 @@ func (s *Server) allow(tenant int, now time.Time) (bool, float64) {
 		b = &bucket{tokens: float64(s.cfg.Burst), last: now}
 		s.buckets[tenant] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * s.cfg.Rate
+	b.tokens += float64(now.Sub(b.last).Seconds() * s.cfg.Rate)
 	if max := float64(s.cfg.Burst); b.tokens > max {
 		b.tokens = max
 	}

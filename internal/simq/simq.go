@@ -43,7 +43,7 @@ func (s *State) Amplitude(i int) complex128 { return s.amp[i] }
 // Probability returns |amplitude|^2 of basis state |i>.
 func (s *State) Probability(i int) float64 {
 	a := s.amp[i]
-	return real(a)*real(a) + imag(a)*imag(a)
+	return float64(real(a)*real(a)) + float64(imag(a)*imag(a))
 }
 
 // Norm returns the state's total probability (1 for a valid state).
@@ -55,6 +55,14 @@ func (s *State) Norm() float64 {
 	return p
 }
 
+// mul is complex multiplication with every product rounded, so no
+// architecture fuses it into multiply-adds: amplitudes come out with
+// the same bits everywhere.
+func mul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
+}
+
 // apply1 applies the 2x2 unitary {{a,b},{c,d}} to qubit q.
 func (s *State) apply1(q int, a, b, c, d complex128) {
 	bit := 1 << q
@@ -64,8 +72,8 @@ func (s *State) apply1(q int, a, b, c, d complex128) {
 		}
 		j := i | bit
 		a0, a1 := s.amp[i], s.amp[j]
-		s.amp[i] = a*a0 + b*a1
-		s.amp[j] = c*a0 + d*a1
+		s.amp[i] = mul(a, a0) + mul(b, a1)
+		s.amp[j] = mul(c, a0) + mul(d, a1)
 	}
 }
 
@@ -78,8 +86,8 @@ func (s *State) applyControlled(c, t int, u00, u01, u10, u11 complex128) {
 		}
 		j := i | tb
 		a0, a1 := s.amp[i], s.amp[j]
-		s.amp[i] = u00*a0 + u01*a1
-		s.amp[j] = u10*a0 + u11*a1
+		s.amp[i] = mul(u00, a0) + mul(u01, a1)
+		s.amp[j] = mul(u10, a0) + mul(u11, a1)
 	}
 }
 
@@ -106,7 +114,7 @@ func (s *State) Apply(g circuit.Gate) {
 		s.apply1(g.Qubits[0], 1, 0, 0, cmplx.Exp(-1i*math.Pi/4))
 	case "rx":
 		c, sn := complex(math.Cos(g.Param/2), 0), complex(math.Sin(g.Param/2), 0)
-		s.apply1(g.Qubits[0], c, -1i*sn, -1i*sn, c)
+		s.apply1(g.Qubits[0], c, mul(-1i, sn), mul(-1i, sn), c)
 	case "ry":
 		c, sn := complex(math.Cos(g.Param/2), 0), complex(math.Sin(g.Param/2), 0)
 		s.apply1(g.Qubits[0], c, -sn, sn, c)
@@ -159,7 +167,7 @@ func (s *State) ApplyMeasure(q int, rng *rand.Rand) int {
 	}
 	scale := complex(1/math.Sqrt(norm), 0)
 	for i := range s.amp {
-		s.amp[i] *= scale
+		s.amp[i] = mul(s.amp[i], scale)
 	}
 	return outcome
 }

@@ -36,13 +36,13 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := p * float64(len(sorted)-1)
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Median returns the 50th percentile.
@@ -87,7 +87,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return math.NaN()

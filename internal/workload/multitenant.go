@@ -74,8 +74,8 @@ func MultiTenant(specs []TenantSpec, seed int64) ([]*core.Job, error) {
 			j.Tenant = spec.Tenant
 			j.Priority = spec.Priority
 			if spec.MaxSlack > 0 {
-				slack := spec.MinSlack + slackRNG.Float64()*(spec.MaxSlack-spec.MinSlack)
-				j.Deadline = j.Arrival + float64(j.Circuit.Depth())*slack
+				slack := spec.MinSlack + float64(slackRNG.Float64()*(spec.MaxSlack-spec.MinSlack))
+				j.Deadline = j.Arrival + float64(float64(j.Circuit.Depth())*slack)
 			}
 		}
 		all = append(all, jobs...)

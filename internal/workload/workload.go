@@ -96,7 +96,7 @@ func (w Workload) PoissonBatch(size int, meanInterarrival float64, seed int64) (
 	t := 0.0
 	for _, j := range jobs {
 		j.Arrival = t
-		t += rng.ExpFloat64() * meanInterarrival
+		t += float64(rng.ExpFloat64() * meanInterarrival)
 	}
 	return jobs, nil
 }
@@ -139,7 +139,7 @@ func (w Workload) BurstyBatch(size, burstSize int, meanBurstGap float64, seed in
 	t := 0.0
 	for i, j := range jobs {
 		if i > 0 && i%burstSize == 0 {
-			t += rng.ExpFloat64() * meanBurstGap
+			t += float64(rng.ExpFloat64() * meanBurstGap)
 		}
 		j.Arrival = t
 	}
