@@ -198,7 +198,7 @@ func ScheduleWithFidelity(dag *RemoteDAG, cl *Cloud, f FidelityModel, p Policy, 
 // for the move, the burst turns local). Returns the plan and migration
 // statistics; pass the result to Schedule like any remote DAG.
 func BuildMigratingDAG(c *Circuit, cl *Cloud, qubitToQPU []int, lat Latency) (*RemoteDAG, *MigrationStats) {
-	return sched.BuildMigratingDAG(c, cl, qubitToQPU, lat, sched.PlanOptions{})
+	return sched.BuildMigratingDAG(c, cl, qubitToQPU, lat)
 }
 
 // Simulate executes a small circuit (<= 20 qubits) on a dense
@@ -275,9 +275,7 @@ func ShardSeed(seed int64, shard int) int64 { return fed.ShardSeed(seed, shard) 
 
 // Intensity is the batch manager's job-ordering metric (Eq. 11) with
 // equal weights.
-func Intensity(c *Circuit) float64 {
-	return core.Intensity(c, core.DefaultBatchWeights())
-}
+func Intensity(c *Circuit) float64 { return core.Intensity(c) }
 
 // DefaultPlanCacheSize is the compile-once plan cache's default LRU
 // capacity, used when ClusterConfig.PlanCacheSize is zero.

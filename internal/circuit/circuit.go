@@ -22,7 +22,12 @@ type Circuit struct {
 	// execution pipeline never mutates them"), so concurrent readers
 	// may race to fill the memo — each computes the identical value.
 	fp atomic.Pointer[Fingerprint]
+	// counts memoizes TwoQubitGateCount and Depth the same way.
+	counts atomic.Pointer[gateCounts]
 }
+
+// gateCounts is the memoized pair behind TwoQubitGateCount and Depth.
+type gateCounts struct{ twoQ, depth int }
 
 // New returns an empty circuit over n qubits.
 func New(name string, n int) *Circuit {
@@ -52,19 +57,12 @@ func (c *Circuit) Append(gs ...Gate) {
 		c.gates = append(c.gates, g)
 	}
 	c.fp.Store(nil)
+	c.counts.Store(nil)
 }
 
 // TwoQubitGateCount returns the number of two-qubit gates (the "#2-Qubit
-// Gates" column of Table II).
-func (c *Circuit) TwoQubitGateCount() int {
-	n := 0
-	for _, g := range c.gates {
-		if g.Kind == Two {
-			n++
-		}
-	}
-	return n
-}
+// Gates" column of Table II), memoized until the next Append.
+func (c *Circuit) TwoQubitGateCount() int { return c.gateCounts().twoQ }
 
 // GateCount returns counts by kind.
 func (c *Circuit) GateCount() (oneQ, twoQ, measures int) {
@@ -84,24 +82,38 @@ func (c *Circuit) GateCount() (oneQ, twoQ, measures int) {
 // Depth returns the circuit depth: the length of the longest chain of
 // gates that share qubits, counting every gate (including measures) as
 // one layer. This matches the "Circuit Depth" column of Table II.
-func (c *Circuit) Depth() int {
+// Memoized until the next Append.
+func (c *Circuit) Depth() int { return c.gateCounts().depth }
+
+// gateCounts returns the memoized two-qubit gate count and depth,
+// filling the memo with one gate-list walk on first use. Like
+// Fingerprint it is safe on circuits shared across goroutines:
+// concurrent first readers each compute the identical value.
+func (c *Circuit) gateCounts() gateCounts {
+	if p := c.counts.Load(); p != nil {
+		return *p
+	}
 	level := make([]int, c.numQubits)
-	depth := 0
+	gc := gateCounts{}
 	for _, g := range c.gates {
 		d := level[g.Qubits[0]]
-		if g.Kind == Two && level[g.Qubits[1]] > d {
-			d = level[g.Qubits[1]]
+		if g.Kind == Two {
+			gc.twoQ++
+			if level[g.Qubits[1]] > d {
+				d = level[g.Qubits[1]]
+			}
 		}
 		d++
 		level[g.Qubits[0]] = d
 		if g.Kind == Two {
 			level[g.Qubits[1]] = d
 		}
-		if d > depth {
-			depth = d
+		if d > gc.depth {
+			gc.depth = d
 		}
 	}
-	return depth
+	c.counts.Store(&gc)
+	return gc
 }
 
 // InteractionGraph returns the weighted qubit interaction graph: vertices

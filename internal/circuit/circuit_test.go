@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +76,48 @@ func TestDepthEmptyCircuit(t *testing.T) {
 	if d := New("empty", 2).Depth(); d != 0 {
 		t.Fatalf("Depth(empty) = %d, want 0", d)
 	}
+}
+
+// TestCountsMemoInvalidation: Append after a Depth or
+// TwoQubitGateCount read must invalidate the memo, so both keep
+// matching a fresh recount (a Clone starts with an empty memo).
+func TestCountsMemoInvalidation(t *testing.T) {
+	c := New("c", 4)
+	c.Append(H(0), CX(0, 1))
+	steps := [][]Gate{{CX(1, 2), CX(2, 3)}, {H(3)}, {M(0), CX(0, 3)}}
+	for i, gs := range steps {
+		_, _ = c.Depth(), c.TwoQubitGateCount()
+		c.Append(gs...)
+		fresh := c.Clone()
+		if got, want := c.Depth(), fresh.Depth(); got != want {
+			t.Fatalf("step %d: Depth = %d after Append, fresh recount %d", i, got, want)
+		}
+		if got, want := c.TwoQubitGateCount(), fresh.TwoQubitGateCount(); got != want {
+			t.Fatalf("step %d: TwoQubitGateCount = %d after Append, fresh recount %d", i, got, want)
+		}
+	}
+	if d, n := c.Depth(), c.TwoQubitGateCount(); d != 6 || n != 4 {
+		t.Fatalf("final Depth, TwoQubitGateCount = %d, %d; want 6, 4", d, n)
+	}
+}
+
+// TestCountsConcurrentReaders: workloads share one Circuit across jobs
+// and goroutines, so first reads of the count memo may race; run under
+// -race this checks the fill is synchronized.
+func TestCountsConcurrentReaders(t *testing.T) {
+	c := New("c", 3)
+	c.Append(H(0), CX(0, 1), CX(1, 2), M(2))
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if d, n := c.Depth(), c.TwoQubitGateCount(); d != 4 || n != 2 {
+				t.Errorf("Depth, TwoQubitGateCount = %d, %d; want 4, 2", d, n)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestInteractionGraphWeights(t *testing.T) {

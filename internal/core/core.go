@@ -18,12 +18,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"cloudqc/internal/circuit"
 	"cloudqc/internal/cloud"
@@ -92,27 +92,20 @@ type JobResult struct {
 	Placement *place.Placement
 }
 
-// BatchWeights are Eq. 11's λ coefficients for the intensity metric
-// I = λ1·(#2q/n) + λ2·n + λ3·depth.
-type BatchWeights struct {
-	L1, L2, L3 float64
-}
-
-// DefaultBatchWeights weights the three terms equally.
-func DefaultBatchWeights() BatchWeights { return BatchWeights{L1: 1, L2: 1, L3: 1} }
-
-// Intensity computes Eq. 11 for a circuit.
-func Intensity(c *circuit.Circuit, w BatchWeights) float64 {
+// Intensity computes Eq. 11 for a circuit with the paper's equal λ
+// weights: I = #2q/n + n + depth. Both counts are memoized on the
+// circuit, so admission reads it off the circuit on every sort.
+func Intensity(c *circuit.Circuit) float64 {
 	n := float64(c.NumQubits())
-	return w.L1*float64(c.TwoQubitGateCount())/n + float64(w.L2*n) + float64(w.L3*float64(c.Depth()))
+	return float64(c.TwoQubitGateCount())/n + n + float64(c.Depth())
 }
 
 // Mode selects the job admission order.
 type Mode int
 
 const (
-	// BatchMode orders waiting jobs by descending intensity (CloudQC's
-	// batch manager).
+	// BatchMode orders waiting jobs by ascending intensity, cheapest
+	// first (CloudQC's batch manager).
 	BatchMode Mode = iota + 1
 	// FIFOMode admits strictly in arrival order (CloudQC-FIFO baseline).
 	FIFOMode
@@ -174,8 +167,6 @@ type Config struct {
 	Policy sched.Policy
 	// Model is the latency/EPR model (default: Table I, p=0.3).
 	Model epr.Model
-	// Weights are the batch manager's λ coefficients.
-	Weights BatchWeights
 	// Mode selects batch or FIFO admission (default batch).
 	Mode Mode
 	// Seed drives EPR sampling and randomized policies.
@@ -251,8 +242,6 @@ type RunStats struct {
 type Controller struct {
 	cfg Config
 	rng *rand.Rand
-	// intensity memoizes Eq. 11 per job ID for the batch manager's sort.
-	intensity map[int]float64
 	// wfq holds WFQ admission's virtual clocks — per-tenant virtual
 	// service (placed intensity / weight) behind a stable tenant→slot
 	// table, plus the global virtual time. Private clocks reset per
@@ -283,7 +272,6 @@ type Controller struct {
 	wfqRound    []int
 	wfqSvc      []float64
 	wfqCursor   []int
-	wfqCharge   []float64
 }
 
 // statePoolCap bounds the JobState pool: enough for any realistic
@@ -311,9 +299,6 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Weights == (BatchWeights{}) {
-		cfg.Weights = DefaultBatchWeights()
-	}
 	if cfg.Mode == 0 {
 		cfg.Mode = BatchMode
 	}
@@ -332,9 +317,8 @@ func NewController(cfg Config) (*Controller, error) {
 		}
 	}
 	ct := &Controller{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		intensity: make(map[int]float64),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.PlanCacheSize >= 0 {
 		if _, ok := cfg.Placer.(place.DeterministicPlacer); ok {
@@ -377,13 +361,11 @@ type release struct {
 }
 
 // resetScheduling restarts the per-run scheduling state — the WFQ
-// virtual clocks, the run-stats counters, and the intensity memo. Job
-// IDs are only unique within one run, so a reused Controller must not
-// bill a new stream's jobs at a previous stream's circuits'
-// intensities. A shared WFQ clock is federation-owned and left alone:
-// wiping it would erase the other shards' billing. It returns the
-// cloud's total computing-qubit capacity.
-func (ct *Controller) resetScheduling(jobHint int) int {
+// virtual clocks and the run-stats counters. A shared WFQ clock is
+// federation-owned and left alone: wiping it would erase the other
+// shards' billing. It returns the cloud's total computing-qubit
+// capacity.
+func (ct *Controller) resetScheduling() int {
 	switch {
 	case ct.cfg.SharedWFQ != nil:
 		ct.wfq = ct.cfg.SharedWFQ
@@ -392,7 +374,6 @@ func (ct *Controller) resetScheduling(jobHint int) int {
 	default:
 		ct.wfq.Reset()
 	}
-	ct.intensity = make(map[int]float64, jobHint)
 	ct.stats = RunStats{}
 	ct.preempt = PreemptStats{}
 	ct.faultStats = fault.Stats{}
@@ -405,14 +386,22 @@ func (ct *Controller) resetScheduling(jobHint int) int {
 
 // validateJob rejects nil circuits, empty registers (a 0-qubit circuit
 // makes Intensity divide by zero, and the NaN would silently corrupt
-// the batch sort), and IDs already present in results, then claims the
-// job's result slot.
+// the batch sort), non-finite arrivals (a NaN one never compares as
+// arrived, an infinite one yields a NaN JCT), NaN deadlines (EDF's
+// comparator would no longer be a strict weak order), and IDs already
+// present in results, then claims the job's result slot.
 func validateJob(j *Job, results map[int]*JobResult) error {
 	if j.Circuit == nil {
 		return fmt.Errorf("core: job %d has no circuit", j.ID)
 	}
 	if j.Circuit.NumQubits() == 0 {
 		return fmt.Errorf("core: job %d has an empty register", j.ID)
+	}
+	if math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
+		return fmt.Errorf("core: job %d has non-finite arrival %v", j.ID, j.Arrival)
+	}
+	if math.IsNaN(j.Deadline) {
+		return fmt.Errorf("core: job %d has a NaN deadline", j.ID)
 	}
 	if _, dup := results[j.ID]; dup {
 		return fmt.Errorf("core: duplicate job ID %d", j.ID)
@@ -809,11 +798,10 @@ func (st *runState) scheduleNext(t float64) {
 			// retries admission before any unplaceable verdict.
 			return
 		} else if len(st.queue) > 0 && st.pendingArrivals == 0 && math.IsNaN(st.tickAt) {
-			// The tickAt guard covers preemption's same-instant re-admission
-			// tick: the queue holds jobs a committed preemption just made
-			// placeable, not jobs that can never be placed. Without
-			// preemption no tick is ever pending here, so the guard is
-			// vacuous on the off path.
+			// The tickAt guard defers the verdict while a same-instant
+			// re-admission tick is pending (requested when jobs left the
+			// cloud mid-tick, as the fault retry pass does): the queue may
+			// hold jobs that freed capacity just made placeable.
 			// Nothing active, nothing maturing, nothing still to arrive:
 			// the queued jobs can never be placed. Run (strict) aborts; a
 			// live controller fails the jobs and keeps serving.
@@ -910,56 +898,58 @@ func (st *runState) admit(t float64) error {
 			waiting = append(waiting, j)
 			continue
 		}
-		// A preempted job re-entering admission resumes instead of
-		// restarting: its checkpoint replays onto the fresh placement, it
-		// keeps its original first-placement timestamp, and its WFQ
-		// virtual-clock charge from the first placement stands (resuming
-		// is not new service, so the tenant is not billed twice).
-		rs := st.resume[j.ID]
-		var wfqStart float64
-		wfqBilled := false
-		if ct.cfg.Mode == WFQMode && rs == nil {
-			// Bill only what was actually served: jobs bounced back to
-			// waiting must not inflate their tenant's virtual service.
-			wfqStart = ct.chargeWFQ(j)
-			wfqBilled = true
-		}
-		state := ct.takeJobState(dag, prio, t)
-		first := t
-		if rs != nil {
-			state.ApplyCheckpoint(rs.cp, t)
-			first = rs.firstPlacedAt
-			delete(st.resume, j.ID)
-			ct.preempt.Resumes++
-		}
-		aj := &activeJob{job: j, state: state, placement: pl, placedAt: t, firstPlacedAt: first}
-		if tc := ct.cfg.Trace; tc != nil {
-			if tr := tc.Get(j.ID); tr != nil {
-				tr.Compiled(t, cacheHit, rs != nil)
-				tr.Place(t, ct.cfg.Mode.String(), wfqStart, wfqBilled, rs != nil)
-				aj.tr = tr
-			}
-		}
-		st.active = append(st.active, aj)
-		st.results[j.ID].RemoteGates = dag.Len()
-		st.results[j.ID].Placement = pl
-		if rs != nil {
-			st.setStatusReason(j.ID, StatusRunning, ReasonResumed)
-		} else {
-			st.setStatus(j.ID, StatusRunning)
-		}
+		st.startJob(j, pl, dag, prio, cacheHit, t)
 	}
 	ct.arrived = arrived[:0]
 	// Preserve arrival order among the still-waiting arrived jobs by
 	// re-sorting the combined waiting list on (Arrival, ID).
-	sort.SliceStable(waiting, func(i, k int) bool {
-		if waiting[i].Arrival != waiting[k].Arrival {
-			return waiting[i].Arrival < waiting[k].Arrival
-		}
-		return waiting[i].ID < waiting[k].ID
-	})
+	slices.SortStableFunc(waiting, compareArrival)
 	st.queue = waiting
 	return nil
+}
+
+// startJob moves a queued job whose placement pl is already reserved
+// onto the active list at t: the one start path behind admission and
+// preemption's commit step. A preempted job re-entering admission
+// resumes instead of restarting: its checkpoint replays onto the fresh
+// placement, it keeps its original first-placement timestamp, and its
+// WFQ virtual-clock charge from the first placement stands (resuming is
+// not new service, so the tenant is not billed twice).
+func (st *runState) startJob(j *Job, pl *place.Placement, dag *sched.RemoteDAG, prio []int, cacheHit bool, t float64) {
+	ct := st.ct
+	rs := st.resume[j.ID]
+	var wfqStart float64
+	wfqBilled := false
+	if ct.cfg.Mode == WFQMode && rs == nil {
+		// Bill only what was actually served: jobs bounced back to
+		// waiting must not inflate their tenant's virtual service.
+		wfqStart = ct.chargeWFQ(j)
+		wfqBilled = true
+	}
+	state := ct.takeJobState(dag, prio, t)
+	first := t
+	if rs != nil {
+		state.ApplyCheckpoint(rs.cp, t)
+		first = rs.firstPlacedAt
+		delete(st.resume, j.ID)
+		ct.preempt.Resumes++
+	}
+	aj := &activeJob{job: j, state: state, placement: pl, placedAt: t, firstPlacedAt: first}
+	if tc := ct.cfg.Trace; tc != nil {
+		if tr := tc.Get(j.ID); tr != nil {
+			tr.Compiled(t, cacheHit, rs != nil)
+			tr.Place(t, ct.cfg.Mode.String(), wfqStart, wfqBilled, rs != nil)
+			aj.tr = tr
+		}
+	}
+	st.active = append(st.active, aj)
+	st.results[j.ID].RemoteGates = dag.Len()
+	st.results[j.ID].Placement = pl
+	if rs != nil {
+		st.setStatusReason(j.ID, StatusRunning, ReasonResumed)
+	} else {
+		st.setStatus(j.ID, StatusRunning)
+	}
 }
 
 // compile resolves a job's placement and remote DAG against the cloud's
@@ -1038,41 +1028,46 @@ func (ct *Controller) releaseJobState(s *sched.JobState) {
 func (ct *Controller) orderArrived(arrived []*Job) {
 	switch ct.cfg.Mode {
 	case BatchMode:
-		ct.memoizeIntensity(arrived)
 		// Ascending intensity: the metric estimates a job's cost (2-qubit
 		// density, width, depth), so cheapest-first minimizes mean JCT —
 		// the ordering that yields the paper's CDF improvement over FIFO.
-		sort.SliceStable(arrived, func(i, k int) bool {
-			return ct.intensity[arrived[i].ID] < ct.intensity[arrived[k].ID]
+		slices.SortStableFunc(arrived, func(a, b *Job) int {
+			return compareFloat(Intensity(a.Circuit), Intensity(b.Circuit))
 		})
 	case EDFMode:
 		// Earliest absolute deadline first; deadline-free jobs sort last.
 		// The (arrival, ID) tie-break makes all-equal deadlines reduce to
 		// FIFO for streams submitted in (arrival, ID) order.
-		sort.SliceStable(arrived, func(i, k int) bool {
-			di, dk := deadlineOf(arrived[i]), deadlineOf(arrived[k])
-			if di != dk {
-				return di < dk
+		slices.SortStableFunc(arrived, func(a, b *Job) int {
+			if c := compareFloat(deadlineOf(a), deadlineOf(b)); c != 0 {
+				return c
 			}
-			if arrived[i].Arrival != arrived[k].Arrival {
-				return arrived[i].Arrival < arrived[k].Arrival
-			}
-			return arrived[i].ID < arrived[k].ID
+			return compareArrival(a, b)
 		})
 	case WFQMode:
-		ct.memoizeIntensity(arrived)
 		ct.wfqOrder(arrived)
 	}
 }
 
-// memoizeIntensity caches Eq. 11 per job for the intensity-driven
-// admission orders.
-func (ct *Controller) memoizeIntensity(jobs []*Job) {
-	for _, j := range jobs {
-		if _, ok := ct.intensity[j.ID]; !ok {
-			ct.intensity[j.ID] = Intensity(j.Circuit, ct.cfg.Weights)
-		}
+// compareFloat orders a and b by the < operator: unlike cmp.Compare,
+// which sorts NaN first, it reports NaN equal to everything, so each
+// admission comparator keeps plain < semantics.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
 	}
+	return 0
+}
+
+// compareArrival orders jobs by (Arrival, ID): submission order.
+func compareArrival(a, b *Job) int {
+	if c := compareFloat(a.Arrival, b.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // deadlineOf treats unset deadlines as infinitely late for EDF ordering.
@@ -1135,53 +1130,24 @@ func (ct *Controller) wfqOrder(arrived []*Job) {
 	}()
 	// Slots are allocated in first-seen order, not tenant order; sort
 	// this round's slots by tenant id so admission ties keep breaking to
-	// the smaller tenant id, exactly as the ordering always has. Both
-	// sorts are allocation-free insertion sorts: sort.Slice's reflection
-	// closures were the last per-round allocations, round slices are
-	// small (tenants queued now, one tenant's jobs), and insertion sort
-	// is stable so the order matches sort.SliceStable's exactly.
-	for i := 1; i < len(round); i++ {
-		s := round[i]
-		k := i
-		for k > 0 && w.ids[round[k-1]] > w.ids[s] {
-			round[k] = round[k-1]
-			k--
-		}
-		round[k] = s
-	}
+	// the smaller tenant id, exactly as the ordering always has.
+	slices.SortStableFunc(round, func(a, b int) int { return cmp.Compare(w.ids[a], w.ids[b]) })
 	for _, s := range round {
-		g := groups[s]
-		for i := 1; i < len(g); i++ {
-			j := g[i]
-			k := i
-			for k > 0 && ct.wfqJobLess(j, g[k-1]) {
-				g[k] = g[k-1]
-				k--
-			}
-			g[k] = j
-		}
+		slices.SortStableFunc(groups[s], compareWFQJob)
 	}
 	// Scratch clocks sized to the slot table; only this round's slots
-	// are (re)initialized and read. charge caches each slot's head-job
-	// cost (intensity/weight), refreshed as cursors advance, so the
-	// O(picks × slots) selection loop below probes plain float slices
-	// instead of hashing the intensity map per probe.
-	svc, cursor, charge := ct.wfqSvc, ct.wfqCursor, ct.wfqCharge
+	// are (re)initialized and read.
+	svc, cursor := ct.wfqSvc, ct.wfqCursor
 	for len(svc) < len(w.service) {
 		svc = append(svc, 0)
 	}
 	for len(cursor) < len(w.service) {
 		cursor = append(cursor, 0)
 	}
-	for len(charge) < len(w.service) {
-		charge = append(charge, 0)
-	}
-	ct.wfqSvc, ct.wfqCursor, ct.wfqCharge = svc, cursor, charge
+	ct.wfqSvc, ct.wfqCursor = svc, cursor
 	for _, s := range round {
 		svc[s] = w.service[s]
 		cursor[s] = 0
-		h := groups[s][0]
-		charge[s] = ct.intensity[h.ID] / h.weight()
 	}
 	vtime := w.vtime
 	for i := range arrived {
@@ -1195,35 +1161,30 @@ func (ct *Controller) wfqOrder(arrived []*Job) {
 			if start < vtime {
 				start = vtime
 			}
-			finish := start + charge[s]
+			if best >= 0 && start > bestStart {
+				continue // a later start never wins; skip its finish tag
+			}
+			h := groups[s][cursor[s]]
+			finish := start + Intensity(h.Circuit)/h.weight()
 			if best < 0 || start < bestStart || (start == bestStart && finish < bestFinish) {
 				best, bestStart, bestFinish = s, start, finish
 			}
 		}
-		j := groups[best][cursor[best]]
+		arrived[i] = groups[best][cursor[best]]
 		cursor[best]++
-		if cursor[best] < len(groups[best]) {
-			h := groups[best][cursor[best]]
-			charge[best] = ct.intensity[h.ID] / h.weight()
-		}
-		arrived[i] = j
 		svc[best] = bestFinish
 		vtime = bestStart
 	}
 }
 
-// wfqJobLess orders one tenant's queued jobs: ascending intensity,
+// compareWFQJob orders one tenant's queued jobs: ascending intensity,
 // then arrival, then ID — the per-tenant queue order start-time fair
 // queueing consumes.
-func (ct *Controller) wfqJobLess(a, b *Job) bool {
-	ia, ib := ct.intensity[a.ID], ct.intensity[b.ID]
-	if ia != ib {
-		return ia < ib
+func compareWFQJob(a, b *Job) int {
+	if c := compareFloat(Intensity(a.Circuit), Intensity(b.Circuit)); c != 0 {
+		return c
 	}
-	if a.Arrival != b.Arrival {
-		return a.Arrival < b.Arrival
-	}
-	return a.ID < b.ID
+	return compareArrival(a, b)
 }
 
 // chargeWFQ bills a successfully placed job to its tenant's virtual
@@ -1239,7 +1200,7 @@ func (ct *Controller) chargeWFQ(j *Job) float64 {
 	if start < w.vtime {
 		start = w.vtime
 	}
-	w.service[s] = start + ct.intensity[j.ID]/j.weight()
+	w.service[s] = start + Intensity(j.Circuit)/j.weight()
 	w.vtime = start
 	return start
 }

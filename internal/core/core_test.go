@@ -36,14 +36,10 @@ func controller(t *testing.T, cfg Config) *Controller {
 
 func TestIntensityMetric(t *testing.T) {
 	c := qlib.GHZ(10) // 9 CX, depth 11 with measures, 10 qubits
-	got := Intensity(c, BatchWeights{L1: 1, L2: 1, L3: 1})
+	got := Intensity(c)
 	want := 9.0/10 + 10 + 11
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Intensity = %v, want %v", got, want)
-	}
-	// λ weights scale the terms independently.
-	if Intensity(c, BatchWeights{L2: 1}) != 10 {
-		t.Fatal("L2-only intensity should equal qubit count")
 	}
 }
 
@@ -191,7 +187,7 @@ func TestBatchModeOrdersByIntensity(t *testing.T) {
 	small := cloud.New(graph.Path(2), 20, 5) // 40 qubits total
 	light := qlib.GHZ(30)
 	heavy := qlib.MustBuild("ising_n34")
-	if Intensity(heavy, DefaultBatchWeights()) <= Intensity(light, DefaultBatchWeights()) {
+	if Intensity(heavy) <= Intensity(light) {
 		t.Skip("fixture assumption broken")
 	}
 	ct := controller(t, Config{Cloud: small, Mode: BatchMode, Seed: 7})
@@ -492,6 +488,32 @@ func TestEmptyRegisterJobRejected(t *testing.T) {
 	_, err := ct.Run([]*Job{{ID: 0, Circuit: empty}})
 	if err == nil || !strings.Contains(err.Error(), "empty register") {
 		t.Fatalf("err = %v, want empty-register rejection", err)
+	}
+}
+
+// TestNonFiniteJobTimesRejected: a NaN arrival used to abort Run with a
+// misleading "unplaceable" error, a +Inf arrival "completed" with a NaN
+// JCT, and a NaN deadline was accepted, breaking EDF's comparator.
+func TestNonFiniteJobTimesRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"NaN arrival", Job{Arrival: math.NaN()}, "non-finite arrival"},
+		{"+Inf arrival", Job{Arrival: math.Inf(1)}, "non-finite arrival"},
+		{"NaN deadline", Job{Deadline: math.NaN()}, "NaN deadline"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := controller(t, Config{Seed: 24, Mode: EDFMode})
+			j := tc.job
+			j.Circuit = qlib.GHZ(10)
+			_, err := ct.Run([]*Job{&j})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a %q rejection", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -127,7 +127,7 @@ func (ct *Controller) startLive(jobHint int, strict bool) *LiveController {
 		ct:             ct,
 		eng:            des.NewEngine(),
 		results:        make(map[int]*JobResult, jobHint),
-		totalComputing: ct.resetScheduling(jobHint),
+		totalComputing: ct.resetScheduling(),
 		budget:         make([]int, ct.cfg.Cloud.NumQPUs()),
 		nextRound:      math.NaN(),
 		tickAt:         math.NaN(),

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"cloudqc/internal/place"
 	"cloudqc/internal/sched"
 )
 
@@ -104,10 +106,10 @@ type resumeState struct {
 // maybePreempt runs the configured preemption policy at a round
 // boundary: pick the neediest queued job (the trigger), and if a set of
 // strictly-less-entitled running victims can be checkpointed to make it
-// fit, commit the swap. At most one trigger commits per pass — the
-// resulting same-instant tick re-runs admission and, if the queue still
-// warrants it, the next pass preempts again. Never called with
-// PreemptOff configured.
+// fit, commit the swap, placing the trigger. At most one trigger commits
+// per pass — the resulting same-instant tick re-runs admission on any
+// capacity left over and, if the queue still warrants it, the next pass
+// preempts again. Never called with PreemptOff configured.
 func (st *runState) maybePreempt(t float64) {
 	ct := st.ct
 	if ct.cfg.Preempt == PreemptOff || len(st.active) == 0 || len(st.queue) == 0 {
@@ -132,19 +134,15 @@ func (st *runState) maybePreempt(t float64) {
 	// Neediest first: earliest deadline under rescue, heaviest weight
 	// under priority; (arrival, ID) tie-breaks keep the order
 	// deterministic.
-	sort.SliceStable(triggers, func(i, k int) bool {
-		a, b := triggers[i], triggers[k]
+	slices.SortStableFunc(triggers, func(a, b *Job) int {
 		if ct.cfg.Preempt == PreemptRescue {
-			if da, db := deadlineOf(a), deadlineOf(b); da != db {
-				return da < db
+			if c := compareFloat(deadlineOf(a), deadlineOf(b)); c != 0 {
+				return c
 			}
-		} else if wa, wb := a.weight(), b.weight(); wa != wb {
-			return wa > wb
+		} else if c := compareFloat(b.weight(), a.weight()); c != 0 {
+			return c
 		}
-		if a.Arrival != b.Arrival {
-			return a.Arrival < b.Arrival
-		}
-		return a.ID < b.ID
+		return compareArrival(a, b)
 	})
 	for _, trig := range triggers {
 		if st.tryPreemptFor(trig, t) {
@@ -154,9 +152,10 @@ func (st *runState) maybePreempt(t float64) {
 }
 
 // victimEligible reports whether running job v may be displaced by
-// queued trigger trig. Both orderings are strict, so preemption can
-// never cycle: a resumed victim is by construction less entitled than
-// its trigger and cannot later displace it.
+// queued trigger trig. Both orderings are strict, so a resumed victim is
+// by construction less entitled than its trigger and can never displace
+// it in turn; and since tryPreemptFor places the trigger itself,
+// admission cannot hand the freed capacity back to the victim either.
 func victimEligible(policy PreemptPolicy, trig, v *Job) bool {
 	switch policy {
 	case PreemptRescue:
@@ -170,12 +169,13 @@ func victimEligible(policy PreemptPolicy, trig, v *Job) bool {
 
 // tryPreemptFor probes whether checkpointing eligible victims frees
 // enough capacity to place trig, releasing victims one at a time
-// (cheapest entitlement first) and re-compiling trig after each. The
-// probe is exact: it uses the same compile() admission will, so success
-// here guarantees the follow-up tick places trig — and the probe's
-// compile warmed the plan cache, making that placement a cache hit. On
-// failure every released reservation is restored and the cloud is
-// byte-identical to before the call.
+// (cheapest entitlement first) and re-compiling trig after each, with
+// the same compile() admission uses. On success it reserves the
+// placement the last compile returned and starts trig through startJob,
+// the call admission makes, so neither a victim nor a job earlier in the
+// admission order can take the freed capacity first. On failure every
+// released reservation is restored and the cloud is byte-identical to
+// before the call.
 func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 	ct := st.ct
 	var cands []*activeJob
@@ -203,22 +203,30 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 	// Cheapest victims first: lowest weight, then most slack (latest
 	// deadline), then newest (highest ID) — descending ID also makes the
 	// order deterministic.
-	sort.SliceStable(cands, func(i, k int) bool {
-		a, b := cands[i].job, cands[k].job
-		if wa, wb := a.weight(), b.weight(); wa != wb {
-			return wa < wb
+	slices.SortStableFunc(cands, func(x, y *activeJob) int {
+		a, b := x.job, y.job
+		if c := compareFloat(a.weight(), b.weight()); c != 0 {
+			return c
 		}
-		if da, db := deadlineOf(a), deadlineOf(b); da != db {
-			return da > db
+		if c := compareFloat(deadlineOf(b), deadlineOf(a)); c != 0 {
+			return c
 		}
-		return a.ID > b.ID
+		return cmp.Compare(b.ID, a.ID)
 	})
 	released := 0
 	fits := false
+	var (
+		pl       *place.Placement
+		dag      *sched.RemoteDAG
+		prio     []int
+		cacheHit bool
+		err      error
+	)
 	for _, aj := range cands {
 		aj.placement.Release(ct.cfg.Cloud)
 		released++
-		if _, _, _, _, err := ct.compile(trig); err == nil {
+		pl, dag, prio, cacheHit, err = ct.compile(trig)
+		if err == nil && pl.Reserve(ct.cfg.Cloud) == nil {
 			fits = true
 			break
 		}
@@ -226,7 +234,7 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 	if !fits {
 		// Rollback: restore exactly the capacity just released. Reserve
 		// cannot fail here — each placement goes back onto QPUs it was
-		// occupying a moment ago.
+		// occupying a moment ago, and no trig placement was reserved.
 		for i := released - 1; i >= 0; i-- {
 			if err := cands[i].placement.Reserve(ct.cfg.Cloud); err != nil {
 				st.err = fmt.Errorf("core: preemption rollback failed for job %d: %w", cands[i].job.ID, err)
@@ -242,8 +250,10 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 	if ct.cfg.Preempt == PreemptRescue {
 		st.rescued[trig.ID] = true
 	}
-	// The same-instant tick re-runs admission on the freed capacity; the
-	// probe guarantees trig places there.
+	st.queue = slices.DeleteFunc(st.queue, func(j *Job) bool { return j == trig })
+	st.startJob(trig, pl, dag, prio, cacheHit, t)
+	// The same-instant tick re-runs admission on whatever the victims
+	// freed beyond trig's placement.
 	st.capacityChanged = true
 	st.requestTick(t)
 	return true

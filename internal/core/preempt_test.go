@@ -193,12 +193,76 @@ func TestPreemptPriorityFunctional(t *testing.T) {
 	}
 }
 
+// TestPreemptionPlacesTrigger: the commit step places the trigger
+// itself. Under EDF admission a victim whose deadline precedes its
+// trigger's sorts first, so a same-instant admission pass would hand the
+// victim back the capacity freed for the trigger and preemption would
+// thrash until the victim finished. At every instant with a preemption,
+// some job other than that instant's victims must start running.
+func TestPreemptionPlacesTrigger(t *testing.T) {
+	type instant struct {
+		victims map[int]bool
+		started []int
+	}
+	var order []float64
+	byTime := map[float64]*instant{}
+	at := func(t float64) *instant {
+		in := byTime[t]
+		if in == nil {
+			in = &instant{victims: map[int]bool{}}
+			byTime[t] = in
+			order = append(order, t)
+		}
+		return in
+	}
+	cfg := preemptConfig(core.PreemptPriority, core.EDFMode)
+	cfg.OnTransition = func(tr core.Transition) {
+		switch {
+		case tr.Reason == core.ReasonPreempted:
+			at(tr.At).victims[tr.JobID] = true
+		case tr.To == core.StatusRunning:
+			in := at(tr.At)
+			in.started = append(in.started, tr.JobID)
+		}
+	}
+	ct, err := core.NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ct.Run([]*core.Job{
+		{ID: 0, Circuit: qlib.GHZ(127), Arrival: 0, Tenant: 0, Priority: 1, Deadline: 1e6},
+		{ID: 1, Circuit: qlib.GHZ(127), Arrival: 10, Tenant: 1, Priority: 4, Deadline: 1e9},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ps := ct.PreemptStats(); ps.Preemptions != 1 || ps.Resumes != 1 {
+		t.Errorf("preemption stats %+v, want exactly one preemption and resume", ps)
+	}
+	preempted := 0
+	for _, tm := range order {
+		in := byTime[tm]
+		if len(in.victims) == 0 {
+			continue
+		}
+		preempted++
+		other := false
+		for _, id := range in.started {
+			other = other || !in.victims[id]
+		}
+		if !other {
+			t.Fatalf("t=%v: victims %v preempted, but only %v started running", tm, in.victims, in.started)
+		}
+	}
+	if preempted == 0 {
+		t.Fatal("setup: priority preemption never fired")
+	}
+}
+
 // TestResumeHitsPlanCache pins the elastic re-placement fast path: the
-// preemption probe compiles the trigger at the post-release free state
-// and inserts the plan, so the follow-up admission is a cache hit — and
-// the victim's own resume recompiles at a free state its first
-// admission already populated. The two circuits are distinct, so
-// without preemption this run has zero cross-job cache traffic.
+// victim's resume recompiles at a free state its first admission
+// already populated, so it is a plan-cache hit. The two circuits are
+// distinct, so without preemption this run has zero cross-job cache
+// traffic.
 func TestResumeHitsPlanCache(t *testing.T) {
 	ct, err := core.NewController(preemptConfig(core.PreemptRescue, core.EDFMode))
 	if err != nil {

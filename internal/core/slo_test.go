@@ -207,7 +207,7 @@ func TestWFQOrderInterleavesTenantsByWeight(t *testing.T) {
 	prevIntensity := map[int]float64{}
 	for pos, j := range arrived {
 		lastSeen[j.Tenant] = pos
-		in := Intensity(j.Circuit, DefaultBatchWeights())
+		in := Intensity(j.Circuit)
 		if prev, ok := prevIntensity[j.Tenant]; ok && in < prev {
 			t.Fatalf("tenant %d jobs out of intensity order at position %d", j.Tenant, pos)
 		}
@@ -304,26 +304,5 @@ func TestOutcomesConversion(t *testing.T) {
 	failed := Outcomes([]*JobResult{{Job: jobs[0], Failed: true}})
 	if failed[0].JCT != 0 || failed[0].Finished != 0 || !failed[0].Failed {
 		t.Fatalf("failed outcome = %+v", failed[0])
-	}
-}
-
-// TestControllerReuseRefreshesIntensity guards the per-run reset of the
-// intensity memo: job IDs are only unique within one Run, so a reused
-// controller must re-derive intensities for a second stream instead of
-// billing (and ordering) it by the first stream's circuits.
-func TestControllerReuseRefreshesIntensity(t *testing.T) {
-	ct := controller(t, Config{Seed: 1, Mode: WFQMode})
-	small := []*Job{{ID: 0, Circuit: qlib.GHZ(10)}}
-	if _, err := ct.Run(small); err != nil {
-		t.Fatal(err)
-	}
-	first := ct.intensity[0]
-	big := []*Job{{ID: 0, Circuit: qlib.GHZ(100)}}
-	if _, err := ct.Run(big); err != nil {
-		t.Fatal(err)
-	}
-	want := Intensity(big[0].Circuit, DefaultBatchWeights())
-	if got := ct.intensity[0]; got != want || got == first {
-		t.Fatalf("second run memoized intensity %v (first run's %v); want fresh %v", got, first, want)
 	}
 }

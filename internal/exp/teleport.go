@@ -63,7 +63,7 @@ func TeleportComparison(o Options, circuits []string) ([]TeleportRow, error) {
 			return teleportPlans{}, fmt.Errorf("teleport comparison: placing %s: %w", circuits[ci], err)
 		}
 		static := sched.BuildRemoteDAG(c, cl, pl.QubitToQPU, m.Latency)
-		plan, st := sched.BuildMigratingDAG(c, cl, pl.QubitToQPU, m.Latency, sched.PlanOptions{})
+		plan, st := sched.BuildMigratingDAG(c, cl, pl.QubitToQPU, m.Latency)
 		return teleportPlans{static: static, plan: plan, teleports: st.Teleports}, nil
 	})
 	if err != nil {

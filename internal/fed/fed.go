@@ -34,7 +34,6 @@ import (
 	"cloudqc/internal/core"
 	"cloudqc/internal/fault"
 	"cloudqc/internal/metrics"
-	"cloudqc/internal/place"
 	"cloudqc/internal/plan"
 	"cloudqc/internal/trace"
 )
@@ -42,9 +41,9 @@ import (
 // Config assembles a Federation.
 type Config struct {
 	// Shard is the per-shard controller template: mode, policy, model,
-	// weights, plan-cache size, and the base seed. Its Cloud, Recorder,
-	// and SharedWFQ fields must be nil — clouds and recorders are
-	// per-shard (below), and the federation owns the shared WFQ clock.
+	// plan-cache size, and the base seed. Its Cloud, Recorder, and
+	// SharedWFQ fields must be nil — clouds and recorders are per-shard
+	// (below), and the federation owns the shared WFQ clock.
 	Shard core.Config
 	// Clouds are the shard clouds, one per shard (a cloud.Cloud carries
 	// mutable reservations, so shards can never share one instance).
@@ -53,11 +52,6 @@ type Config struct {
 	// Recorders, when non-nil, gives shard i the recorder Recorders[i];
 	// its length must equal len(Clouds). Entries may be nil.
 	Recorders []*metrics.Recorder
-	// NewPlacer, when non-nil, builds shard i's placer; otherwise every
-	// shard shares Shard.Placer (fine for the deterministic CloudQC
-	// placers, which are stateless — stateful placers like simulated
-	// annealing need a factory so shards stay isolated).
-	NewPlacer func(shard int) place.Placer
 	// Routing selects the admission router (default RouteAffinity; see
 	// router.go). RouteRandom is the ablation arm.
 	Routing Routing
@@ -183,9 +177,6 @@ func New(cfg Config) (*Federation, error) {
 			scfg.Recorder = cfg.Recorders[i]
 		}
 		scfg.Trace = cfg.Trace
-		if cfg.NewPlacer != nil {
-			scfg.Placer = cfg.NewPlacer(i)
-		}
 		scfg.Faults = cfg.Faults.ForShard(i)
 		lc, err := core.NewLiveController(scfg)
 		if err != nil {

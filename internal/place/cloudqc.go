@@ -17,8 +17,6 @@ import (
 type Config struct {
 	// ImbalanceFactors is Algorithm 1's α sweep for the graph partitioner.
 	ImbalanceFactors []float64
-	// ScoreAlpha and ScoreBeta weight the placement score S = a/T + b/C.
-	ScoreAlpha, ScoreBeta float64
 	// Model supplies latencies for the runtime estimate.
 	Model epr.Model
 	// Seed drives partitioner tie-breaking.
@@ -37,8 +35,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		ImbalanceFactors: []float64{0.05, 0.1, 0.2, 0.35, 0.5},
-		ScoreAlpha:       1,
-		ScoreBeta:        1,
 		Model:            epr.DefaultModel(),
 		Seed:             1,
 	}
@@ -66,9 +62,6 @@ type CloudQC struct {
 func NewCloudQC(cfg Config) *CloudQC {
 	if len(cfg.ImbalanceFactors) == 0 {
 		cfg.ImbalanceFactors = DefaultConfig().ImbalanceFactors
-	}
-	if cfg.ScoreAlpha == 0 && cfg.ScoreBeta == 0 {
-		cfg.ScoreAlpha, cfg.ScoreBeta = 1, 1
 	}
 	if cfg.Model.EPRAttempt == 0 {
 		cfg.Model = epr.DefaultModel()
@@ -169,7 +162,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 			}
 			t := EstimateTime(c, cl, p.cfg.Model, assign)
 			cost := commCostEdges(parts.edges, cl, assign)
-			s := Score(p.cfg.ScoreAlpha, p.cfg.ScoreBeta, t, cost)
+			s := Score(t, cost)
 			if best == nil || s > bestScore {
 				best = &Placement{Circuit: c, QubitToQPU: assign}
 				bestScore = s

@@ -78,17 +78,18 @@ func EstimateTime(c *circuit.Circuit, cl *cloud.Cloud, m epr.Model, qubitToQPU [
 }
 
 // Score combines estimated runtime T and communication cost C into the
-// paper's placement score S = a/T + b/C; higher is better. Zero C (a
-// fully local placement) scores as if C were 0.5, keeping the score
-// finite while still dominating any placement with real communication.
-func Score(a, b, t, c float64) float64 {
+// paper's placement score S = a/T + b/C with a = b = 1; higher is
+// better. Zero C (a fully local placement) scores as if C were 0.5,
+// keeping the score finite while still dominating any placement with
+// real communication.
+func Score(t, c float64) float64 {
 	if t <= 0 {
 		t = math.SmallestNonzeroFloat64
 	}
 	if c <= 0 {
 		c = 0.5
 	}
-	return a/t + b/c
+	return 1/t + 1/c
 }
 
 // RemoteOpsPerQPU returns R(V_j) for every QPU: the number of remote

@@ -138,7 +138,7 @@ func TestLocalOnlyMatchesDAG(t *testing.T) {
 		want := dagCriticalPath(c, func(i int) float64 { return lat.GateDuration(gates[i].Kind) })
 		assign := make([]int, c.NumQubits())
 		remote := sched.BuildRemoteDAG(c, cl, assign, lat)
-		migrating, _ := sched.BuildMigratingDAG(c, cl, assign, lat, sched.PlanOptions{})
+		migrating, _ := sched.BuildMigratingDAG(c, cl, assign, lat)
 		for kind, d := range map[string]*sched.RemoteDAG{"remote": remote, "migrating": migrating} {
 			if d.Len() != 0 || d.Tail != 0 || math.Float64bits(d.LocalOnly) != math.Float64bits(want) {
 				t.Fatalf("%s %s DAG: %d nodes, Tail %v, LocalOnly %v; want 0 nodes, Tail 0, LocalOnly %v",

@@ -133,14 +133,14 @@ func TestRemoteOpsPerQPU(t *testing.T) {
 
 func TestScoreOrdering(t *testing.T) {
 	// Lower time and lower cost must both increase the score.
-	if Score(1, 1, 10, 10) <= Score(1, 1, 20, 10) {
+	if Score(10, 10) <= Score(20, 10) {
 		t.Fatal("faster placement should score higher")
 	}
-	if Score(1, 1, 10, 10) <= Score(1, 1, 10, 20) {
+	if Score(10, 10) <= Score(10, 20) {
 		t.Fatal("cheaper placement should score higher")
 	}
 	// Zero communication dominates any real communication cost.
-	if Score(1, 1, 10, 0) <= Score(1, 1, 10, 1) {
+	if Score(10, 0) <= Score(10, 1) {
 		t.Fatal("local placement should dominate")
 	}
 }

@@ -15,32 +15,16 @@ import (
 // paper treats all remote gates as cat-entangler operations, so this is
 // an extension with its own ablation.
 
-// PlanOptions tunes the migration heuristic.
-type PlanOptions struct {
-	// Lookahead bounds how many upcoming gates are scanned when counting
-	// a pair's interaction burst (default 12).
-	Lookahead int
-	// MinBurst is the number of consecutive same-pair remote gates that
-	// justifies a teleport (default 2: one teleport EPR replaces >= 2
-	// gate EPRs).
-	MinBurst int
-}
-
-// DefaultPlanOptions returns the migration defaults.
-func DefaultPlanOptions() PlanOptions {
-	return PlanOptions{Lookahead: 12, MinBurst: 2}
-}
-
-func (o PlanOptions) withDefaults() PlanOptions {
-	d := DefaultPlanOptions()
-	if o.Lookahead <= 0 {
-		o.Lookahead = d.Lookahead
-	}
-	if o.MinBurst <= 0 {
-		o.MinBurst = d.MinBurst
-	}
-	return o
-}
+// Migration heuristic constants.
+const (
+	// teleportLookahead bounds how many upcoming gates are scanned when
+	// counting a pair's interaction burst.
+	teleportLookahead = 12
+	// teleportMinBurst is the number of consecutive same-pair remote
+	// gates that justifies a teleport: one teleport EPR replaces >= 2
+	// gate EPRs.
+	teleportMinBurst = 2
+)
 
 // MigrationStats reports what the planner did.
 type MigrationStats struct {
@@ -57,16 +41,15 @@ type MigrationStats struct {
 
 // BuildMigratingDAG contracts a placed circuit into a remote DAG like
 // BuildRemoteDAG, but walks the gate stream with a dynamic qubit->QPU
-// assignment: when a remote gate opens a burst of at least MinBurst
-// interactions between the same qubit pair, and the partner QPU has a
-// free computing qubit, one qubit teleports (a Teleport node consuming
+// assignment: when a remote gate opens a burst of at least
+// teleportMinBurst interactions between the same qubit pair, and the
+// partner QPU has a free computing qubit, one qubit teleports (a Teleport node consuming
 // one EPR on the QPU path) and the burst executes locally.
 //
 // Teleport nodes reuse the RemoteGate machinery (they occupy the same
 // EPR rounds and swap latency), flagged via RemoteGate.Teleport, so the
 // unmodified executor and policies run migration plans directly.
-func BuildMigratingDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.Latency, opt PlanOptions) (*RemoteDAG, *MigrationStats) {
-	opt = opt.withDefaults()
+func BuildMigratingDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.Latency) (*RemoteDAG, *MigrationStats) {
 	n := c.NumQubits()
 	cur := append([]int(nil), assign...)
 	// Free computing slots per QPU beyond the circuit's own footprint.
@@ -104,7 +87,7 @@ func BuildMigratingDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat ep
 		switch {
 		case g.Kind == circuit.Two && cur[g.Qubits[0]] != cur[g.Qubits[1]]:
 			a, b := g.Qubits[0], g.Qubits[1]
-			if mover, dest := teleportChoice(gates, gi, a, b, cur, free, opt); mover >= 0 {
+			if mover, dest := teleportChoice(gates, gi, a, b, cur, free); mover >= 0 {
 				// Teleport node: depends on the moving qubit's history
 				// only; the EPR spans the current QPU pair.
 				src := cur[mover]
@@ -172,10 +155,10 @@ func BuildMigratingDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat ep
 // The burst is counted by scanning ahead: consecutive two-qubit gates
 // between exactly a and b extend it; any other two-qubit gate touching
 // a or b ends it; unrelated gates are skipped.
-func teleportChoice(gates []circuit.Gate, gi, a, b int, cur, free []int, opt PlanOptions) (mover, dest int) {
+func teleportChoice(gates []circuit.Gate, gi, a, b int, cur, free []int) (mover, dest int) {
 	burst := 1
 	scanned := 0
-	for i := gi + 1; i < len(gates) && scanned < opt.Lookahead; i++ {
+	for i := gi + 1; i < len(gates) && scanned < teleportLookahead; i++ {
 		g := gates[i]
 		scanned++
 		if g.Kind != circuit.Two {
@@ -189,10 +172,10 @@ func teleportChoice(gates []circuit.Gate, gi, a, b int, cur, free []int, opt Pla
 		case onA && onB:
 			burst++
 		case onA || onB:
-			scanned = opt.Lookahead // third-party interaction: burst over
+			scanned = teleportLookahead // third-party interaction: burst over
 		}
 	}
-	if burst < opt.MinBurst {
+	if burst < teleportMinBurst {
 		return -1, -1
 	}
 	// Prefer moving a into b's QPU; fall back to the reverse.

@@ -25,7 +25,7 @@ func burstCircuit() (*circuit.Circuit, *cloud.Cloud, []int) {
 
 func TestMigratingDAGCollapsesBurst(t *testing.T) {
 	c, cl, assign := burstCircuit()
-	d, stats := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency(), PlanOptions{})
+	d, stats := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency())
 	if stats.Teleports != 1 {
 		t.Fatalf("teleports = %d, want 1", stats.Teleports)
 	}
@@ -57,7 +57,7 @@ func TestMigrationRespectsCapacity(t *testing.T) {
 		c.Append(circuit.CX(0, 1))
 	}
 	cl := cloud.New(graph.Path(2), 1, 5) // 1 computing qubit per QPU
-	d, stats := BuildMigratingDAG(c, cl, []int{0, 1}, epr.DefaultLatency(), PlanOptions{})
+	d, stats := BuildMigratingDAG(c, cl, []int{0, 1}, epr.DefaultLatency())
 	if stats.Teleports != 0 {
 		t.Fatalf("teleports = %d, want 0 (no capacity)", stats.Teleports)
 	}
@@ -72,7 +72,7 @@ func TestMigrationSkipsSingletonInteractions(t *testing.T) {
 	c.Append(circuit.CX(0, 1), circuit.CX(0, 2), circuit.CX(0, 1), circuit.CX(0, 2))
 	cl := cloud.New(graph.Path(3), 10, 5)
 	assign := []int{0, 1, 2}
-	_, stats := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency(), PlanOptions{})
+	_, stats := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency())
 	if stats.Teleports != 0 {
 		t.Fatalf("teleports = %d, want 0 for alternating partners", stats.Teleports)
 	}
@@ -90,7 +90,7 @@ func TestMigrationDependencies(t *testing.T) {
 	)
 	cl := cloud.New(graph.Path(2), 10, 5)
 	assign := []int{0, 1, 0}
-	d, stats := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency(), PlanOptions{})
+	d, stats := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency())
 	if stats.Teleports != 1 {
 		t.Fatalf("teleports = %d, want 1", stats.Teleports)
 	}
@@ -109,7 +109,7 @@ func TestMigrationDependencies(t *testing.T) {
 func TestMigrationPlanExecutes(t *testing.T) {
 	// A migration plan runs through the unmodified executor.
 	c, cl, assign := burstCircuit()
-	d, _ := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency(), PlanOptions{})
+	d, _ := BuildMigratingDAG(c, cl, assign, epr.DefaultLatency())
 	res, err := Run(d, cl, epr.DefaultModel(), CloudQCPolicy{}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestMigrationBeatsStaticOnBurstyCircuit(t *testing.T) {
 	}
 	lat := epr.DefaultLatency()
 	static := BuildRemoteDAG(circ, cl, pl.QubitToQPU, lat)
-	migrated, stats := BuildMigratingDAG(circ, cl, pl.QubitToQPU, lat, PlanOptions{})
+	migrated, stats := BuildMigratingDAG(circ, cl, pl.QubitToQPU, lat)
 	if stats.Teleports == 0 {
 		t.Fatal("multiplier should trigger migrations")
 	}
@@ -163,7 +163,7 @@ func TestMigrationLocalOnlyCircuit(t *testing.T) {
 	cl := cloud.New(graph.Path(2), 10, 5)
 	c := circuit.New("local", 2)
 	c.Append(circuit.H(0), circuit.CX(0, 1), circuit.M(1))
-	d, stats := BuildMigratingDAG(c, cl, []int{0, 0}, epr.DefaultLatency(), PlanOptions{})
+	d, stats := BuildMigratingDAG(c, cl, []int{0, 0}, epr.DefaultLatency())
 	if d.Len() != 0 || stats.Teleports != 0 {
 		t.Fatalf("local circuit: nodes=%d teleports=%d", d.Len(), stats.Teleports)
 	}
