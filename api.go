@@ -212,19 +212,13 @@ func NewUtilizationRecorder(every float64) *UtilizationRecorder {
 	return metrics.NewRecorder(every)
 }
 
-// NewCluster builds the multi-tenant controller. Zero-valued Config
-// fields get the paper's defaults (CloudQC placement + CloudQC policy,
-// Table I model, batch mode).
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return core.NewController(cfg) }
-
-// NewLiveController builds the incremental (streaming) variant of the
-// controller: jobs can be submitted at any virtual time after the run
-// starts, the clock advances in steps, and submitting a workload's
-// jobs at their arrival times reproduces NewCluster(cfg).Run
-// bit-identically. The same ClusterConfig applies.
-func NewLiveController(cfg ClusterConfig) (*LiveController, error) {
-	return core.NewLiveController(cfg)
-}
+// NewCluster builds the multi-tenant controller with its virtual clock
+// at 0 and no jobs. Zero-valued Config fields get the paper's defaults
+// (CloudQC placement + CloudQC policy, Table I model, batch mode). The
+// cluster runs once: Run a whole workload, or Submit jobs at their
+// arrival times between StepUntil calls and Drain — the two are
+// bit-identical.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return core.NewLiveController(cfg) }
 
 // NewJobService serves cfg.Federation (a single cloud is a 1-shard
 // federation) through the HTTP JSON submission service: POST /v1/jobs,
@@ -239,7 +233,7 @@ func NewJobService(cfg ServiceConfig) (*JobService, error) { return service.New(
 // controller per cloud in cfg.Clouds behind a global admission router.
 // In WFQ mode all shards bill tenants into one shared virtual-clock
 // space, so weighted fairness holds federation-wide; with one cloud
-// the federation is bit-identical to NewLiveController. Everything —
+// the federation is bit-identical to NewCluster. Everything —
 // plan-cache size included — is fixed here, at construction. Pass the
 // result to NewJobService via ServiceConfig.Federation (the only way
 // to serve a live cloud), or drive it directly with Submit / StepUntil

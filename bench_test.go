@@ -277,8 +277,8 @@ func BenchmarkClusterOnline(b *testing.B) {
 				b.Fatal("unexpected failed job")
 			}
 		}
-		rounds += float64(ct.LastRunStats().Rounds)
-		events += float64(ct.LastRunStats().Events)
+		rounds += float64(ct.RunStats().Rounds)
+		events += float64(ct.RunStats().Events)
 		compiles += float64(ct.PlanCacheStats().Misses)
 		hits += float64(ct.PlanCacheStats().Hits)
 	}
@@ -313,7 +313,7 @@ func BenchmarkLiveController(b *testing.B) {
 		}
 		pcfg := DefaultPlacerConfig()
 		pcfg.Seed = seed
-		lc, err := NewLiveController(ClusterConfig{
+		lc, err := NewCluster(ClusterConfig{
 			Cloud:  NewRandomCloud(20, 0.3, 20, 5, 1),
 			Placer: NewPlacer(pcfg),
 			Seed:   seed,
@@ -365,7 +365,7 @@ func BenchmarkLiveControllerTraced(b *testing.B) {
 		pcfg := DefaultPlacerConfig()
 		pcfg.Seed = seed
 		rec := NewTraceRecorder()
-		lc, err := NewLiveController(ClusterConfig{
+		lc, err := NewCluster(ClusterConfig{
 			Cloud:  NewRandomCloud(20, 0.3, 20, 5, 1),
 			Placer: NewPlacer(pcfg),
 			Seed:   seed,
@@ -442,8 +442,8 @@ func BenchmarkClusterOnlineWFQ(b *testing.B) {
 				b.Fatal("unexpected failed job")
 			}
 		}
-		rounds += float64(ct.LastRunStats().Rounds)
-		events += float64(ct.LastRunStats().Events)
+		rounds += float64(ct.RunStats().Rounds)
+		events += float64(ct.RunStats().Events)
 		compiles += float64(ct.PlanCacheStats().Misses)
 		hits += float64(ct.PlanCacheStats().Hits)
 	}
@@ -574,8 +574,8 @@ func BenchmarkPreemption(b *testing.B) {
 		if ct.PreemptStats().Preemptions == 0 {
 			b.Fatal("preemption never fired: the bench regime lost its contention")
 		}
-		rounds += float64(ct.LastRunStats().Rounds)
-		events += float64(ct.LastRunStats().Events)
+		rounds += float64(ct.RunStats().Rounds)
+		events += float64(ct.RunStats().Events)
 		preempted += float64(ct.PreemptStats().Preemptions)
 	}
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")
@@ -644,8 +644,8 @@ func BenchmarkFaultRecovery(b *testing.B) {
 		if fs.RescuedOutage == 0 {
 			b.Fatal("no eviction rescued: the bench regime lost its contention")
 		}
-		rounds += float64(ct.LastRunStats().Rounds)
-		events += float64(ct.LastRunStats().Events)
+		rounds += float64(ct.RunStats().Rounds)
+		events += float64(ct.RunStats().Events)
 		rescued += float64(fs.RescuedOutage)
 	}
 	b.ReportMetric(rounds/float64(b.N), "rounds/run")

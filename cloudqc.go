@@ -95,8 +95,14 @@ type (
 	Job = core.Job
 	// JobResult reports a job's completion time and placement.
 	JobResult = core.JobResult
-	// Cluster is the multi-tenant controller.
-	Cluster = core.Controller
+	// Cluster is the multi-tenant controller, one run over the cloud:
+	// jobs are submitted at any virtual time (Submit), the clock
+	// advances in steps (StepUntil), and the backlog can be run dry
+	// (Drain). Run is Submit-all plus Drain, so feeding a stream
+	// incrementally at its arrival times is bit-identical to Run of it.
+	// A Cluster runs once: after Drain or Run, every further call fails
+	// with ErrDrained.
+	Cluster = core.LiveController
 	// ClusterConfig assembles a Cluster.
 	ClusterConfig = core.Config
 	// Workload is a named pool of benchmark circuits.
@@ -129,7 +135,7 @@ type (
 	// TenantSLO is one tenant's slice of an SLO summary.
 	TenantSLO = metrics.TenantSLO
 	// ClusterRunStats counts the scheduling rounds and events of a
-	// Cluster's last run.
+	// Cluster's run so far (Cluster.RunStats).
 	ClusterRunStats = core.RunStats
 	// PlanCacheStats reports the compile-once plan cache's hit, miss,
 	// and eviction counters plus its occupancy: the cache memoizes
@@ -137,8 +143,7 @@ type (
 	// cloud shape, free-capacity signature), so repeated circuit
 	// templates admit without re-running the placement pipeline —
 	// bit-identically to uncached runs. Read it from
-	// Cluster.PlanCacheStats / LiveController.PlanCacheStats /
-	// Federation.PlanCacheStats and size it with
+	// Cluster.PlanCacheStats / Federation.PlanCacheStats and size it with
 	// ClusterConfig.PlanCacheSize, once, at construction (the HTTP
 	// service reports it on GET /v1/stats).
 	PlanCacheStats = plan.Stats
@@ -148,13 +153,6 @@ type (
 	CircuitFingerprint = circuit.Fingerprint
 	// MigrationStats reports what the teleportation planner did.
 	MigrationStats = sched.MigrationStats
-	// LiveController is the incremental multi-tenant controller behind
-	// the job service: jobs are submitted at any virtual time
-	// (Submit), the clock advances in steps (StepUntil), and the
-	// backlog can be run dry (Drain). Cluster.Run is Submit-all plus
-	// Drain on the same engine, so feeding a stream incrementally at
-	// its arrival times is bit-identical to Cluster.Run of it.
-	LiveController = core.LiveController
 	// JobStatus is a live job's lifecycle state (pending, queued,
 	// running, completed, failed).
 	JobStatus = core.JobStatus
@@ -177,7 +175,7 @@ type (
 	// clouds behind one admission router, with WFQ billing into a
 	// shared virtual-clock space so weighted fairness holds
 	// federation-wide. A 1-shard Federation is bit-identical to a
-	// LiveController built from the same configuration.
+	// Cluster built from the same configuration.
 	Federation = fed.Federation
 	// FederationConfig assembles a Federation: the per-shard
 	// ClusterConfig template, the shard clouds, routing, spill depth.
@@ -196,9 +194,8 @@ type (
 	// ClusterConfig.Preempt.
 	PreemptPolicy = core.PreemptPolicy
 	// PreemptStats counts preemptions, resumes, and rescued deadlines
-	// (Cluster.PreemptStats / LiveController.PreemptStats /
-	// Federation.PreemptStats; the HTTP service reports it on
-	// GET /v1/stats).
+	// (Cluster.PreemptStats / Federation.PreemptStats; the HTTP service
+	// reports it on GET /v1/stats).
 	PreemptStats = core.PreemptStats
 	// TraceRecorder records deterministic virtual-time execution spans
 	// for every job a controller runs: queue wait, admission decision,
@@ -229,9 +226,8 @@ type (
 	// injection (Federation.Inject; POST /v1/faults on the service).
 	FaultEvent = fault.Event
 	// FaultStats counts injected faults by kind and the recovery work
-	// they forced (Cluster.FaultStats / LiveController.FaultStats /
-	// Federation.FaultStats; the HTTP service reports it on
-	// GET /v1/stats).
+	// they forced (Cluster.FaultStats / Federation.FaultStats; the HTTP
+	// service reports it on GET /v1/stats).
 	FaultStats = fault.Stats
 )
 
@@ -239,7 +235,7 @@ type (
 // whose Drain already ran; the HTTP service maps it to 409 Conflict.
 var ErrDrained = core.ErrDrained
 
-// Lifecycle states of a job in a LiveController / JobService.
+// Lifecycle states of a job in a Cluster / JobService.
 const (
 	// StatusUnknown: the id was never submitted (Status's zero answer).
 	StatusUnknown = core.StatusUnknown
@@ -270,9 +266,9 @@ const (
 	WFQMode = core.WFQMode
 )
 
-// Preemption policies for the multi-tenant controller (Run,
-// LiveController, and Federation alike). With PreemptOff the controller
-// is bit-identical to run-to-completion execution.
+// Preemption policies for the multi-tenant controller (Cluster and
+// Federation alike). With PreemptOff the controller is bit-identical to
+// run-to-completion execution.
 const (
 	// PreemptOff disables preemption: placements are final.
 	PreemptOff = core.PreemptOff

@@ -108,7 +108,7 @@ func TestOnlineThroughPublicAPI(t *testing.T) {
 	if s.Completed == 0 || s.Throughput <= 0 || s.P99JCT < s.P50JCT {
 		t.Fatalf("online stats = %+v", s)
 	}
-	if st := cluster.LastRunStats(); st.Rounds <= 0 || st.Events <= 0 {
+	if st := cluster.RunStats(); st.Rounds <= 0 || st.Events <= 0 {
 		t.Fatalf("run stats = %+v", st)
 	}
 }

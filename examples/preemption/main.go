@@ -30,7 +30,7 @@ func main() {
 	}
 
 	run := func(policy cloudqc.PreemptPolicy) {
-		lc, err := cloudqc.NewLiveController(cloudqc.ClusterConfig{
+		lc, err := cloudqc.NewCluster(cloudqc.ClusterConfig{
 			Cloud:   cloudqc.NewRandomCloud(8, 0.3, 20, 5, 1),
 			Mode:    cloudqc.EDFMode,
 			Seed:    7,

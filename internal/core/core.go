@@ -157,7 +157,7 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// Config assembles a Controller.
+// Config assembles a LiveController.
 type Config struct {
 	// Cloud is the shared QPU cluster. Run mutates its reservations.
 	Cloud *cloud.Cloud
@@ -187,9 +187,8 @@ type Config struct {
 	// per-controller one. The federation layer hands one clock to every
 	// shard so weighted fairness extends across shards: a tenant's
 	// placements on any shard raise its start tags on all of them. The
-	// clock is owned by the caller and never reset by the controller;
-	// a single controller over a fresh shared clock behaves identically
-	// to the private default.
+	// clock is owned by the caller; a single controller over a fresh
+	// shared clock behaves identically to the private default.
 	SharedWFQ *WFQClock
 	// Preempt selects the preemption policy applied at EPR-round
 	// boundaries (default PreemptOff). With PreemptOff the controller is
@@ -203,7 +202,7 @@ type Config struct {
 	// nobody would collect the export, and victims re-enqueue locally.
 	ExportPreempted bool
 	// OnTransition, when non-nil, is invoked at every job lifecycle
-	// transition, during Run as well as on a LiveController (the service
+	// transition, under Run as well as Submit and StepUntil (the service
 	// layer derives its SSE streams from these). Fires synchronously
 	// inside the scheduling loop: the hook must be fast and must not call
 	// back into the controller.
@@ -226,8 +225,8 @@ type Config struct {
 	Faults *fault.Plan
 }
 
-// RunStats summarizes the control-loop work of a run (the last Run call,
-// or a LiveController so far), for benchmarking the event-driven engine.
+// RunStats summarizes a controller's control-loop work so far, for
+// benchmarking the event-driven engine.
 type RunStats struct {
 	// Rounds counts executed scheduling rounds: round ticks on the
 	// EPRAttempt grid; skipped stall slots are not counted.
@@ -238,22 +237,38 @@ type RunStats struct {
 	Events int
 }
 
-// Controller executes multi-tenant workloads on a quantum cloud.
-type Controller struct {
+// LiveController is CloudQC's multi-tenant controller: one event-driven
+// run over the cloud that accepts jobs at any virtual time and advances
+// the clock in steps. Run is the batch form of the same run: it submits
+// a whole workload up front and drains it.
+//
+//	lc, _ := core.NewLiveController(cfg)
+//	lc.Submit(job)            // at any time, arrival = now
+//	lc.StepUntil(t)           // advance virtual time to t
+//	lc.Snapshot()             // cluster state, lc.Status(id) per job
+//	results, _ := lc.Drain()  // run the backlog dry and stop
+//
+// Submitting a workload's jobs at their arrival times (Submit before the
+// clock passes each arrival) with steps in between reproduces Run's
+// up-front submission bit-identically — same rounds, same JCTs, same
+// recorder series (see TestLiveControllerMatchesRun). A controller runs
+// once: after Drain (or Run, which ends in Drain) every further Submit,
+// StepUntil, Drain, or Run fails with ErrDrained.
+//
+// A LiveController is not safe for concurrent use; the service layer
+// (internal/service) serializes access.
+type LiveController struct {
 	cfg Config
 	rng *rand.Rand
 	// wfq holds WFQ admission's virtual clocks — per-tenant virtual
 	// service (placed intensity / weight) behind a stable tenant→slot
-	// table, plus the global virtual time. Private clocks reset per
-	// run; a Config.SharedWFQ clock is federation-owned and persists.
+	// table, plus the global virtual time: Config.SharedWFQ when set
+	// (federation-owned), else a private clock.
 	wfq *WFQClock
-	// stats describes the current or last run (Run or a LiveController).
-	stats RunStats
-	// preempt counts preemption activity; reset with the per-run
-	// scheduling state.
-	preempt PreemptStats
-	// faultStats counts fault-injection and recovery activity; reset
-	// with the per-run scheduling state.
+	// stats, preempt and faultStats count scheduling work, preemption
+	// activity, and fault-injection and recovery activity so far.
+	stats      RunStats
+	preempt    PreemptStats
 	faultStats fault.Stats
 	// planCache memoizes compile artifacts (placement, remote DAG) per
 	// (circuit fingerprint, free-capacity signature); nil when caching
@@ -272,14 +287,93 @@ type Controller struct {
 	wfqRound    []int
 	wfqSvc      []float64
 	wfqCursor   []int
+
+	// eng runs the event closures (arrivals, ticks, faults) that share
+	// the state below.
+	eng            *des.Engine
+	results        map[int]*JobResult
+	totalComputing int
+	// jobs preserves submission order for Results.
+	jobs []*Job
+	// queue holds arrived jobs awaiting placement. Jobs enter it only
+	// when their arrival event fires, so its length is exactly the
+	// arrived-but-unplaced count the Recorder samples as Queued.
+	queue           []*Job
+	pendingArrivals int
+	active          []*activeJob
+	releases        []release
+	budget          []int
+	// Per-round scratch, reused across ticks so the hot path stops
+	// allocating: the flattened request list, each active job's ready
+	// set (inner slices keep their capacity), the pairs granted to each
+	// request by position, and the states slice scheduleNext hands to
+	// EarliestEnableTime.
+	reqBuf    []sched.Request
+	readyBuf  [][]int
+	grants    []int
+	statesBuf []*sched.JobState
+	// nextRound is the next shared EPR round's time. Round times advance
+	// by repeated EPRAttempt addition from the instant multi-tenant
+	// execution (re)started, and are NaN while no job is active.
+	nextRound float64
+	// capacityChanged gates admission: set by arrivals and maturing
+	// releases, consumed by the next tick.
+	capacityChanged bool
+	// tickGen invalidates superseded tick events: the engine has no
+	// cancel, so a rescheduled tick bumps the generation and the stale
+	// closure becomes a no-op.
+	tickGen int
+	// tickAt is the scheduled live tick's time (NaN when none).
+	tickAt float64
+	// maxFinished tracks the latest job completion for the closing
+	// recorder sample.
+	maxFinished float64
+	// strict is Run's contract: queued jobs the placer can never fit on
+	// an all-free cloud abort the run with an error. Otherwise they are
+	// marked failed and the run goes on — an always-on service must
+	// survive one impossible job.
+	strict bool
+	// status indexes per-job lifecycle states, with settled counters
+	// alongside, so status queries and snapshots cost O(1) instead of
+	// scanning the full submission history. Maintained via setStatus at
+	// every transition point.
+	status    map[int]JobStatus
+	completed int
+	failed    int
+	// started latches the first clock advance, which decides the
+	// recorder's opening sample.
+	started bool
+	// draining means no more submissions are coming (Drain, and so all
+	// of Run): trailing releases are applied silently at the end instead
+	// of waking the controller, and nothing is exported. drained latches
+	// once Drain or Evacuate retired the controller.
+	draining bool
+	drained  bool
+	err      error
+	// Preemption state, empty with PreemptOff configured so the off path
+	// carries no behavior change: resume maps a preempted or evicted
+	// job's ID to its checkpoint for the re-admission pass, rescued marks
+	// jobs whose queueing triggered a rescue preemption (their on-time
+	// finish increments RescuedDeadlines), and exported collects victims
+	// awaiting federation re-routing (TakePreempted).
+	resume   map[int]*resumeState
+	rescued  map[int]bool
+	exported []PreemptedJob
+	// faults is the fault injector's overlay (see fault.go), nil
+	// without a plan so the fault-free path carries no behavior change.
+	faults *faultState
+	// halted marks an evacuated shard (fed drained it): stale event
+	// closures still in the engine must not resurrect exported jobs.
+	halted bool
 }
 
 // statePoolCap bounds the JobState pool: enough for any realistic
 // concurrent-active set without pinning unbounded per-node arrays.
 const statePoolCap = 64
 
-// NewController validates the configuration and applies defaults.
-func NewController(cfg Config) (*Controller, error) {
+// NewLiveController validates the configuration, applies defaults, and
+// returns a controller with the virtual clock at 0 and no jobs.
+func NewLiveController(cfg Config) (*LiveController, error) {
 	if cfg.Cloud == nil {
 		return nil, errors.New("core: Config.Cloud is required")
 	}
@@ -311,30 +405,49 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := validateFaults(&cfg); err != nil {
 		return nil, err
 	}
+	totalComputing := 0
 	for i := 0; i < cfg.Cloud.NumQPUs(); i++ {
 		if cfg.Cloud.QPU(i).Comm < 1 {
 			return nil, fmt.Errorf("core: QPU %d has no communication qubits", i)
 		}
+		totalComputing += cfg.Cloud.QPU(i).Computing
 	}
-	ct := &Controller{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+	lc := &LiveController{
+		cfg:            cfg,
+		rng:            rand.New(rand.NewSource(cfg.Seed)),
+		wfq:            cfg.SharedWFQ,
+		eng:            des.NewEngine(),
+		results:        make(map[int]*JobResult),
+		totalComputing: totalComputing,
+		budget:         make([]int, cfg.Cloud.NumQPUs()),
+		nextRound:      math.NaN(),
+		tickAt:         math.NaN(),
+		status:         make(map[int]JobStatus),
+		resume:         make(map[int]*resumeState),
+		rescued:        make(map[int]bool),
+	}
+	if lc.wfq == nil {
+		lc.wfq = NewWFQClock()
 	}
 	if cfg.PlanCacheSize >= 0 {
 		if _, ok := cfg.Placer.(place.DeterministicPlacer); ok {
-			ct.planCache = plan.New(cfg.PlanCacheSize)
+			lc.planCache = plan.New(cfg.PlanCacheSize)
 		}
 	}
-	return ct, nil
+	// Fault events land on the engine before any arrival, so at a shared
+	// instant the fault transition precedes the arrival.
+	lc.faultInit()
+	return lc, nil
 }
 
-// PlanCacheStats reports the plan cache's cumulative hit/miss/eviction
-// counters; the zero Stats (Enabled false) when caching is off.
-func (ct *Controller) PlanCacheStats() plan.Stats {
-	if ct.planCache == nil {
+// PlanCacheStats reports the compile-once plan cache's cumulative
+// hit/miss/eviction counters — surfaced by the service layer on
+// GET /v1/stats; the zero Stats (Enabled false) when caching is off.
+func (lc *LiveController) PlanCacheStats() plan.Stats {
+	if lc.planCache == nil {
 		return plan.Stats{}
 	}
-	return ct.planCache.Stats()
+	return lc.planCache.Stats()
 }
 
 // activeJob is one placed, executing job.
@@ -358,30 +471,6 @@ type activeJob struct {
 type release struct {
 	at        float64
 	placement *place.Placement
-}
-
-// resetScheduling restarts the per-run scheduling state — the WFQ
-// virtual clocks and the run-stats counters. A shared WFQ clock is
-// federation-owned and left alone: wiping it would erase the other
-// shards' billing. It returns the cloud's total computing-qubit
-// capacity.
-func (ct *Controller) resetScheduling() int {
-	switch {
-	case ct.cfg.SharedWFQ != nil:
-		ct.wfq = ct.cfg.SharedWFQ
-	case ct.wfq == nil:
-		ct.wfq = NewWFQClock()
-	default:
-		ct.wfq.Reset()
-	}
-	ct.stats = RunStats{}
-	ct.preempt = PreemptStats{}
-	ct.faultStats = fault.Stats{}
-	totalComputing := 0
-	for i := 0; i < ct.cfg.Cloud.NumQPUs(); i++ {
-		totalComputing += ct.cfg.Cloud.QPU(i).Computing
-	}
-	return totalComputing
 }
 
 // validateJob rejects nil circuits, empty registers (a 0-qubit circuit
@@ -410,102 +499,18 @@ func validateJob(j *Job, results map[int]*JobResult) error {
 	return nil
 }
 
-// LastRunStats reports the control-loop work of the most recent Run call.
-func (ct *Controller) LastRunStats() RunStats { return ct.stats }
-
-// runState is one event-driven run's mutable state, shared by the event
-// closures scheduled on the engine. Run and LiveController build it the
-// same way (Controller.startLive).
-type runState struct {
-	ct             *Controller
-	eng            *des.Engine
-	results        map[int]*JobResult
-	totalComputing int
-	// queue holds arrived jobs awaiting placement. Jobs enter it only
-	// when their arrival event fires, so its length is exactly the
-	// arrived-but-unplaced count the Recorder samples as Queued.
-	queue           []*Job
-	pendingArrivals int
-	active          []*activeJob
-	releases        []release
-	budget          []int
-	// Per-round scratch, reused across ticks so the hot path stops
-	// allocating: the flattened request list, each active job's ready
-	// set (inner slices keep their capacity), the pairs granted to each
-	// request by position, and the states slice scheduleNext hands to
-	// EarliestEnableTime.
-	reqBuf    []sched.Request
-	readyBuf  [][]int
-	grants    []int
-	statesBuf []*sched.JobState
-	// Traced-round scratch (per-active request counts, granted sums,
-	// and max path hops), touched only when cfg.Trace is set.
-	reqCountBuf []int
-	grantBuf    []int
-	hopsBuf     []int
-	// nextRound is the next shared EPR round's time. Round times advance
-	// by repeated EPRAttempt addition from the instant multi-tenant
-	// execution (re)started, and are NaN while no job is active.
-	nextRound float64
-	// capacityChanged gates admission: set by arrivals and maturing
-	// releases, consumed by the next tick.
-	capacityChanged bool
-	// tickGen invalidates superseded tick events: the engine has no
-	// cancel, so a rescheduled tick bumps the generation and the stale
-	// closure becomes a no-op.
-	tickGen int
-	// tickAt is the scheduled live tick's time (NaN when none).
-	tickAt float64
-	// maxFinished tracks the latest job completion for the closing
-	// recorder sample.
-	maxFinished float64
-	// strict is Run's contract: queued jobs the placer can never fit on
-	// an all-free cloud abort the run with an error. Otherwise (the
-	// LiveController) they are marked failed and the run goes on — an
-	// always-on service must survive one impossible job.
-	strict bool
-	// status indexes per-job lifecycle states, with settled counters
-	// alongside, so status queries and snapshots cost O(1) instead of
-	// scanning the full submission history. Maintained via setStatus at
-	// every transition point.
-	status    map[int]JobStatus
-	completed int
-	failed    int
-	// draining means no more submissions are coming (Drain, and so all
-	// of Run): trailing releases are applied silently at the end instead
-	// of waking the controller, and nothing is exported.
-	draining bool
-	err      error
-	// Preemption state, empty with PreemptOff configured so the off path
-	// carries no behavior change: resume maps a preempted or evicted
-	// job's ID to its checkpoint for the re-admission pass, rescued marks
-	// jobs whose queueing triggered a rescue preemption (their on-time
-	// finish increments RescuedDeadlines), and exported collects victims
-	// awaiting federation re-routing (TakePreempted).
-	resume   map[int]*resumeState
-	rescued  map[int]bool
-	exported []PreemptedJob
-	// faults is the fault injector's overlay (see fault.go), nil
-	// without a plan so the fault-free path carries no behavior change.
-	faults *faultState
-	// halted marks an evacuated shard (fed drained it): stale event
-	// closures still in the engine must not resurrect exported jobs.
-	halted bool
-}
-
 // Run executes the jobs to completion and returns their results in
 // the order given. The cloud's computing-qubit reservations are restored
 // to their initial state before returning.
 //
-// Run is Submit-all plus Drain on a live run of this controller (see
-// LiveController), with one difference: a job that can never be placed
-// aborts the run with an error instead of being marked failed. The
-// controller's rng, plan cache, and state pool carry over between calls.
-// Rounds fall on the EPRAttempt grid from the instant execution
-// (re)started; grid slots where no job can attempt EPR generation are
-// skipped, not simulated.
-func (ct *Controller) Run(jobs []*Job) ([]*JobResult, error) {
-	lc := ct.startLive(len(jobs), true)
+// Run is Submit-all plus Drain, with one difference: a job that can
+// never be placed aborts the run with an error instead of being marked
+// failed. Like Drain it retires the controller, so a second Run fails
+// with ErrDrained. Rounds fall on the EPRAttempt grid from the instant
+// execution (re)started; grid slots where no job can attempt EPR
+// generation are skipped, not simulated.
+func (lc *LiveController) Run(jobs []*Job) ([]*JobResult, error) {
+	lc.strict = true
 	for _, j := range jobs {
 		if err := lc.Submit(j); err != nil {
 			return nil, err
@@ -516,116 +521,127 @@ func (ct *Controller) Run(jobs []*Job) ([]*JobResult, error) {
 
 // setStatus records a job's lifecycle transition, keeps the settled
 // counters current, and fires the OnTransition hook.
-func (st *runState) setStatus(id int, s JobStatus) {
-	st.setStatusReason(id, s, ReasonNone)
+func (lc *LiveController) setStatus(id int, s JobStatus) {
+	lc.setStatusReason(id, s, ReasonNone)
 }
 
 // setStatusReason is setStatus with an explicit transition reason for
 // the OnTransition hook (preemption, eviction, and resume paths).
-func (st *runState) setStatusReason(id int, s JobStatus, why TransitionReason) {
-	old := st.status[id]
-	st.status[id] = s
+func (lc *LiveController) setStatusReason(id int, s JobStatus, why TransitionReason) {
+	old := lc.status[id]
+	lc.status[id] = s
 	switch s {
 	case StatusCompleted:
-		st.completed++
+		lc.completed++
 	case StatusFailed:
-		st.failed++
+		lc.failed++
 	}
-	if fn := st.ct.cfg.OnTransition; fn != nil {
-		fn(Transition{JobID: id, From: old, To: s, At: st.eng.Now(), Reason: why})
+	if fn := lc.cfg.OnTransition; fn != nil {
+		fn(Transition{JobID: id, From: old, To: s, At: lc.eng.Now(), Reason: why})
 	}
+}
+
+// fail settles job id as failed at t: its result is marked Failed, its
+// trace closes, and its status moves to StatusFailed — the one failure
+// path behind admission (larger than the cloud), the unplaceable
+// verdict, and fault eviction.
+func (lc *LiveController) fail(id int, t float64) {
+	lc.results[id].Failed = true
+	if tc := lc.cfg.Trace; tc != nil {
+		tc.Fail(id, t)
+	}
+	lc.setStatus(id, StatusFailed)
 }
 
 // arrive is the arrival event: the job joins the admission queue and a
 // tick at the current instant places it if capacity allows, so an
 // arrival is admitted on arrival rather than at the next release.
-func (st *runState) arrive(j *Job) {
-	if st.halted {
+func (lc *LiveController) arrive(j *Job) {
+	if lc.halted {
 		// Evacuated shard: the job was exported for rehoming (Evacuate
 		// adjusted pendingArrivals); the stale closure must not
 		// resurrect it here.
 		return
 	}
-	st.pendingArrivals--
-	if st.err != nil {
+	lc.pendingArrivals--
+	if lc.err != nil {
 		return
 	}
-	st.ct.stats.Events++
-	st.queue = append(st.queue, j)
-	if tc := st.ct.cfg.Trace; tc != nil {
+	lc.stats.Events++
+	lc.queue = append(lc.queue, j)
+	if tc := lc.cfg.Trace; tc != nil {
 		// A resume arrival rehomed from another shard finds its trace
 		// already open in the shared recorder; Arrive keeps it.
 		tc.Arrive(j.ID, j.Tenant, j.Arrival)
 	}
-	st.setStatus(j.ID, StatusQueued)
-	st.capacityChanged = true
-	st.requestTick(st.eng.Now())
+	lc.setStatus(j.ID, StatusQueued)
+	lc.capacityChanged = true
+	lc.requestTick(lc.eng.Now())
 }
 
 // requestTick schedules the controller tick at `at`, superseding any
 // later-scheduled tick. Requests at or after the pending tick are
 // no-ops: ticks only ever move earlier, never later.
-func (st *runState) requestTick(at float64) {
-	if !math.IsNaN(st.tickAt) && st.tickAt <= at {
+func (lc *LiveController) requestTick(at float64) {
+	if !math.IsNaN(lc.tickAt) && lc.tickAt <= at {
 		return
 	}
-	st.tickGen++
-	gen := st.tickGen
-	st.tickAt = at
-	st.eng.Schedule(at, func() {
-		if gen != st.tickGen || st.err != nil {
+	lc.tickGen++
+	gen := lc.tickGen
+	lc.tickAt = at
+	lc.eng.Schedule(at, func() {
+		if gen != lc.tickGen || lc.err != nil {
 			return
 		}
-		st.tickAt = math.NaN()
-		st.tick()
+		lc.tickAt = math.NaN()
+		lc.tick()
 	})
 }
 
 // tick is one controller pass at the current instant: apply matured
 // releases, retry admission, sample the recorder, run the shared EPR
 // round if one is due, retire finished jobs, and schedule the next tick.
-func (st *runState) tick() {
-	ct := st.ct
-	ct.stats.Events++
-	t := st.eng.Now()
+func (lc *LiveController) tick() {
+	lc.stats.Events++
+	t := lc.eng.Now()
 
 	// Apply matured releases.
-	kept := st.releases[:0]
-	for _, r := range st.releases {
+	kept := lc.releases[:0]
+	for _, r := range lc.releases {
 		if r.at <= t {
-			r.placement.Release(ct.cfg.Cloud)
-			st.capacityChanged = true
+			r.placement.Release(lc.cfg.Cloud)
+			lc.capacityChanged = true
 		} else {
 			kept = append(kept, r)
 		}
 	}
-	st.releases = kept
-	if st.faults != nil {
+	lc.releases = kept
+	if lc.faults != nil {
 		// Capacity a matured release just returned on a downed QPU goes
 		// straight back into the outage hold.
-		st.faultTopUp()
+		lc.faultTopUp()
 	}
 
 	// Admission: try placing waiting jobs. Admitting onto an idle cloud
 	// (re)starts the round clock at this instant.
-	if st.capacityChanged {
-		wasIdle := len(st.active) == 0
-		if err := st.admit(t); err != nil {
-			st.err = err
+	if lc.capacityChanged {
+		wasIdle := len(lc.active) == 0
+		if err := lc.admit(t); err != nil {
+			lc.err = err
 			return
 		}
-		st.capacityChanged = false
-		if wasIdle && len(st.active) > 0 {
-			st.nextRound = t
+		lc.capacityChanged = false
+		if wasIdle && len(lc.active) > 0 {
+			lc.nextRound = t
 		}
 	}
 
-	if ct.cfg.Recorder != nil {
-		ct.cfg.Recorder.Record(metrics.Sample{
+	if lc.cfg.Recorder != nil {
+		lc.cfg.Recorder.Record(metrics.Sample{
 			Time:        t,
-			Utilization: ct.cfg.Cloud.Utilization(),
-			Active:      len(st.active),
-			Queued:      len(st.queue),
+			Utilization: lc.cfg.Cloud.Utilization(),
+			Active:      len(lc.active),
+			Queued:      len(lc.queue),
 		})
 	}
 
@@ -633,96 +649,80 @@ func (st *runState) tick() {
 	// Off-grid ticks (an arrival landing between rounds) only admit; the
 	// round cadence of already-running jobs is preserved. Requests and
 	// ready sets accumulate into reused scratch buffers.
-	if !math.IsNaN(st.nextRound) && t >= st.nextRound {
-		ct.stats.Rounds++
-		traced := ct.cfg.Trace != nil
-		if traced {
-			st.reqCountBuf = zeroInts(st.reqCountBuf, len(st.active))
-			st.grantBuf = zeroInts(st.grantBuf, len(st.active))
-			st.hopsBuf = zeroInts(st.hopsBuf, len(st.active))
+	if !math.IsNaN(lc.nextRound) && t >= lc.nextRound {
+		lc.stats.Rounds++
+		lc.reqBuf = lc.reqBuf[:0]
+		for len(lc.readyBuf) < len(lc.active) {
+			lc.readyBuf = append(lc.readyBuf, nil)
 		}
-		st.reqBuf = st.reqBuf[:0]
-		for len(st.readyBuf) < len(st.active) {
-			st.readyBuf = append(st.readyBuf, nil)
-		}
-		for idx, aj := range st.active {
-			ready := aj.state.AppendReady(st.readyBuf[idx][:0], t)
-			st.readyBuf[idx] = ready
-			base := len(st.reqBuf)
-			st.reqBuf = aj.state.AppendRequests(st.reqBuf, idx, ready)
-			for i := base; i < len(st.reqBuf); i++ {
-				st.reqBuf[i].Tenant = aj.job.Tenant
-				st.reqBuf[i].TenantWeight = aj.job.Priority
-			}
-			if traced {
-				st.reqCountBuf[idx] = len(st.reqBuf) - base
-				for i := base; i < len(st.reqBuf); i++ {
-					if h := len(st.reqBuf[i].Path) - 1; h > st.hopsBuf[idx] {
-						st.hopsBuf[idx] = h
-					}
-				}
+		for idx, aj := range lc.active {
+			ready := aj.state.AppendReady(lc.readyBuf[idx][:0], t)
+			lc.readyBuf[idx] = ready
+			base := len(lc.reqBuf)
+			lc.reqBuf = aj.state.AppendRequests(lc.reqBuf, idx, ready)
+			for i := base; i < len(lc.reqBuf); i++ {
+				lc.reqBuf[i].Tenant = aj.job.Tenant
+				lc.reqBuf[i].TenantWeight = aj.job.Priority
 			}
 		}
 		var grants []int
-		if len(st.reqBuf) > 0 {
-			for i := range st.budget {
-				st.budget[i] = ct.cfg.Cloud.QPU(i).Comm
+		if len(lc.reqBuf) > 0 {
+			for i := range lc.budget {
+				lc.budget[i] = lc.cfg.Cloud.QPU(i).Comm
 			}
-			if f := st.faults; f != nil {
+			if f := lc.faults; f != nil {
 				// A downed QPU generates no EPR pairs for the interval.
-				for i := range st.budget {
+				for i := range lc.budget {
 					if f.down[i] > 0 {
-						st.budget[i] = 0
+						lc.budget[i] = 0
 					}
 				}
 			}
-			st.grants = slices.Grow(st.grants[:0], len(st.reqBuf))[:len(st.reqBuf)]
-			grants = st.grants
-			sched.AllocateInto(ct.cfg.Policy, st.reqBuf, st.budget, grants, ct.rng)
-			// reqBuf lists each active job's ready nodes in turn, so a
-			// running index walks grants in step with them.
-			k := 0
-			for idx, aj := range st.active {
-				granted := 0
-				for _, u := range st.readyBuf[idx] {
-					st.attempt(aj.state, u, grants[k], t)
-					granted += grants[k]
-					k++
+			lc.grants = slices.Grow(lc.grants[:0], len(lc.reqBuf))[:len(lc.reqBuf)]
+			grants = lc.grants
+			sched.AllocateInto(lc.cfg.Policy, lc.reqBuf, lc.budget, grants, lc.rng)
+		}
+		// reqBuf lists each active job's ready nodes in turn, one request
+		// per node, so a running index walks requests and grants in step
+		// with them. Every active job is visited, even in a round with no
+		// requests: a traced job sees every round tick, so the
+		// network-stall accumulator closes each attempt stretch at the
+		// round that follows it.
+		k := 0
+		for idx, aj := range lc.active {
+			ready := lc.readyBuf[idx]
+			granted, hops := 0, 0
+			for _, u := range ready {
+				if h := len(lc.reqBuf[k].Path) - 1; h > hops {
+					hops = h
 				}
-				if traced {
-					st.grantBuf[idx] = granted
-				}
+				lc.attempt(aj.state, u, grants[k], t)
+				granted += grants[k]
+				k++
+			}
+			if aj.tr != nil {
+				aj.tr.Round(t, len(ready), len(ready), granted, hops)
 			}
 		}
-		if traced {
-			// Every active traced job sees every round tick — including
-			// ready-empty ones — so the network-stall accumulator closes
-			// each attempt stretch at the round that follows it.
-			for idx, aj := range st.active {
-				if aj.tr != nil {
-					aj.tr.Round(t, len(st.readyBuf[idx]), st.reqCountBuf[idx], st.grantBuf[idx], st.hopsBuf[idx])
-				}
-			}
-		}
-		if st.faults != nil {
+		if lc.faults != nil {
 			// After the traced Round hooks so a retry-failed job's spans
 			// close in recording order; before retirement so a job that
 			// completed this round retires instead of failing.
-			st.faultRetryPass(t, grants)
+			lc.faultRetryPass(t, grants)
 		}
-		st.nextRound = t + ct.cfg.Model.EPRAttempt
+		lc.nextRound = t + lc.cfg.Model.EPRAttempt
 	}
 
 	// Retire completed jobs; their execution states return to the pool
 	// for later admissions to reuse.
-	remaining := st.active[:0]
-	for _, aj := range st.active {
+	remaining := lc.active[:0]
+	for _, aj := range lc.active {
 		if !aj.state.Done() {
 			remaining = append(remaining, aj)
 			continue
 		}
 		finished := aj.state.JCT()
-		res := st.results[aj.job.ID]
+		res := lc.results[aj.job.ID]
 		res.PlacedAt = aj.firstPlacedAt
 		res.Finished = finished
 		res.JCT = finished - aj.job.Arrival
@@ -730,39 +730,26 @@ func (st *runState) tick() {
 		if aj.tr != nil {
 			// Before the status transition, so the service's done event
 			// already sees the finalized attribution.
-			ct.cfg.Trace.Settle(aj.tr, finished, aj.state.MaxFinish())
+			lc.cfg.Trace.Settle(aj.tr, finished, aj.state.MaxFinish())
 		}
-		st.releases = append(st.releases, release{at: finished, placement: aj.placement})
-		st.setStatus(aj.job.ID, StatusCompleted)
-		if st.rescued[aj.job.ID] {
-			delete(st.rescued, aj.job.ID)
+		lc.releases = append(lc.releases, release{at: finished, placement: aj.placement})
+		lc.setStatus(aj.job.ID, StatusCompleted)
+		if lc.rescued[aj.job.ID] {
+			delete(lc.rescued, aj.job.ID)
 			if aj.job.Deadline > 0 && finished <= aj.job.Deadline {
-				ct.preempt.RescuedDeadlines++
+				lc.preempt.RescuedDeadlines++
 			}
 		}
-		if finished > st.maxFinished {
-			st.maxFinished = finished
+		if finished > lc.maxFinished {
+			lc.maxFinished = finished
 		}
-		ct.releaseJobState(aj.state)
+		lc.releaseJobState(aj.state)
 		aj.state = nil
 	}
-	st.active = remaining
+	lc.active = remaining
 
-	st.maybePreempt(t)
-	st.scheduleNext(t)
-}
-
-// zeroInts returns buf resized to n entries, all zero, growing the
-// backing array only until it warms up to the run's active-set size.
-func zeroInts(buf []int, n int) []int {
-	for len(buf) < n {
-		buf = append(buf, 0)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
+	lc.maybePreempt(t)
+	lc.scheduleNext(t)
 }
 
 // scheduleNext decides when the controller must wake again after a tick
@@ -772,10 +759,10 @@ func zeroInts(buf []int, n int) []int {
 // jump. With an idle cloud it is the next release (arrival events wake
 // the controller on their own); no wake source left with jobs still
 // queued means they can never be placed.
-func (st *runState) scheduleNext(t float64) {
-	if len(st.active) == 0 {
-		st.nextRound = math.NaN()
-		if len(st.queue) == 0 && st.pendingArrivals == 0 && st.draining {
+func (lc *LiveController) scheduleNext(t float64) {
+	if len(lc.active) == 0 {
+		lc.nextRound = math.NaN()
+		if len(lc.queue) == 0 && lc.pendingArrivals == 0 && lc.draining {
 			return // done: only the final releases remain
 		}
 		// Wake at the next maturing release even with nothing queued:
@@ -785,38 +772,34 @@ func (st *runState) scheduleNext(t float64) {
 		// controller wakes even with nothing pending at all — more jobs
 		// may be submitted at any time.
 		next := math.Inf(1)
-		for _, r := range st.releases {
+		for _, r := range lc.releases {
 			if r.at > t && r.at < next {
 				next = r.at
 			}
 		}
 		if !math.IsInf(next, 1) {
-			st.requestTick(next)
-		} else if st.faults != nil && st.faults.anyDown() {
+			lc.requestTick(next)
+		} else if lc.faults != nil && lc.faults.anyDown() {
 			// Queued jobs may be waiting on capacity an outage is
 			// holding; the pending qpuUp event wakes the controller and
 			// retries admission before any unplaceable verdict.
 			return
-		} else if len(st.queue) > 0 && st.pendingArrivals == 0 && math.IsNaN(st.tickAt) {
+		} else if len(lc.queue) > 0 && lc.pendingArrivals == 0 && math.IsNaN(lc.tickAt) {
 			// The tickAt guard defers the verdict while a same-instant
 			// re-admission tick is pending (requested when jobs left the
 			// cloud mid-tick, as the fault retry pass does): the queue may
 			// hold jobs that freed capacity just made placeable.
 			// Nothing active, nothing maturing, nothing still to arrive:
-			// the queued jobs can never be placed. Run (strict) aborts; a
-			// live controller fails the jobs and keeps serving.
-			if st.strict {
-				st.err = fmt.Errorf("core: %d jobs unplaceable with all resources free", len(st.queue))
+			// the queued jobs can never be placed. Run (strict) aborts;
+			// otherwise the controller fails the jobs and keeps serving.
+			if lc.strict {
+				lc.err = fmt.Errorf("core: %d jobs unplaceable with all resources free", len(lc.queue))
 				return
 			}
-			for _, j := range st.queue {
-				st.results[j.ID].Failed = true
-				if tc := st.ct.cfg.Trace; tc != nil {
-					tc.Fail(j.ID, t)
-				}
-				st.setStatus(j.ID, StatusFailed)
+			for _, j := range lc.queue {
+				lc.fail(j.ID, t)
 			}
-			st.queue = st.queue[:0]
+			lc.queue = lc.queue[:0]
 		}
 		return
 	}
@@ -824,17 +807,17 @@ func (st *runState) scheduleNext(t float64) {
 	// Earliest instant any active job can attempt EPR generation; a
 	// maturing release also matters (placement retries, utilization
 	// samples), processed on the round grid.
-	st.statesBuf = st.statesBuf[:0]
-	for _, aj := range st.active {
-		st.statesBuf = append(st.statesBuf, aj.state)
+	lc.statesBuf = lc.statesBuf[:0]
+	for _, aj := range lc.active {
+		lc.statesBuf = append(lc.statesBuf, aj.state)
 	}
-	wake, ok := sched.EarliestEnableTime(st.statesBuf, t)
+	wake, ok := sched.EarliestEnableTime(lc.statesBuf, t)
 	if !ok {
 		// Unreachable: an unfinished job always has a runnable node. Keep
 		// the round cadence rather than spinning the skip loop forever.
 		wake = t
 	}
-	for _, r := range st.releases {
+	for _, r := range lc.releases {
 		if r.at > t && r.at < wake {
 			wake = r.at
 		}
@@ -843,45 +826,40 @@ func (st *runState) scheduleNext(t float64) {
 	// EPRAttempt addition — the float sequence a round-per-slot clock
 	// would walk, so skipping stalls cannot perturb round times (and
 	// with them EPR sampling) by even one ulp.
-	next := st.nextRound
+	next := lc.nextRound
 	for next < wake {
-		next += st.ct.cfg.Model.EPRAttempt
+		next += lc.cfg.Model.EPRAttempt
 	}
-	st.nextRound = next
-	st.requestTick(next)
+	lc.nextRound = next
+	lc.requestTick(next)
 }
 
 // admit tries to place every queued job that has arrived by t, in the
 // configured admission order (batch intensity, FIFO, EDF, or WFQ),
 // moving placed jobs onto the active list. Jobs larger than the whole
 // cloud are marked failed.
-func (st *runState) admit(t float64) error {
-	ct := st.ct
+func (lc *LiveController) admit(t float64) error {
 	// Partition in place: not-yet-arrived jobs compact into queue's
 	// prefix, arrived ones move to a controller-owned scratch list.
 	// Bounced jobs are appended back onto the prefix — the combined
 	// length never exceeds the original queue, so the hot path
 	// reallocates nothing once the scratch warms up.
-	arrived := ct.arrived[:0]
-	waiting := st.queue[:0]
-	for _, j := range st.queue {
+	arrived := lc.arrived[:0]
+	waiting := lc.queue[:0]
+	for _, j := range lc.queue {
 		if j.Arrival <= t {
 			arrived = append(arrived, j)
 		} else {
 			waiting = append(waiting, j)
 		}
 	}
-	ct.orderArrived(arrived)
+	lc.orderArrived(arrived)
 	for _, j := range arrived {
-		if j.Circuit.NumQubits() > st.totalComputing {
-			st.results[j.ID].Failed = true
-			if tc := ct.cfg.Trace; tc != nil {
-				tc.Fail(j.ID, t)
-			}
-			st.setStatus(j.ID, StatusFailed)
+		if j.Circuit.NumQubits() > lc.totalComputing {
+			lc.fail(j.ID, t)
 			continue
 		}
-		pl, dag, prio, cacheHit, err := ct.compile(j)
+		pl, dag, prio, cacheHit, err := lc.compile(j)
 		if err != nil {
 			var infeasible *place.ErrInfeasible
 			if errors.As(err, &infeasible) {
@@ -890,21 +868,21 @@ func (st *runState) admit(t float64) error {
 			}
 			// Keep the state held so far: callers release the active
 			// placements on this path so the cloud is not leaked.
-			ct.arrived = arrived[:0]
-			st.queue = waiting
+			lc.arrived = arrived[:0]
+			lc.queue = waiting
 			return fmt.Errorf("core: placing job %d: %w", j.ID, err)
 		}
-		if err := pl.Reserve(ct.cfg.Cloud); err != nil {
+		if err := pl.Reserve(lc.cfg.Cloud); err != nil {
 			waiting = append(waiting, j)
 			continue
 		}
-		st.startJob(j, pl, dag, prio, cacheHit, t)
+		lc.startJob(j, pl, dag, prio, cacheHit, t)
 	}
-	ct.arrived = arrived[:0]
+	lc.arrived = arrived[:0]
 	// Preserve arrival order among the still-waiting arrived jobs by
 	// re-sorting the combined waiting list on (Arrival, ID).
 	slices.SortStableFunc(waiting, compareArrival)
-	st.queue = waiting
+	lc.queue = waiting
 	return nil
 }
 
@@ -915,40 +893,39 @@ func (st *runState) admit(t float64) error {
 // placement, it keeps its original first-placement timestamp, and its
 // WFQ virtual-clock charge from the first placement stands (resuming is
 // not new service, so the tenant is not billed twice).
-func (st *runState) startJob(j *Job, pl *place.Placement, dag *sched.RemoteDAG, prio []int, cacheHit bool, t float64) {
-	ct := st.ct
-	rs := st.resume[j.ID]
+func (lc *LiveController) startJob(j *Job, pl *place.Placement, dag *sched.RemoteDAG, prio []int, cacheHit bool, t float64) {
+	rs := lc.resume[j.ID]
 	var wfqStart float64
 	wfqBilled := false
-	if ct.cfg.Mode == WFQMode && rs == nil {
+	if lc.cfg.Mode == WFQMode && rs == nil {
 		// Bill only what was actually served: jobs bounced back to
 		// waiting must not inflate their tenant's virtual service.
-		wfqStart = ct.chargeWFQ(j)
+		wfqStart = lc.chargeWFQ(j)
 		wfqBilled = true
 	}
-	state := ct.takeJobState(dag, prio, t)
+	state := lc.takeJobState(dag, prio, t)
 	first := t
 	if rs != nil {
 		state.ApplyCheckpoint(rs.cp, t)
 		first = rs.firstPlacedAt
-		delete(st.resume, j.ID)
-		ct.preempt.Resumes++
+		delete(lc.resume, j.ID)
+		lc.preempt.Resumes++
 	}
 	aj := &activeJob{job: j, state: state, placement: pl, placedAt: t, firstPlacedAt: first}
-	if tc := ct.cfg.Trace; tc != nil {
+	if tc := lc.cfg.Trace; tc != nil {
 		if tr := tc.Get(j.ID); tr != nil {
 			tr.Compiled(t, cacheHit, rs != nil)
-			tr.Place(t, ct.cfg.Mode.String(), wfqStart, wfqBilled, rs != nil)
+			tr.Place(t, lc.cfg.Mode.String(), wfqStart, wfqBilled, rs != nil)
 			aj.tr = tr
 		}
 	}
-	st.active = append(st.active, aj)
-	st.results[j.ID].RemoteGates = dag.Len()
-	st.results[j.ID].Placement = pl
+	lc.active = append(lc.active, aj)
+	lc.results[j.ID].RemoteGates = dag.Len()
+	lc.results[j.ID].Placement = pl
 	if rs != nil {
-		st.setStatusReason(j.ID, StatusRunning, ReasonResumed)
+		lc.setStatusReason(j.ID, StatusRunning, ReasonResumed)
 	} else {
-		st.setStatus(j.ID, StatusRunning)
+		lc.setStatus(j.ID, StatusRunning)
 	}
 }
 
@@ -961,36 +938,36 @@ func (st *runState) startJob(j *Job, pl *place.Placement, dag *sched.RemoteDAG, 
 // placer, a hit is bit-identical to what the cold path would produce —
 // and necessarily still fits the QPUs it touches. The hit flag reports
 // which path served the compile, for trace spans.
-func (ct *Controller) compile(j *Job) (*place.Placement, *sched.RemoteDAG, []int, bool, error) {
-	cl := ct.cfg.Cloud
-	if ct.planCache == nil {
-		pl, err := ct.cfg.Placer.Place(cl, j.Circuit)
+func (lc *LiveController) compile(j *Job) (*place.Placement, *sched.RemoteDAG, []int, bool, error) {
+	cl := lc.cfg.Cloud
+	if lc.planCache == nil {
+		pl, err := lc.cfg.Placer.Place(cl, j.Circuit)
 		if err != nil {
 			return nil, nil, nil, false, err
 		}
-		dag := sched.BuildRemoteDAG(j.Circuit, cl, pl.QubitToQPU, ct.cfg.Model.Latency)
+		dag := sched.BuildRemoteDAG(j.Circuit, cl, pl.QubitToQPU, lc.cfg.Model.Latency)
 		return pl, dag, nil, false, nil
 	}
-	free := ct.freeScratch[:0]
+	free := lc.freeScratch[:0]
 	for i, n := 0, cl.NumQPUs(); i < n; i++ {
 		free = append(free, cl.FreeComputing(i))
 	}
-	ct.freeScratch = free
+	lc.freeScratch = free
 	key := plan.Key{
 		Circuit: j.Circuit.Fingerprint(),
 		Cloud:   cl.Signature(),
 		Free:    plan.FreeSignature(free),
 	}
-	if e, ok := ct.planCache.Lookup(key, free); ok {
+	if e, ok := lc.planCache.Lookup(key, free); ok {
 		return &place.Placement{Circuit: j.Circuit, QubitToQPU: e.Assign}, e.DAG, e.Prio, true, nil
 	}
-	pl, err := ct.cfg.Placer.Place(cl, j.Circuit)
+	pl, err := lc.cfg.Placer.Place(cl, j.Circuit)
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
-	dag := sched.BuildRemoteDAG(j.Circuit, cl, pl.QubitToQPU, ct.cfg.Model.Latency)
+	dag := sched.BuildRemoteDAG(j.Circuit, cl, pl.QubitToQPU, lc.cfg.Model.Latency)
 	prio := dag.Priorities()
-	ct.planCache.Insert(key, free, &plan.Entry{
+	lc.planCache.Insert(key, free, &plan.Entry{
 		Assign: pl.QubitToQPU,
 		DAG:    dag,
 		Prio:   prio,
@@ -1001,12 +978,12 @@ func (ct *Controller) compile(j *Job) (*place.Placement, *sched.RemoteDAG, []int
 // takeJobState builds a job's execution state, reusing a pooled
 // JobState's per-node arrays when one is available. prio is the cached
 // priority slice on plan-cache hits (nil computes it fresh).
-func (ct *Controller) takeJobState(dag *sched.RemoteDAG, prio []int, start float64) *sched.JobState {
+func (lc *LiveController) takeJobState(dag *sched.RemoteDAG, prio []int, start float64) *sched.JobState {
 	var s *sched.JobState
-	if n := len(ct.statePool); n > 0 {
-		s = ct.statePool[n-1]
-		ct.statePool[n-1] = nil
-		ct.statePool = ct.statePool[:n-1]
+	if n := len(lc.statePool); n > 0 {
+		s = lc.statePool[n-1]
+		lc.statePool[n-1] = nil
+		lc.statePool = lc.statePool[:n-1]
 	} else {
 		s = new(sched.JobState)
 	}
@@ -1016,17 +993,17 @@ func (ct *Controller) takeJobState(dag *sched.RemoteDAG, prio []int, start float
 
 // releaseJobState returns a retired job's execution state to the pool.
 // Callers must not touch s afterwards.
-func (ct *Controller) releaseJobState(s *sched.JobState) {
-	if len(ct.statePool) < statePoolCap {
-		ct.statePool = append(ct.statePool, s)
+func (lc *LiveController) releaseJobState(s *sched.JobState) {
+	if len(lc.statePool) < statePoolCap {
+		lc.statePool = append(lc.statePool, s)
 	}
 }
 
 // orderArrived sorts the arrived-and-waiting jobs into this round's
 // admission order for the configured mode; FIFO leaves the queue's
 // (arrival, ID) order untouched.
-func (ct *Controller) orderArrived(arrived []*Job) {
-	switch ct.cfg.Mode {
+func (lc *LiveController) orderArrived(arrived []*Job) {
+	switch lc.cfg.Mode {
 	case BatchMode:
 		// Ascending intensity: the metric estimates a job's cost (2-qubit
 		// density, width, depth), so cheapest-first minimizes mean JCT —
@@ -1045,7 +1022,7 @@ func (ct *Controller) orderArrived(arrived []*Job) {
 			return compareArrival(a, b)
 		})
 	case WFQMode:
-		ct.wfqOrder(arrived)
+		lc.wfqOrder(arrived)
 	}
 }
 
@@ -1096,14 +1073,14 @@ func deadlineOf(j *Job) float64 {
 // slices reused across rounds, so a round costs zero map operations
 // and zero allocations once the scratch is warm. (Memory scales with
 // the distinct tenants the clock has seen, exactly like the clock
-// itself; a private clock resets per run.)
-func (ct *Controller) wfqOrder(arrived []*Job) {
+// itself.)
+func (lc *LiveController) wfqOrder(arrived []*Job) {
 	if len(arrived) < 2 {
 		return
 	}
-	w := ct.wfq
-	groups := ct.wfqGroups
-	round := ct.wfqRound[:0]
+	w := lc.wfq
+	groups := lc.wfqGroups
+	round := lc.wfqRound[:0]
 	for _, j := range arrived {
 		s := w.slot(j.Tenant)
 		for len(groups) <= s {
@@ -1114,7 +1091,7 @@ func (ct *Controller) wfqOrder(arrived []*Job) {
 		}
 		groups[s] = append(groups[s], j)
 	}
-	ct.wfqGroups = groups
+	lc.wfqGroups = groups
 	defer func() {
 		// Release the grouped job pointers (the [:0] reslice alone would
 		// keep them reachable through the backing arrays) and leave every
@@ -1126,7 +1103,7 @@ func (ct *Controller) wfqOrder(arrived []*Job) {
 			}
 			groups[s] = g[:0]
 		}
-		ct.wfqRound = round[:0]
+		lc.wfqRound = round[:0]
 	}()
 	// Slots are allocated in first-seen order, not tenant order; sort
 	// this round's slots by tenant id so admission ties keep breaking to
@@ -1137,14 +1114,14 @@ func (ct *Controller) wfqOrder(arrived []*Job) {
 	}
 	// Scratch clocks sized to the slot table; only this round's slots
 	// are (re)initialized and read.
-	svc, cursor := ct.wfqSvc, ct.wfqCursor
+	svc, cursor := lc.wfqSvc, lc.wfqCursor
 	for len(svc) < len(w.service) {
 		svc = append(svc, 0)
 	}
 	for len(cursor) < len(w.service) {
 		cursor = append(cursor, 0)
 	}
-	ct.wfqSvc, ct.wfqCursor = svc, cursor
+	lc.wfqSvc, lc.wfqCursor = svc, cursor
 	for _, s := range round {
 		svc[s] = w.service[s]
 		cursor[s] = 0
@@ -1193,8 +1170,8 @@ func compareWFQJob(a, b *Job) int {
 // WFQ virtual start). Starting at max(service, vtime) denies credit
 // for idle spans: a tenant that submitted nothing for a while competes
 // from the current virtual time, not from its stale low service.
-func (ct *Controller) chargeWFQ(j *Job) float64 {
-	w := ct.wfq
+func (lc *LiveController) chargeWFQ(j *Job) float64 {
+	w := lc.wfq
 	s := w.slot(j.Tenant)
 	start := w.service[s]
 	if start < w.vtime {

@@ -22,12 +22,12 @@ func testCloud() *cloud.Cloud {
 	return cloud.NewRandom(20, 0.3, 20, 5, 1)
 }
 
-func controller(t *testing.T, cfg Config) *Controller {
+func controller(t *testing.T, cfg Config) *LiveController {
 	t.Helper()
 	if cfg.Cloud == nil {
 		cfg.Cloud = testCloud()
 	}
-	ct, err := NewController(cfg)
+	ct, err := NewLiveController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +43,16 @@ func TestIntensityMetric(t *testing.T) {
 	}
 }
 
-func TestNewControllerValidation(t *testing.T) {
-	if _, err := NewController(Config{}); err == nil {
+func TestNewLiveControllerValidation(t *testing.T) {
+	if _, err := NewLiveController(Config{}); err == nil {
 		t.Fatal("nil cloud should error")
 	}
 	bad := Config{Cloud: testCloud(), Model: epr.Model{Latency: epr.DefaultLatency(), SuccessProb: 2}}
-	if _, err := NewController(bad); err == nil {
+	if _, err := NewLiveController(bad); err == nil {
 		t.Fatal("invalid model should error")
 	}
 	noComm := Config{Cloud: cloud.New(graph.Path(2), 20, 0)}
-	if _, err := NewController(noComm); err == nil {
+	if _, err := NewLiveController(noComm); err == nil {
 		t.Fatal("zero-comm cloud should error")
 	}
 }
@@ -331,11 +331,11 @@ func TestRecorderCapturesUtilization(t *testing.T) {
 // equivConfig builds a fresh controller for the equivalence tests: the
 // two runs under comparison must not share a controller (RNG state), a
 // placer (internal search state), or a cloud (reservations).
-func equivConfig(t *testing.T, seed int64, mode Mode, qpus int) *Controller {
+func equivConfig(t *testing.T, seed int64, mode Mode, qpus int) *LiveController {
 	t.Helper()
 	pCfg := place.DefaultConfig()
 	pCfg.Seed = seed
-	ct, err := NewController(Config{
+	ct, err := NewLiveController(Config{
 		Cloud:  cloud.NewRandom(qpus, 0.3, 20, 5, 1),
 		Placer: place.NewCloudQC(pCfg),
 		Mode:   mode,
@@ -411,7 +411,7 @@ func TestRunSkipsStalledRounds(t *testing.T) {
 	if _, err := ev.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	lock, event := lockStepStalledRounds, ev.LastRunStats().Rounds
+	lock, event := lockStepStalledRounds, ev.RunStats().Rounds
 	if event >= lock {
 		t.Fatalf("event-driven rounds %d not fewer than lock-step %d", event, lock)
 	}
@@ -474,7 +474,7 @@ func TestModelDefaultsOnlyWhenFullyZero(t *testing.T) {
 	// Partial model (latencies set, EPRAttempt forgotten): the caller's
 	// fields must not be silently replaced — this is an error.
 	partial := epr.Model{SuccessProb: 0.5}
-	if _, err := NewController(Config{Cloud: testCloud(), Model: partial}); err == nil {
+	if _, err := NewLiveController(Config{Cloud: testCloud(), Model: partial}); err == nil {
 		t.Fatal("partial model should error, not be overwritten")
 	}
 }
@@ -592,7 +592,7 @@ func (p *failingPlacer) Place(cl *cloud.Cloud, c *circuit.Circuit) (*place.Place
 func TestRunErrorReleasesReservations(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
 		cl := testCloud()
-		ct, err := NewController(Config{
+		ct, err := NewLiveController(Config{
 			Cloud:  cl,
 			Placer: &failingPlacer{inner: place.NewCloudQC(place.DefaultConfig())},
 			Seed:   27,

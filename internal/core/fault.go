@@ -14,10 +14,10 @@ import (
 // checkpoint-rescue of evicted jobs (reusing the preemption resume
 // machinery) and the bounded retry / route-around policy for remote
 // gates crossing degraded links. Every hook sits behind a nil
-// st.faults check, so a run without a FaultPlan is bit-identical to
+// lc.faults check, so a run without a FaultPlan is bit-identical to
 // the pre-fault controller (TestFaultOffDifferential). Shard drains
-// are the federation tier's concern (fed.Config.Faults); NewController
-// rejects them.
+// are the federation tier's concern (fed.Config.Faults);
+// NewLiveController rejects them.
 
 // faultState is the live fault overlay of one run.
 type faultState struct {
@@ -86,7 +86,7 @@ func (f *faultState) pathDegradation(path []int) (degraded, dead bool) {
 
 // validateFaults range-checks a core-tier fault plan against the cloud
 // and the EPR model at construction time, so a bad plan fails loudly
-// in NewController instead of mid-run.
+// in NewLiveController instead of mid-run.
 func validateFaults(cfg *Config) error {
 	p := cfg.Faults
 	if p == nil {
@@ -131,21 +131,21 @@ func validateFaultEvent(cfg *Config, e fault.Event) error {
 
 // faultEnsure lazily builds the run's fault overlay (live injection may
 // arm it on a controller configured without a plan).
-func (st *runState) faultEnsure(p *fault.Plan) *faultState {
-	if st.faults == nil {
-		n := st.ct.cfg.Cloud.NumQPUs()
+func (lc *LiveController) faultEnsure(p *fault.Plan) *faultState {
+	if lc.faults == nil {
+		n := lc.cfg.Cloud.NumQPUs()
 		f := &faultState{
 			plan:    p,
 			down:    make([]int, n),
 			hold:    make([]int, n),
 			scale:   make(map[[2]int]float64),
 			retries: make(map[int]int),
-			base:    st.ct.cfg.Model.SuccessProb,
+			base:    lc.cfg.Model.SuccessProb,
 		}
 		f.probFn = f.prob
-		st.faults = f
+		lc.faults = f
 	}
-	return st.faults
+	return lc.faults
 }
 
 // faultInit arms a configured fault plan: the overlay is built and
@@ -153,22 +153,22 @@ func (st *runState) faultEnsure(p *fault.Plan) *faultState {
 // at a shared instant faults fire before the controller tick — an
 // outage starting exactly at an arrival is seen by that arrival's
 // admission. Called once, before any workload event is scheduled.
-func (st *runState) faultInit() {
-	p := st.ct.cfg.Faults
+func (lc *LiveController) faultInit() {
+	p := lc.cfg.Faults
 	if p == nil {
 		return
 	}
-	st.faultEnsure(p)
+	lc.faultEnsure(p)
 	for _, e := range p.Events {
-		st.scheduleFault(e)
+		lc.scheduleFault(e)
 	}
 }
 
 // scheduleFault lands one validated event's transitions on the engine.
-func (st *runState) scheduleFault(e fault.Event) {
+func (lc *LiveController) scheduleFault(e fault.Event) {
 	guard := func(fn func()) func() {
 		return func() {
-			if st.err != nil || st.halted {
+			if lc.err != nil || lc.halted {
 				return
 			}
 			fn()
@@ -176,11 +176,11 @@ func (st *runState) scheduleFault(e fault.Event) {
 	}
 	switch e.Kind {
 	case fault.KindQPUOutage:
-		st.eng.SchedulePriority(e.From, guard(func() { st.qpuDown(e.QPU, e.From) }))
-		st.eng.SchedulePriority(e.To, guard(func() { st.qpuUp(e.QPU, e.To) }))
+		lc.eng.SchedulePriority(e.From, guard(func() { lc.qpuDown(e.QPU, e.From) }))
+		lc.eng.SchedulePriority(e.To, guard(func() { lc.qpuUp(e.QPU, e.To) }))
 	case fault.KindLinkDegrade:
-		st.eng.SchedulePriority(e.From, guard(func() { st.linkDegrade(e.U, e.V, e.Scale, e.From) }))
-		st.eng.SchedulePriority(e.To, guard(func() { st.linkRestore(e.U, e.V) }))
+		lc.eng.SchedulePriority(e.From, guard(func() { lc.linkDegrade(e.U, e.V, e.Scale, e.From) }))
+		lc.eng.SchedulePriority(e.To, guard(func() { lc.linkRestore(e.U, e.V) }))
 	}
 }
 
@@ -189,57 +189,56 @@ func (st *runState) scheduleFault(e fault.Event) {
 // elsewhere, keeping id/tenant/WFQ billing exactly like preemption) or
 // failed under RecoveryNone, and the QPU's free capacity is reserved
 // into hold so admission cannot place onto it until qpuUp.
-func (st *runState) qpuDown(q int, t float64) {
-	ct := st.ct
-	f := st.faults
-	ct.faultStats.QPUOutages++
+func (lc *LiveController) qpuDown(q int, t float64) {
+	f := lc.faults
+	lc.faultStats.QPUOutages++
 	f.down[q]++
 	if f.down[q] > 1 {
 		return // nested outage: victims already gone, capacity already held
 	}
 	evicted := false
-	for _, aj := range st.active {
+	for _, aj := range lc.active {
 		if !placementUses(aj.placement.QubitToQPU, q) {
 			continue
 		}
-		aj.placement.Release(ct.cfg.Cloud)
+		aj.placement.Release(lc.cfg.Cloud)
 		if f.plan.Rescue() {
-			ct.faultStats.RescuedOutage++
-			st.rescueVictim(aj, t, fault.KindQPUOutage)
+			lc.faultStats.RescuedOutage++
+			lc.rescueVictim(aj, t, fault.KindQPUOutage)
 		} else {
-			ct.faultStats.FailedOutage++
-			st.failVictim(aj, t, fault.KindQPUOutage)
+			lc.faultStats.FailedOutage++
+			lc.failVictim(aj, t, fault.KindQPUOutage)
 		}
 		evicted = true
 	}
 	if evicted {
-		st.compactActive()
-		st.capacityChanged = true
+		lc.compactActive()
+		lc.capacityChanged = true
 	}
-	if free := ct.cfg.Cloud.FreeComputing(q); free > 0 {
-		if err := ct.cfg.Cloud.Reserve(q, free); err != nil {
-			st.err = fmt.Errorf("core: holding downed QPU %d: %w", q, err)
+	if free := lc.cfg.Cloud.FreeComputing(q); free > 0 {
+		if err := lc.cfg.Cloud.Reserve(q, free); err != nil {
+			lc.err = fmt.Errorf("core: holding downed QPU %d: %w", q, err)
 			return
 		}
 		f.hold[q] += free
 	}
-	st.requestTick(t)
+	lc.requestTick(t)
 }
 
 // qpuUp ends an outage: the held capacity returns and admission retries
 // at this instant.
-func (st *runState) qpuUp(q int, t float64) {
-	f := st.faults
+func (lc *LiveController) qpuUp(q int, t float64) {
+	f := lc.faults
 	f.down[q]--
 	if f.down[q] > 0 {
 		return
 	}
 	if f.hold[q] > 0 {
-		st.ct.cfg.Cloud.Release(q, f.hold[q])
+		lc.cfg.Cloud.Release(q, f.hold[q])
 		f.hold[q] = 0
 	}
-	st.capacityChanged = true
-	st.requestTick(t)
+	lc.capacityChanged = true
+	lc.requestTick(t)
 }
 
 // linkDegrade scales one edge's EPR success probability for the
@@ -247,19 +246,18 @@ func (st *runState) qpuUp(q int, t float64) {
 // satellite validation point — so it may hit exactly 0 (a dead link)
 // but never goes negative. At most one degrade is active per edge: an
 // overlapping event overwrites, and the earliest end clears.
-func (st *runState) linkDegrade(u, v int, scale, t float64) {
-	ct := st.ct
-	ct.faultStats.LinkDegrades++
-	p, err := ct.cfg.Model.DegradedProb(scale)
+func (lc *LiveController) linkDegrade(u, v int, scale, t float64) {
+	lc.faultStats.LinkDegrades++
+	p, err := lc.cfg.Model.DegradedProb(scale)
 	if err != nil {
-		st.err = fmt.Errorf("core: degrading link (%d, %d) at %g: %w", u, v, t, err)
+		lc.err = fmt.Errorf("core: degrading link (%d, %d) at %g: %w", u, v, t, err)
 		return
 	}
-	st.faults.scale[edgeKey(u, v)] = p
+	lc.faults.scale[edgeKey(u, v)] = p
 }
 
-func (st *runState) linkRestore(u, v int) {
-	delete(st.faults.scale, edgeKey(u, v))
+func (lc *LiveController) linkRestore(u, v int) {
+	delete(lc.faults.scale, edgeKey(u, v))
 }
 
 // placementUses reports whether a qubit→QPU assignment touches QPU q.
@@ -274,14 +272,14 @@ func placementUses(qubitToQPU []int, q int) bool {
 
 // compactActive drops preempted and evicted entries (state nil) from
 // the active set.
-func (st *runState) compactActive() {
-	remaining := st.active[:0]
-	for _, aj := range st.active {
+func (lc *LiveController) compactActive() {
+	remaining := lc.active[:0]
+	for _, aj := range lc.active {
 		if aj.state != nil {
 			remaining = append(remaining, aj)
 		}
 	}
-	st.active = remaining
+	lc.active = remaining
 }
 
 // rescueVictim checkpoints one evicted job whose reservations the
@@ -290,47 +288,42 @@ func (st *runState) compactActive() {
 // deliberately skips the Checkpointable gate: a failure forfeits
 // in-flight partial entanglement, which is physically what an outage
 // does, and Checkpoint snapshots exactly the completed gates.
-func (st *runState) rescueVictim(aj *activeJob, t float64, kind string) {
+func (lc *LiveController) rescueVictim(aj *activeJob, t float64, kind string) {
 	if aj.tr != nil {
 		aj.tr.Fault(t, kind)
 		aj.tr.Preempt(t)
 	}
-	st.requeue(aj, ReasonEvicted)
+	lc.requeue(aj, ReasonEvicted)
 }
 
 // failVictim fails one evicted job outright (RecoveryNone, or an
 // exhausted retry budget). The caller already released its placement.
-func (st *runState) failVictim(aj *activeJob, t float64, kind string) {
-	ct := st.ct
-	ct.releaseJobState(aj.state)
+func (lc *LiveController) failVictim(aj *activeJob, t float64, kind string) {
+	lc.releaseJobState(aj.state)
 	aj.state = nil
-	res := st.results[aj.job.ID]
-	res.Failed = true
+	res := lc.results[aj.job.ID]
 	res.PlacedAt, res.Finished, res.JCT, res.WaitTime = 0, 0, 0, 0
 	res.RemoteGates = 0
 	res.Placement = nil
 	if aj.tr != nil {
 		aj.tr.Fault(t, kind)
 	}
-	if tc := ct.cfg.Trace; tc != nil {
-		tc.Fail(aj.job.ID, t)
-	}
-	st.setStatus(aj.job.ID, StatusFailed)
+	lc.fail(aj.job.ID, t)
 }
 
 // faultTopUp sweeps capacity freed on a downed QPU (a trailing release
 // maturing mid-outage) into the outage hold, so the interval guarantee
 // — nothing places onto a down QPU — survives release timing.
-func (st *runState) faultTopUp() {
-	f := st.faults
-	cl := st.ct.cfg.Cloud
+func (lc *LiveController) faultTopUp() {
+	f := lc.faults
+	cl := lc.cfg.Cloud
 	for q := range f.down {
 		if f.down[q] == 0 {
 			continue
 		}
 		if free := cl.FreeComputing(q); free > 0 {
 			if err := cl.Reserve(q, free); err != nil {
-				st.err = fmt.Errorf("core: re-holding downed QPU %d: %w", q, err)
+				lc.err = fmt.Errorf("core: re-holding downed QPU %d: %w", q, err)
 				return
 			}
 			f.hold[q] += free
@@ -342,16 +335,16 @@ func (st *runState) faultTopUp() {
 // — active placements, trailing releases, and outage holds (the
 // error-path and evacuation counterpart of qpuUp's release) — so a
 // finished, poisoned, or evacuated run never leaks capacity.
-func (st *runState) releaseAll() {
-	cl := st.ct.cfg.Cloud
-	for _, aj := range st.active {
+func (lc *LiveController) releaseAll() {
+	cl := lc.cfg.Cloud
+	for _, aj := range lc.active {
 		aj.placement.Release(cl)
 	}
-	for _, r := range st.releases {
+	for _, r := range lc.releases {
 		r.placement.Release(cl)
 	}
-	st.active, st.releases = nil, nil
-	if f := st.faults; f != nil {
+	lc.active, lc.releases = nil, nil
+	if f := lc.faults; f != nil {
 		for q, n := range f.hold {
 			if n > 0 {
 				cl.Release(q, n)
@@ -365,12 +358,12 @@ func (st *runState) releaseAll() {
 // probability overlay: nil on the fault-free path, the degrade overlay
 // while any link is degraded (same draw count either way, so a vacuous
 // overlay reproduces the fault-free run bit-for-bit).
-func (st *runState) attempt(s *sched.JobState, u, pairs int, t float64) {
+func (lc *LiveController) attempt(s *sched.JobState, u, pairs int, t float64) {
 	var prob func(a, b int) float64
-	if f := st.faults; f != nil && len(f.scale) > 0 {
+	if f := lc.faults; f != nil && len(f.scale) > 0 {
 		prob = f.probFn
 	}
-	s.Attempt(u, pairs, t, st.ct.cfg.Model, st.ct.rng, prob)
+	s.Attempt(u, pairs, t, lc.cfg.Model, lc.rng, prob)
 }
 
 // faultRetryPass runs after a round's attempts: each granted node still
@@ -381,17 +374,16 @@ func (st *runState) attempt(s *sched.JobState, u, pairs int, t float64) {
 // the round's pairs by request position (nil when nothing was
 // requested), in the order tick built the requests: each active job's
 // ready nodes in turn.
-func (st *runState) faultRetryPass(t float64, grants []int) {
-	f := st.faults
+func (lc *LiveController) faultRetryPass(t float64, grants []int) {
+	f := lc.faults
 	if len(f.scale) == 0 || grants == nil {
 		return
 	}
-	ct := st.ct
 	budget := f.plan.Budget()
 	exhausted := false
 	k := 0
-	for idx, aj := range st.active {
-		ready := st.readyBuf[idx]
+	for idx, aj := range lc.active {
+		ready := lc.readyBuf[idx]
 		jobGrants := grants[k : k+len(ready)]
 		k += len(ready)
 		if aj.state.Done() {
@@ -406,79 +398,44 @@ func (st *runState) faultRetryPass(t float64, grants []int) {
 				continue
 			}
 			if dead && f.plan.RouteAround {
-				if np := st.routeAround(aj.state.Path(u)); np != nil {
+				if np := lc.routeAround(aj.state.Path(u)); np != nil {
 					aj.state.Reroute(u, np)
-					ct.faultStats.Reroutes++
+					lc.faultStats.Reroutes++
 					if aj.tr != nil {
 						aj.tr.Fault(t, "reroute")
 					}
 					continue
 				}
 			}
-			ct.faultStats.Retries++
+			lc.faultStats.Retries++
 			f.retries[aj.job.ID]++
 		}
 		if f.retries[aj.job.ID] >= budget {
-			ct.faultStats.RetryExhausted++
+			lc.faultStats.RetryExhausted++
 			delete(f.retries, aj.job.ID)
-			aj.placement.Release(ct.cfg.Cloud)
-			st.failVictim(aj, t, "retry_exhausted")
+			aj.placement.Release(lc.cfg.Cloud)
+			lc.failVictim(aj, t, "retry_exhausted")
 			exhausted = true
 		}
 	}
 	if exhausted {
-		st.compactActive()
-		st.capacityChanged = true
-		st.requestTick(t)
+		lc.compactActive()
+		lc.capacityChanged = true
+		lc.requestTick(t)
 	}
 }
 
 // routeAround finds a shortest alternative path between the endpoints
-// of a dead entanglement path, avoiding every dead edge. The BFS
-// expands neighbors in ascending order, so the choice is deterministic
-// (the same tie-breaks as the cloud's precomputed trees). Returns nil
-// when the dead edges disconnect the endpoints.
-func (st *runState) routeAround(path []int) []int {
-	f := st.faults
-	topo := st.ct.cfg.Cloud.Topology()
-	src, dst := path[0], path[len(path)-1]
-	prev := make([]int, topo.N())
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[src] = src
-	frontier := []int{src}
-	for len(frontier) > 0 && prev[dst] == -1 {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range topo.Neighbors(u) {
-				if prev[v] != -1 {
-					continue
-				}
-				if p, ok := f.scale[edgeKey(u, v)]; ok && p == 0 {
-					continue
-				}
-				prev[v] = u
-				next = append(next, v)
-			}
+// of a dead entanglement path, avoiding every dead edge: a shortest
+// path on a copy of the topology with the dead edges removed, so ties
+// break as in the cloud's precomputed trees. Returns nil when the dead
+// edges disconnect the endpoints.
+func (lc *LiveController) routeAround(path []int) []int {
+	topo := lc.cfg.Cloud.Topology().Clone()
+	for e, p := range lc.faults.scale {
+		if p == 0 {
+			topo.SetEdge(e[0], e[1], 0)
 		}
-		frontier = next
 	}
-	if prev[dst] == -1 {
-		return nil
-	}
-	var out []int
-	for x := dst; x != src; x = prev[x] {
-		out = append(out, x)
-	}
-	out = append(out, src)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	return topo.ShortestPath(path[0], path[len(path)-1])
 }
-
-// FaultStats reports the injector's counters for the current run
-// (reset by each Run call; monotone over a LiveController's life). The
-// zero Stats without a plan.
-func (ct *Controller) FaultStats() fault.Stats { return ct.faultStats }

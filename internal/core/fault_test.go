@@ -79,7 +79,7 @@ func TestFaultOffDifferential(t *testing.T) {
 			seed := int64(3)
 			jobsA := preemptStream(t, tc.poisson, seed)
 			cfgA, recA := preemptEquivConfig(seed, tc.mode)
-			ref, err := core.NewController(cfgA)
+			ref, err := core.NewLiveController(cfgA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,9 +155,9 @@ func TestFaultOffDifferential(t *testing.T) {
 					}
 				}
 			}
-			if ref.LastRunStats() != lc.RunStats() || ref.LastRunStats() != f.RunStats() {
+			if ref.RunStats() != lc.RunStats() || ref.RunStats() != f.RunStats() {
 				t.Fatalf("run stats diverged: ref %+v live %+v fed %+v",
-					ref.LastRunStats(), lc.RunStats(), f.RunStats())
+					ref.RunStats(), lc.RunStats(), f.RunStats())
 			}
 			sa, sb, sc := recA.Samples(), recB.Samples(), recC.Samples()
 			if len(sa) != len(sb) || len(sa) != len(sc) {
@@ -180,7 +180,7 @@ func runOutage(t *testing.T, recovery string, tr *trace.Recorder) (*core.JobResu
 		Recovery: recovery,
 		Events:   []fault.Event{{Kind: fault.KindQPUOutage, QPU: 0, From: 50, To: 3000}},
 	}
-	ct, err := core.NewController(faultConfig(faultCloud(), plan, tr))
+	ct, err := core.NewLiveController(faultConfig(faultCloud(), plan, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestFaultOutageNoRecovery(t *testing.T) {
 func TestFaultRouteAround(t *testing.T) {
 	run := func(reroute bool, budget int) (*core.JobResult, fault.Stats) {
 		plan := &fault.Plan{RouteAround: reroute, RetryBudget: budget, Events: deadTriangle()}
-		ct, err := core.NewController(faultConfig(k4Cloud(), plan, nil))
+		ct, err := core.NewLiveController(faultConfig(k4Cloud(), plan, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestFaultLiveInject(t *testing.T) {
 	}
 }
 
-// TestFaultConfigValidation: NewController range-checks the plan against
+// TestFaultConfigValidation: NewLiveController range-checks the plan against
 // the cloud at construction time.
 func TestFaultConfigValidation(t *testing.T) {
 	for name, plan := range map[string]*fault.Plan{
@@ -337,7 +337,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		"no-edge":     {Events: []fault.Event{{Kind: fault.KindLinkDegrade, U: 0, V: 64, Scale: 0.5, From: 0, To: 10}}},
 		"recovery":    {Recovery: "pray", Events: nil},
 	} {
-		if _, err := core.NewController(faultConfig(faultCloud(), plan, nil)); err == nil {
+		if _, err := core.NewLiveController(faultConfig(faultCloud(), plan, nil)); err == nil {
 			t.Fatalf("%s: invalid plan accepted", name)
 		}
 	}

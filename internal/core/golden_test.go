@@ -70,7 +70,7 @@ func goldenFaultPlan(cfg Config) *fault.Plan {
 	}}
 }
 
-// goldenRun executes one row through Controller.Run and digests every
+// goldenRun executes one row through LiveController.Run and digests every
 // observable: per-job results, RunStats, the recorder series,
 // PreemptStats, fault.Stats, plan-cache stats, and — with tracing on —
 // each job's spans and JCT attribution.
@@ -86,7 +86,7 @@ func goldenRun(t *testing.T, mode Mode, poisson bool, preempt, faults, traced bo
 	if traced {
 		cfg.Trace = trace.New()
 	}
-	ct, err := NewController(cfg)
+	ct, err := NewLiveController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func goldenRun(t *testing.T, mode Mode, poisson bool, preempt, faults, traced bo
 		t.Fatal(err)
 	}
 	t.Logf("%v poisson=%v preempt=%v faults=%v trace=%v: %+v %+v %+v",
-		mode, poisson, preempt, faults, traced, ct.LastRunStats(), ct.PreemptStats(), ct.FaultStats())
+		mode, poisson, preempt, faults, traced, ct.RunStats(), ct.PreemptStats(), ct.FaultStats())
 	d := goldenDigest{sha256.New()}
 	for _, r := range results {
 		d.i(int64(r.Job.ID), int64(r.RemoteGates))
@@ -105,7 +105,7 @@ func goldenRun(t *testing.T, mode Mode, poisson bool, preempt, faults, traced bo
 			d.v(r.Placement.QubitToQPU)
 		}
 	}
-	d.v(ct.LastRunStats())
+	d.v(ct.RunStats())
 	for _, s := range rec.Samples() {
 		d.f(s.Time, s.Utilization)
 		d.i(int64(s.Active), int64(s.Queued))
@@ -132,7 +132,7 @@ func goldenRun(t *testing.T, mode Mode, poisson bool, preempt, faults, traced bo
 	return fmt.Sprintf("%x", d.h.Sum(nil))
 }
 
-// TestGoldenRuns pins Controller.Run's observables for every admission
+// TestGoldenRuns pins LiveController.Run's observables for every admission
 // mode × arrival pattern × feature set (preemption, faults with a t=0
 // outage, tracing, and all three together) against the committed
 // digests in testdata/golden_runs.txt. A refactor that claims to keep
@@ -213,7 +213,7 @@ func lockStepDigest(results []*JobResult, rounds int) string {
 
 // checkLockStep compares the results and round count of ct's last Run
 // against the frozen reference row name.
-func checkLockStep(t *testing.T, name string, ct *Controller, got []*JobResult) {
+func checkLockStep(t *testing.T, name string, ct *LiveController, got []*JobResult) {
 	t.Helper()
 	data, err := os.ReadFile(lockStepPath)
 	if err != nil {
@@ -234,7 +234,7 @@ func checkLockStep(t *testing.T, name string, ct *Controller, got []*JobResult) 
 			}
 			t.Fatalf("%s diverged from the lock-step reference", name)
 		}
-		if ev := ct.LastRunStats().Rounds; ev > rounds {
+		if ev := ct.RunStats().Rounds; ev > rounds {
 			t.Fatalf("%s: event-driven run used more rounds (%d) than lock-step (%d)", name, ev, rounds)
 		}
 		return

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math"
 
-	"cloudqc/internal/des"
 	"cloudqc/internal/fault"
 	"cloudqc/internal/metrics"
-	"cloudqc/internal/plan"
 	"cloudqc/internal/trace"
 )
 
-// ErrDrained is returned by Submit, StepUntil, and Drain once a live
+// ErrDrained is returned by Submit, StepUntil, Drain, and Run once a
 // controller has been drained and retired. The service layer maps it
 // to 409 Conflict; callers can test for it with errors.Is even through
 // the federation layer's wrapping.
@@ -79,71 +77,8 @@ type LiveSnapshot struct {
 	Rounds, Events int
 }
 
-// LiveController is the incremental façade over the event-driven
-// multi-tenant controller: it accepts jobs at any virtual time after the
-// run starts and advances the clock in steps. Run is the batch form of
-// the same engine: it submits a whole workload up front and drains it.
-//
-//	lc, _ := core.NewLiveController(cfg)
-//	lc.Submit(job)            // at any time, arrival = now
-//	lc.StepUntil(t)           // advance virtual time to t
-//	lc.Snapshot()             // cluster state, lc.Status(id) per job
-//	results, _ := lc.Drain()  // run the backlog dry and stop
-//
-// Submitting a workload's jobs at their arrival times (Submit before the
-// clock passes each arrival) with steps in between reproduces Run's
-// up-front submission bit-identically — same rounds, same JCTs, same
-// recorder series (see TestLiveControllerMatchesRun).
-//
-// A LiveController is not safe for concurrent use; the service layer
-// (internal/service) serializes access.
-type LiveController struct {
-	ct *Controller
-	st *runState
-	// jobs preserves submission order for Results.
-	jobs []*Job
-	// started latches the first clock advance, which decides the
-	// recorder's opening sample.
-	started bool
-	drained bool
-}
-
-// NewLiveController validates the configuration (see NewController) and
-// returns a live controller with the virtual clock at 0 and no jobs.
-func NewLiveController(cfg Config) (*LiveController, error) {
-	ct, err := NewController(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ct.startLive(0, false), nil
-}
-
-// startLive resets ct's per-run scheduling state and opens a live run
-// on it with the clock at 0: the one constructor behind both Run and
-// NewLiveController. jobHint sizes the per-job maps; strict selects
-// Run's abort-on-unplaceable contract (see runState.strict).
-func (ct *Controller) startLive(jobHint int, strict bool) *LiveController {
-	st := &runState{
-		ct:             ct,
-		eng:            des.NewEngine(),
-		results:        make(map[int]*JobResult, jobHint),
-		totalComputing: ct.resetScheduling(),
-		budget:         make([]int, ct.cfg.Cloud.NumQPUs()),
-		nextRound:      math.NaN(),
-		tickAt:         math.NaN(),
-		strict:         strict,
-		status:         make(map[int]JobStatus, jobHint),
-		resume:         make(map[int]*resumeState),
-		rescued:        make(map[int]bool),
-	}
-	// Fault events land on the engine before any arrival, so at a shared
-	// instant the fault transition precedes the arrival.
-	st.faultInit()
-	return &LiveController{ct: ct, st: st, jobs: make([]*Job, 0, jobHint)}
-}
-
 // Now returns the current virtual time in CX units.
-func (lc *LiveController) Now() float64 { return lc.st.eng.Now() }
+func (lc *LiveController) Now() float64 { return lc.eng.Now() }
 
 // Submit injects a job into the run. The job arrives at
 // max(Job.Arrival, Now()): a future Arrival schedules it ahead of time,
@@ -167,31 +102,30 @@ func (lc *LiveController) SubmitResume(pj PreemptedJob) error {
 // enqueue validates j, claims its result slot, and schedules its arrival
 // event; a non-nil rs makes it a resume-job carrying that checkpoint.
 func (lc *LiveController) enqueue(j *Job, rs *resumeState) error {
-	st := lc.st
 	if lc.drained {
 		return ErrDrained
 	}
-	if st.err != nil {
-		return st.err
+	if lc.err != nil {
+		return lc.err
 	}
-	if err := validateJob(j, st.results); err != nil {
+	if err := validateJob(j, lc.results); err != nil {
 		return err
 	}
 	why := ReasonNone
 	if rs != nil {
-		st.resume[j.ID] = rs
+		lc.resume[j.ID] = rs
 		why = ReasonResumed
 	}
 	at := j.Arrival
-	if now := st.eng.Now(); at < now {
+	if now := lc.eng.Now(); at < now {
 		at = now
 	}
 	lc.jobs = append(lc.jobs, j)
-	st.setStatusReason(j.ID, StatusPending, why)
-	st.pendingArrivals++
+	lc.setStatusReason(j.ID, StatusPending, why)
+	lc.pendingArrivals++
 	// Priority scheduling: arrivals precede any controller tick at the
 	// same instant.
-	st.eng.SchedulePriority(at, func() { st.arrive(j) })
+	lc.eng.SchedulePriority(at, func() { lc.arrive(j) })
 	return nil
 }
 
@@ -202,11 +136,11 @@ func (lc *LiveController) enqueue(j *Job, rs *resumeState) error {
 // submitted here — so the federation layer can SubmitResume each one on
 // whichever shard its router picks, including this one.
 func (lc *LiveController) TakePreempted() []PreemptedJob {
-	out := lc.st.exported
+	out := lc.exported
 	if len(out) == 0 {
 		return nil
 	}
-	lc.st.exported = nil
+	lc.exported = nil
 	gone := make(map[int]bool, len(out))
 	for _, pj := range out {
 		gone[pj.Job.ID] = true
@@ -222,8 +156,8 @@ func (lc *LiveController) forget(gone map[int]bool) {
 	kept := lc.jobs[:0]
 	for _, j := range lc.jobs {
 		if gone[j.ID] {
-			delete(lc.st.results, j.ID)
-			delete(lc.st.status, j.ID)
+			delete(lc.results, j.ID)
+			delete(lc.status, j.ID)
 		} else {
 			kept = append(kept, j)
 		}
@@ -233,7 +167,7 @@ func (lc *LiveController) forget(gone map[int]bool) {
 }
 
 // PreemptStats reports the controller's cumulative preemption counters.
-func (lc *LiveController) PreemptStats() PreemptStats { return lc.ct.preempt }
+func (lc *LiveController) PreemptStats() PreemptStats { return lc.preempt }
 
 // begin latches the first clock advance and emits the recorder's
 // opening sample when the horizon starts idle: the idle span before the
@@ -245,13 +179,13 @@ func (lc *LiveController) begin(target float64) {
 	if lc.started {
 		return
 	}
-	next, ok := lc.st.eng.NextAt()
+	next, ok := lc.eng.NextAt()
 	if !ok && target <= 0 {
 		return
 	}
 	lc.started = true
-	if lc.ct.cfg.Recorder != nil && (!ok || next > 0) {
-		lc.ct.cfg.Recorder.Record(metrics.Sample{Time: 0, Utilization: lc.ct.cfg.Cloud.Utilization()})
+	if lc.cfg.Recorder != nil && (!ok || next > 0) {
+		lc.cfg.Recorder.Record(metrics.Sample{Time: 0, Utilization: lc.cfg.Cloud.Utilization()})
 	}
 }
 
@@ -264,15 +198,15 @@ func (lc *LiveController) StepUntil(t float64) error {
 	if lc.drained {
 		return ErrDrained
 	}
-	if lc.st.err != nil {
-		return lc.st.err
+	if lc.err != nil {
+		return lc.err
 	}
-	if now := lc.st.eng.Now(); t < now {
+	if now := lc.eng.Now(); t < now {
 		t = now
 	}
 	lc.begin(t)
-	lc.st.eng.RunBefore(t)
-	return lc.st.err
+	lc.eng.RunBefore(t)
+	return lc.err
 }
 
 // Drain runs every submitted job to completion, returns the computing
@@ -289,31 +223,31 @@ func (lc *LiveController) Drain() ([]*JobResult, error) {
 	// already-pending idle wake — when the system is idle with nothing
 	// queued or still arriving, the only tick that can be scheduled is
 	// such a wake.
-	lc.st.draining = true
-	if len(lc.st.active) == 0 && len(lc.st.queue) == 0 && lc.st.pendingArrivals == 0 &&
-		!math.IsNaN(lc.st.tickAt) {
-		lc.st.tickGen++
-		lc.st.tickAt = math.NaN()
+	lc.draining = true
+	if len(lc.active) == 0 && len(lc.queue) == 0 && lc.pendingArrivals == 0 &&
+		!math.IsNaN(lc.tickAt) {
+		lc.tickGen++
+		lc.tickAt = math.NaN()
 	}
-	lc.st.eng.Run()
+	lc.eng.Run()
 	lc.drained = true
 	// Return every reservation still held. On success that is only the
 	// trailing releases: nothing stays active once the engine runs dry,
 	// and outage holds were returned by their qpuUp events. A poisoned
 	// run must not leak reservations on the shared cloud either.
-	lc.st.releaseAll()
-	if lc.st.err != nil {
-		return nil, lc.st.err
+	lc.releaseAll()
+	if lc.err != nil {
+		return nil, lc.err
 	}
-	if lc.ct.cfg.Recorder != nil && len(lc.jobs) > 0 {
+	if lc.cfg.Recorder != nil && len(lc.jobs) > 0 {
 		// Closing sample: thinned recorders would otherwise drop the
 		// end-of-run state and under-cover the horizon (see
 		// metrics.Recorder.Flush).
-		end := lc.st.eng.Now()
-		if lc.st.maxFinished > end {
-			end = lc.st.maxFinished
+		end := lc.eng.Now()
+		if lc.maxFinished > end {
+			end = lc.maxFinished
 		}
-		lc.ct.cfg.Recorder.Flush(metrics.Sample{Time: end, Utilization: lc.ct.cfg.Cloud.Utilization()})
+		lc.cfg.Recorder.Flush(metrics.Sample{Time: end, Utilization: lc.cfg.Cloud.Utilization()})
 	}
 	return lc.Results(), nil
 }
@@ -322,13 +256,13 @@ func (lc *LiveController) Drain() ([]*JobResult, error) {
 // index is maintained at every transition (submit, arrival, placement,
 // retirement, failure).
 func (lc *LiveController) Status(id int) JobStatus {
-	return lc.st.status[id] // zero value = StatusUnknown for never-submitted ids
+	return lc.status[id] // zero value = StatusUnknown for never-submitted ids
 }
 
 // Result returns a job's result slot and status. The result is only
 // final once the status is settled; callers must not mutate it.
 func (lc *LiveController) Result(id int) (*JobResult, JobStatus) {
-	res, ok := lc.st.results[id]
+	res, ok := lc.results[id]
 	if !ok {
 		return nil, StatusUnknown
 	}
@@ -340,47 +274,42 @@ func (lc *LiveController) Result(id int) (*JobResult, JobStatus) {
 func (lc *LiveController) Results() []*JobResult {
 	out := make([]*JobResult, 0, len(lc.jobs))
 	for _, j := range lc.jobs {
-		out = append(out, lc.st.results[j.ID])
+		out = append(out, lc.results[j.ID])
 	}
 	return out
 }
 
 // RunStats reports the cumulative scheduling-round and event counts of
 // the live run so far.
-func (lc *LiveController) RunStats() RunStats { return lc.ct.stats }
-
-// PlanCacheStats reports the compile-once plan cache's hit/miss
-// counters (the zero Stats when caching is disabled) — surfaced by the
-// service layer on GET /v1/stats.
-func (lc *LiveController) PlanCacheStats() plan.Stats { return lc.ct.PlanCacheStats() }
+func (lc *LiveController) RunStats() RunStats { return lc.stats }
 
 // Trace returns the configured span recorder (nil when tracing is
 // off).
-func (lc *LiveController) Trace() *trace.Recorder { return lc.ct.cfg.Trace }
+func (lc *LiveController) Trace() *trace.Recorder { return lc.cfg.Trace }
 
 // Snapshot summarizes the cluster's current state.
 func (lc *LiveController) Snapshot() LiveSnapshot {
-	t := lc.st.eng.Now()
+	t := lc.eng.Now()
 	s := LiveSnapshot{
 		Now:       t,
-		Pending:   lc.st.pendingArrivals,
-		Queued:    len(lc.st.queue),
-		Active:    len(lc.st.active),
-		Completed: lc.st.completed,
-		Failed:    lc.st.failed,
-		Rounds:    lc.ct.stats.Rounds,
-		Events:    lc.ct.stats.Events,
+		Pending:   lc.pendingArrivals,
+		Queued:    len(lc.queue),
+		Active:    len(lc.active),
+		Completed: lc.completed,
+		Failed:    lc.failed,
+		Rounds:    lc.stats.Rounds,
+		Events:    lc.stats.Events,
 	}
-	s.Utilization = lc.ct.cfg.Cloud.Utilization()
+	s.Utilization = lc.cfg.Cloud.Utilization()
 	matured := 0
-	for _, r := range lc.st.releases {
+	for _, r := range lc.releases {
 		s.PendingReleases++
 		if r.at <= t {
 			matured += len(r.placement.QubitToQPU)
 		}
 	}
-	if matured > 0 && lc.st.totalComputing > 0 {
-		s.Utilization -= float64(matured) / float64(lc.st.totalComputing)
+	if matured > 0 && lc.totalComputing > 0 {
+		s.Utilization -= float64(matured) / float64(lc.totalComputing)
 		if s.Utilization < 0 {
 			s.Utilization = 0 // float dust from the discount
 		}
@@ -401,14 +330,14 @@ type QPULoad struct {
 // discounted exactly like Snapshot's Utilization, so summing the loads
 // always agrees with the snapshot in the same view.
 func (lc *LiveController) QPULoads() []QPULoad {
-	cl := lc.ct.cfg.Cloud
+	cl := lc.cfg.Cloud
 	out := make([]QPULoad, cl.NumQPUs())
 	for i := range out {
 		q := cl.QPU(i)
 		out[i] = QPULoad{ID: i, Computing: q.Computing, Comm: q.Comm, UsedComputing: q.UsedComputing()}
 	}
-	t := lc.st.eng.Now()
-	for _, r := range lc.st.releases {
+	t := lc.eng.Now()
+	for _, r := range lc.releases {
 		if r.at > t {
 			continue
 		}
@@ -419,29 +348,18 @@ func (lc *LiveController) QPULoads() []QPULoad {
 	return out
 }
 
-// SetOnTransition installs (or removes, with nil) the controller's
-// lifecycle-transition hook — see Config.OnTransition.
-func (lc *LiveController) SetOnTransition(fn func(Transition)) { lc.ct.SetOnTransition(fn) }
-
-// Mode returns the admission mode currently applied to new ticks.
-func (lc *LiveController) Mode() Mode { return lc.ct.Mode() }
-
-// SetMode switches the admission order from the next tick on (the
-// service layer's overload degradation to FIFO) — see Controller.SetMode.
-func (lc *LiveController) SetMode(m Mode) error { return lc.ct.SetMode(m) }
-
 // EPRAttempt returns the model's EPR-attempt round length in CX units —
 // the granularity the service's virtual-time pacer maps wall time onto.
-func (lc *LiveController) EPRAttempt() float64 { return lc.ct.cfg.Model.EPRAttempt }
+func (lc *LiveController) EPRAttempt() float64 { return lc.cfg.Model.EPRAttempt }
 
 // TotalComputing returns the cloud's total computing-qubit capacity —
 // the ceiling a federation router checks before offering a shard a
 // circuit it could never fit.
-func (lc *LiveController) TotalComputing() int { return lc.st.totalComputing }
+func (lc *LiveController) TotalComputing() int { return lc.totalComputing }
 
 // FaultStats reports the controller's cumulative fault-injection and
 // recovery counters (the zero Stats without a plan or injections).
-func (lc *LiveController) FaultStats() fault.Stats { return lc.ct.faultStats }
+func (lc *LiveController) FaultStats() fault.Stats { return lc.faultStats }
 
 // InjectFault schedules one fault event live, at max(e.From, Now()) —
 // the admin POST /v1/faults path. Interval faults already over after
@@ -451,23 +369,23 @@ func (lc *LiveController) InjectFault(e fault.Event) error {
 	if lc.drained {
 		return ErrDrained
 	}
-	if lc.st.err != nil {
-		return lc.st.err
+	if lc.err != nil {
+		return lc.err
 	}
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	if err := validateFaultEvent(&lc.ct.cfg, e); err != nil {
+	if err := validateFaultEvent(&lc.cfg, e); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if now := lc.st.eng.Now(); e.From < now {
+	if now := lc.eng.Now(); e.From < now {
 		e.From = now
 		if e.To <= e.From {
 			return fmt.Errorf("core: fault interval ends at %g, already past virtual time %g", e.To, now)
 		}
 	}
-	lc.st.faultEnsure(&fault.Plan{})
-	lc.st.scheduleFault(e)
+	lc.faultEnsure(&fault.Plan{})
+	lc.scheduleFault(e)
 	return nil
 }
 
@@ -481,14 +399,13 @@ func (lc *LiveController) InjectFault(e fault.Event) error {
 // cloud. After Evacuate the controller is drained: stale engine events
 // are inert and every mutating call fails with ErrDrained.
 func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
-	st := lc.st
-	t := st.eng.Now()
-	tc := lc.ct.cfg.Trace
-	active := st.active
-	st.releaseAll()
+	t := lc.eng.Now()
+	tc := lc.cfg.Trace
+	active := lc.active
+	lc.releaseAll()
 	for _, aj := range active {
 		cp := aj.state.Checkpoint()
-		lc.ct.releaseJobState(aj.state)
+		lc.releaseJobState(aj.state)
 		aj.state = nil
 		if aj.tr != nil {
 			aj.tr.Fault(t, fault.KindShardDrain)
@@ -502,25 +419,25 @@ func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 				tr.Fault(t, fault.KindShardDrain)
 			}
 		}
-		if rs := st.resume[j.ID]; rs != nil {
-			delete(st.resume, j.ID)
+		if rs := lc.resume[j.ID]; rs != nil {
+			delete(lc.resume, j.ID)
 			resumes = append(resumes, PreemptedJob{Job: j, cp: rs.cp, firstPlacedAt: rs.firstPlacedAt})
 		} else {
 			waiting = append(waiting, j)
 		}
 	}
-	for _, j := range st.queue {
+	for _, j := range lc.queue {
 		collect(j)
 	}
-	st.queue = nil
+	lc.queue = nil
 	for _, j := range lc.jobs {
-		if st.status[j.ID] == StatusPending {
-			st.pendingArrivals--
+		if lc.status[j.ID] == StatusPending {
+			lc.pendingArrivals--
 			collect(j)
 		}
 	}
-	resumes = append(resumes, st.exported...)
-	st.exported = nil
+	resumes = append(resumes, lc.exported...)
+	lc.exported = nil
 	gone := make(map[int]bool, len(resumes)+len(waiting))
 	for _, pj := range resumes {
 		gone[pj.Job.ID] = true
@@ -529,7 +446,7 @@ func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 		gone[j.ID] = true
 	}
 	lc.forget(gone)
-	st.halted = true
+	lc.halted = true
 	lc.drained = true
 	return resumes, waiting
 }

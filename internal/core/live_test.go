@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -99,7 +100,7 @@ func TestLiveControllerMatchesRun(t *testing.T) {
 
 				cfgA, recA := liveEquivConfig(seed, tc.mode)
 				cfgA.Faults = faults
-				ref, err := NewController(cfgA)
+				ref, err := NewLiveController(cfgA)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,9 +148,9 @@ func TestLiveControllerMatchesRun(t *testing.T) {
 							seed, w.Job.ID, *w, *g)
 					}
 				}
-				if ref.LastRunStats() != lc.RunStats() {
+				if ref.RunStats() != lc.RunStats() {
 					t.Fatalf("seed %d run stats diverged: one-shot %+v, live %+v",
-						seed, ref.LastRunStats(), lc.RunStats())
+						seed, ref.RunStats(), lc.RunStats())
 				}
 				sa, sb := recA.Samples(), recB.Samples()
 				if len(sa) != len(sb) {
@@ -338,6 +339,37 @@ func TestLiveControllerMisuse(t *testing.T) {
 	}
 	if err := lc.StepUntil(10); err == nil {
 		t.Fatal("step after drain should error")
+	}
+}
+
+// TestRunOnce: Run ends in Drain, so a controller runs once — a second
+// Run fails with ErrDrained and leaves the first run's results alone.
+func TestRunOnce(t *testing.T) {
+	cfg, _ := liveEquivConfig(1, BatchMode)
+	lc, err := NewLiveController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := qlib.GHZ(4)
+	first, err := lc.Run([]*Job{{ID: 0, Circuit: c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 1 || first[0].Failed || first[0].Finished <= 0 {
+		t.Fatalf("first run results = %+v", first)
+	}
+	got, err := lc.Run([]*Job{{ID: 1, Circuit: c}})
+	if !errors.Is(err, ErrDrained) {
+		t.Fatalf("second Run err = %v, want ErrDrained", err)
+	}
+	if got != nil {
+		t.Fatalf("second Run returned results %+v", got)
+	}
+	if s := lc.Status(1); s != StatusUnknown {
+		t.Fatalf("job of the rejected run has status %v, want unknown", s)
+	}
+	if res := lc.Results(); len(res) != 1 || res[0] != first[0] {
+		t.Fatalf("results after the rejected run = %+v, want the first run's", res)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				cfgCold, recCold := cacheConfig(seed, tc.mode, -1) // cache disabled
-				cold, err := NewController(cfgCold)
+				cold, err := NewLiveController(cfgCold)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +94,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 				}
 
 				cfgHot, recHot := cacheConfig(seed, tc.mode, 0) // default-sized cache
-				hot, err := NewController(cfgHot)
+				hot, err := NewLiveController(cfgHot)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,9 +135,9 @@ func TestPlanCacheDifferential(t *testing.T) {
 						}
 					}
 				}
-				if cold.LastRunStats() != hot.LastRunStats() {
+				if cold.RunStats() != hot.RunStats() {
 					t.Fatalf("seed %d run stats diverged: cold %+v, hot %+v",
-						seed, cold.LastRunStats(), hot.LastRunStats())
+						seed, cold.RunStats(), hot.RunStats())
 				}
 				sc, sh := recCold.Samples(), recHot.Samples()
 				if len(sc) != len(sh) {
@@ -160,7 +160,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 func TestPlanCacheLiveDifferential(t *testing.T) {
 	const seed = 3
 	cfgCold, _ := cacheConfig(seed, WFQMode, -1)
-	cold, err := NewController(cfgCold)
+	cold, err := NewLiveController(cfgCold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestPlanCacheLiveDifferential(t *testing.T) {
 			t.Fatalf("job %d diverged:\ncold run %+v\nlive hot %+v", w.Job.ID, *w, *g)
 		}
 	}
-	if cold.LastRunStats() != lc.RunStats() {
-		t.Fatalf("run stats diverged: cold %+v, live %+v", cold.LastRunStats(), lc.RunStats())
+	if cold.RunStats() != lc.RunStats() {
+		t.Fatalf("run stats diverged: cold %+v, live %+v", cold.RunStats(), lc.RunStats())
 	}
 }
 
@@ -206,7 +206,7 @@ func TestPlanCacheLiveDifferential(t *testing.T) {
 // keys it out — and every hit's placement fits the QPUs it touches.
 func TestPlanCacheCapacityInvalidation(t *testing.T) {
 	cfg, _ := cacheConfig(1, BatchMode, 0)
-	ct, err := NewController(cfg)
+	ct, err := NewLiveController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPlanCacheCapacityInvalidation(t *testing.T) {
 func TestPlanCacheEvictionStaysCorrect(t *testing.T) {
 	const seed = 4
 	cfgCold, _ := cacheConfig(seed, FIFOMode, -1)
-	cold, err := NewController(cfgCold)
+	cold, err := NewLiveController(cfgCold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPlanCacheEvictionStaysCorrect(t *testing.T) {
 	}
 
 	cfgTiny, _ := cacheConfig(seed, FIFOMode, 1)
-	tiny, err := NewController(cfgTiny)
+	tiny, err := NewLiveController(cfgTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestPlanCacheEvictionStaysCorrect(t *testing.T) {
 // from a persistent RNG, so memoizing it would change results — the
 // controller must refuse to cache it, even when a size is asked for.
 func TestPlanCacheDisabledForStatefulPlacers(t *testing.T) {
-	ct, err := NewController(Config{
+	ct, err := NewLiveController(Config{
 		Cloud:         cloud.NewRandom(10, 0.3, 20, 5, 1),
 		Placer:        place.NewRandom(1),
 		Seed:          1,

@@ -81,10 +81,6 @@ func (s *PreemptStats) Add(other PreemptStats) {
 	s.RescuedDeadlines += other.RescuedDeadlines
 }
 
-// PreemptStats reports the preemption counters of the current run (reset
-// by each Run call; monotone over a LiveController's life).
-func (ct *Controller) PreemptStats() PreemptStats { return ct.preempt }
-
 // PreemptedJob is a preempted job exported for resumption elsewhere: the
 // federation layer collects these from a shard (TakePreempted) and
 // re-routes them, possibly to a different shard, via SubmitResume. The
@@ -110,17 +106,16 @@ type resumeState struct {
 // per pass — the resulting same-instant tick re-runs admission on any
 // capacity left over and, if the queue still warrants it, the next pass
 // preempts again. Never called with PreemptOff configured.
-func (st *runState) maybePreempt(t float64) {
-	ct := st.ct
-	if ct.cfg.Preempt == PreemptOff || len(st.active) == 0 || len(st.queue) == 0 {
+func (lc *LiveController) maybePreempt(t float64) {
+	if lc.cfg.Preempt == PreemptOff || len(lc.active) == 0 || len(lc.queue) == 0 {
 		return
 	}
-	triggers := make([]*Job, 0, len(st.queue))
-	for _, j := range st.queue {
+	triggers := make([]*Job, 0, len(lc.queue))
+	for _, j := range lc.queue {
 		if j.Arrival > t {
 			continue
 		}
-		if ct.cfg.Preempt == PreemptRescue && !(j.Deadline > t) {
+		if lc.cfg.Preempt == PreemptRescue && !(j.Deadline > t) {
 			// Rescue only fires for live deadlines: a job without one (or
 			// whose deadline already passed) gains nothing from displacing
 			// others.
@@ -135,7 +130,7 @@ func (st *runState) maybePreempt(t float64) {
 	// under priority; (arrival, ID) tie-breaks keep the order
 	// deterministic.
 	slices.SortStableFunc(triggers, func(a, b *Job) int {
-		if ct.cfg.Preempt == PreemptRescue {
+		if lc.cfg.Preempt == PreemptRescue {
 			if c := compareFloat(deadlineOf(a), deadlineOf(b)); c != 0 {
 				return c
 			}
@@ -145,7 +140,7 @@ func (st *runState) maybePreempt(t float64) {
 		return compareArrival(a, b)
 	})
 	for _, trig := range triggers {
-		if st.tryPreemptFor(trig, t) {
+		if lc.tryPreemptFor(trig, t) {
 			return
 		}
 	}
@@ -176,17 +171,16 @@ func victimEligible(policy PreemptPolicy, trig, v *Job) bool {
 // admission order can take the freed capacity first. On failure every
 // released reservation is restored and the cloud is byte-identical to
 // before the call.
-func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
-	ct := st.ct
+func (lc *LiveController) tryPreemptFor(trig *Job, t float64) bool {
 	var cands []*activeJob
-	for _, aj := range st.active {
+	for _, aj := range lc.active {
 		// placedAt < t bounds work per instant: a job placed by this very
 		// tick (or a resume placed moments ago at t) is not re-eligible
 		// until time advances, so a pass cannot thrash at one instant.
 		if !(aj.placedAt < t) {
 			continue
 		}
-		if !victimEligible(ct.cfg.Preempt, trig, aj.job) {
+		if !victimEligible(lc.cfg.Preempt, trig, aj.job) {
 			continue
 		}
 		// Only between-rounds states are preemptible: a victim holding
@@ -223,10 +217,10 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 		err      error
 	)
 	for _, aj := range cands {
-		aj.placement.Release(ct.cfg.Cloud)
+		aj.placement.Release(lc.cfg.Cloud)
 		released++
-		pl, dag, prio, cacheHit, err = ct.compile(trig)
-		if err == nil && pl.Reserve(ct.cfg.Cloud) == nil {
+		pl, dag, prio, cacheHit, err = lc.compile(trig)
+		if err == nil && pl.Reserve(lc.cfg.Cloud) == nil {
 			fits = true
 			break
 		}
@@ -236,40 +230,40 @@ func (st *runState) tryPreemptFor(trig *Job, t float64) bool {
 		// cannot fail here — each placement goes back onto QPUs it was
 		// occupying a moment ago, and no trig placement was reserved.
 		for i := released - 1; i >= 0; i-- {
-			if err := cands[i].placement.Reserve(ct.cfg.Cloud); err != nil {
-				st.err = fmt.Errorf("core: preemption rollback failed for job %d: %w", cands[i].job.ID, err)
+			if err := cands[i].placement.Reserve(lc.cfg.Cloud); err != nil {
+				lc.err = fmt.Errorf("core: preemption rollback failed for job %d: %w", cands[i].job.ID, err)
 				return false
 			}
 		}
 		return false
 	}
 	for _, aj := range cands[:released] {
-		st.preemptVictim(aj, t)
+		lc.preemptVictim(aj, t)
 	}
-	st.compactActive()
-	if ct.cfg.Preempt == PreemptRescue {
-		st.rescued[trig.ID] = true
+	lc.compactActive()
+	if lc.cfg.Preempt == PreemptRescue {
+		lc.rescued[trig.ID] = true
 	}
-	st.queue = slices.DeleteFunc(st.queue, func(j *Job) bool { return j == trig })
-	st.startJob(trig, pl, dag, prio, cacheHit, t)
+	lc.queue = slices.DeleteFunc(lc.queue, func(j *Job) bool { return j == trig })
+	lc.startJob(trig, pl, dag, prio, cacheHit, t)
 	// The same-instant tick re-runs admission on whatever the victims
 	// freed beyond trig's placement.
-	st.capacityChanged = true
-	st.requestTick(t)
+	lc.capacityChanged = true
+	lc.requestTick(t)
 	return true
 }
 
 // preemptVictim checkpoints one victim whose reservations the probe
 // already released and requeues it (see requeue).
-func (st *runState) preemptVictim(aj *activeJob, t float64) {
-	st.ct.preempt.Preemptions++
+func (lc *LiveController) preemptVictim(aj *activeJob, t float64) {
+	lc.preempt.Preemptions++
 	if aj.tr != nil {
 		// The suspension span opens here and closes at the resume
 		// placement — on whichever shard the federation rehomes it to,
 		// since the recorder is shared.
 		aj.tr.Preempt(t)
 	}
-	st.requeue(aj, ReasonPreempted)
+	lc.requeue(aj, ReasonPreempted)
 }
 
 // requeue checkpoints a job taken off the cloud (its reservations
@@ -281,16 +275,16 @@ func (st *runState) preemptVictim(aj *activeJob, t float64) {
 // locally as a resume-job. Either way the job keeps its ID, arrival,
 // and first-placement timestamp, so its eventual result reports
 // admission wait only (requeue time lands in JCT, not WaitTime).
-func (st *runState) requeue(aj *activeJob, why TransitionReason) {
+func (lc *LiveController) requeue(aj *activeJob, why TransitionReason) {
 	cp := aj.state.Checkpoint()
-	st.ct.releaseJobState(aj.state)
+	lc.releaseJobState(aj.state)
 	aj.state = nil
 	id := aj.job.ID
-	st.setStatusReason(id, StatusQueued, why)
-	if st.ct.cfg.ExportPreempted && !st.draining {
-		st.exported = append(st.exported, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
+	lc.setStatusReason(id, StatusQueued, why)
+	if lc.cfg.ExportPreempted && !lc.draining {
+		lc.exported = append(lc.exported, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
 		return
 	}
-	st.resume[id] = &resumeState{cp: cp, firstPlacedAt: aj.firstPlacedAt}
-	st.queue = append(st.queue, aj.job)
+	lc.resume[id] = &resumeState{cp: cp, firstPlacedAt: aj.firstPlacedAt}
+	lc.queue = append(lc.queue, aj.job)
 }

@@ -103,8 +103,8 @@ func TestParsePreempt(t *testing.T) {
 	if _, err := core.ParsePreempt("bogus"); err == nil {
 		t.Fatal("ParsePreempt(bogus) succeeded")
 	}
-	if _, err := core.NewController(core.Config{Cloud: preemptCloud(), Preempt: core.PreemptPolicy(9)}); err == nil {
-		t.Fatal("NewController accepted an out-of-range preemption policy")
+	if _, err := core.NewLiveController(core.Config{Cloud: preemptCloud(), Preempt: core.PreemptPolicy(9)}); err == nil {
+		t.Fatal("NewLiveController accepted an out-of-range preemption policy")
 	}
 }
 
@@ -113,7 +113,7 @@ func TestParsePreempt(t *testing.T) {
 // incumbent at a round boundary, the trigger runs, and the victim
 // resumes from its checkpoint under its original identity.
 func TestPreemptRescueFunctional(t *testing.T) {
-	ct, err := core.NewController(preemptConfig(core.PreemptRescue, core.EDFMode))
+	ct, err := core.NewLiveController(preemptConfig(core.PreemptRescue, core.EDFMode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPreemptRescueFunctional(t *testing.T) {
 // heavyweight tenant displaces a lightweight one with no deadlines in
 // sight.
 func TestPreemptPriorityFunctional(t *testing.T) {
-	ct, err := core.NewController(preemptConfig(core.PreemptPriority, core.FIFOMode))
+	ct, err := core.NewLiveController(preemptConfig(core.PreemptPriority, core.FIFOMode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPreemptionPlacesTrigger(t *testing.T) {
 			in.started = append(in.started, tr.JobID)
 		}
 	}
-	ct, err := core.NewController(cfg)
+	ct, err := core.NewLiveController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestPreemptionPlacesTrigger(t *testing.T) {
 // distinct, so without preemption this run has zero cross-job cache
 // traffic.
 func TestResumeHitsPlanCache(t *testing.T) {
-	ct, err := core.NewController(preemptConfig(core.PreemptRescue, core.EDFMode))
+	ct, err := core.NewLiveController(preemptConfig(core.PreemptRescue, core.EDFMode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestPreemptionOffDifferential(t *testing.T) {
 			// exactly the configuration every pre-preemption caller built.
 			jobsA := preemptStream(t, tc.poisson, seed)
 			cfgA, recA := preemptEquivConfig(seed, tc.mode)
-			ref, err := core.NewController(cfgA)
+			ref, err := core.NewLiveController(cfgA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,9 +394,9 @@ func TestPreemptionOffDifferential(t *testing.T) {
 					}
 				}
 			}
-			if ref.LastRunStats() != lc.RunStats() || ref.LastRunStats() != f.RunStats() {
+			if ref.RunStats() != lc.RunStats() || ref.RunStats() != f.RunStats() {
 				t.Fatalf("run stats diverged: ref %+v live %+v fed %+v",
-					ref.LastRunStats(), lc.RunStats(), f.RunStats())
+					ref.RunStats(), lc.RunStats(), f.RunStats())
 			}
 			sa, sb, sc := recA.Samples(), recB.Samples(), recC.Samples()
 			if len(sa) != len(sb) || len(sa) != len(sc) {

@@ -48,7 +48,7 @@ func TestParseMode(t *testing.T) {
 }
 
 func TestUnknownModeRejected(t *testing.T) {
-	if _, err := NewController(Config{Cloud: testCloud(), Mode: Mode(99)}); err == nil {
+	if _, err := NewLiveController(Config{Cloud: testCloud(), Mode: Mode(99)}); err == nil {
 		t.Fatal("out-of-range mode should error")
 	}
 }

@@ -41,7 +41,7 @@ func TestTraceOffDifferential(t *testing.T) {
 			// Reference: untraced one-shot Run — Config.Trace nil.
 			jobsA := preemptStream(t, tc.poisson, seed)
 			cfgA, recA := preemptEquivConfig(seed, tc.mode)
-			ref, err := core.NewController(cfgA)
+			ref, err := core.NewLiveController(cfgA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestTraceOffDifferential(t *testing.T) {
 			cfgB, recB := preemptEquivConfig(seed, tc.mode)
 			trcB := trace.New()
 			cfgB.Trace = trcB
-			ct, err := core.NewController(cfgB)
+			ct, err := core.NewLiveController(cfgB)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,10 +134,10 @@ func TestTraceOffDifferential(t *testing.T) {
 					}
 				}
 			}
-			if ref.LastRunStats() != ct.LastRunStats() ||
-				ref.LastRunStats() != lc.RunStats() || ref.LastRunStats() != f.RunStats() {
+			if ref.RunStats() != ct.RunStats() ||
+				ref.RunStats() != lc.RunStats() || ref.RunStats() != f.RunStats() {
 				t.Fatalf("run stats diverged: ref %+v run %+v live %+v fed %+v",
-					ref.LastRunStats(), ct.LastRunStats(), lc.RunStats(), f.RunStats())
+					ref.RunStats(), ct.RunStats(), lc.RunStats(), f.RunStats())
 			}
 			sa, sb, sc, sd := recA.Samples(), recB.Samples(), recC.Samples(), recD.Samples()
 			if len(sa) != len(sb) || len(sa) != len(sc) || len(sa) != len(sd) {
@@ -247,7 +247,7 @@ func TestTraceSuspendSpans(t *testing.T) {
 	trc := trace.New()
 	cfg := preemptConfig(core.PreemptRescue, core.EDFMode)
 	cfg.Trace = trc
-	ct, err := core.NewController(cfg)
+	ct, err := core.NewLiveController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

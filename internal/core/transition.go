@@ -55,23 +55,23 @@ type Transition struct {
 
 // SetOnTransition installs (or, with nil, removes) the controller's
 // lifecycle-transition hook. The hook fires synchronously from inside
-// the scheduling loop at every status change, during Run as well as on
-// a LiveController — it must be fast and must not call back into the
+// the scheduling loop at every status change, under Run as well as
+// Submit and StepUntil — it must be fast and must not call back into the
 // controller.
-func (ct *Controller) SetOnTransition(fn func(Transition)) { ct.cfg.OnTransition = fn }
+func (lc *LiveController) SetOnTransition(fn func(Transition)) { lc.cfg.OnTransition = fn }
 
 // Mode returns the admission mode currently applied to new ticks.
-func (ct *Controller) Mode() Mode { return ct.cfg.Mode }
+func (lc *LiveController) Mode() Mode { return lc.cfg.Mode }
 
 // SetMode switches the admission order applied from the next tick on.
 // Jobs already placed are unaffected; queued jobs are re-ordered under
 // the new mode. Switching away from WFQ and back preserves the WFQ
 // virtual clocks (tenants' accumulated service is not forgotten), which
 // is what the service layer's overload degradation to FIFO relies on.
-func (ct *Controller) SetMode(m Mode) error {
+func (lc *LiveController) SetMode(m Mode) error {
 	if m < BatchMode || m > WFQMode {
 		return fmt.Errorf("core: unknown admission mode %d", int(m))
 	}
-	ct.cfg.Mode = m
+	lc.cfg.Mode = m
 	return nil
 }

@@ -6,7 +6,7 @@ package core
 // move, so the charge and ordering hot paths index plain slices instead
 // of hashing maps (see wfqOrder).
 //
-// A Controller owns a private clock by default, reset per run. Handing
+// A LiveController owns a private clock by default. Handing
 // one clock to several controllers via Config.SharedWFQ extends
 // weighted fairness across them: every shard bills tenants into the
 // same clocks, so a tenant's placements anywhere raise its start tags
@@ -44,16 +44,6 @@ func (w *WFQClock) slot(tenant int) int {
 	w.ids = append(w.ids, tenant)
 	w.service = append(w.service, 0)
 	return s
-}
-
-// Reset zeroes every tenant's virtual service and the virtual time,
-// keeping the tenant→slot table (slots stay stable across runs so
-// controller scratch sized to the table remains valid).
-func (w *WFQClock) Reset() {
-	for i := range w.service {
-		w.service[i] = 0
-	}
-	w.vtime = 0
 }
 
 // Service returns a tenant's accumulated virtual service (0 for

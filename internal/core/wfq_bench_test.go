@@ -14,7 +14,7 @@ import (
 // allocation-free and map-free; the admission order itself is pinned
 // bit-identical by the differential tests.
 func BenchmarkWFQOrder(b *testing.B) {
-	ct, err := NewController(Config{
+	ct, err := NewLiveController(Config{
 		Cloud: cloud.NewRandom(10, 0.3, 20, 5, 1),
 		Mode:  WFQMode,
 		Seed:  1,
@@ -36,7 +36,6 @@ func BenchmarkWFQOrder(b *testing.B) {
 			id++
 		}
 	}
-	ct.resetScheduling()
 	for _, j := range jobs {
 		Intensity(j.Circuit) // fill the circuits' count memos before timing
 	}

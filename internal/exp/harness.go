@@ -148,7 +148,7 @@ func (o Options) baseConfig(seed int64) core.Config {
 // recorder's utilization when cfg.Recorder is set, and its traced
 // attribution when cfg.Trace is set.
 func runController(cfg core.Config, jobs []*core.Job) (runRep, error) {
-	ct, err := core.NewController(cfg)
+	ct, err := core.NewLiveController(cfg)
 	if err != nil {
 		return runRep{}, err
 	}

@@ -421,7 +421,7 @@ func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, flo
 		s.rejected++
 		s.rejQuota[req.Tenant]++
 		return http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %d has %d jobs in flight (quota %d)", req.Tenant, q, q), 1
+			fmt.Sprintf("tenant %d has %d jobs in flight (quota %d)", req.Tenant, s.inflight[req.Tenant], q), 1
 	}
 	if ok, wait := s.allow(req.Tenant, now); !ok {
 		s.rejected++

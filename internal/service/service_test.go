@@ -22,6 +22,7 @@ import (
 	"cloudqc/internal/metrics"
 	"cloudqc/internal/place"
 	"cloudqc/internal/sched"
+	"cloudqc/internal/wal"
 )
 
 // fakeClock drives the virtual-time pacer deterministically.
@@ -221,7 +222,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			Deadline: a.resp.Deadline,
 		})
 	}
-	ref, err := core.NewController(testControllerConfig(seed, core.WFQMode))
+	ref, err := core.NewLiveController(testControllerConfig(seed, core.WFQMode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,5 +606,28 @@ func TestHandlerPanicReleasesLock(t *testing.T) {
 	case <-closed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("server Close hung after a handler panic")
+	}
+}
+
+// TestServiceQuotaMessageReportsInFlight: Replay re-admits logged jobs
+// without re-checking the quota, so a daemon restarted with a lower
+// quota can hold more jobs in flight than it allows. The 429 must then
+// report the actual in-flight count, not repeat the quota.
+func TestServiceQuotaMessageReportsInFlight(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{MaxInFlight: 1}, 3, core.FIFOMode)
+	recs := []wal.Record{
+		{Type: wal.TypeJob, Tenant: 0, Circuit: "qft_n29"},
+		{Type: wal.TypeJob, Tenant: 0, Circuit: "qft_n29"},
+	}
+	if n, err := srv.Replay(recs); err != nil || n != 2 {
+		t.Fatalf("replay: %d jobs, err %v", n, err)
+	}
+	var e ErrorResponse
+	code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", SubmitRequest{Tenant: 0, Circuit: "qft_n29"}, &e)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("over-quota submit: %d %q, want 429", code, e.Error)
+	}
+	if want := "tenant 0 has 2 jobs in flight (quota 1)"; e.Error != want {
+		t.Fatalf("429 error %q, want %q", e.Error, want)
 	}
 }
