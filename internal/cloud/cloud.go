@@ -83,24 +83,40 @@ func New(topo *graph.Graph, computing, comm int) *Cloud {
 // signature hashes the cloud's immutable shape: QPU count, per-QPU
 // capacities, and the topology's edge list.
 func (c *Cloud) signature() uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mix(uint64(len(c.qpus)))
+	h := fnvMix(fnvOffset, uint64(len(c.qpus)))
 	for _, q := range c.qpus {
-		mix(uint64(q.Computing))
-		mix(uint64(q.Comm))
+		h = fnvMix(h, uint64(q.Computing))
+		h = fnvMix(h, uint64(q.Comm))
 	}
 	for _, e := range c.topo.Edges() {
-		mix(uint64(e.U))
-		mix(uint64(e.V))
-		mix(math.Float64bits(e.W))
+		h = fnvMix(h, uint64(e.U))
+		h = fnvMix(h, uint64(e.V))
+		h = fnvMix(h, math.Float64bits(e.W))
+	}
+	return h
+}
+
+// FreeSignature hashes a per-QPU free computing-qubit snapshot
+// (FreeSnapshot order, FNV-1a over the counts). It is the free-capacity
+// half of a plan-cache key and of the placer's capacity-tier memo key;
+// both also keep the snapshot and compare it verbatim, so a collision
+// costs a miss, never a wrong answer.
+func FreeSignature(free []int) uint64 {
+	h := uint64(fnvOffset)
+	for _, f := range free {
+		h = fnvMix(h, uint64(int64(f)))
+	}
+	return h
+}
+
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvMix folds v's eight bytes, low first, into the FNV-1a hash h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
 	}
 	return h
 }

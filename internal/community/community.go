@@ -29,7 +29,9 @@ type Communities struct {
 
 // Modularity computes Newman's weighted modularity of the given
 // assignment: Q = Σ_ij [A_ij/(2m) − k_i·k_j/(2m)²]·δ(c_i, c_j).
-// An edgeless graph has modularity 0 by convention.
+// Community ids must lie in [0, g.N()). An edgeless graph has
+// modularity 0 by convention. The per-community terms are summed in
+// ascending id order, so the result's bits never vary between calls.
 func Modularity(g *graph.Graph, assign []int) float64 {
 	m2 := 2 * g.TotalWeight()
 	if m2 == 0 {
@@ -37,8 +39,8 @@ func Modularity(g *graph.Graph, assign []int) float64 {
 	}
 	// internal[c] accumulates 2·(weight inside c); degSum[c] sums
 	// weighted degrees.
-	internal := map[int]float64{}
-	degSum := map[int]float64{}
+	internal := make([]float64, g.N())
+	degSum := make([]float64, g.N())
 	for v := 0; v < g.N(); v++ {
 		degSum[assign[v]] += g.WeightedDegree(v)
 	}
@@ -68,19 +70,23 @@ func Detect(g *graph.Graph) *Communities {
 		return build(g, assign)
 	}
 
-	// Community state: between[c1][c2] = total weight between them,
-	// deg[c] = summed weighted degree, alive[c] tracks merged-away ids.
-	between := make([]map[int]float64, n)
+	// Community state, indexed by community id (a surviving vertex id):
+	// between[a*n+b] is the total weight between a and b and linked[a*n+b]
+	// whether they touch at all (a zero-weight edge still links them),
+	// deg[c] is the summed weighted degree, alive[c] tracks merged-away
+	// ids.
+	between := make([]float64, n*n)
+	linked := make([]bool, n*n)
 	deg := make([]float64, n)
 	alive := make([]bool, n)
 	for v := 0; v < n; v++ {
-		between[v] = make(map[int]float64)
 		deg[v] = g.WeightedDegree(v)
 		alive[v] = true
 	}
 	for _, e := range g.Edges() {
-		between[e.U][e.V] += e.W
-		between[e.V][e.U] += e.W
+		between[e.U*n+e.V] += e.W
+		between[e.V*n+e.U] += e.W
+		linked[e.U*n+e.V], linked[e.V*n+e.U] = true, true
 	}
 
 	cur := make([]int, n)
@@ -98,11 +104,11 @@ func Detect(g *graph.Graph) *Communities {
 			if !alive[a] {
 				continue
 			}
-			for _, b := range sortedKeys(between[a]) {
-				if b <= a || !alive[b] {
+			for b := a + 1; b < n; b++ {
+				if !linked[a*n+b] || !alive[b] {
 					continue
 				}
-				w := between[a][b]
+				w := between[a*n+b]
 				delta := 2 * (w/m2 - float64((deg[a]/m2)*(deg[b]/m2)))
 				if first || delta > bestDelta {
 					mergeA, mergeB, bestDelta = a, b, delta
@@ -116,16 +122,20 @@ func Detect(g *graph.Graph) *Communities {
 		// Merge B into A.
 		alive[mergeB] = false
 		deg[mergeA] += deg[mergeB]
-		for c, w := range between[mergeB] {
+		rowA, rowB := mergeA*n, mergeB*n
+		for c := 0; c < n; c++ {
+			if !linked[rowB+c] {
+				continue
+			}
+			linked[rowB+c], linked[c*n+mergeB] = false, false
 			if c == mergeA {
 				continue
 			}
-			between[mergeA][c] += w
-			between[c][mergeA] += w
-			delete(between[c], mergeB)
+			w := between[rowB+c]
+			between[rowA+c] += w
+			between[c*n+mergeA] += w
+			linked[rowA+c], linked[c*n+mergeA] = true, true
 		}
-		delete(between[mergeA], mergeB)
-		between[mergeB] = nil
 		for v := 0; v < n; v++ {
 			if cur[v] == mergeB {
 				cur[v] = mergeA
@@ -138,15 +148,6 @@ func Detect(g *graph.Graph) *Communities {
 		}
 	}
 	return build(g, bestAssign)
-}
-
-func sortedKeys(m map[int]float64) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }
 
 // build canonicalizes an assignment into a Communities value with dense

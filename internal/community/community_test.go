@@ -2,9 +2,13 @@ package community
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"cloudqc/internal/cloud"
 	"cloudqc/internal/graph"
 )
 
@@ -99,14 +103,164 @@ func TestDetectEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestDetectDeterminism(t *testing.T) {
-	g := graph.Random(25, 0.2, 5)
-	a, b := Detect(g), Detect(g)
-	for v := range a.Assign {
-		if a.Assign[v] != b.Assign[v] {
-			t.Fatal("non-deterministic detection")
+// randomWeighted builds a seeded graph on n vertices whose edges (each
+// present with probability p) carry random weights, zero included; it
+// may be disconnected.
+func randomWeighted(n int, p float64, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				w := 0.0
+				if rng.Intn(10) > 0 {
+					w = rng.Float64() * 40
+				}
+				g.AddEdge(u, v, w)
+			}
 		}
 	}
+	return g
+}
+
+// TestDetectDeterminism: repeated detection on one graph gives the same
+// division and the same Q bits, and Modularity's bits never vary
+// between calls either.
+func TestDetectDeterminism(t *testing.T) {
+	graphs := []*graph.Graph{graph.Random(25, 0.2, 5)}
+	for seed := int64(1); seed <= 50; seed++ {
+		graphs = append(graphs, randomWeighted(20, 0.3, seed))
+	}
+	for i, g := range graphs {
+		a := Detect(g)
+		for rep := 0; rep < 5; rep++ {
+			b := Detect(g)
+			if !slices.Equal(a.Assign, b.Assign) {
+				t.Fatalf("graph %d: non-deterministic detection", i)
+			}
+			if math.Float64bits(a.Q) != math.Float64bits(b.Q) {
+				t.Fatalf("graph %d: Q bits %#x then %#x", i, math.Float64bits(a.Q), math.Float64bits(b.Q))
+			}
+			singletons := make([]int, g.N())
+			for v := range singletons {
+				singletons[v] = v
+			}
+			q1, q2 := Modularity(g, singletons), Modularity(g, singletons)
+			if math.Float64bits(q1) != math.Float64bits(q2) {
+				t.Fatalf("graph %d: Modularity bits %#x then %#x", i, math.Float64bits(q1), math.Float64bits(q2))
+			}
+		}
+	}
+}
+
+// TestDetectMatchesMapReference: the slice-indexed Detect finds the
+// divisions of the map-based CNM it replaced, on capacity graphs of
+// random clouds under random reservations, on random weighted graphs
+// (disconnected ones and zero-weight edges included) and on edgeless
+// graphs.
+func TestDetectMatchesMapReference(t *testing.T) {
+	var graphs []*graph.Graph
+	rng := rand.New(rand.NewSource(3))
+	for seed := int64(1); seed <= 30; seed++ {
+		cl := cloud.NewRandom(20, 0.3, 20, 5, seed)
+		for q := 0; q < cl.NumQPUs(); q++ {
+			if err := cl.Reserve(q, rng.Intn(21)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		graphs = append(graphs, cl.CapacityGraph(), randomWeighted(4+int(seed)%17, 0.15, seed))
+	}
+	graphs = append(graphs, graph.New(1), graph.New(7), twoCliques(5))
+	for i, g := range graphs {
+		got, want := Detect(g), detectMapReference(g)
+		if !slices.Equal(got.Assign, want.Assign) {
+			t.Fatalf("graph %d: Assign %v, map reference %v", i, got.Assign, want.Assign)
+		}
+		if !slices.EqualFunc(got.Groups, want.Groups, slices.Equal[[]int]) {
+			t.Fatalf("graph %d: Groups %v, map reference %v", i, got.Groups, want.Groups)
+		}
+	}
+}
+
+// detectMapReference is the map-of-maps CNM that Detect replaced: each
+// community's neighbours in a map, visited in sorted key order.
+func detectMapReference(g *graph.Graph) *Communities {
+	n := g.N()
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = i
+	}
+	m2 := 2 * g.TotalWeight()
+	if n == 0 || m2 == 0 {
+		return build(g, assign)
+	}
+	between := make([]map[int]float64, n)
+	deg := make([]float64, n)
+	alive := make([]bool, n)
+	for v := 0; v < n; v++ {
+		between[v] = make(map[int]float64)
+		deg[v] = g.WeightedDegree(v)
+		alive[v] = true
+	}
+	for _, e := range g.Edges() {
+		between[e.U][e.V] += e.W
+		between[e.V][e.U] += e.W
+	}
+	cur := slices.Clone(assign)
+	bestAssign := slices.Clone(cur)
+	bestQ := Modularity(g, cur)
+	curQ := bestQ
+	for {
+		mergeA, mergeB, bestDelta := -1, -1, 0.0
+		first := true
+		for a := 0; a < n; a++ {
+			if !alive[a] {
+				continue
+			}
+			keys := make([]int, 0, len(between[a]))
+			for k := range between[a] {
+				keys = append(keys, k)
+			}
+			sort.Ints(keys)
+			for _, b := range keys {
+				if b <= a || !alive[b] {
+					continue
+				}
+				w := between[a][b]
+				delta := 2 * (w/m2 - float64((deg[a]/m2)*(deg[b]/m2)))
+				if first || delta > bestDelta {
+					mergeA, mergeB, bestDelta = a, b, delta
+					first = false
+				}
+			}
+		}
+		if mergeA < 0 {
+			break
+		}
+		alive[mergeB] = false
+		deg[mergeA] += deg[mergeB]
+		for c, w := range between[mergeB] {
+			if c == mergeA {
+				continue
+			}
+			between[mergeA][c] += w
+			between[c][mergeA] += w
+			delete(between[c], mergeB)
+		}
+		delete(between[mergeA], mergeB)
+		between[mergeB] = nil
+		for v := 0; v < n; v++ {
+			if cur[v] == mergeB {
+				cur[v] = mergeA
+			}
+		}
+		curQ += bestDelta
+		if curQ > bestQ {
+			bestQ = curQ
+			copy(bestAssign, cur)
+		}
+	}
+	return build(g, bestAssign)
 }
 
 func TestGroupsCanonical(t *testing.T) {

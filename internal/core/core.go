@@ -274,6 +274,12 @@ type LiveController struct {
 	// (circuit fingerprint, free-capacity signature); nil when caching
 	// is disabled or the placer is not deterministic.
 	planCache *plan.Cache
+	// verdicts remembers, under the same keys and snapshots, the
+	// plan-cache misses whose placer run was infeasible, so a queued job
+	// retried under a capacity state it already failed in skips the
+	// placer. It exists exactly when planCache does, with the same
+	// bound, and is a cache of its own so a verdict never evicts a plan.
+	verdicts *plan.Cache
 	// statePool recycles retired jobs' sched.JobStates so cache-hit
 	// admissions reuse per-node arrays instead of allocating fresh ones.
 	statePool []*sched.JobState
@@ -432,6 +438,7 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 	if cfg.PlanCacheSize >= 0 {
 		if _, ok := cfg.Placer.(place.DeterministicPlacer); ok {
 			lc.planCache = plan.New(cfg.PlanCacheSize)
+			lc.verdicts = plan.New(cfg.PlanCacheSize)
 		}
 	}
 	// Fault events land on the engine before any arrival, so at a shared
@@ -448,6 +455,16 @@ func (lc *LiveController) PlanCacheStats() plan.Stats {
 		return plan.Stats{}
 	}
 	return lc.planCache.Stats()
+}
+
+// InfeasibleHits counts the plan-cache misses answered by a remembered
+// infeasible verdict instead of a placer run. It is kept out of
+// PlanCacheStats: every such compile is still a plan-cache miss.
+func (lc *LiveController) InfeasibleHits() int64 {
+	if lc.verdicts == nil {
+		return 0
+	}
+	return lc.verdicts.Stats().Hits
 }
 
 // activeJob is one placed, executing job.
@@ -936,8 +953,11 @@ func (lc *LiveController) startJob(j *Job, pl *place.Placement, dag *sched.Remot
 // under the exact free snapshot the placer saw. Because the cached
 // placement was computed under an identical snapshot by a deterministic
 // placer, a hit is bit-identical to what the cold path would produce —
-// and necessarily still fits the QPUs it touches. The hit flag reports
-// which path served the compile, for trace spans.
+// and necessarily still fits the QPUs it touches. By the same argument
+// a miss whose key and snapshot already failed to place fails again, so
+// it returns the remembered *place.ErrInfeasible without running the
+// placer. The hit flag reports which path served the compile, for trace
+// spans.
 func (lc *LiveController) compile(j *Job) (*place.Placement, *sched.RemoteDAG, []int, bool, error) {
 	cl := lc.cfg.Cloud
 	if lc.planCache == nil {
@@ -956,13 +976,23 @@ func (lc *LiveController) compile(j *Job) (*place.Placement, *sched.RemoteDAG, [
 	key := plan.Key{
 		Circuit: j.Circuit.Fingerprint(),
 		Cloud:   cl.Signature(),
-		Free:    plan.FreeSignature(free),
+		Free:    cloud.FreeSignature(free),
 	}
 	if e, ok := lc.planCache.Lookup(key, free); ok {
 		return &place.Placement{Circuit: j.Circuit, QubitToQPU: e.Assign}, e.DAG, e.Prio, true, nil
 	}
+	if e, ok := lc.verdicts.Lookup(key, free); ok {
+		// The fingerprint ignores names: report this job's circuit.
+		inf := *e.Err.(*place.ErrInfeasible)
+		inf.Circuit = j.Circuit.Name
+		return nil, nil, nil, false, &inf
+	}
 	pl, err := lc.cfg.Placer.Place(cl, j.Circuit)
 	if err != nil {
+		var inf *place.ErrInfeasible
+		if errors.As(err, &inf) {
+			lc.verdicts.Insert(key, free, &plan.Entry{Err: inf})
+		}
 		return nil, nil, nil, false, err
 	}
 	dag := sched.BuildRemoteDAG(j.Circuit, cl, pl.QubitToQPU, lc.cfg.Model.Latency)

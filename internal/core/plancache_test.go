@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"cloudqc/internal/circuit"
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/metrics"
 	"cloudqc/internal/place"
@@ -106,6 +108,12 @@ func TestPlanCacheDifferential(t *testing.T) {
 				if stats := hot.PlanCacheStats(); !stats.Enabled || stats.Hits == 0 {
 					t.Fatalf("seed %d: cached run never hit (stats %+v); differential is vacuous",
 						seed, stats)
+				}
+				// Batch streams queue most of their jobs at once, so
+				// retries meet capacity states that already failed: the
+				// differential must cover remembered verdicts too.
+				if !tc.poisson && hot.InfeasibleHits() == 0 {
+					t.Fatalf("seed %d: no compile was answered by a remembered verdict; the verdict store went untested", seed)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("result count %d vs %d", len(got), len(want))
@@ -245,7 +253,7 @@ func TestPlanCacheCapacityInvalidation(t *testing.T) {
 	_, ok := ct.planCache.Lookup(plan.Key{
 		Circuit: c.Fingerprint(),
 		Cloud:   cfg.Cloud.Signature(),
-		Free:    plan.FreeSignature(free),
+		Free:    cloud.FreeSignature(free),
 	}, free)
 	if !ok {
 		t.Fatal("direct lookup missed the warmed entry")
@@ -339,5 +347,123 @@ func TestPlanCacheDisabledForStatefulPlacers(t *testing.T) {
 	}
 	if s := ct.PlanCacheStats(); s.Enabled {
 		t.Fatalf("cache enabled for the stateful Random placer: %+v", s)
+	}
+}
+
+// failRecorder is a deterministic placer that records the circuit and
+// free snapshot of every call that came back infeasible.
+type failRecorder struct {
+	place.DeterministicPlacer
+	failed []placeFailure
+}
+
+type placeFailure struct {
+	circuit *circuit.Circuit
+	free    []int
+}
+
+func (r *failRecorder) Place(cl *cloud.Cloud, c *circuit.Circuit) (*place.Placement, error) {
+	pl, err := r.DeterministicPlacer.Place(cl, c)
+	var inf *place.ErrInfeasible
+	if errors.As(err, &inf) {
+		r.failed = append(r.failed, placeFailure{c, cl.FreeSnapshot()})
+	}
+	return pl, err
+}
+
+// TestRememberedVerdictsStayInfeasible: every verdict the store holds
+// after a contended run is one a fresh placer, on a fresh cloud set to
+// the verdict's snapshot, also finds infeasible. The store records a
+// verdict only right after a placer call that failed, so the recorded
+// failures cover every entry.
+func TestRememberedVerdictsStayInfeasible(t *testing.T) {
+	for _, mode := range []Mode{BatchMode, WFQMode} {
+		cfg, _ := cacheConfig(1, mode, 0)
+		rec := &failRecorder{DeterministicPlacer: cfg.Placer.(place.DeterministicPlacer)}
+		cfg.Placer = rec
+		lc, err := NewLiveController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lc.Run(cacheStream(t, false, mode == WFQMode, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if lc.InfeasibleHits() == 0 {
+			t.Fatalf("%v: no remembered verdict was used", mode)
+		}
+		checked := map[plan.Key]bool{}
+		for _, f := range rec.failed {
+			key := plan.Key{Circuit: f.circuit.Fingerprint(), Cloud: cfg.Cloud.Signature(), Free: cloud.FreeSignature(f.free)}
+			e, ok := lc.verdicts.Lookup(key, f.free)
+			if !ok {
+				continue
+			}
+			checked[key] = true
+			var inf *place.ErrInfeasible
+			if !errors.As(e.Err, &inf) {
+				t.Fatalf("%v: remembered verdict %v is not ErrInfeasible", mode, e.Err)
+			}
+			fresh := cloud.NewRandom(10, 0.3, 20, 5, 1) // cacheConfig's cloud
+			for q, n := range f.free {
+				if err := fresh.Reserve(q, fresh.QPU(q).Computing-n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pCfg := place.DefaultConfig()
+			pCfg.Seed = 1
+			if pl, err := place.NewCloudQC(pCfg).Place(fresh, f.circuit); !errors.As(err, &inf) {
+				t.Fatalf("%v: %s under remembered snapshot %v: fresh placer gave %v, %v",
+					mode, f.circuit.Name, f.free, pl, err)
+			}
+		}
+		if len(checked) == 0 || len(checked) != lc.verdicts.Len() {
+			t.Fatalf("%v: checked %d of %d remembered verdicts", mode, len(checked), lc.verdicts.Len())
+		}
+	}
+}
+
+// TestVerdictNeedsSameSnapshot: a verdict stored under a job's key but
+// for another snapshot (as a free-signature collision would leave it)
+// is a miss that runs the placer, never a wrong infeasible answer. A
+// verdict for the same snapshot is served, naming the asking job's
+// circuit.
+func TestVerdictNeedsSameSnapshot(t *testing.T) {
+	cfg, _ := cacheConfig(1, BatchMode, 0)
+	lc, err := NewLiveController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &Job{ID: 0, Circuit: qlib.MustBuild("qugan_n39")}
+	free := cfg.Cloud.FreeSnapshot()
+	key := plan.Key{Circuit: job.Circuit.Fingerprint(), Cloud: cfg.Cloud.Signature(), Free: cloud.FreeSignature(free)}
+	other := make([]int, len(free)) // a full cloud, forced under the idle cloud's key
+	verdict := &place.ErrInfeasible{Circuit: "other", Need: 39, Free: 0}
+	lc.verdicts.Insert(key, other, &plan.Entry{Err: verdict})
+	pl, _, _, _, err := lc.compile(job)
+	if err != nil || pl == nil {
+		t.Fatalf("colliding verdict served: %v", err)
+	}
+	if n := lc.InfeasibleHits(); n != 0 {
+		t.Fatalf("%d infeasible hits on a snapshot mismatch", n)
+	}
+
+	// The same verdict under the snapshot it names is served, with no
+	// placer run and no plan-cache hit.
+	if err := cfg.Cloud.Reserve(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	free = cfg.Cloud.FreeSnapshot()
+	key.Free = cloud.FreeSignature(free)
+	lc.verdicts.Insert(key, free, &plan.Entry{Err: verdict})
+	_, _, _, hit, err := lc.compile(job)
+	var inf *place.ErrInfeasible
+	if !errors.As(err, &inf) || hit {
+		t.Fatalf("remembered verdict not served: hit %v, err %v", hit, err)
+	}
+	if inf.Circuit != job.Circuit.Name || inf.Need != 39 || lc.InfeasibleHits() != 1 {
+		t.Fatalf("served verdict %+v after %d hits", *inf, lc.InfeasibleHits())
+	}
+	if verdict.Circuit != "other" {
+		t.Fatal("serving a verdict modified the remembered error")
 	}
 }

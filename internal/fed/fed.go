@@ -567,6 +567,16 @@ func (f *Federation) PlanCacheStats() plan.Stats {
 	return m
 }
 
+// InfeasibleHits sums the shards' plan-cache misses answered by a
+// remembered infeasible verdict (LiveController.InfeasibleHits).
+func (f *Federation) InfeasibleHits() int64 {
+	var n int64
+	for _, s := range f.shards {
+		n += s.InfeasibleHits()
+	}
+	return n
+}
+
 // PreemptStats sums the shards' preemption counters: a job preempted on
 // one shard and resumed on another counts its preemption there and its
 // resume here. Resumes also count jobs checkpointed off a QPU outage or

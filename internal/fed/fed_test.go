@@ -515,3 +515,29 @@ func TestShardSeedDerivation(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestFederationInfeasibleHitsSumShards: the federation's count of
+// compiles answered by a remembered infeasible verdict is the sum of
+// its shards' counts, on a batch stream that oversubscribes two shards
+// sharing one placer.
+func TestFederationInfeasibleHitsSumShards(t *testing.T) {
+	f, err := New(Config{Shard: shardTemplate(3, core.FIFOMode), Clouds: uniformClouds(2, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range fedStream(t, false, false, 3) {
+		if err := f.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for i := 0; i < f.NumShards(); i++ {
+		sum += f.Shard(i).InfeasibleHits()
+	}
+	if got := f.InfeasibleHits(); got != sum || got == 0 {
+		t.Fatalf("federation counts %d infeasible hits, shards sum to %d (want equal and positive)", got, sum)
+	}
+}

@@ -50,12 +50,15 @@ func DefaultConfig() Config {
 // with the order and anchors their parts are mapped by, interaction
 // edges) is memoized per circuit fingerprint across calls; a call that
 // must partition builds one partition.Hierarchy for its whole sweep.
-// The capacity tier (feasible QPU sets, their centers, part mapping,
-// scoring) is rebuilt once per call from the free snapshot. A CloudQC
-// is safe for concurrent use.
+// The capacity tier splits the same way: the feasible QPU sets,
+// their free sums and their centers depend only on the cloud's shape
+// and free snapshot, so they are memoized per capacity state (except
+// for -BFS, whose set depends on the circuit size); part mapping and
+// scoring run per call. A CloudQC is safe for concurrent use.
 type CloudQC struct {
-	cfg  Config
-	memo *circuitMemo
+	cfg   Config
+	memo  *circuitMemo
+	tiers *tierMemo
 }
 
 // NewCloudQC returns a CloudQC placer with the given configuration.
@@ -66,13 +69,14 @@ func NewCloudQC(cfg Config) *CloudQC {
 	if cfg.Model.EPRAttempt == 0 {
 		cfg.Model = epr.DefaultModel()
 	}
-	return &CloudQC{cfg: cfg, memo: newCircuitMemo()}
+	return &CloudQC{cfg: cfg, memo: new(circuitMemo), tiers: new(tierMemo)}
 }
 
 // DeterministicPlacement marks CloudQC (and CloudQC-BFS) as cacheable:
 // the partitioner and community detection seed their randomness per
-// call from the configured seed, and the memo holds only what the
-// circuit itself determines, so Place is a pure function of (circuit,
+// call from the configured seed, the circuit memo holds only what the
+// circuit itself determines and the tier memo only what the capacity
+// state determines, so Place is a pure function of (circuit,
 // free-capacity state).
 func (p *CloudQC) DeterministicPlacement() {}
 
@@ -126,6 +130,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 
 	parts, ig := p.memo.parts(c)
 	tier := p.newCapacityTier(cl, size)
+	lat := remoteLatencies(cl, p.cfg.Model)
 	var (
 		h         *partition.Hierarchy // built on the first memo miss
 		best      *Placement
@@ -160,7 +165,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 					continue
 				}
 			}
-			t := EstimateTime(c, cl, p.cfg.Model, assign)
+			t := estimateTime(c, cl, p.cfg.Model, assign, lat)
 			cost := commCostEdges(parts.edges, cl, assign)
 			s := Score(t, cost)
 			if best == nil || s > bestScore {
@@ -208,43 +213,50 @@ func exceedsRemoteEps(c *circuit.Circuit, numQPUs int, assign []int, eps int) bo
 // sweep simply moves on to its next candidate.
 var errNoFit = errors.New("place: no QPU fits a part")
 
-// capacityTier is everything one Place call derives from free capacity
-// and shares across its (α, k) candidates: the free snapshot, the
-// candidate QPU sets Algorithm 2 maps into, and each set's center.
+// capacityTier is what one Place call maps its (α, k) candidates
+// with: the capacity state's memoized QPU sets, plus the circuit size
+// and mapping scratch of this call.
 type capacityTier struct {
-	cl   *cloud.Cloud
-	size int
-	free []int // snapshot; mapParts consumes a copy in scratch
-	// sets lists the candidate QPU sets: the community groups (or the
-	// single BFS-grown set for -BFS), then the whole cloud last.
-	sets    [][]int
-	setFree []int // free capacity of each set
-	centers []int // each set's topology center; -1 until computed
+	*tierSets
+	cl      *cloud.Cloud
+	size    int
 	useBFS  bool
 	scratch []int
 }
 
-// newCapacityTier finds the feasible QPU sets once per Place call:
-// community detection on the capacity-weighted cloud graph, or the
-// BFS-grown set for the -BFS variant. Sets are ordered for
-// deterministic iteration.
+// newCapacityTier finds the feasible QPU sets for cl's current free
+// state: community detection on the capacity-weighted cloud graph,
+// memoized per capacity state, or the BFS-grown set for the -BFS
+// variant, which depends on size and so is found afresh per call.
 func (p *CloudQC) newCapacityTier(cl *cloud.Cloud, size int) *capacityTier {
-	t := &capacityTier{cl: cl, size: size, free: cl.FreeSnapshot(), useBFS: p.cfg.UseBFS}
+	t := &capacityTier{cl: cl, size: size, useBFS: p.cfg.UseBFS}
+	free := cl.FreeSnapshot()
 	if p.cfg.UseBFS {
-		t.sets = [][]int{bfsQPUSet(cl, size)}
-	} else {
-		t.sets = community.Detect(cl.CapacityGraph()).Groups
+		t.tierSets = newTierSets(cl, free, [][]int{bfsQPUSet(cl, size)})
+		return t
 	}
-	t.sets = append(t.sets, allQPUs(cl))
-	t.setFree = make([]int, len(t.sets))
-	t.centers = make([]int, len(t.sets))
-	for i, set := range t.sets {
-		for _, q := range set {
-			t.setFree[i] += t.free[q]
-		}
-		t.centers[i] = -1
+	key := tierKey{cloud: cl.Signature(), free: cloud.FreeSignature(free)}
+	if t.tierSets = p.tiers.get(key, free); t.tierSets == nil {
+		t.tierSets = newTierSets(cl, free, community.Detect(cl.CapacityGraph()).Groups)
+		p.tiers.put(key, t.tierSets)
 	}
 	return t
+}
+
+// newTierSets appends the whole cloud to the candidate QPU sets groups
+// and sums each set's free capacity and finds its center under the
+// snapshot free.
+func newTierSets(cl *cloud.Cloud, free []int, groups [][]int) *tierSets {
+	sets := append(groups, allQPUs(cl))
+	ts := &tierSets{free: free, sets: sets, setFree: make([]int, len(sets)), centers: make([]int, len(sets))}
+	for i, set := range sets {
+		for _, q := range set {
+			ts.setFree[i] += free[q]
+		}
+		sub, verts := cl.Topology().Subgraph(set)
+		ts.centers[i] = verts[sub.Center()]
+	}
+	return ts
 }
 
 // setFor returns the index of the QPU set k parts map into: the BFS set
@@ -266,16 +278,6 @@ func (t *capacityTier) setFor(k int) int {
 		}
 	}
 	return best
-}
-
-// center returns the center of set i's induced topology subgraph,
-// computing it on first use.
-func (t *capacityTier) center(i int) int {
-	if t.centers[i] < 0 {
-		sub, verts := t.cl.Topology().Subgraph(t.sets[i])
-		t.centers[i] = verts[sub.Center()]
-	}
-	return t.centers[i]
 }
 
 // newCandidate computes the part-side half of Algorithm 2 for res: the
@@ -335,9 +337,10 @@ func (t *capacityTier) mapParts(cd *candidate) ([]int, error) {
 	free := t.scratch
 	partQPU := make([]int, res.K)
 	used := make([]bool, t.cl.NumQPUs())
+	center := t.centers[set]
 
 	for i, part := range cd.order {
-		anchor := t.center(set)
+		anchor := center
 		if a := cd.anchor[i]; a >= 0 {
 			anchor = partQPU[a]
 		}

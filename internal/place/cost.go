@@ -50,6 +50,25 @@ func RemoteOps(c *circuit.Circuit, qubitToQPU []int) int {
 // 0, and finishes its duration later. Maxima use > so a NaN duration is
 // skipped, never propagated.
 func EstimateTime(c *circuit.Circuit, cl *cloud.Cloud, m epr.Model, qubitToQPU []int) float64 {
+	return estimateTime(c, cl, m, qubitToQPU, remoteLatencies(cl, m))
+}
+
+// remoteLatencies tabulates m.ExpectedRemoteLatency(h) for every hop
+// distance h a pair of cl's QPUs can be apart, so a sweep scores its
+// candidates without recomputing it per remote gate.
+func remoteLatencies(cl *cloud.Cloud, m epr.Model) []float64 {
+	lat := make([]float64, cl.NumQPUs())
+	for h := range lat {
+		lat[h] = m.ExpectedRemoteLatency(h)
+	}
+	return lat
+}
+
+// estimateTime is EstimateTime with the remote latencies tabulated by
+// remoteLatencies. An unreachable pair's distance, −1, reads lat[0]:
+// ExpectedRemoteLatency clamps every distance below one hop to one hop,
+// so lat[0] already holds that clamped value.
+func estimateTime(c *circuit.Circuit, cl *cloud.Cloud, m epr.Model, qubitToQPU []int, lat []float64) float64 {
 	ready := make([]float64, c.NumQubits())
 	var total float64
 	for _, g := range c.Gates() {
@@ -57,7 +76,7 @@ func EstimateTime(c *circuit.Circuit, cl *cloud.Cloud, m epr.Model, qubitToQPU [
 		dur := m.GateDuration(g.Kind)
 		if g.Kind == circuit.Two {
 			if a, b := qubitToQPU[qs[0]], qubitToQPU[qs[1]]; a != b {
-				dur = m.ExpectedRemoteLatency(cl.Distance(a, b))
+				dur = lat[max(cl.Distance(a, b), 0)]
 			}
 		}
 		start := 0.0

@@ -83,16 +83,30 @@ func scanCircuits() []*circuit.Circuit {
 	return cs
 }
 
-// TestEstimateTimeMatchesDAG checks the scan against the DAG reference
-// bit for bit, under random assignments on random clouds and on an
-// edgeless one (Distance = −1 clamps to one hop), for the default model
-// and for one whose latencies are negative or NaN.
+// twoIslands is a 6-QPU cloud of two components, a path 0–1–2 and an
+// edge 3–4, plus the isolated QPU 5: it has pairs at one and two hops
+// and unreachable pairs (Distance = −1).
+func twoIslands() *cloud.Cloud {
+	g := graph.New(6)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(3, 4, 1)
+	return cloud.New(g, 20, 5)
+}
+
+// TestEstimateTimeMatchesDAG checks the scan, which reads remote
+// latencies off the hop-indexed table, against the DAG reference, which
+// calls ExpectedRemoteLatency per remote gate, bit for bit: under random
+// assignments on random clouds, on an edgeless one and on one with both
+// reachable and unreachable pairs (Distance = −1 clamps to one hop), for
+// the default model and for one whose latencies are negative or NaN.
 func TestEstimateTimeMatchesDAG(t *testing.T) {
 	clouds := []*cloud.Cloud{
 		cloud.NewRandom(4, 0.5, 20, 5, 1),
 		cloud.NewRandom(10, 0.3, 20, 5, 2),
 		cloud.NewRandom(20, 0.3, 20, 5, 3),
 		cloud.New(graph.New(6), 20, 5),
+		twoIslands(),
 	}
 	odd := epr.DefaultModel()
 	odd.OneQubit, odd.Measure = -0.7, math.NaN()
@@ -122,6 +136,35 @@ func TestEstimateTimeMatchesDAG(t *testing.T) {
 							c.Name, ci, trial, mi, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRemoteLatencyTable: the table entry a pair of QPUs reads holds
+// exactly ExpectedRemoteLatency of the pair's distance, unreachable
+// pairs included.
+func TestRemoteLatencyTable(t *testing.T) {
+	odd := epr.DefaultModel()
+	odd.Measure, odd.TwoQubit = math.NaN(), -3
+	for _, m := range []epr.Model{epr.DefaultModel(), odd} {
+		for _, cl := range []*cloud.Cloud{twoIslands(), cloud.NewRandom(20, 0.3, 20, 5, 3)} {
+			lat := remoteLatencies(cl, m)
+			unreachable := 0
+			for a := 0; a < cl.NumQPUs(); a++ {
+				for b := 0; b < cl.NumQPUs(); b++ {
+					d := cl.Distance(a, b)
+					if d < 0 {
+						unreachable++
+					}
+					got, want := lat[max(d, 0)], m.ExpectedRemoteLatency(d)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("QPUs %d, %d (distance %d): table %v, ExpectedRemoteLatency %v", a, b, d, got, want)
+					}
+				}
+			}
+			if cl.NumQPUs() == 6 && unreachable == 0 {
+				t.Fatal("twoIslands has no unreachable pair")
 			}
 		}
 	}

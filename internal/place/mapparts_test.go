@@ -51,7 +51,8 @@ func refMapParts(t *capacityTier, edges []graph.Edge, res *partition.Result) ([]
 	for _, part := range order {
 		anchor := refAnchorFor(pg, partQPU, part)
 		if anchor < 0 {
-			anchor = t.center(set)
+			sub, verts := t.cl.Topology().Subgraph(candidates)
+			anchor = verts[sub.Center()]
 		}
 		qpu := pickQPU(t.cl, candidates, used, free, res.Sizes[part], anchor)
 		if qpu < 0 {

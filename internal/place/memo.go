@@ -1,6 +1,7 @@
 package place
 
 import (
+	"slices"
 	"sync"
 
 	"cloudqc/internal/circuit"
@@ -25,15 +26,39 @@ import (
 // placer. Candidates are shared read-only between calls.
 type circuitMemo struct {
 	mu      sync.Mutex
-	entries map[circuit.Fingerprint]*circuitParts
-	order   []circuit.Fingerprint // insertion order, for eviction
+	entries fifo[circuit.Fingerprint, *circuitParts]
 }
 
-// memoCapacity bounds the memo at the plan cache's default size,
-// plan.DefaultCapacity: both hold a template library's worth of
-// circuits. place cannot import plan (plan depends on sched, whose
-// tests import place), so TestCircuitMemoCapacity pins the two equal.
+// memoCapacity bounds each memo at the plan cache's default size,
+// plan.DefaultCapacity: the circuit memo holds a template library's
+// worth of circuits, the tier memo as many capacity states as the plan
+// cache holds plans. place cannot import plan (plan depends on sched,
+// whose tests import place), so TestCircuitMemoCapacity pins the two
+// equal.
 const memoCapacity = 256
+
+// fifo is a map holding at most memoCapacity keys, which evicts its
+// oldest key first. Callers lock.
+type fifo[K comparable, V any] struct {
+	m     map[K]V
+	order []K // insertion order, for eviction
+}
+
+// put stores v under k. A new key evicts the oldest one when full; an
+// existing key keeps its place in line.
+func (f *fifo[K, V]) put(k K, v V) {
+	if f.m == nil {
+		f.m = make(map[K]V)
+	}
+	if _, ok := f.m[k]; !ok {
+		if len(f.order) >= memoCapacity {
+			delete(f.m, f.order[0])
+			f.order = f.order[1:]
+		}
+		f.order = append(f.order, k)
+	}
+	f.m[k] = v
+}
 
 // circuitParts is one circuit's memoized partitioning.
 type circuitParts struct {
@@ -62,10 +87,6 @@ type sweepPoint struct {
 	k     int
 }
 
-func newCircuitMemo() *circuitMemo {
-	return &circuitMemo{entries: make(map[circuit.Fingerprint]*circuitParts)}
-}
-
 // parts returns c's memo entry, creating it with the interaction
 // graph's edge list on first sight. When it had to build the
 // interaction graph it returns that too, for the caller to partition;
@@ -73,7 +94,7 @@ func newCircuitMemo() *circuitMemo {
 func (m *circuitMemo) parts(c *circuit.Circuit) (e *circuitParts, ig *graph.Graph) {
 	fp := c.Fingerprint()
 	m.mu.Lock()
-	e, ok := m.entries[fp]
+	e, ok := m.entries.m[fp]
 	m.mu.Unlock()
 	if ok {
 		return e, nil
@@ -85,15 +106,10 @@ func (m *circuitMemo) parts(c *circuit.Circuit) (e *circuitParts, ig *graph.Grap
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.entries[fp]; ok { // another caller got there first
+	if e, ok := m.entries.m[fp]; ok { // another caller got there first
 		return e, ig
 	}
-	if len(m.order) >= memoCapacity {
-		delete(m.entries, m.order[0])
-		m.order = m.order[1:]
-	}
-	m.entries[fp] = fresh
-	m.order = append(m.order, fp)
+	m.entries.put(fp, fresh)
 	return fresh, ig
 }
 
@@ -111,4 +127,53 @@ func (m *circuitMemo) record(e *circuitParts, pt sweepPoint, r *candidate) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e.results[pt] = r
+}
+
+// tierMemo is the capacity tier's memo. The QPU sets Algorithm 2 maps
+// into, their free sums and their centers depend only on the cloud's
+// shape and its free snapshot, never on the circuit, so a placer that
+// sees a capacity state again (a queued job retried after a release
+// that freed nothing it can use, or another job under the same state)
+// reuses them. Entries are keyed by (cloud.Signature, free signature)
+// and keep the snapshot, compared verbatim on lookup, so a signature
+// collision is a miss. It holds at most memoCapacity states, oldest
+// evicted first, is safe for concurrent use, and shares its entries
+// read-only between calls.
+type tierMemo struct {
+	mu      sync.Mutex
+	entries fifo[tierKey, *tierSets]
+}
+
+// tierKey identifies one capacity state: the cloud's shape signature
+// and its free snapshot's signature.
+type tierKey struct{ cloud, free uint64 }
+
+// tierSets is what one capacity state determines: the candidate QPU
+// sets, each set's free capacity and each set's topology center.
+type tierSets struct {
+	// free is the snapshot the sets were found under.
+	free []int
+	// sets lists the candidate QPU sets: the community groups (or the
+	// single BFS-grown set for -BFS), then the whole cloud last.
+	sets    [][]int
+	setFree []int // free capacity of each set
+	centers []int // each set's topology center
+}
+
+// get returns the sets memoized under key for exactly the snapshot
+// free, or nil.
+func (m *tierMemo) get(key tierKey, free []int) *tierSets {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries.m[key]; ok && slices.Equal(e.free, free) {
+		return e
+	}
+	return nil
+}
+
+// put memoizes e under key, replacing whatever key held.
+func (m *tierMemo) put(key tierKey, e *tierSets) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.entries.put(key, e)
 }

@@ -154,8 +154,10 @@ func TestCircuitMemoDifferential(t *testing.T) {
 
 // TestCircuitMemoConcurrent shares one placer, and one cloud topology,
 // between goroutines — as experiment workers and federation shards do
-// — and checks every call against the serial answers. Run under -race
-// it also proves the memo and the shared graph race-clean.
+// — and checks every call against the serial answers. Every worker
+// replays the same capacity states, so the workers also share tier
+// memo entries. Run under -race it proves both memos and the shared
+// graph race-clean.
 func TestCircuitMemoConcurrent(t *testing.T) {
 	const workers = 4
 	cfg := DefaultConfig()
@@ -196,29 +198,55 @@ func TestCircuitMemoConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+	if len(shared.tiers.entries.m) == 0 {
+		t.Fatal("no call reached the capacity tier; the tier memo went unshared")
+	}
 }
 
-// TestCircuitMemoCapacity pins the memo's bound to the plan cache's
-// default, which place cannot import directly.
+// TestCircuitMemoCapacity pins the memos' bound to the plan cache's
+// default, which place cannot import directly, and checks that the
+// tier memo keeps at most that many capacity states, evicting the
+// oldest first.
 func TestCircuitMemoCapacity(t *testing.T) {
 	if memoCapacity != plan.DefaultCapacity {
 		t.Fatalf("memoCapacity = %d, plan.DefaultCapacity = %d", memoCapacity, plan.DefaultCapacity)
+	}
+	p := NewCloudQC(DefaultConfig())
+	cl := cloud.NewRandom(20, 0.3, 20, 5, 1)
+	var first []int
+	for i := 0; i <= memoCapacity; i++ { // one distinct free state per call
+		q, n := i%cl.NumQPUs(), 1+i/cl.NumQPUs()
+		if err := cl.Reserve(q, n); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = cl.FreeSnapshot()
+		}
+		p.newCapacityTier(cl, 40)
+		cl.Release(q, n)
+	}
+	if got := len(p.tiers.entries.m); got != memoCapacity || len(p.tiers.entries.order) != memoCapacity {
+		t.Fatalf("tier memo holds %d states (%d ordered), want %d", got, len(p.tiers.entries.order), memoCapacity)
+	}
+	key := tierKey{cloud: cl.Signature(), free: cloud.FreeSignature(first)}
+	if p.tiers.get(key, first) != nil {
+		t.Fatal("oldest capacity state survived eviction")
 	}
 }
 
 // TestCircuitMemoBounded: the memo evicts its oldest circuit once it
 // holds memoCapacity of them.
 func TestCircuitMemoBounded(t *testing.T) {
-	m := newCircuitMemo()
+	m := new(circuitMemo)
 	first := qlib.GHZ(3)
 	m.parts(first)
 	for n := 4; n < 4+memoCapacity; n++ {
 		m.parts(qlib.GHZ(n))
 	}
-	if len(m.entries) != memoCapacity || len(m.order) != memoCapacity {
-		t.Fatalf("memo holds %d entries (%d ordered), want %d", len(m.entries), len(m.order), memoCapacity)
+	if len(m.entries.m) != memoCapacity || len(m.entries.order) != memoCapacity {
+		t.Fatalf("memo holds %d entries (%d ordered), want %d", len(m.entries.m), len(m.entries.order), memoCapacity)
 	}
-	if _, ok := m.entries[first.Fingerprint()]; ok {
+	if _, ok := m.entries.m[first.Fingerprint()]; ok {
 		t.Fatal("oldest circuit survived eviction")
 	}
 }
@@ -228,7 +256,7 @@ func TestCircuitMemoBounded(t *testing.T) {
 // so a cold Place partitions the graph the memo took its edges from
 // instead of building a second one.
 func TestCircuitMemoHandsOverGraph(t *testing.T) {
-	m := newCircuitMemo()
+	m := new(circuitMemo)
 	c := qlib.MustBuild("knn_n67")
 	e, ig := m.parts(c)
 	if ig == nil || !slices.Equal(e.edges, ig.Edges()) {

@@ -105,10 +105,11 @@ type Placer interface {
 // DeterministicPlacer marks placement algorithms whose Place is a pure
 // function of the circuit's structure and the cloud's current
 // free-capacity state: identical inputs always yield the identical
-// placement. It may carry state between calls only as a memo of
-// artifacts that depend on the circuit alone (CloudQC keeps its
-// partitions per circuit fingerprint), so that its output stays a pure
-// function of (circuit structure, free snapshot). The controller's
+// placement. It may carry state between calls only as memos of
+// artifacts that depend on the circuit alone or on the capacity state
+// alone (CloudQC keeps its partitions per circuit fingerprint and its
+// feasible QPU sets per free snapshot), so that its output stays a
+// pure function of (circuit structure, free snapshot). The controller's
 // compile-once plan cache (internal/plan) engages only for
 // deterministic placers — a hit then returns exactly what a fresh
 // Place call would have, keeping cached and uncached runs

@@ -17,6 +17,15 @@
 // still have the room it needs. Any change in free capacity changes
 // the signature and forces the full placer.
 //
+// The same argument covers failure: a miss whose key and snapshot the
+// placer already found infeasible is infeasible again. A controller
+// therefore keeps a second Cache of the same size as a verdict cache,
+// whose entries carry only Err, and consults it after a plan-cache
+// miss; queued jobs retried after every release mostly ask questions
+// the placer has answered. Keeping the verdicts in a cache of their
+// own means a verdict never evicts a plan, and the plan cache's
+// counters stay those of plan lookups alone.
+//
 // The cache is bounded (LRU eviction), counts hits/misses/evictions,
 // and is safe for concurrent use. One cache belongs to one controller
 // configuration: the key does not cover the placer's parameters or the
@@ -42,27 +51,12 @@ type Key struct {
 	Circuit circuit.Fingerprint
 	// Cloud is the cloud's immutable shape signature (cloud.Signature).
 	Cloud uint64
-	// Free is the free-capacity signature: a hash of the per-QPU free
-	// computing-qubit snapshot at placement time. Entries additionally
-	// store the full snapshot, compared verbatim on lookup, so a hash
-	// collision degrades to a miss instead of a wrong reuse.
+	// Free is the free-capacity signature (cloud.FreeSignature): a hash
+	// of the per-QPU free computing-qubit snapshot at placement time.
+	// Entries additionally store the full snapshot, compared verbatim on
+	// lookup, so a hash collision degrades to a miss instead of a wrong
+	// reuse.
 	Free uint64
-}
-
-// FreeSignature hashes a per-QPU free computing-qubit snapshot into the
-// Key.Free field (FNV-1a over the counts).
-func FreeSignature(free []int) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, f := range free {
-		v := uint64(int64(f))
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	return h
 }
 
 // Entry is one cached compile result. All fields are shared, read-only:
@@ -78,6 +72,10 @@ type Entry struct {
 	// Prio is DAG.Priorities(), computed once per template instead of
 	// once per job.
 	Prio []int
+	// Err is a remembered infeasible verdict: set only on the entries
+	// of a verdict cache, whose other fields stay nil. The placer found
+	// no placement for the key's circuit under the entry's snapshot.
+	Err error
 
 	// free is the exact snapshot the entry was compiled under, verified
 	// on lookup.

@@ -34,6 +34,7 @@ var metricFamilies = []metricFamily{
 	{"cloudqcd_admission_degraded", "gauge", "1 while admission is degraded to FIFO by the backlog watermark."},
 	{"cloudqcd_plan_cache_hits_total", "counter", "Plan-cache hits, summed across shards."},
 	{"cloudqcd_plan_cache_misses_total", "counter", "Plan-cache misses, summed across shards."},
+	{"cloudqcd_plan_cache_infeasible_hits_total", "counter", "Plan-cache misses answered by a remembered infeasible verdict instead of a placer run, summed across shards."},
 	{"cloudqcd_plan_cache_evictions_total", "counter", "Plan-cache LRU evictions, summed across shards."},
 	{"cloudqcd_plan_cache_size", "gauge", "Plan-cache entries resident, summed across shards."},
 	{"cloudqcd_plan_cache_capacity", "gauge", "Plan-cache capacity bound, summed across shards."},
@@ -139,6 +140,7 @@ func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	plain("cloudqcd_admission_degraded", degraded)
 	plain("cloudqcd_plan_cache_hits_total", float64(pc.Hits))
 	plain("cloudqcd_plan_cache_misses_total", float64(pc.Misses))
+	plain("cloudqcd_plan_cache_infeasible_hits_total", float64(s.f.InfeasibleHits()))
 	plain("cloudqcd_plan_cache_evictions_total", float64(pc.Evictions))
 	plain("cloudqcd_plan_cache_size", float64(pc.Size))
 	plain("cloudqcd_plan_cache_capacity", float64(pc.Capacity))

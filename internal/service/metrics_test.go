@@ -114,6 +114,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := samples["cloudqcd_wal_records_total"]; len(got) != 1 || got[0] < 24 {
 		t.Errorf("cloudqcd_wal_records_total = %v, want at least 24 (12 jobs + their steps)", got)
 	}
+	if got, want := samples["cloudqcd_plan_cache_infeasible_hits_total"], srv.f.InfeasibleHits(); len(got) != 1 || got[0] != float64(want) {
+		t.Errorf("cloudqcd_plan_cache_infeasible_hits_total = %v, want [%d]", got, want)
+	}
 }
 
 // TestMetricsDocCoverage pins /metrics to docs/OPERATIONS.md in both
