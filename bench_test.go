@@ -952,24 +952,34 @@ func BenchmarkPlaceRetry(b *testing.B) {
 	}
 }
 
-// BenchmarkKWayKnn67 is Algorithm 1's full partition sweep on knn_n67:
-// k = 2..20 parts at each of the default imbalance factors, through
-// one partition.Hierarchy as a cold Place runs it.
+// BenchmarkKWayKnn67 is Algorithm 1's full partition sweep on knn_n67
+// as a cold Place runs it at k = 2..20: each distinct (k, cap) point
+// of the default imbalance factors once, through one
+// partition.Hierarchy.
 func BenchmarkKWayKnn67(b *testing.B) {
 	circ, err := BuildCircuit("knn_n67")
 	if err != nil {
 		b.Fatal(err)
 	}
 	ig := circ.InteractionGraph()
-	alphas := DefaultPlacerConfig().ImbalanceFactors
+	type point struct{ k, cap int }
+	var points []point
+	seen := make(map[point]bool)
+	for _, alpha := range DefaultPlacerConfig().ImbalanceFactors {
+		for k := 2; k <= 20; k++ {
+			pt := point{k, partition.Capacity(ig.N(), k, alpha)}
+			if !seen[pt] {
+				seen[pt] = true
+				points = append(points, pt)
+			}
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := partition.NewHierarchy(ig, 1)
-		for _, alpha := range alphas {
-			for k := 2; k <= 20; k++ {
-				if _, err := h.Partition(k, alpha); err != nil {
-					b.Fatal(err)
-				}
+		for _, pt := range points {
+			if _, err := h.Partition(pt.k, pt.cap); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -80,7 +80,7 @@ func TestHierarchyMatchesKWay(t *testing.T) {
 			for order, idx := range map[string][]int{"ascending": ascending, "descending": descending, "shuffled": shuffled} {
 				h := NewHierarchy(g, seed)
 				for _, i := range idx {
-					got, err := h.Partition(points[i].k, points[i].alpha)
+					got, err := h.Partition(points[i].k, Capacity(g.N(), points[i].k, points[i].alpha))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -92,6 +92,49 @@ func TestHierarchyMatchesKWay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPartitionDependsOnlyOnCapacity: two imbalance factors with the
+// same Capacity at the same k give identical partitions, through KWay
+// and through one shared Hierarchy, so a sweep may partition each
+// (k, cap) point once.
+func TestPartitionDependsOnlyOnCapacity(t *testing.T) {
+	const seed = 1
+	alphas := append([]float64{0, 0.01, 0.03, 0.07, 0.15, 0.25, 0.3, 0.4, 0.45, 0.6, 1, 3}, sweepAlphas...)
+	shared := 0
+	for name, g := range hierarchyGraphs(t) {
+		n := g.N()
+		h := NewHierarchy(g, seed)
+		for k := 1; k <= min(n, 24); k++ {
+			first := make(map[int]*Result) // cap -> the first factor's KWay result
+			for _, alpha := range alphas {
+				cap := Capacity(n, k, alpha)
+				viaKWay, err := KWay(g, k, alpha, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaHierarchy, err := h.Partition(k, cap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, seen := first[cap]
+				if !seen {
+					first[cap] = viaKWay
+					want = viaKWay
+				} else {
+					shared++
+				}
+				if !samePartition(viaKWay, want) || !samePartition(viaHierarchy, want) {
+					t.Fatalf("%s k=%d α=%v cap=%d: KWay cut %v, Hierarchy cut %v, an earlier factor with this cap cut %v",
+						name, k, alpha, cap, viaKWay.Cut, viaHierarchy.Cut, want.Cut)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two factors shared a cap; the test checked nothing")
+	}
+	t.Logf("%d (α, k) points repeated an earlier factor's cap", shared)
 }
 
 // samePass reports whether two coarsening passes produced the same

@@ -5,7 +5,8 @@
 //
 // CloudQC partitions circuit interaction graphs with it (paper Sec. V-B,
 // "Partitioning quantum circuit"), sweeping the imbalance factor to
-// produce candidate placements.
+// produce candidate placements. The factor only sets the part-size cap
+// (Capacity), which is what a Hierarchy partitions at.
 package partition
 
 import (
@@ -28,24 +29,47 @@ type Result struct {
 }
 
 // KWay partitions g into k parts, keeping every part's size at most
-// ⌈n/k⌉·(1+imbalance), and returns the assignment with the edge cut
-// minimized heuristically. The same inputs always produce the same
+// Capacity(n, k, imbalance), and returns the assignment with the edge
+// cut minimized heuristically. The same inputs always produce the same
 // partition (seed controls matching tie-breaks).
 //
 // imbalance must be finite and >= 0; 0.05 to 0.5 are typical sweep
 // values. KWay is a one-shot Hierarchy: a caller partitioning one graph
-// at several (k, imbalance) points should build the Hierarchy itself.
+// at several (k, cap) points should build the Hierarchy itself.
 func KWay(g *graph.Graph, k int, imbalance float64, seed int64) (*Result, error) {
-	return NewHierarchy(g, seed).Partition(k, imbalance)
+	if !ValidImbalance(imbalance) {
+		return nil, fmt.Errorf("partition: imbalance %v is not finite and >= 0", imbalance)
+	}
+	return NewHierarchy(g, seed).Partition(k, Capacity(g.N(), k, imbalance))
+}
+
+// ValidImbalance reports whether KWay accepts imbalance: finite and
+// >= 0, so not NaN.
+func ValidImbalance(imbalance float64) bool {
+	return imbalance >= 0 && !math.IsInf(imbalance, 1)
+}
+
+// Capacity is the part-size cap of n vertices in k parts at imbalance
+// factor imbalance: ⌈n/k·(1+imbalance)⌉, saturated at 2n. No coarse
+// vertex and no part ever weighs more than n, so every cap from 2n up
+// partitions alike, and saturating keeps a huge finite imbalance from
+// overflowing the int. imbalance must pass ValidImbalance and k must be
+// at least 1.
+func Capacity(n, k int, imbalance float64) int {
+	c := math.Ceil(float64(n) / float64(k) * (1 + imbalance))
+	if c >= float64(2*n) {
+		return 2 * n
+	}
+	return int(c)
 }
 
 // Hierarchy is the multilevel coarsening of one graph under one seed,
-// shared by every (k, imbalance) point partitioned through it. Each
-// point coarsens with its own vertex-weight cap; a coarsening pass is
-// kept with the range of caps it is exact for, and the coarsest
-// level's seed spreading with it, so points that agree on a pass run
-// it once. Partition returns exactly what KWay returns for the same
-// arguments, in any order of calls.
+// shared by every (k, cap) point partitioned through it. Each point
+// coarsens with its own vertex-weight cap; a coarsening pass is kept
+// with the range of caps it is exact for, and the coarsest level's
+// seed spreading with it, so points that agree on a pass run it once.
+// Partition returns exactly what a fresh Hierarchy returns for the
+// same arguments, in any order of calls.
 //
 // A Hierarchy holds every level it has built and is not safe for
 // concurrent use.
@@ -61,9 +85,12 @@ func NewHierarchy(g *graph.Graph, seed int64) *Hierarchy {
 	return &Hierarchy{root: newLevel(g), seed: seed}
 }
 
-// Partition is KWay(g, k, imbalance, seed) for the hierarchy's graph
-// and seed.
-func (h *Hierarchy) Partition(k int, imbalance float64) (*Result, error) {
+// Partition splits the hierarchy's graph into k parts of at most cap
+// vertices each; KWay(g, k, α, seed) is Partition(k, Capacity(n, k, α))
+// on a Hierarchy of g and seed. The imbalance factor reaches the
+// partitioner only through cap, so factors that share a cap at k share
+// a partition. cap must be at least ⌈n/k⌉.
+func (h *Hierarchy) Partition(k, cap int) (*Result, error) {
 	g := h.root.g
 	n := g.N()
 	switch {
@@ -71,10 +98,8 @@ func (h *Hierarchy) Partition(k int, imbalance float64) (*Result, error) {
 		return nil, fmt.Errorf("partition: k = %d < 1", k)
 	case k > n:
 		return nil, fmt.Errorf("partition: k = %d exceeds %d vertices", k, n)
-	case math.IsNaN(imbalance) || math.IsInf(imbalance, 0):
-		return nil, fmt.Errorf("partition: non-finite imbalance %v", imbalance)
-	case imbalance < 0:
-		return nil, fmt.Errorf("partition: negative imbalance %v", imbalance)
+	case cap < (n+k-1)/k:
+		return nil, fmt.Errorf("partition: cap %d cannot hold %d vertices in %d parts", cap, n, k)
 	}
 	if k == 1 {
 		return finish(g, make([]int, n), 1), nil
@@ -87,7 +112,6 @@ func (h *Hierarchy) Partition(k int, imbalance float64) (*Result, error) {
 		return finish(g, parts, k), nil
 	}
 
-	cap := capacityFor(n, k, imbalance)
 	// Coarse vertices may not outgrow half a part: anything bigger robs
 	// the initial partition and refinement of the granularity they need
 	// to balance parts.
@@ -115,15 +139,6 @@ func (h *Hierarchy) Partition(k int, imbalance float64) (*Result, error) {
 		parents[i].refine(parts, k, cap)
 	}
 	return finish(g, parts, k), nil
-}
-
-func capacityFor(n, k int, imbalance float64) int {
-	target := float64(n) / float64(k)
-	c := int(math.Ceil(target * (1 + imbalance)))
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // coarsestSize is the vertex count at which coarsening stops: enough

@@ -43,14 +43,21 @@ func TestKWayArgs(t *testing.T) {
 	}
 	// NaN passes a plain < 0 check, and a non-finite cap converts to
 	// an int silently; both must be rejected up front.
-	h := NewHierarchy(g, 1)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := KWay(g, 2, bad, 1); err == nil {
 			t.Fatalf("KWay imbalance %v should error", bad)
 		}
-		if _, err := h.Partition(2, bad); err == nil {
-			t.Fatalf("Hierarchy.Partition imbalance %v should error", bad)
+		if ValidImbalance(bad) {
+			t.Fatalf("ValidImbalance(%v) = true", bad)
 		}
+	}
+	// A cap below ⌈n/k⌉ cannot hold the graph.
+	h := NewHierarchy(g, 1)
+	if _, err := h.Partition(2, 1); err == nil {
+		t.Fatal("Hierarchy.Partition cap 1 for 4 vertices in 2 parts should error")
+	}
+	if _, err := h.Partition(2, 2); err != nil {
+		t.Fatalf("Hierarchy.Partition cap 2 for 4 vertices in 2 parts: %v", err)
 	}
 }
 
@@ -137,7 +144,7 @@ func TestBalanceRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := capacityFor(60, 4, 0.1) // 17
+	cap := Capacity(60, 4, 0.1) // 17
 	for p, s := range res.Sizes {
 		if s > cap {
 			t.Fatalf("part %d size %d exceeds cap %d", p, s, cap)
@@ -149,12 +156,64 @@ func TestBalanceRespected(t *testing.T) {
 }
 
 func TestImbalanceLoosensCapacity(t *testing.T) {
-	if capacityFor(100, 4, 0) != 25 {
+	if Capacity(100, 4, 0) != 25 {
 		t.Fatal("zero imbalance cap should be exact target")
 	}
-	if capacityFor(100, 4, 0.2) != 30 {
-		t.Fatalf("cap = %d, want 30", capacityFor(100, 4, 0.2))
+	if Capacity(100, 4, 0.2) != 30 {
+		t.Fatalf("cap = %d, want 30", Capacity(100, 4, 0.2))
 	}
+}
+
+// TestHugeImbalanceSaturates: a finite imbalance too large for the
+// cap to fit an int saturates at 2n instead of wrapping to a cap of 1,
+// so it partitions like any other imbalance that leaves parts unbounded.
+func TestHugeImbalanceSaturates(t *testing.T) {
+	g := graph.Grid(6, 6)
+	if c := Capacity(36, 2, 1e300); c != 72 {
+		t.Fatalf("Capacity(36, 2, 1e300) = %d, want 72", c)
+	}
+	want, err := KWay(g, 2, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alpha := range []float64{1e17, 1e300} {
+		got, err := KWay(g, 2, alpha, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePartition(got, want) {
+			t.Fatalf("α=%v: cut %v sizes %v, α=10 gave cut %v sizes %v", alpha, got.Cut, got.Sizes, want.Cut, want.Sizes)
+		}
+	}
+}
+
+// FuzzCapacity: for 1 <= k <= n <= 512 and a finite imbalance >= 0,
+// Capacity lies in [⌈n/k⌉, 2n] and never falls as the imbalance grows.
+func FuzzCapacity(f *testing.F) {
+	f.Add(uint16(67), uint16(4), 0.05, 0.1)
+	f.Add(uint16(36), uint16(2), 10.0, 1e300)
+	f.Add(uint16(512), uint16(512), 0.0, 1e17)
+	f.Add(uint16(1), uint16(1), 0.5, 0.35)
+	f.Fuzz(func(t *testing.T, n16, k16 uint16, a, b float64) {
+		n := 1 + int(n16)%512
+		k := 1 + int(k16)%n
+		if !ValidImbalance(a) || !ValidImbalance(b) {
+			t.Skip()
+		}
+		if a > b {
+			a, b = b, a
+		}
+		ca, cb := Capacity(n, k, a), Capacity(n, k, b)
+		if lo := (n + k - 1) / k; ca < lo {
+			t.Fatalf("Capacity(%d, %d, %v) = %d < ⌈n/k⌉ = %d", n, k, a, ca, lo)
+		}
+		if cb > 2*n {
+			t.Fatalf("Capacity(%d, %d, %v) = %d > 2n", n, k, b, cb)
+		}
+		if ca > cb {
+			t.Fatalf("Capacity(%d, %d, ·) falls from %d at %v to %d at %v", n, k, ca, a, cb, b)
+		}
+	})
 }
 
 func TestDeterminism(t *testing.T) {
@@ -186,7 +245,7 @@ func TestStarGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	validate(t, g, res, 2)
-	cap := capacityFor(21, 2, 0.1) // 12
+	cap := Capacity(21, 2, 0.1) // 12
 	minCut := float64(20 - (cap - 1))
 	if res.Cut < minCut {
 		t.Fatalf("star cut %v below theoretical minimum %v", res.Cut, minCut)
@@ -262,7 +321,7 @@ func TestQuickLocalOptimality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cap := capacityFor(24, 3, 0.3)
+		cap := Capacity(24, 3, 0.3)
 		for v := 0; v < g.N(); v++ {
 			from := res.Parts[v]
 			if res.Sizes[from] <= 1 {

@@ -136,9 +136,16 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		best      *Placement
 		bestScore float64
 	)
-	for _, alpha := range p.cfg.ImbalanceFactors {
+	alphas := p.cfg.ImbalanceFactors
+	for i, alpha := range alphas {
+		if !partition.ValidImbalance(alpha) {
+			continue // the partitioner rejects it at every k
+		}
 		for k := kMin; k <= kMax; k++ {
-			pt := sweepPoint{alpha: alpha, k: k}
+			pt := sweepPoint{k: k, cap: partition.Capacity(size, k, alpha)}
+			if sweptBefore(alphas[:i], size, pt) {
+				continue // same partition, assignment and score: the first one stands
+			}
 			cd, seen := p.memo.result(parts, pt)
 			if !seen {
 				if h == nil {
@@ -148,7 +155,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 					h = partition.NewHierarchy(ig, p.cfg.Seed)
 				}
 				// A rejected point stays nil, which is memoized too.
-				if res, err := h.Partition(k, alpha); err == nil {
+				if res, err := h.Partition(pt.k, pt.cap); err == nil {
 					cd = newCandidate(parts.edges, res)
 				}
 				p.memo.record(parts, pt, cd)
@@ -178,6 +185,18 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		return nil, &ErrInfeasible{Circuit: c.Name, Need: size, Free: cl.TotalFreeComputing()}
 	}
 	return best, nil
+}
+
+// sweptBefore reports whether one of the earlier imbalance factors
+// alphas already put pt through this call's sweep: a valid factor with
+// the same cap at pt.k partitions size qubits identically.
+func sweptBefore(alphas []float64, size int, pt sweepPoint) bool {
+	for _, a := range alphas {
+		if partition.ValidImbalance(a) && partition.Capacity(size, pt.k, a) == pt.cap {
+			return true
+		}
+	}
+	return false
 }
 
 // minParts is ⌈size / largest-free-QPU⌉: the fewest parts that could
@@ -213,7 +232,7 @@ func exceedsRemoteEps(c *circuit.Circuit, numQPUs int, assign []int, eps int) bo
 // sweep simply moves on to its next candidate.
 var errNoFit = errors.New("place: no QPU fits a part")
 
-// capacityTier is what one Place call maps its (α, k) candidates
+// capacityTier is what one Place call maps its (k, cap) candidates
 // with: the capacity state's memoized QPU sets, plus the circuit size
 // and mapping scratch of this call.
 type capacityTier struct {

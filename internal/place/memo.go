@@ -13,7 +13,7 @@ import (
 // first partitions the circuit and only then maps the parts onto free
 // QPUs (Algorithm 2); the partitions depend on the circuit alone, never
 // on free capacity. The memo keeps, per circuit fingerprint, the
-// interaction graph's edge list and every (α, k) candidate the sweep
+// interaction graph's edge list and every (k, cap) candidate the sweep
 // has asked for, failed ones included, so a job re-placed after a
 // release partitions only at sweep points it has never seen. A
 // candidate carries the part-side half of Algorithm 2 with its
@@ -81,11 +81,11 @@ type candidate struct {
 	anchor []int
 }
 
-// sweepPoint is one (α, k) pair of Algorithm 1's sweep.
-type sweepPoint struct {
-	alpha float64
-	k     int
-}
+// sweepPoint is one point of Algorithm 1's sweep: k parts of at most
+// cap qubits. The imbalance factor α reaches the partitioner only
+// through cap = partition.Capacity(n, k, α), so factors that share a
+// cap at k share a point.
+type sweepPoint struct{ k, cap int }
 
 // parts returns c's memo entry, creating it with the interaction
 // graph's edge list on first sight. When it had to build the

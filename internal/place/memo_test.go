@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"cloudqc/internal/circuit"
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/graph"
+	"cloudqc/internal/partition"
 	"cloudqc/internal/plan"
 	"cloudqc/internal/qlib"
 )
@@ -149,6 +151,61 @@ func TestCircuitMemoDifferential(t *testing.T) {
 				t.Fatalf("degenerate sequence: %d feasible, %d infeasible calls", feasible, infeasible)
 			}
 		})
+	}
+}
+
+// TestSweepPartitionsEachCapOnce: a cold Place partitions each
+// distinct (k, cap) point of the sweep once, so the circuit memo ends
+// up holding exactly those points, fewer than the (α, k) pairs.
+func TestSweepPartitionsEachCapOnce(t *testing.T) {
+	c := qlib.MustBuild("knn_n67")
+	cl := cloud.NewRandom(20, 0.3, 20, 5, 1)
+	cfg := DefaultConfig()
+	p := NewCloudQC(cfg)
+	if _, err := p.Place(cl, c); err != nil {
+		t.Fatal(err)
+	}
+
+	// The sweep's k range: from the fewest parts the largest free QPU
+	// allows (at least 2) to one part per QPU with free capacity.
+	n := c.NumQubits()
+	maxFree, withFree := 0, 0
+	for q := 0; q < cl.NumQPUs(); q++ {
+		if f := cl.FreeComputing(q); f > 0 {
+			withFree++
+			maxFree = max(maxFree, f)
+		}
+	}
+	kMin, kMax := max(2, (n+maxFree-1)/maxFree), min(withFree, n)
+	distinct := make(map[[2]int]bool)
+	pairs := 0
+	for _, alpha := range cfg.ImbalanceFactors {
+		for k := kMin; k <= kMax; k++ {
+			distinct[[2]int{k, partition.Capacity(n, k, alpha)}] = true
+			pairs++
+		}
+	}
+	got := len(p.memo.entries.m[c.Fingerprint()].results)
+	if got != len(distinct) {
+		t.Fatalf("memo holds %d sweep points, want the %d distinct (k, cap) pairs", got, len(distinct))
+	}
+	if len(distinct) >= pairs {
+		t.Fatalf("%d distinct (k, cap) pairs of %d (α, k) pairs: nothing to deduplicate", len(distinct), pairs)
+	}
+	t.Logf("%d (α, k) pairs, %d distinct (k, cap) points", pairs, len(distinct))
+}
+
+// TestInvalidImbalanceSkipped: imbalance factors the partitioner
+// rejects (NaN, negative, +Inf) drop out of the sweep without touching
+// the memo, so a valid factor sharing their cap places as if alone.
+func TestInvalidImbalanceSkipped(t *testing.T) {
+	alone := DefaultConfig()
+	alone.ImbalanceFactors = []float64{0.05}
+	mixed := DefaultConfig()
+	mixed.ImbalanceFactors = []float64{math.NaN(), -0.1, math.Inf(1), 0.05}
+	want := digestCalls(placeSequence(t, alone, 5, 24))
+	if got := digestCalls(placeSequence(t, mixed, 5, 24)); got != want {
+		t.Fatalf("placement digest %#x with invalid factors, %#x without", got, want)
 	}
 }
 
