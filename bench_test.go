@@ -875,12 +875,14 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	dag := BuildRemoteDAG(circ, cl, pl.QubitToQPU, lat)
-	cache := plan.New(plan.DefaultCapacity)
-	cache.Insert(key, free, &plan.Entry{
-		Assign: pl.QubitToQPU,
-		DAG:    dag,
-		Prio:   dag.Priorities(),
-	})
+	// The controller's entry type is unexported; this one has its fields.
+	type compiled struct {
+		assign []int
+		dag    *sched.RemoteDAG
+		prio   []int
+	}
+	cache := plan.New[plan.Key, *compiled](plan.DefaultCapacity)
+	cache.Insert(key, free, &compiled{assign: pl.QubitToQPU, dag: dag, prio: dag.Priorities()})
 	state := new(sched.JobState) // the admit path reuses pooled states on hits
 	scratch := make([]int, 0, cl.NumQPUs())
 	b.ResetTimer()
@@ -894,8 +896,8 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 		if !ok {
 			b.Fatal("cache miss on warmed entry")
 		}
-		hit := &place.Placement{Circuit: circ, QubitToQPU: e.Assign}
-		state.Reinit(e.DAG, e.Prio, 0)
+		hit := &place.Placement{Circuit: circ, QubitToQPU: e.assign}
+		state.Reinit(e.dag, e.prio, 0)
 		if state.Done() || len(hit.QubitToQPU) == 0 {
 			b.Fatal("degenerate hit")
 		}

@@ -180,6 +180,7 @@ func build(args []string) (*daemon, error) {
 	model.SuccessProb = *eprProb
 	pCfg := place.DefaultConfig()
 	pCfg.Seed = *seed
+	pCfg.Model = model
 	cfg := core.Config{
 		Placer:        place.NewCloudQC(pCfg),
 		Model:         model,

@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"cloudqc/internal/cloud"
 	"cloudqc/internal/core"
+	"cloudqc/internal/place"
+	"cloudqc/internal/qlib"
 	"cloudqc/internal/service"
 )
 
@@ -156,6 +160,49 @@ func TestDaemonShardsFlag(t *testing.T) {
 	if len(cr.Shards) != 3 || len(cr.QPUs) != 18 {
 		t.Fatalf("cluster has %d shards and %d QPUs, want 3 and 18 (flags -shards, -qpus)",
 			len(cr.Shards), len(cr.QPUs))
+	}
+}
+
+// TestEPRProbReachesPlacer: -epr-prob sets the success probability the
+// placer scores remote latency with, not only the controller's. On the
+// empty default cloud qft_n160 places differently at p = 0.9 than at
+// the default 0.3, so the daemon's placement shows which one it used.
+func TestEPRProbReachesPlacer(t *testing.T) {
+	d, err := build([]string{"-addr", ":0", "-epr-prob", "0.9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := httptest.NewRecorder()
+	d.svc.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/jobs",
+		strings.NewReader(`{"tenant": 1, "circuit": "qft_n160"}`)))
+	if rw.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rw.Code, rw.Body)
+	}
+	results, err := d.svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Placement == nil {
+		t.Fatalf("drain returned %d results, want one placed job", len(results))
+	}
+	got := results[0].Placement.QubitToQPU
+
+	circ := qlib.MustBuild("qft_n160")
+	placeAt := func(p float64) []int {
+		cfg := place.DefaultConfig()
+		cfg.Model.SuccessProb = p
+		pl, err := place.NewCloudQC(cfg).Place(cloud.NewRandom(20, 0.3, 20, 5, 1), circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl.QubitToQPU
+	}
+	want, atDefault := placeAt(0.9), placeAt(0.3)
+	if slices.Equal(want, atDefault) {
+		t.Fatal("qft_n160 places the same at p = 0.9 and 0.3: the test cannot tell them apart")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("daemon placed qft_n160 as %v, want the p = 0.9 placement %v", got, want)
 	}
 }
 

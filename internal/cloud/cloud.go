@@ -98,9 +98,10 @@ func (c *Cloud) signature() uint64 {
 
 // FreeSignature hashes a per-QPU free computing-qubit snapshot
 // (FreeSnapshot order, FNV-1a over the counts). It is the free-capacity
-// half of a plan-cache key and of the placer's capacity-tier memo key;
-// both also keep the snapshot and compare it verbatim, so a collision
-// costs a miss, never a wrong answer.
+// half of the keys of a controller's plan and verdict caches and of the
+// placer's capacity-tier memo. All three are plan.Caches, which keep
+// the snapshot and compare it verbatim, so a collision costs a miss,
+// never a wrong answer.
 func FreeSignature(free []int) uint64 {
 	h := uint64(fnvOffset)
 	for _, f := range free {

@@ -273,13 +273,13 @@ type LiveController struct {
 	// planCache memoizes compile artifacts (placement, remote DAG) per
 	// (circuit fingerprint, free-capacity signature); nil when caching
 	// is disabled or the placer is not deterministic.
-	planCache *plan.Cache
+	planCache *plan.Cache[plan.Key, *compiled]
 	// verdicts remembers, under the same keys and snapshots, the
 	// plan-cache misses whose placer run was infeasible, so a queued job
 	// retried under a capacity state it already failed in skips the
 	// placer. It exists exactly when planCache does, with the same
 	// bound, and is a cache of its own so a verdict never evicts a plan.
-	verdicts *plan.Cache
+	verdicts *plan.Cache[plan.Key, *place.ErrInfeasible]
 	// statePool recycles retired jobs' sched.JobStates so cache-hit
 	// admissions reuse per-node arrays instead of allocating fresh ones.
 	statePool []*sched.JobState
@@ -437,8 +437,8 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 	}
 	if cfg.PlanCacheSize >= 0 {
 		if _, ok := cfg.Placer.(place.DeterministicPlacer); ok {
-			lc.planCache = plan.New(cfg.PlanCacheSize)
-			lc.verdicts = plan.New(cfg.PlanCacheSize)
+			lc.planCache = plan.New[plan.Key, *compiled](cfg.PlanCacheSize)
+			lc.verdicts = plan.New[plan.Key, *place.ErrInfeasible](cfg.PlanCacheSize)
 		}
 	}
 	// Fault events land on the engine before any arrival, so at a shared
@@ -979,11 +979,11 @@ func (lc *LiveController) compile(j *Job) (*place.Placement, *sched.RemoteDAG, [
 		Free:    cloud.FreeSignature(free),
 	}
 	if e, ok := lc.planCache.Lookup(key, free); ok {
-		return &place.Placement{Circuit: j.Circuit, QubitToQPU: e.Assign}, e.DAG, e.Prio, true, nil
+		return &place.Placement{Circuit: j.Circuit, QubitToQPU: e.assign}, e.dag, e.prio, true, nil
 	}
-	if e, ok := lc.verdicts.Lookup(key, free); ok {
+	if v, ok := lc.verdicts.Lookup(key, free); ok {
 		// The fingerprint ignores names: report this job's circuit.
-		inf := *e.Err.(*place.ErrInfeasible)
+		inf := *v
 		inf.Circuit = j.Circuit.Name
 		return nil, nil, nil, false, &inf
 	}
@@ -991,18 +991,28 @@ func (lc *LiveController) compile(j *Job) (*place.Placement, *sched.RemoteDAG, [
 	if err != nil {
 		var inf *place.ErrInfeasible
 		if errors.As(err, &inf) {
-			lc.verdicts.Insert(key, free, &plan.Entry{Err: inf})
+			lc.verdicts.Insert(key, free, inf)
 		}
 		return nil, nil, nil, false, err
 	}
 	dag := sched.BuildRemoteDAG(j.Circuit, cl, pl.QubitToQPU, lc.cfg.Model.Latency)
 	prio := dag.Priorities()
-	lc.planCache.Insert(key, free, &plan.Entry{
-		Assign: pl.QubitToQPU,
-		DAG:    dag,
-		Prio:   prio,
-	})
+	lc.planCache.Insert(key, free, &compiled{assign: pl.QubitToQPU, dag: dag, prio: prio})
 	return pl, dag, prio, false, nil
+}
+
+// compiled is one plan-cache entry. All fields are shared, read-only:
+// concurrent jobs admitted from the same entry alias the same
+// assignment slice, DAG skeleton, and priority slice, none of which
+// execution mutates (sched.JobState keeps its own per-run arrays).
+type compiled struct {
+	// assign maps each qubit to its QPU: Placement.QubitToQPU.
+	assign []int
+	// dag is the contracted remote DAG skeleton for assign.
+	dag *sched.RemoteDAG
+	// prio is dag.Priorities(), computed once per template instead of
+	// once per job.
+	prio []int
 }
 
 // takeJobState builds a job's execution state, reusing a pooled

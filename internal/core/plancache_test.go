@@ -394,15 +394,15 @@ func TestRememberedVerdictsStayInfeasible(t *testing.T) {
 		checked := map[plan.Key]bool{}
 		for _, f := range rec.failed {
 			key := plan.Key{Circuit: f.circuit.Fingerprint(), Cloud: cfg.Cloud.Signature(), Free: cloud.FreeSignature(f.free)}
-			e, ok := lc.verdicts.Lookup(key, f.free)
+			v, ok := lc.verdicts.Lookup(key, f.free)
 			if !ok {
 				continue
 			}
 			checked[key] = true
-			var inf *place.ErrInfeasible
-			if !errors.As(e.Err, &inf) {
-				t.Fatalf("%v: remembered verdict %v is not ErrInfeasible", mode, e.Err)
+			if v == nil {
+				t.Fatalf("%v: nil remembered verdict", mode)
 			}
+			var inf *place.ErrInfeasible
 			fresh := cloud.NewRandom(10, 0.3, 20, 5, 1) // cacheConfig's cloud
 			for q, n := range f.free {
 				if err := fresh.Reserve(q, fresh.QPU(q).Computing-n); err != nil {
@@ -438,7 +438,7 @@ func TestVerdictNeedsSameSnapshot(t *testing.T) {
 	key := plan.Key{Circuit: job.Circuit.Fingerprint(), Cloud: cfg.Cloud.Signature(), Free: cloud.FreeSignature(free)}
 	other := make([]int, len(free)) // a full cloud, forced under the idle cloud's key
 	verdict := &place.ErrInfeasible{Circuit: "other", Need: 39, Free: 0}
-	lc.verdicts.Insert(key, other, &plan.Entry{Err: verdict})
+	lc.verdicts.Insert(key, other, verdict)
 	pl, _, _, _, err := lc.compile(job)
 	if err != nil || pl == nil {
 		t.Fatalf("colliding verdict served: %v", err)
@@ -454,7 +454,7 @@ func TestVerdictNeedsSameSnapshot(t *testing.T) {
 	}
 	free = cfg.Cloud.FreeSnapshot()
 	key.Free = cloud.FreeSignature(free)
-	lc.verdicts.Insert(key, free, &plan.Entry{Err: verdict})
+	lc.verdicts.Insert(key, free, verdict)
 	_, _, _, hit, err := lc.compile(job)
 	var inf *place.ErrInfeasible
 	if !errors.As(err, &inf) || hit {

@@ -16,11 +16,10 @@ import (
 // Engine owns the simulation clock and pending events. The zero value is
 // not usable; construct with NewEngine.
 type Engine struct {
-	now       float64
-	seq       int64
-	headSeq   int64
-	processed int
-	queue     eventHeap
+	now     float64
+	seq     int64
+	headSeq int64
+	queue   eventHeap
 }
 
 // NewEngine returns an engine with the clock at 0 and no events.
@@ -36,12 +35,6 @@ const headSeqBase = -(int64(1) << 62)
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() int { return e.processed }
-
 // Schedule enqueues fn to run at absolute time at. Scheduling in the
 // past panics — that is always a logic bug in the caller.
 func (e *Engine) Schedule(at float64, fn func()) {
@@ -50,14 +43,6 @@ func (e *Engine) Schedule(at float64, fn func()) {
 	}
 	e.seq++
 	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
-}
-
-// ScheduleAfter enqueues fn to run delay units from now.
-func (e *Engine) ScheduleAfter(delay float64, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	e.Schedule(e.now+delay, fn)
 }
 
 // SchedulePriority enqueues fn to run at absolute time at, ahead of
@@ -92,7 +77,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.at
-	e.processed++
 	ev.fn()
 	return true
 }
@@ -101,17 +85,6 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// RunUntil executes events with time <= t, then advances the clock to t.
-func (e *Engine) RunUntil(t float64) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: RunUntil(%v) before now %v", t, e.now))
-	}
-	for len(e.queue) > 0 && e.queue[0].at <= t {
-		e.Step()
-	}
-	e.now = t
 }
 
 // RunBefore executes events with time strictly < t, then advances the

@@ -35,19 +35,6 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestProcessedCounts(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() { e.Schedule(3, func() {}) })
-	if e.Processed() != 0 {
-		t.Fatalf("Processed = %d before running", e.Processed())
-	}
-	e.Run()
-	if e.Processed() != 3 {
-		t.Fatalf("Processed = %d, want 3 (including the nested event)", e.Processed())
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(5, func() {})
@@ -60,27 +47,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Schedule(1, func() {})
 }
 
-func TestScheduleAfter(t *testing.T) {
-	e := NewEngine()
-	var at float64
-	e.Schedule(2, func() {
-		e.ScheduleAfter(3, func() { at = e.Now() })
-	})
-	e.Run()
-	if at != 5 {
-		t.Fatalf("ScheduleAfter fired at %v, want 5", at)
-	}
-}
-
-func TestScheduleAfterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay should panic")
-		}
-	}()
-	NewEngine().ScheduleAfter(-1, func() {})
-}
-
 func TestEventsCanScheduleEvents(t *testing.T) {
 	e := NewEngine()
 	depth := 0
@@ -88,7 +54,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 10 {
-			e.ScheduleAfter(1, recurse)
+			e.Schedule(e.Now()+1, recurse)
 		}
 	}
 	e.Schedule(0, recurse)
@@ -99,41 +65,6 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	if e.Now() != 9 {
 		t.Fatalf("Now = %v, want 9", e.Now())
 	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 4} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want events at 1 and 2", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Fatalf("Now = %v, want 2.5", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("after Run fired = %v", fired)
-	}
-}
-
-func TestRunUntilPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(5, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunUntil in the past should panic")
-		}
-	}()
-	e.RunUntil(1)
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
@@ -194,7 +125,7 @@ func TestSchedulePriorityPastPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.RunUntil(5)
+	e.RunBefore(5)
 	e.SchedulePriority(4, func() {})
 }
 
@@ -226,7 +157,7 @@ func TestRunBeforePastPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.RunUntil(5)
+	e.RunBefore(5)
 	e.RunBefore(4)
 }
 

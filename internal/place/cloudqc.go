@@ -10,6 +10,7 @@ import (
 	"cloudqc/internal/epr"
 	"cloudqc/internal/graph"
 	"cloudqc/internal/partition"
+	"cloudqc/internal/plan"
 )
 
 // Config parameterizes the CloudQC placer. The zero value is not usable;
@@ -54,11 +55,16 @@ func DefaultConfig() Config {
 // their free sums and their centers depend only on the cloud's shape
 // and free snapshot, so they are memoized per capacity state (except
 // for -BFS, whose set depends on the circuit size); part mapping and
-// scoring run per call. A CloudQC is safe for concurrent use.
+// scoring run per call. Both memos are plan.Caches of
+// plan.DefaultCapacity entries. A CloudQC is safe for concurrent use.
 type CloudQC struct {
-	cfg   Config
-	memo  *circuitMemo
-	tiers *tierMemo
+	cfg Config
+	// circuits is the circuit tier, keyed by fingerprint with no
+	// snapshot.
+	circuits *plan.Cache[circuit.Fingerprint, *circuitParts]
+	// tiers is the capacity tier, keyed by capacity state and verified
+	// against its free snapshot.
+	tiers *plan.Cache[tierKey, *tierSets]
 }
 
 // NewCloudQC returns a CloudQC placer with the given configuration.
@@ -69,7 +75,11 @@ func NewCloudQC(cfg Config) *CloudQC {
 	if cfg.Model.EPRAttempt == 0 {
 		cfg.Model = epr.DefaultModel()
 	}
-	return &CloudQC{cfg: cfg, memo: new(circuitMemo), tiers: new(tierMemo)}
+	return &CloudQC{
+		cfg:      cfg,
+		circuits: plan.New[circuit.Fingerprint, *circuitParts](plan.DefaultCapacity),
+		tiers:    plan.New[tierKey, *tierSets](plan.DefaultCapacity),
+	}
 }
 
 // DeterministicPlacement marks CloudQC (and CloudQC-BFS) as cacheable:
@@ -128,7 +138,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		return nil, &ErrInfeasible{Circuit: c.Name, Need: size, Free: cl.TotalFreeComputing()}
 	}
 
-	parts, ig := p.memo.parts(c)
+	parts, ig := p.parts(c)
 	tier := p.newCapacityTier(cl, size)
 	lat := remoteLatencies(cl, p.cfg.Model)
 	var (
@@ -146,7 +156,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 			if sweptBefore(alphas[:i], size, pt) {
 				continue // same partition, assignment and score: the first one stands
 			}
-			cd, seen := p.memo.result(parts, pt)
+			cd, seen := parts.result(pt)
 			if !seen {
 				if h == nil {
 					if ig == nil {
@@ -158,7 +168,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 				if res, err := h.Partition(pt.k, pt.cap); err == nil {
 					cd = newCandidate(parts.edges, res)
 				}
-				p.memo.record(parts, pt, cd)
+				parts.record(pt, cd)
 			}
 			if cd == nil {
 				continue
@@ -233,11 +243,12 @@ func exceedsRemoteEps(c *circuit.Circuit, numQPUs int, assign []int, eps int) bo
 var errNoFit = errors.New("place: no QPU fits a part")
 
 // capacityTier is what one Place call maps its (k, cap) candidates
-// with: the capacity state's memoized QPU sets, plus the circuit size
-// and mapping scratch of this call.
+// with: the capacity state's memoized QPU sets, plus the free snapshot,
+// circuit size and mapping scratch of this call.
 type capacityTier struct {
 	*tierSets
 	cl      *cloud.Cloud
+	free    []int
 	size    int
 	useBFS  bool
 	scratch []int
@@ -248,16 +259,17 @@ type capacityTier struct {
 // memoized per capacity state, or the BFS-grown set for the -BFS
 // variant, which depends on size and so is found afresh per call.
 func (p *CloudQC) newCapacityTier(cl *cloud.Cloud, size int) *capacityTier {
-	t := &capacityTier{cl: cl, size: size, useBFS: p.cfg.UseBFS}
 	free := cl.FreeSnapshot()
+	t := &capacityTier{cl: cl, free: free, size: size, useBFS: p.cfg.UseBFS}
 	if p.cfg.UseBFS {
 		t.tierSets = newTierSets(cl, free, [][]int{bfsQPUSet(cl, size)})
 		return t
 	}
 	key := tierKey{cloud: cl.Signature(), free: cloud.FreeSignature(free)}
-	if t.tierSets = p.tiers.get(key, free); t.tierSets == nil {
+	var ok bool
+	if t.tierSets, ok = p.tiers.Lookup(key, free); !ok {
 		t.tierSets = newTierSets(cl, free, community.Detect(cl.CapacityGraph()).Groups)
-		p.tiers.put(key, t.tierSets)
+		p.tiers.Insert(key, free, t.tierSets)
 	}
 	return t
 }
@@ -267,7 +279,7 @@ func (p *CloudQC) newCapacityTier(cl *cloud.Cloud, size int) *capacityTier {
 // snapshot free.
 func newTierSets(cl *cloud.Cloud, free []int, groups [][]int) *tierSets {
 	sets := append(groups, allQPUs(cl))
-	ts := &tierSets{free: free, sets: sets, setFree: make([]int, len(sets)), centers: make([]int, len(sets))}
+	ts := &tierSets{sets: sets, setFree: make([]int, len(sets)), centers: make([]int, len(sets))}
 	for i, set := range sets {
 		for _, q := range set {
 			ts.setFree[i] += free[q]

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"slices"
 	"sync"
 
 	"cloudqc/internal/circuit"
@@ -9,61 +8,22 @@ import (
 	"cloudqc/internal/partition"
 )
 
-// circuitMemo is the circuit tier of CloudQC's compile. Algorithm 1
-// first partitions the circuit and only then maps the parts onto free
-// QPUs (Algorithm 2); the partitions depend on the circuit alone, never
-// on free capacity. The memo keeps, per circuit fingerprint, the
+// circuitParts is one circuit's entry in the circuit tier of CloudQC's
+// compile. Algorithm 1 first partitions the circuit and only then maps
+// the parts onto free QPUs (Algorithm 2); the partitions depend on the
+// circuit alone, never on free capacity. The entry keeps the
 // interaction graph's edge list and every (k, cap) candidate the sweep
 // has asked for, failed ones included, so a job re-placed after a
 // release partitions only at sweep points it has never seen. A
 // candidate carries the part-side half of Algorithm 2 with its
 // partition: the order parts are mapped in and the part each one
-// anchors on.
-//
-// It retains no DAGs, graphs or partition hierarchies, holds at most
-// memoCapacity circuits (oldest evicted first), and is safe for
-// concurrent use: experiment workers and federation shards share one
-// placer. Candidates are shared read-only between calls.
-type circuitMemo struct {
-	mu      sync.Mutex
-	entries fifo[circuit.Fingerprint, *circuitParts]
-}
-
-// memoCapacity bounds each memo at the plan cache's default size,
-// plan.DefaultCapacity: the circuit memo holds a template library's
-// worth of circuits, the tier memo as many capacity states as the plan
-// cache holds plans. place cannot import plan (plan depends on sched,
-// whose tests import place), so TestCircuitMemoCapacity pins the two
-// equal.
-const memoCapacity = 256
-
-// fifo is a map holding at most memoCapacity keys, which evicts its
-// oldest key first. Callers lock.
-type fifo[K comparable, V any] struct {
-	m     map[K]V
-	order []K // insertion order, for eviction
-}
-
-// put stores v under k. A new key evicts the oldest one when full; an
-// existing key keeps its place in line.
-func (f *fifo[K, V]) put(k K, v V) {
-	if f.m == nil {
-		f.m = make(map[K]V)
-	}
-	if _, ok := f.m[k]; !ok {
-		if len(f.order) >= memoCapacity {
-			delete(f.m, f.order[0])
-			f.order = f.order[1:]
-		}
-		f.order = append(f.order, k)
-	}
-	f.m[k] = v
-}
-
-// circuitParts is one circuit's memoized partitioning.
+// anchors on. It retains no DAGs, graphs or partition hierarchies;
+// candidates are shared read-only between calls.
 type circuitParts struct {
 	// edges is the interaction graph's edge list (graph.Edges order).
 	edges []graph.Edge
+
+	mu sync.Mutex
 	// results maps a sweep point to its candidate; a nil value records
 	// that the partitioner rejected the point.
 	results map[sweepPoint]*candidate
@@ -87,93 +47,53 @@ type candidate struct {
 // cap at k share a point.
 type sweepPoint struct{ k, cap int }
 
-// parts returns c's memo entry, creating it with the interaction
-// graph's edge list on first sight. When it had to build the
-// interaction graph it returns that too, for the caller to partition;
-// otherwise ig is nil.
-func (m *circuitMemo) parts(c *circuit.Circuit) (e *circuitParts, ig *graph.Graph) {
+// parts returns c's circuit-tier entry, creating it with the
+// interaction graph's edge list on first sight. When it had to build
+// the interaction graph it returns that too, for the caller to
+// partition; otherwise ig is nil. Two callers racing on a cold circuit
+// may both build an entry; either one is exact, and the later insert
+// stands.
+func (p *CloudQC) parts(c *circuit.Circuit) (e *circuitParts, ig *graph.Graph) {
 	fp := c.Fingerprint()
-	m.mu.Lock()
-	e, ok := m.entries.m[fp]
-	m.mu.Unlock()
-	if ok {
+	if e, ok := p.circuits.Lookup(fp, nil); ok {
 		return e, nil
 	}
 	ig = c.InteractionGraph()
-	fresh := &circuitParts{
-		edges:   ig.Edges(),
-		results: make(map[sweepPoint]*candidate),
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries.m[fp]; ok { // another caller got there first
-		return e, ig
-	}
-	m.entries.put(fp, fresh)
-	return fresh, ig
+	e = &circuitParts{edges: ig.Edges(), results: make(map[sweepPoint]*candidate)}
+	p.circuits.Insert(fp, nil, e)
+	return e, ig
 }
 
 // result returns the memoized candidate for pt and whether pt has been
 // partitioned before.
-func (m *circuitMemo) result(e *circuitParts, pt sweepPoint) (*candidate, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (e *circuitParts) result(pt sweepPoint) (*candidate, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	r, ok := e.results[pt]
 	return r, ok
 }
 
 // record stores pt's candidate (nil when the partitioner rejected pt).
-func (m *circuitMemo) record(e *circuitParts, pt sweepPoint, r *candidate) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (e *circuitParts) record(pt sweepPoint, r *candidate) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.results[pt] = r
-}
-
-// tierMemo is the capacity tier's memo. The QPU sets Algorithm 2 maps
-// into, their free sums and their centers depend only on the cloud's
-// shape and its free snapshot, never on the circuit, so a placer that
-// sees a capacity state again (a queued job retried after a release
-// that freed nothing it can use, or another job under the same state)
-// reuses them. Entries are keyed by (cloud.Signature, free signature)
-// and keep the snapshot, compared verbatim on lookup, so a signature
-// collision is a miss. It holds at most memoCapacity states, oldest
-// evicted first, is safe for concurrent use, and shares its entries
-// read-only between calls.
-type tierMemo struct {
-	mu      sync.Mutex
-	entries fifo[tierKey, *tierSets]
 }
 
 // tierKey identifies one capacity state: the cloud's shape signature
 // and its free snapshot's signature.
 type tierKey struct{ cloud, free uint64 }
 
-// tierSets is what one capacity state determines: the candidate QPU
-// sets, each set's free capacity and each set's topology center.
+// tierSets is the capacity tier's memo entry. The QPU sets Algorithm 2
+// maps into, their free sums and their centers depend only on the
+// cloud's shape and its free snapshot, never on the circuit, so a
+// placer that sees a capacity state again (a queued job retried after a
+// release that freed nothing it can use, or another job under the same
+// state) reuses them. Entries are shared read-only between calls.
 type tierSets struct {
-	// free is the snapshot the sets were found under.
-	free []int
 	// sets lists the candidate QPU sets: the community groups (or the
 	// single BFS-grown set for -BFS), then the whole cloud last.
 	sets    [][]int
 	setFree []int // free capacity of each set
 	centers []int // each set's topology center
-}
-
-// get returns the sets memoized under key for exactly the snapshot
-// free, or nil.
-func (m *tierMemo) get(key tierKey, free []int) *tierSets {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries.m[key]; ok && slices.Equal(e.free, free) {
-		return e
-	}
-	return nil
-}
-
-// put memoizes e under key, replacing whatever key held.
-func (m *tierMemo) put(key tierKey, e *tierSets) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries.put(key, e)
 }

@@ -185,7 +185,11 @@ func TestSweepPartitionsEachCapOnce(t *testing.T) {
 			pairs++
 		}
 	}
-	got := len(p.memo.entries.m[c.Fingerprint()].results)
+	parts, ok := p.circuits.Lookup(c.Fingerprint(), nil)
+	if !ok {
+		t.Fatal("circuit memo lost the placed circuit")
+	}
+	got := len(parts.results)
 	if got != len(distinct) {
 		t.Fatalf("memo holds %d sweep points, want the %d distinct (k, cap) pairs", got, len(distinct))
 	}
@@ -255,56 +259,66 @@ func TestCircuitMemoConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if len(shared.tiers.entries.m) == 0 {
+	if shared.tiers.Len() == 0 {
 		t.Fatal("no call reached the capacity tier; the tier memo went unshared")
 	}
 }
 
-// TestCircuitMemoCapacity pins the memos' bound to the plan cache's
-// default, which place cannot import directly, and checks that the
-// tier memo keeps at most that many capacity states, evicting the
-// oldest first.
+// TestCircuitMemoCapacity: both of a placer's memos are plan.Caches
+// bounded at plan.DefaultCapacity. After one more distinct circuit, or
+// capacity state, than that, each holds plan.DefaultCapacity entries
+// and the least recently used one is gone: the first, refreshed after
+// the second was stored, survives, and the second does not.
 func TestCircuitMemoCapacity(t *testing.T) {
-	if memoCapacity != plan.DefaultCapacity {
-		t.Fatalf("memoCapacity = %d, plan.DefaultCapacity = %d", memoCapacity, plan.DefaultCapacity)
-	}
+	const n = plan.DefaultCapacity
 	p := NewCloudQC(DefaultConfig())
+	circuits := make([]*circuit.Circuit, n+1)
+	for i := range circuits {
+		circuits[i] = qlib.GHZ(3 + i)
+		p.parts(circuits[i])
+		if i == 1 {
+			p.parts(circuits[0])
+		}
+	}
+	if got := p.circuits.Len(); got != n {
+		t.Fatalf("circuit memo holds %d circuits, want %d", got, n)
+	}
+	if _, ok := p.circuits.Lookup(circuits[1].Fingerprint(), nil); ok {
+		t.Fatal("least recently used circuit survived eviction")
+	}
+	if _, ok := p.circuits.Lookup(circuits[0].Fingerprint(), nil); !ok {
+		t.Fatal("refreshed circuit was evicted")
+	}
+
 	cl := cloud.NewRandom(20, 0.3, 20, 5, 1)
-	var first []int
-	for i := 0; i <= memoCapacity; i++ { // one distinct free state per call
-		q, n := i%cl.NumQPUs(), 1+i/cl.NumQPUs()
-		if err := cl.Reserve(q, n); err != nil {
+	states := make([][]int, n+1)
+	visit := func(i int) { // one distinct free state per i
+		q, k := i%cl.NumQPUs(), 1+i/cl.NumQPUs()
+		if err := cl.Reserve(q, k); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			first = cl.FreeSnapshot()
-		}
+		states[i] = cl.FreeSnapshot()
 		p.newCapacityTier(cl, 40)
-		cl.Release(q, n)
+		cl.Release(q, k)
 	}
-	if got := len(p.tiers.entries.m); got != memoCapacity || len(p.tiers.entries.order) != memoCapacity {
-		t.Fatalf("tier memo holds %d states (%d ordered), want %d", got, len(p.tiers.entries.order), memoCapacity)
+	for i := range states {
+		visit(i)
+		if i == 1 {
+			visit(0)
+		}
 	}
-	key := tierKey{cloud: cl.Signature(), free: cloud.FreeSignature(first)}
-	if p.tiers.get(key, first) != nil {
-		t.Fatal("oldest capacity state survived eviction")
+	if got := p.tiers.Len(); got != n {
+		t.Fatalf("tier memo holds %d states, want %d", got, n)
 	}
-}
-
-// TestCircuitMemoBounded: the memo evicts its oldest circuit once it
-// holds memoCapacity of them.
-func TestCircuitMemoBounded(t *testing.T) {
-	m := new(circuitMemo)
-	first := qlib.GHZ(3)
-	m.parts(first)
-	for n := 4; n < 4+memoCapacity; n++ {
-		m.parts(qlib.GHZ(n))
+	lookup := func(free []int) bool {
+		_, ok := p.tiers.Lookup(tierKey{cloud: cl.Signature(), free: cloud.FreeSignature(free)}, free)
+		return ok
 	}
-	if len(m.entries.m) != memoCapacity || len(m.entries.order) != memoCapacity {
-		t.Fatalf("memo holds %d entries (%d ordered), want %d", len(m.entries.m), len(m.entries.order), memoCapacity)
+	if lookup(states[1]) {
+		t.Fatal("least recently used capacity state survived eviction")
 	}
-	if _, ok := m.entries.m[first.Fingerprint()]; ok {
-		t.Fatal("oldest circuit survived eviction")
+	if !lookup(states[0]) {
+		t.Fatal("refreshed capacity state was evicted")
 	}
 }
 
@@ -313,13 +327,13 @@ func TestCircuitMemoBounded(t *testing.T) {
 // so a cold Place partitions the graph the memo took its edges from
 // instead of building a second one.
 func TestCircuitMemoHandsOverGraph(t *testing.T) {
-	m := new(circuitMemo)
+	p := NewCloudQC(DefaultConfig())
 	c := qlib.MustBuild("knn_n67")
-	e, ig := m.parts(c)
+	e, ig := p.parts(c)
 	if ig == nil || !slices.Equal(e.edges, ig.Edges()) {
 		t.Fatal("first sight: no interaction graph, or one that differs from the memoized edges")
 	}
-	if again, ig := m.parts(c); again != e || ig != nil {
+	if again, ig := p.parts(c); again != e || ig != nil {
 		t.Fatal("second sight: want the same entry and no graph")
 	}
 }

@@ -1,47 +1,51 @@
-// Package plan is CloudQC's compile-once plan cache: the expensive,
-// state-independent artifacts of admitting a job — the placement
-// assignment and the contracted remote DAG skeleton with its
-// critical-path priorities — memoized per (circuit fingerprint, cloud
-// shape, free-capacity signature).
+// Package plan is CloudQC's one bounded memo for placement compile. A
+// Cache maps a key to a value computed under an exact per-QPU
+// free-computing snapshot, and returns it only for that snapshot: the
+// snapshot is stored with the entry and compared verbatim on lookup,
+// so a collision in the key's hash of it degrades to a miss instead of
+// a wrong reuse. A value that depends on no capacity state is stored
+// and looked up with a nil snapshot.
 //
-// Workload generators and the cloudqcd service draw jobs from a small
-// library of circuit templates, yet the controller used to re-run the
-// full placement pipeline (community detection → multilevel
-// partitioning → part mapping) and re-contract the remote DAG for every
-// arriving job. The cache makes repeated templates nearly free to
-// admit while staying bit-identical to the cold path: entries are
-// keyed by the exact per-QPU free-computing snapshot the placer saw,
-// and a deterministic placer is a pure function of (circuit structure,
-// free snapshot), so a hit returns precisely the placement a fresh
-// Place call would have computed — and, a fortiori, one whose QPUs
-// still have the room it needs. Any change in free capacity changes
-// the signature and forces the full placer.
+// Compile memoizes four things this way, each in a Cache of its own
+// at DefaultCapacity unless configured otherwise:
 //
-// The same argument covers failure: a miss whose key and snapshot the
-// placer already found infeasible is infeasible again. A controller
-// therefore keeps a second Cache of the same size as a verdict cache,
-// whose entries carry only Err, and consults it after a plan-cache
-// miss; queued jobs retried after every release mostly ask questions
-// the placer has answered. Keeping the verdicts in a cache of their
-// own means a verdict never evicts a plan, and the plan cache's
-// counters stay those of plan lookups alone.
+//   - a controller's plan cache (internal/core): the placement
+//     assignment and the contracted remote DAG skeleton with its
+//     critical-path priorities, per (circuit fingerprint, cloud shape,
+//     free snapshot). A deterministic placer is a pure function of
+//     circuit structure and free snapshot, so a hit is precisely the
+//     placement a fresh Place call would compute, and one whose QPUs
+//     still have the room it needs;
+//   - the controller's verdict cache: under the same keys, the misses
+//     the placer found infeasible, which are infeasible again. Queued
+//     jobs retried after every release mostly ask questions the placer
+//     has answered. A verdict never evicts a plan, and the plan cache's
+//     counters stay those of plan lookups alone;
+//   - CloudQC's circuit memo (internal/place): per circuit
+//     fingerprint, with no snapshot, the interaction edges and every
+//     partition Algorithm 1's sweep has asked for;
+//   - CloudQC's capacity-tier memo: per capacity state, the QPU sets
+//     Algorithm 2 maps into, with their free sums and centers.
 //
-// The cache is bounded (LRU eviction), counts hits/misses/evictions,
-// and is safe for concurrent use. One cache belongs to one controller
-// configuration: the key does not cover the placer's parameters or the
-// latency model, which are fixed per controller.
+// A Cache is an LRU, counts hits, misses and evictions, and is safe for
+// concurrent use: experiment workers and federation shards share one
+// placer. Values are shared read-only between callers. One plan cache
+// belongs to one controller configuration: its key does not cover the
+// placer's parameters or the latency model, which are fixed per
+// controller.
 package plan
 
 import (
+	"slices"
 	"sync"
 
 	"cloudqc/internal/circuit"
-	"cloudqc/internal/sched"
 )
 
 // DefaultCapacity bounds a controller's plan cache when no explicit
-// size is configured: enough for a qlib-scale template library across
-// dozens of distinct cloud occupancy states.
+// size is configured, and each of CloudQC's memos: enough for a
+// qlib-scale template library across dozens of distinct cloud
+// occupancy states.
 const DefaultCapacity = 256
 
 // Key identifies one cached plan: what circuit, on what cloud, under
@@ -59,29 +63,6 @@ type Key struct {
 	Free uint64
 }
 
-// Entry is one cached compile result. All fields are shared, read-only:
-// concurrent jobs admitted from the same entry alias the same
-// assignment slice, DAG skeleton, and priority slice, none of which
-// execution mutates (sched.JobState keeps its own per-run arrays).
-type Entry struct {
-	// Assign maps each qubit to its QPU — Placement.QubitToQPU. Callers
-	// must not modify it.
-	Assign []int
-	// DAG is the contracted remote DAG skeleton for Assign.
-	DAG *sched.RemoteDAG
-	// Prio is DAG.Priorities(), computed once per template instead of
-	// once per job.
-	Prio []int
-	// Err is a remembered infeasible verdict: set only on the entries
-	// of a verdict cache, whose other fields stay nil. The placer found
-	// no placement for the key's circuit under the entry's snapshot.
-	Err error
-
-	// free is the exact snapshot the entry was compiled under, verified
-	// on lookup.
-	free []int
-}
-
 // Stats are a cache's cumulative counters.
 type Stats struct {
 	// Hits and Misses count Lookup outcomes; Evictions counts entries
@@ -97,73 +78,78 @@ type Stats struct {
 	Enabled bool `json:"enabled"`
 }
 
-// Cache is a bounded, thread-safe LRU of compile plans.
-type Cache struct {
+// Cache is a bounded, thread-safe LRU of values, each valid for the
+// free snapshot it was stored under.
+type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[Key]*node
+	entries  map[K]*node[K, V]
 	// Intrusive LRU list: head is most recently used, tail next to evict.
-	head, tail *node
+	head, tail *node[K, V]
 	hits       int64
 	misses     int64
 	evictions  int64
 }
 
 // node is one LRU slot.
-type node struct {
-	key        Key
-	entry      *Entry
-	prev, next *node
+type node[K comparable, V any] struct {
+	key   K
+	value V
+	// free is the snapshot value was stored under, a copy of the
+	// caller's.
+	free       []int
+	prev, next *node[K, V]
 }
 
 // New returns an empty cache holding at most capacity entries
 // (DefaultCapacity when non-positive).
-func New(capacity int) *Cache {
+func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{capacity: capacity, entries: make(map[Key]*node)}
+	return &Cache[K, V]{capacity: capacity, entries: make(map[K]*node[K, V])}
 }
 
-// Lookup returns the plan cached under key, verifying the stored free
+// Lookup returns the value cached under key, verifying the stored free
 // snapshot matches free verbatim (a signature collision is a miss, not
-// a wrong plan). A hit refreshes the entry's LRU position.
-func (c *Cache) Lookup(key Key, free []int) (*Entry, bool) {
+// a wrong value). A hit refreshes the entry's LRU position.
+func (c *Cache[K, V]) Lookup(key K, free []int) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.entries[key]; ok && sameSnapshot(n.entry.free, free) {
+	if n, ok := c.entries[key]; ok && slices.Equal(n.free, free) {
 		c.moveToFront(n)
 		c.hits++
-		return n.entry, true
+		return n.value, true
 	}
 	c.misses++
-	return nil, false
+	var zero V
+	return zero, false
 }
 
-// Insert stores a freshly compiled plan under key, recording the free
-// snapshot it was compiled against (copied) and evicting the least
-// recently used entry when full. Re-inserting an existing key replaces
-// its entry.
-func (c *Cache) Insert(key Key, free []int, e *Entry) {
+// Insert stores v under key, recording the free snapshot it was
+// computed against (copied) and evicting the least recently used entry
+// when full. Re-inserting an existing key replaces its value and
+// snapshot.
+func (c *Cache[K, V]) Insert(key K, free []int, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.free = append([]int(nil), free...)
+	free = slices.Clone(free)
 	if n, ok := c.entries[key]; ok {
-		n.entry = e
+		n.value, n.free = v, free
 		c.moveToFront(n)
 		return
 	}
 	for len(c.entries) >= c.capacity {
 		c.evict()
 	}
-	n := &node{key: key, entry: e}
+	n := &node[K, V]{key: key, value: v, free: free}
 	c.entries[key] = n
 	c.pushFront(n)
 }
 
 // Stats returns the cache's counters. A live Cache always reports
 // Enabled; controllers running without a cache report the zero Stats.
-func (c *Cache) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
@@ -177,26 +163,14 @@ func (c *Cache) Stats() Stats {
 }
 
 // Len returns the current entry count.
-func (c *Cache) Len() int {
+func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-func sameSnapshot(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // evict drops the LRU tail. Callers hold c.mu.
-func (c *Cache) evict() {
+func (c *Cache[K, V]) evict() {
 	n := c.tail
 	if n == nil {
 		return
@@ -206,7 +180,7 @@ func (c *Cache) evict() {
 	c.evictions++
 }
 
-func (c *Cache) moveToFront(n *node) {
+func (c *Cache[K, V]) moveToFront(n *node[K, V]) {
 	if c.head == n {
 		return
 	}
@@ -214,7 +188,7 @@ func (c *Cache) moveToFront(n *node) {
 	c.pushFront(n)
 }
 
-func (c *Cache) pushFront(n *node) {
+func (c *Cache[K, V]) pushFront(n *node[K, V]) {
 	n.prev = nil
 	n.next = c.head
 	if c.head != nil {
@@ -226,7 +200,7 @@ func (c *Cache) pushFront(n *node) {
 	}
 }
 
-func (c *Cache) unlink(n *node) {
+func (c *Cache[K, V]) unlink(n *node[K, V]) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
