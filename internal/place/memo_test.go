@@ -264,12 +264,12 @@ func TestCircuitMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestCircuitMemoCapacity: both of a placer's memos are plan.Caches
-// bounded at plan.DefaultCapacity. After one more distinct circuit, or
-// capacity state, than that, each holds plan.DefaultCapacity entries
-// and the least recently used one is gone: the first, refreshed after
-// the second was stored, survives, and the second does not.
-func TestCircuitMemoCapacity(t *testing.T) {
+// TestCircuitMemoBounded: the circuit memo is a plan.Cache bounded at
+// plan.DefaultCapacity. After one more distinct circuit than that it
+// holds plan.DefaultCapacity of them and the least recently used one
+// is gone: the first, refreshed after the second was stored, survives,
+// and the second does not.
+func TestCircuitMemoBounded(t *testing.T) {
 	const n = plan.DefaultCapacity
 	p := NewCloudQC(DefaultConfig())
 	circuits := make([]*circuit.Circuit, n+1)
@@ -289,7 +289,16 @@ func TestCircuitMemoCapacity(t *testing.T) {
 	if _, ok := p.circuits.Lookup(circuits[0].Fingerprint(), nil); !ok {
 		t.Fatal("refreshed circuit was evicted")
 	}
+}
 
+// TestCircuitMemoCapacity: the capacity-tier memo is a plan.Cache
+// bounded at plan.DefaultCapacity. After one more distinct capacity
+// state than that it holds plan.DefaultCapacity states and the least
+// recently used one is gone: the first, refreshed after the second was
+// stored, survives, and the second does not.
+func TestCircuitMemoCapacity(t *testing.T) {
+	const n = plan.DefaultCapacity
+	p := NewCloudQC(DefaultConfig())
 	cl := cloud.NewRandom(20, 0.3, 20, 5, 1)
 	states := make([][]int, n+1)
 	visit := func(i int) { // one distinct free state per i
