@@ -65,7 +65,8 @@
 //	             every job (queue wait, admission decision, compiles,
 //	             EPR rounds, suspensions, rehomes) and serve them on
 //	             GET /v1/jobs/{id}/trace with a JCT attribution whose
-//	             phases sum to the JCT exactly; per-tenant aggregates
+//	             phases sum to the JCT to within rounding (an ulp or
+//	             two); per-tenant aggregates
 //	             land in /v1/stats and /metrics. Off by default: the
 //	             disabled path costs nothing on the scheduling hot loop
 //	-pprof       net/http/pprof listen address (e.g. localhost:6060) on

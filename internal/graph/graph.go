@@ -40,6 +40,35 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Arc, n)}
 }
 
+// FromMatrix returns the graph on n vertices whose edge {u, v} weighs
+// w[u*n+v], with an edge for every nonzero entry. w must be symmetric
+// with a zero diagonal. The adjacency lists are filled in ascending
+// order into one backing array, with none of AddEdge's sorted inserts,
+// and each list is capped at its own length, so mutating the graph
+// later reallocates a list instead of overwriting the next one.
+func FromMatrix(n int, w []float64) *Graph {
+	if len(w) != n*n {
+		panic(fmt.Sprintf("graph: %d matrix entries for %d vertices", len(w), n))
+	}
+	arcs := 0
+	for _, x := range w {
+		if x != 0 {
+			arcs++
+		}
+	}
+	g, all := New(n), make([]Arc, 0, arcs)
+	for u := 0; u < n; u++ {
+		lo := len(all)
+		for v, x := range w[u*n : (u+1)*n] {
+			if x != 0 {
+				all = append(all, Arc{To: v, W: x})
+			}
+		}
+		g.adj[u] = all[lo:len(all):len(all)]
+	}
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +109,41 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if !c.HasEdge(0, 1) {
 		t.Fatal("clone missing original edge")
+	}
+}
+
+// TestFromMatrixMatchesAddEdge: a graph built from a weight matrix has
+// the same adjacency lists, arc for arc, as one built by AddEdge from
+// the same pairs, and a later AddEdge on one vertex leaves its
+// neighbour's list in the shared backing array intact.
+func TestFromMatrixMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(12)
+		want, w := New(n), make([]float64, n*n)
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			x := 0.1 * float64(1+rng.Intn(9))
+			want.AddEdge(u, v, x)
+			w[u*n+v] += x
+			w[v*n+u] += x
+		}
+		got := FromMatrix(n, w)
+		for u := 0; u < n; u++ {
+			if !slices.Equal(got.Arcs(u), want.Arcs(u)) {
+				t.Fatalf("trial %d vertex %d: arcs %v, AddEdge gave %v", trial, u, got.Arcs(u), want.Arcs(u))
+			}
+		}
+		if n >= 3 {
+			row1 := slices.Clone(got.Arcs(1))
+			got.AddEdge(0, n-1, 1)
+			if !slices.Equal(got.Arcs(1), row1) {
+				t.Fatalf("trial %d: AddEdge(0, %d) changed vertex 1's arcs to %v from %v", trial, n-1, got.Arcs(1), row1)
+			}
+		}
 	}
 }
 

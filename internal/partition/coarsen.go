@@ -149,9 +149,9 @@ func (l *level) coarsen(seed int64, maxW int) *pass {
 }
 
 // project lifts a partition of the pass's child level back to the
-// parent's vertices.
-func (p *pass) project(coarseParts []int) []int {
-	parts := make([]int, len(p.coarseMap))
+// parent's vertices, into parts (one entry per parent vertex), and
+// returns it.
+func (p *pass) project(coarseParts, parts []int) []int {
 	for v, c := range p.coarseMap {
 		parts[v] = coarseParts[c]
 	}

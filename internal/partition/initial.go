@@ -5,31 +5,50 @@ package partition
 // then parts claim their most-connected boundary vertex in round-robin
 // until everything is assigned. cap bounds each part's total fine-vertex
 // weight (coarse vertices carry the weight of everything merged into
-// them).
-func (l *level) initialPartition(k, cap int) []int {
+// them). The assignment is written into parts (one entry per vertex)
+// and returned; s supplies the loads and the frontiers.
+func (l *level) initialPartition(k, cap int, parts []int, s *scratch) []int {
 	n := l.g.N()
-	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = -1
 	}
-	load := make([]int, k)
+	load := s.load[:k]
+	clear(load)
+	if len(s.inFront) < k*n {
+		s.inFront = make([]bool, k*n)
+	}
+	inFront := s.inFront[:k*n]
+	clear(inFront)
+	for p := range k {
+		s.front[p] = s.front[p][:0]
+	}
+	// claim assigns v to p and puts v's unassigned neighbours on p's
+	// frontier, each at most once.
+	claim := func(v, p int) {
+		parts[v] = p
+		load[p] += l.weights[v]
+		for _, nb := range l.g.Arcs(v) {
+			if u := nb.To; parts[u] < 0 && !inFront[p*n+u] {
+				inFront[p*n+u] = true
+				s.front[p] = append(s.front[p], u)
+			}
+		}
+	}
 
 	seeds := l.spreadSeeds(k)
-	for p, s := range seeds {
-		parts[s] = p
-		load[p] += l.weights[s]
+	for p, v := range seeds {
+		claim(v, p)
 	}
 
 	assigned := len(seeds)
 	for assigned < n {
 		progress := false
 		for p := 0; p < k; p++ {
-			v := l.bestBoundary(parts, p, load[p], cap)
+			v := l.bestBoundary(parts, p, load[p], cap, s)
 			if v < 0 {
 				continue
 			}
-			parts[v] = p
-			load[p] += l.weights[v]
+			claim(v, p)
 			assigned++
 			progress = true
 			if assigned == n {
@@ -112,27 +131,30 @@ func chosen(seeds []int, v int) bool {
 }
 
 // bestBoundary returns the unassigned vertex most strongly connected to
-// part p that fits under cap, or -1 if none exists.
-func (l *level) bestBoundary(parts []int, p, loadP, cap int) int {
-	best, bestW := -1, -1.0
-	for v := 0; v < l.g.N(); v++ {
+// part p that fits under cap, the lowest-indexed among equals, or -1 if
+// no vertex has a positive connection. Only p's frontier can have one:
+// a vertex off it has no arc into p. A frontier vertex that is
+// assigned or does not fit leaves the frontier for good, since p's
+// load only grows. Each connection is summed over the vertex's arcs in
+// adjacency order, as a scan of every vertex would sum it.
+func (l *level) bestBoundary(parts []int, p, loadP, cap int, s *scratch) int {
+	best, bestW := -1, 0.0
+	front := s.front[p][:0]
+	for _, v := range s.front[p] {
 		if parts[v] >= 0 || loadP+l.weights[v] > cap {
 			continue
 		}
+		front = append(front, v)
 		var w float64
 		for _, nb := range l.g.Arcs(v) {
 			if parts[nb.To] == p {
 				w += nb.W
 			}
 		}
-		if w > bestW {
+		if w > bestW || (w == bestW && v < best) {
 			best, bestW = v, w
 		}
 	}
-	if bestW <= 0 {
-		// No connected candidate; only claim a disconnected vertex if the
-		// part is still empty-ish (its seed only), to avoid scattering.
-		return -1
-	}
+	s.front[p] = front
 	return best
 }

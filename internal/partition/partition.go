@@ -71,11 +71,14 @@ func Capacity(n, k int, imbalance float64) int {
 // Partition returns exactly what a fresh Hierarchy returns for the
 // same arguments, in any order of calls.
 //
-// A Hierarchy holds every level it has built and is not safe for
-// concurrent use.
+// A Hierarchy holds every level it has built, and the scratch that
+// initial growth, refinement and projection reuse from point to point,
+// so it is not safe for concurrent use. A Result it returns shares no
+// storage with it.
 type Hierarchy struct {
 	root *level
 	seed int64
+	s    scratch
 }
 
 // NewHierarchy returns an empty hierarchy over g; levels are built as
@@ -119,26 +122,74 @@ func (h *Hierarchy) Partition(k, cap int) (*Result, error) {
 	if maxVertexWeight < 2 {
 		maxVertexWeight = 2
 	}
-	lvl := h.root
-	var parents []*level
-	var passes []*pass
+	s := &h.s
+	s.init(n)
+	// path[i] is the pass from level i to level i+1; level 0 is the root.
+	lvl, path := h.root, s.path[:0]
 	for lvl.g.N() > coarsestSize(k) {
 		p := lvl.passFor(h.seed, maxVertexWeight)
 		if p.child == nil { // matching made no progress
 			break
 		}
-		parents = append(parents, lvl)
-		passes = append(passes, p)
+		path = append(path, p)
 		lvl = p.child
 	}
+	s.path = path
 
-	parts := lvl.initialPartition(k, cap)
-	lvl.refine(parts, k, cap)
-	for i := len(passes) - 1; i >= 0; i-- {
-		parts = passes[i].project(parts)
-		parents[i].refine(parts, k, cap)
+	// Level i's assignment lives in buf[i%2], except the finest level's
+	// (i = 0), which is returned and so gets fresh storage.
+	into := func(i, n int) []int {
+		if i == 0 {
+			return make([]int, n)
+		}
+		return s.buf[i%2][:n]
+	}
+	parts := lvl.initialPartition(k, cap, into(len(path), lvl.g.N()), s)
+	lvl.refine(parts, k, cap, s)
+	for i := len(path) - 1; i >= 0; i-- {
+		parent := h.root
+		if i > 0 {
+			parent = path[i-1].child
+		}
+		parts = path[i].project(parts, into(i, parent.g.N()))
+		parent.refine(parts, k, cap, s)
 	}
 	return finish(g, parts, k), nil
+}
+
+// scratch is the per-point working storage of a Hierarchy: the pass
+// path, part loads and counts, refinement's connection accumulator with
+// the parts it touched, each vertex's count of neighbours in other
+// parts, the initial partition's frontiers, and two assignment buffers
+// that projection alternates between. Every level has at most the
+// root's n vertices and every point at most n parts, so all but the
+// frontier marks are sized once, by n.
+type scratch struct {
+	path        []*pass
+	load, count []int
+	conn        []float64 // all zero between refinement's vertices
+	touched     []int     // parts with a conn entry, in first-touch order
+	isTouched   []bool    // by part; false between vertices
+	ids         []int     // 0, 1, …, n-1: every part
+	ext         []int     // by vertex
+	front       [][]int   // by part
+	inFront     []bool    // k×n: part p's frontier has held vertex v
+	buf         [2][]int
+}
+
+// init sizes the scratch for a root of n vertices on first use.
+func (s *scratch) init(n int) {
+	if s.load != nil {
+		return
+	}
+	s.load, s.count, s.ext = make([]int, n), make([]int, n), make([]int, n)
+	s.conn, s.isTouched = make([]float64, n), make([]bool, n)
+	s.front = make([][]int, n)
+	s.ids = make([]int, n)
+	for i := range s.ids {
+		s.ids[i] = i
+	}
+	s.buf = [2][]int{make([]int, n), make([]int, n)}
 }
 
 // coarsestSize is the vertex count at which coarsening stops: enough

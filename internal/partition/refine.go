@@ -11,58 +11,102 @@ package partition
 // the move count. A fixed pass budget (the old bound was 4) could stop
 // short and leave obviously improvable boundary vertices behind, which
 // TestQuickLocalOptimality caught intermittently.
-func (l *level) refine(parts []int, k, cap int) {
+//
+// A vertex costs what its arcs touch. ext[v] counts v's neighbours in
+// other parts, is built once per call and kept up to date by each move,
+// so an interior vertex is skipped in O(1). A boundary vertex sums its
+// connection only to the parts its arcs reach. When its connection to
+// its own part is positive, a part it does not reach has negative gain
+// and cannot be chosen, so only the reached parts are scanned; otherwise
+// every part is. Either way the choice is the lowest-indexed part with
+// the largest positive gain, or failing that the lowest-indexed
+// strictly lighter part with zero gain.
+func (l *level) refine(parts []int, k, cap int, s *scratch) {
 	n := l.g.N()
-	load := make([]int, k)
-	count := make([]int, k)
+	load, count := s.load[:k], s.count[:k]
+	clear(load)
+	clear(count)
+	ext := s.ext[:n]
 	for v := 0; v < n; v++ {
 		load[parts[v]] += l.weights[v]
 		count[parts[v]]++
+		ext[v] = 0
+		for _, nb := range l.g.Arcs(v) {
+			if parts[nb.To] != parts[v] {
+				ext[v]++
+			}
+		}
 	}
-	conn := make([]float64, k) // reused per-vertex connection accumulator
+	conn := s.conn[:k] // all zero between vertices
 	for {
 		moved := false
 		for v := 0; v < n; v++ {
 			from := parts[v]
-			if count[from] <= 1 {
-				continue // never empty a part
+			if count[from] <= 1 || ext[v] == 0 {
+				continue // never empty a part; interior vertices cannot gain
 			}
-			for i := range conn {
-				conn[i] = 0
-			}
-			boundary := false
+			touched := s.touched[:0]
 			for _, nb := range l.g.Arcs(v) {
-				conn[parts[nb.To]] += nb.W
-				if parts[nb.To] != from {
-					boundary = true
+				p := parts[nb.To]
+				if !s.isTouched[p] {
+					s.isTouched[p] = true
+					touched = append(touched, p)
 				}
+				conn[p] += nb.W
 			}
-			if !boundary {
-				continue
+			s.touched = touched
+
+			// Scan the reached parts, or every part (ids) when a part
+			// the arcs miss could gain.
+			cands := touched
+			if conn[from] <= 0 {
+				cands = s.ids[:k]
 			}
-			bestTo, bestGain := -1, 0.0
-			for to := 0; to < k; to++ {
-				if to == from || load[to]+l.weights[v] > cap {
+			wv := l.weights[v]
+			bestTo, bestGain, zeroTo := -1, 0.0, -1
+			for _, to := range cands {
+				if to == from || load[to]+wv > cap {
 					continue
 				}
-				gain := conn[to] - conn[from]
 				// Accept strictly positive gains; on zero gain accept a
 				// move that improves balance, which opens escapes from
 				// local minima without oscillation (ties move only toward
 				// strictly lighter parts).
-				if gain > bestGain ||
-					(gain == bestGain && bestTo < 0 && gain == 0 && load[to]+l.weights[v] < load[from]) {
+				switch gain := conn[to] - conn[from]; {
+				case gain > bestGain || (gain == bestGain && gain > 0 && to < bestTo):
 					bestTo, bestGain = to, gain
+				case gain == 0 && load[to]+wv < load[from] && (zeroTo < 0 || to < zeroTo):
+					zeroTo = to
 				}
 			}
-			if bestTo >= 0 && (bestGain > 0 || load[bestTo]+l.weights[v] < load[from]) {
-				parts[v] = bestTo
-				load[from] -= l.weights[v]
-				load[bestTo] += l.weights[v]
-				count[from]--
-				count[bestTo]++
-				moved = true
+			for _, p := range touched {
+				conn[p], s.isTouched[p] = 0, false
 			}
+			if bestTo < 0 {
+				bestTo = zeroTo
+			}
+			if bestTo < 0 {
+				continue
+			}
+
+			parts[v] = bestTo
+			load[from] -= wv
+			load[bestTo] += wv
+			count[from]--
+			count[bestTo]++
+			ext[v] = 0
+			for _, nb := range l.g.Arcs(v) {
+				switch parts[nb.To] {
+				case from:
+					ext[nb.To]++
+					ext[v]++
+				case bestTo:
+					ext[nb.To]--
+				default:
+					ext[v]++
+				}
+			}
+			moved = true
 		}
 		if !moved {
 			break

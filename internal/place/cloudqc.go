@@ -318,14 +318,21 @@ func (t *capacityTier) setFor(k int) int {
 // and gives up at the first part that fits nowhere, so when it maps
 // order[i], exactly the parts order[:i] hold QPUs; the anchor, the
 // heaviest of those neighbors, is therefore fixed by the partition.
+//
+// The part graph's weights are summed into a dense k×k matrix in edge
+// order, as AddEdge would sum them, and the graph is built from it in
+// one pass. Interaction edges weigh at least one gate, so two parts
+// are adjacent exactly when their entry is nonzero.
 func newCandidate(edges []graph.Edge, res *partition.Result) *candidate {
 	k := res.K
-	pg := graph.New(k)
+	w := make([]float64, k*k)
 	for _, e := range edges {
 		if pu, pv := res.Parts[e.U], res.Parts[e.V]; pu != pv {
-			pg.AddEdge(pu, pv, e.W)
+			w[pu*k+pv] += e.W
+			w[pv*k+pu] += e.W
 		}
 	}
+	pg := graph.FromMatrix(k, w)
 	order := pg.BFSOrder(pg.Center())
 	pos := make([]int, k) // index in order, -1 while unreached
 	for i := range pos {

@@ -643,8 +643,8 @@ func (s *Server) jobResponse(id int) JobResponse {
 }
 
 // TraceResponse is GET /v1/jobs/{id}/trace: one job's span tree in
-// virtual time. Attribution's phases sum to its JCT bitwise for
-// completed jobs (local compute is derived as the remainder at
+// virtual time. Attribution's phases sum to its JCT to within rounding
+// for completed jobs (local compute is derived as the remainder at
 // settlement). Rounds holds the most recent retained round spans —
 // when RoundsDropped > 0 the ring overwrote the oldest
 // RoundsDropped of the RoundsTotal recorded.
@@ -764,9 +764,9 @@ type StatsResponse struct {
 	// admission-router counters, and the per-shard breakdown. A
 	// single-controller server shows one shard with zeroed counters.
 	Federation FederationWire `json:"federation"`
-	// Attribution is the per-tenant JCT attribution aggregate — exact
+	// Attribution is the per-tenant JCT attribution aggregate — the
 	// sums over each tenant's settled traces, so every row's phases sum
-	// to its JCT bitwise. Present only while tracing is on.
+	// to its JCT to within rounding. Present only while tracing is on.
 	Attribution []trace.TenantAttribution `json:"attribution,omitempty"`
 }
 

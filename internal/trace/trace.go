@@ -10,15 +10,17 @@
 //
 // From the raw spans each trace derives a JCT attribution: the job's
 // completion time split into queue / compile / local-compute /
-// network-stall / suspended phases that sum to the JCT exactly. Queue
-// and the measured phases (network, suspended) accumulate closed
-// virtual-time intervals; local compute is derived at settlement as
-// JCT − queue − compile − network − suspended, which makes the
-// sum-to-JCT invariant hold bitwise by construction instead of
-// depending on floating-point telescoping. Compile is structurally
-// zero in this model — placement and DAG contraction happen within the
-// admission instant — but stays a first-class phase so the schema does
-// not change if a compile-latency model ever lands.
+// network-stall / suspended phases that sum to the JCT to within
+// rounding. Queue and the measured phases (network, suspended)
+// accumulate closed virtual-time intervals; local compute is derived
+// at settlement as JCT − queue − compile − network − suspended, so the
+// measured phases' floating-point dust lands in Local instead of
+// piling up. The sum is not bitwise: adding the phases back can miss
+// the JCT by an ulp, and for some phase values no Local makes it
+// exact (the federation swarm test checks at most two ulps). Compile
+// is structurally zero in this model — placement and DAG contraction
+// happen within the admission instant — but stays a first-class phase
+// so the schema does not change if a compile-latency model ever lands.
 //
 // A Recorder is unsynchronized and inherits its controller's
 // synchronization discipline, exactly like metrics.Recorder: a
@@ -107,10 +109,11 @@ type FaultSpan struct {
 }
 
 // Attribution is a settled job's JCT decomposition in virtual CX
-// units. Queue + Compile + Local + Network + Suspended == JCT holds
-// bitwise for completed jobs: Local is derived at settlement as the
-// remainder, so it absorbs any floating-point dust from the measured
-// phases (clamp it when rendering fractions). Failed jobs carry only
+// units. For completed jobs Queue + Compile + Local + Network +
+// Suspended equals JCT to within rounding (an ulp or two, not
+// bitwise): Local is derived at settlement as the remainder, so it
+// absorbs the floating-point dust from the measured phases (clamp it
+// when rendering fractions). Failed jobs carry only
 // Queue (arrival to failure) and a zero JCT.
 type Attribution struct {
 	JCT       float64 `json:"jct"`
@@ -258,10 +261,11 @@ func (tr *JobTrace) Rounds(dst []RoundSpan) []RoundSpan {
 }
 
 // TenantAttribution is one tenant's exact attribution aggregate: the
-// per-phase sums over every settled trace of that tenant. Because each
-// addend's phases sum to its JCT bitwise, the aggregate's phases sum
-// to the aggregate JCT the same way — which is what lets /v1/stats be
-// differential-tested against the per-job traces.
+// per-phase sums over every settled trace of that tenant, added in
+// settlement order — which is what lets /v1/stats be differential-tested
+// against the per-job traces. Each addend's phases sum to its JCT to
+// within rounding, so the aggregate's phases sum to the aggregate JCT
+// to within the rounding of every addend.
 type TenantAttribution struct {
 	Tenant    int     `json:"tenant"`
 	Completed int     `json:"completed"`
@@ -328,8 +332,8 @@ func (r *Recorder) Get(id int) *JobTrace { return r.byID[id] }
 
 // Settle finalizes a completed trace: the trailing network stretch
 // closes at maxFinish (the last remote gate's completion — the local
-// tail after it is local compute), and local compute is derived so the
-// attribution sums to the JCT bitwise.
+// tail after it is local compute), and local compute is derived as the
+// remainder, so the attribution sums to the JCT to within rounding.
 func (r *Recorder) Settle(tr *JobTrace, finished, maxFinish float64) {
 	if tr == nil || tr.Done {
 		return
