@@ -107,7 +107,8 @@ type (
 	ClusterConfig = core.Config
 	// Workload is a named pool of benchmark circuits.
 	Workload = workload.Workload
-	// Topology is a weighted undirected graph of quantum links.
+	// Topology is an immutable weighted undirected graph of quantum
+	// links, so nothing a Cloud derives from it can go stale.
 	Topology = graph.Graph
 	// FidelityModel extends Model with link fidelity and purification.
 	FidelityModel = epr.FidelityModel

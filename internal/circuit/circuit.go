@@ -120,13 +120,13 @@ func (c *Circuit) gateCounts() gateCounts {
 // are qubits, edge weight D_ij counts two-qubit gates between qubits i
 // and j. This is the graph the placement stage partitions.
 func (c *Circuit) InteractionGraph() *graph.Graph {
-	g := graph.New(c.numQubits)
+	edges := make([]graph.Edge, 0, c.TwoQubitGateCount())
 	for _, gt := range c.gates {
 		if gt.Kind == Two {
-			g.AddEdge(gt.Qubits[0], gt.Qubits[1], 1)
+			edges = append(edges, graph.Edge{U: gt.Qubits[0], V: gt.Qubits[1], W: 1})
 		}
 	}
-	return g
+	return graph.Build(c.numQubits, edges)
 }
 
 // MeasureAll appends a measurement on every qubit.

@@ -229,12 +229,11 @@ func (c *Cloud) FreeSnapshot() []int {
 // the number of computing qubits into the edge weight"), so community
 // detection favors dense groups of QPUs with spare capacity.
 func (c *Cloud) CapacityGraph() *graph.Graph {
-	g := graph.New(c.topo.N())
-	for _, e := range c.topo.Edges() {
-		free := float64(c.qpus[e.U].FreeComputing() + c.qpus[e.V].FreeComputing())
-		g.AddEdge(e.U, e.V, 1+free)
+	edges := c.topo.Edges()
+	for i, e := range edges {
+		edges[i].W = 1 + float64(c.qpus[e.U].FreeComputing()+c.qpus[e.V].FreeComputing())
 	}
-	return g
+	return graph.Build(c.topo.N(), edges)
 }
 
 // Utilization returns the fraction of computing qubits currently

@@ -34,9 +34,7 @@ func TestPathMatchesBFS(t *testing.T) {
 
 // TestPathDisconnected: unreachable pairs return nil, like the BFS did.
 func TestPathDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	g := graph.Build(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	c := New(g, 5, 2)
 	if p := c.Path(0, 2); p != nil {
 		t.Fatalf("Path across components = %v, want nil", p)

@@ -14,24 +14,20 @@ import (
 
 // twoCliques builds two k-cliques joined by a single bridge.
 func twoCliques(k int) *graph.Graph {
-	g := graph.New(2 * k)
+	var edges []graph.Edge
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {
-			g.AddEdge(a, b, 1)
-			g.AddEdge(k+a, k+b, 1)
+			edges = append(edges, graph.Edge{U: a, V: b, W: 1}, graph.Edge{U: k + a, V: k + b, W: 1})
 		}
 	}
-	g.AddEdge(0, k, 1)
-	return g
+	return graph.Build(2*k, append(edges, graph.Edge{U: 0, V: k, W: 1}))
 }
 
 func TestModularityKnownValue(t *testing.T) {
 	// Two disjoint edges, each its own community:
 	// m = 2, each community: internal 2*1/4 = 0.5, (deg 2/4)^2 = 0.25.
 	// Q = 2 * (0.5 - 0.25) = 0.5.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	g := graph.Build(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	q := Modularity(g, []int{0, 0, 1, 1})
 	if math.Abs(q-0.5) > 1e-12 {
 		t.Fatalf("Q = %v, want 0.5", q)
@@ -48,7 +44,7 @@ func TestModularityAllOneCommunity(t *testing.T) {
 }
 
 func TestModularityEdgeless(t *testing.T) {
-	g := graph.New(5)
+	g := graph.Build(5, nil)
 	if q := Modularity(g, []int{0, 1, 2, 3, 4}); q != 0 {
 		t.Fatalf("Q(edgeless) = %v, want 0", q)
 	}
@@ -77,11 +73,7 @@ func TestDetectTwoCliques(t *testing.T) {
 func TestDetectRespectsWeights(t *testing.T) {
 	// A 4-cycle with two heavy opposite edges: communities follow the
 	// heavy edges.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(2, 3, 10)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 0, 1)
+	g := graph.Build(4, []graph.Edge{{U: 0, V: 1, W: 10}, {U: 2, V: 3, W: 10}, {U: 1, V: 2, W: 1}, {U: 3, V: 0, W: 1}})
 	c := Detect(g)
 	if c.Assign[0] != c.Assign[1] || c.Assign[2] != c.Assign[3] || c.Assign[0] == c.Assign[2] {
 		t.Fatalf("weighted communities wrong: %v", c.Assign)
@@ -89,7 +81,7 @@ func TestDetectRespectsWeights(t *testing.T) {
 }
 
 func TestDetectEdgeless(t *testing.T) {
-	g := graph.New(3)
+	g := graph.Build(3, nil)
 	c := Detect(g)
 	if len(c.Groups) != 3 {
 		t.Fatalf("edgeless graph should yield singleton communities, got %v", c.Groups)
@@ -97,7 +89,7 @@ func TestDetectEdgeless(t *testing.T) {
 }
 
 func TestDetectEmptyGraph(t *testing.T) {
-	c := Detect(graph.New(0))
+	c := Detect(graph.Build(0, nil))
 	if len(c.Groups) != 0 || len(c.Assign) != 0 {
 		t.Fatalf("empty graph result: %+v", c)
 	}
@@ -108,7 +100,7 @@ func TestDetectEmptyGraph(t *testing.T) {
 // may be disconnected.
 func randomWeighted(n int, p float64, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
+	var edges []graph.Edge
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
@@ -116,11 +108,11 @@ func randomWeighted(n int, p float64, seed int64) *graph.Graph {
 				if rng.Intn(10) > 0 {
 					w = rng.Float64() * 40
 				}
-				g.AddEdge(u, v, w)
+				edges = append(edges, graph.Edge{U: u, V: v, W: w})
 			}
 		}
 	}
-	return g
+	return graph.Build(n, edges)
 }
 
 // TestDetectDeterminism: repeated detection on one graph gives the same
@@ -170,7 +162,7 @@ func TestDetectMatchesMapReference(t *testing.T) {
 		}
 		graphs = append(graphs, cl.CapacityGraph(), randomWeighted(4+int(seed)%17, 0.15, seed))
 	}
-	graphs = append(graphs, graph.New(1), graph.New(7), twoCliques(5))
+	graphs = append(graphs, graph.Build(1, nil), graph.Build(7, nil), twoCliques(5))
 	for i, g := range graphs {
 		got, want := Detect(g), detectMapReference(g)
 		if !slices.Equal(got.Assign, want.Assign) {

@@ -161,7 +161,7 @@ func ParseMode(s string) (Mode, error) {
 type Config struct {
 	// Cloud is the shared QPU cluster. Run mutates its reservations.
 	Cloud *cloud.Cloud
-	// Placer decides qubit→QPU assignments (default: CloudQC placement).
+	// Placer decides qubit→QPU assignments (default: CloudQC with Model).
 	Placer place.Placer
 	// Policy divides communication qubits each round (default CloudQC).
 	Policy sched.Policy
@@ -383,9 +383,6 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 	if cfg.Cloud == nil {
 		return nil, errors.New("core: Config.Cloud is required")
 	}
-	if cfg.Placer == nil {
-		cfg.Placer = place.NewCloudQC(place.DefaultConfig())
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = sched.CloudQCPolicy{}
 	}
@@ -398,6 +395,11 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Placer == nil {
+		pc := place.DefaultConfig()
+		pc.Model = cfg.Model
+		cfg.Placer = place.NewCloudQC(pc)
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = BatchMode

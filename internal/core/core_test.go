@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -697,4 +698,34 @@ func (p *keyCheckingPolicy) Allocate(reqs []sched.Request, budget []int, rng *ra
 	}
 	p.maxJobs = max(p.maxJobs, len(jobs))
 	return p.inner.Allocate(reqs, budget, rng)
+}
+
+// TestDefaultPlacerUsesModel: the placer NewLiveController supplies
+// scores remote latency with the controller's own EPR model. On the
+// empty test cloud qft_n160 places differently at p = 0.9 than at the
+// default 0.3, so the placement shows which model the placer holds.
+func TestDefaultPlacerUsesModel(t *testing.T) {
+	m := epr.DefaultModel()
+	m.SuccessProb = 0.9
+	ct := controller(t, Config{Model: m})
+	circ := qlib.MustBuild("qft_n160")
+	placeWith := func(p place.Placer) []int {
+		pl, err := p.Place(testCloud(), circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl.QubitToQPU
+	}
+	at := func(prob float64) []int {
+		cfg := place.DefaultConfig()
+		cfg.Model.SuccessProb = prob
+		return placeWith(place.NewCloudQC(cfg))
+	}
+	want := at(0.9)
+	if slices.Equal(want, at(0.3)) {
+		t.Fatal("qft_n160 places the same at p = 0.9 and 0.3: the test cannot tell them apart")
+	}
+	if got := placeWith(ct.cfg.Placer); !slices.Equal(got, want) {
+		t.Fatalf("default placer put qft_n160 at %v, want the p = 0.9 placement %v", got, want)
+	}
 }

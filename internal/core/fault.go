@@ -431,11 +431,9 @@ func (lc *LiveController) faultRetryPass(t float64, grants []int) {
 // break as in the cloud's precomputed trees. Returns nil when the dead
 // edges disconnect the endpoints.
 func (lc *LiveController) routeAround(path []int) []int {
-	topo := lc.cfg.Cloud.Topology().Clone()
-	for e, p := range lc.faults.scale {
-		if p == 0 {
-			topo.SetEdge(e[0], e[1], 0)
-		}
-	}
+	topo := lc.cfg.Cloud.Topology().Without(func(u, v int) bool {
+		p, ok := lc.faults.scale[edgeKey(u, v)]
+		return ok && p == 0
+	})
 	return topo.ShortestPath(path[0], path[len(path)-1])
 }

@@ -26,13 +26,13 @@ func faultCloud() *cloud.Cloud { return cloud.NewRandom(7, 0.3, 20, 5, 1) }
 // live relay between any pair — every dead shortest path has exactly
 // one detour, through the hub.
 func k4Cloud() *cloud.Cloud {
-	g := graph.New(4)
+	var edges []graph.Edge
 	for u := 0; u < 4; u++ {
 		for v := u + 1; v < 4; v++ {
-			g.AddEdge(u, v, 1)
+			edges = append(edges, graph.Edge{U: u, V: v, W: 1})
 		}
 	}
-	return cloud.New(g, 20, 5)
+	return cloud.New(graph.Build(4, edges), 20, 5)
 }
 
 // deadTriangle kills the three edges among QPUs {0,1,2} for the whole

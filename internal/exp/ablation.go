@@ -37,14 +37,11 @@ func AblationImbalance(o Options, circuitName string) (SweepSeries, error) {
 	alphas := place.DefaultConfig().ImbalanceFactors
 	configs := make([]place.Config, 0, len(alphas)+1)
 	for _, alpha := range alphas {
-		cfg := place.DefaultConfig()
+		cfg := o.placeConfig(o.Seed)
 		cfg.ImbalanceFactors = []float64{alpha}
-		cfg.Seed = o.Seed
 		configs = append(configs, cfg)
 	}
-	full := place.DefaultConfig()
-	full.Seed = o.Seed
-	configs = append(configs, full)
+	configs = append(configs, o.placeConfig(o.Seed))
 	costs, err := runIndexed(o.workers(), len(configs), func(i int) (float64, error) {
 		cl := cloud.New(topo, o.Computing, o.Comm)
 		pl, err := place.NewCloudQC(configs[i]).Place(cl, c)

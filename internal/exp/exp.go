@@ -21,6 +21,7 @@ import (
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/epr"
 	"cloudqc/internal/graph"
+	"cloudqc/internal/place"
 	"cloudqc/internal/stats"
 )
 
@@ -86,6 +87,15 @@ func (o Options) model() epr.Model {
 	m := epr.DefaultModel()
 	m.SuccessProb = o.EPRProb
 	return m
+}
+
+// placeConfig returns the default CloudQC placer configuration, seeded,
+// scoring remote latency with the options' EPR model.
+func (o Options) placeConfig(seed int64) place.Config {
+	cfg := place.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Model = o.model()
+	return cfg
 }
 
 // TableI renders the operation latency table (paper Table I).

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"cloudqc/internal/place"
+	"cloudqc/internal/qlib"
 	"cloudqc/internal/workload"
 )
 
@@ -287,5 +290,50 @@ func TestRenderSweepLayout(t *testing.T) {
 	}
 	if RenderSweep("x", nil) != "" {
 		t.Fatal("empty series should render empty")
+	}
+}
+
+// TestPlacersUseOptionsModel: the CloudQC placers the experiments build
+// score remote latency with the options' EPR model, the one their
+// controllers run. On the options' empty cloud qft_n160 places
+// differently at p = 0.9 than at the default 0.3.
+func TestPlacersUseOptionsModel(t *testing.T) {
+	o := Defaults()
+	o.EPRProb = 0.9
+	circ := qlib.MustBuild("qft_n160")
+	placeWith := func(p place.Placer) []int {
+		pl, err := p.Place(o.cloudFor(), circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl.QubitToQPU
+	}
+	at := func(prob float64) []int {
+		cfg := place.DefaultConfig()
+		cfg.Seed = o.Seed
+		cfg.Model.SuccessProb = prob
+		return placeWith(place.NewCloudQC(cfg))
+	}
+	want := at(0.9)
+	if slices.Equal(want, at(0.3)) {
+		t.Fatal("qft_n160 places the same at p = 0.9 and 0.3: the test cannot tell them apart")
+	}
+	mc, err := methodConfig("CloudQC", o, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := newSchedFixture(o, "qft_n160")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]int{
+		"baseConfig":      placeWith(o.baseConfig(o.Seed).Placer),
+		"methodConfig":    placeWith(mc.Placer),
+		"placersFor":      placeWith(placersFor(o)[4]),
+		"newSchedFixture": fx.assign,
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s placed qft_n160 at %v, want the p = 0.9 placement %v", name, got, want)
+		}
 	}
 }

@@ -90,11 +90,9 @@ func Federation(o Options, shardCounts []int, jobsPerTenant int, mode core.Mode)
 		if err != nil {
 			return runRep{}, err
 		}
-		pCfg := place.DefaultConfig()
-		pCfg.Seed = seed
 		f, err := fed.New(fed.Config{
 			Shard: core.Config{
-				Placer: place.NewCloudQC(pCfg),
+				Placer: place.NewCloudQC(o.placeConfig(seed)),
 				Model:  o.model(),
 				Mode:   mode,
 				Seed:   seed,

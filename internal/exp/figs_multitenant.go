@@ -68,8 +68,7 @@ func MultiTenantCDF(o Options, w workload.Workload, batches, batchSize int) ([]C
 }
 
 func methodConfig(method string, o Options, seed int64) (core.Config, error) {
-	pCfg := place.DefaultConfig()
-	pCfg.Seed = seed
+	pCfg := o.placeConfig(seed)
 	cfg := core.Config{
 		Cloud:  o.cloudFor(),
 		Policy: sched.CloudQCPolicy{},

@@ -50,9 +50,7 @@ func newSchedFixture(o Options, circuitName string) (*schedFixture, error) {
 	}
 	topo := graph.Random(o.QPUs, o.EdgeProb, o.Seed)
 	cl := cloud.New(topo, o.Computing, o.Comm)
-	cfg := place.DefaultConfig()
-	cfg.Seed = o.Seed
-	pl, err := place.NewCloudQC(cfg).Place(cl, c)
+	pl, err := place.NewCloudQC(o.placeConfig(o.Seed)).Place(cl, c)
 	if err != nil {
 		return nil, fmt.Errorf("sched fixture: placing %s: %w", circuitName, err)
 	}

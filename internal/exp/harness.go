@@ -138,9 +138,7 @@ func runGrid(o Options, g grid, task func(c cell, rep int) (runRep, error)) ([]r
 // from: the options' cloud and EPR model, and a CloudQC placer seeded
 // like the run.
 func (o Options) baseConfig(seed int64) core.Config {
-	pCfg := place.DefaultConfig()
-	pCfg.Seed = seed
-	return core.Config{Cloud: o.cloudFor(), Placer: place.NewCloudQC(pCfg), Model: o.model(), Seed: seed}
+	return core.Config{Cloud: o.cloudFor(), Placer: place.NewCloudQC(o.placeConfig(seed)), Model: o.model(), Seed: seed}
 }
 
 // runController runs jobs through a fresh controller built from cfg and

@@ -78,17 +78,14 @@ type Table3Row struct {
 
 // placersFor constructs the five Table III placement algorithms.
 func placersFor(o Options) []place.Placer {
-	bfsCfg := place.DefaultConfig()
+	bfsCfg := o.placeConfig(o.Seed)
 	bfsCfg.UseBFS = true
-	bfsCfg.Seed = o.Seed
-	cqCfg := place.DefaultConfig()
-	cqCfg.Seed = o.Seed
 	return []place.Placer{
 		place.NewAnnealer(o.Seed),
 		place.NewRandom(o.Seed),
 		place.NewGenetic(o.Seed),
 		place.NewCloudQC(bfsCfg),
-		place.NewCloudQC(cqCfg),
+		place.NewCloudQC(o.placeConfig(o.Seed)),
 	}
 }
 

@@ -56,9 +56,7 @@ func TeleportComparison(o Options, circuits []string) ([]TeleportRow, error) {
 		if err != nil {
 			return teleportPlans{}, err
 		}
-		cfg := place.DefaultConfig()
-		cfg.Seed = o.Seed
-		pl, err := place.NewCloudQC(cfg).Place(cloud.New(topo, o.Computing, o.Comm), c)
+		pl, err := place.NewCloudQC(o.placeConfig(o.Seed)).Place(cloud.New(topo, o.Computing, o.Comm), c)
 		if err != nil {
 			return teleportPlans{}, fmt.Errorf("teleport comparison: placing %s: %w", circuits[ci], err)
 		}

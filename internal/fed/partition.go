@@ -38,20 +38,18 @@ func PartitionClouds(topo *graph.Graph, n, computing, comm int, imbalance float6
 				p, topo.N(), n)
 		}
 		sub, _ := topo.Subgraph(verts)
-		if !sub.Connected() {
-			bridge(sub)
-		}
-		clouds[p] = cloud.New(sub, computing, comm)
+		clouds[p] = cloud.New(bridge(sub), computing, comm)
 	}
 	return clouds, nil
 }
 
-// bridge connects a disconnected subgraph by chaining each component's
-// lowest-index vertex to the next component's with a unit-weight edge
-// — the minimal, deterministic repair.
-func bridge(g *graph.Graph) {
-	comps := g.Components()
+// bridge returns a connected copy of g: each component's lowest-index
+// vertex is chained to the next component's with a unit-weight edge —
+// the minimal, deterministic repair.
+func bridge(g *graph.Graph) *graph.Graph {
+	comps, edges := g.Components(), g.Edges()
 	for i := 1; i < len(comps); i++ {
-		g.AddEdge(comps[i-1][0], comps[i][0], 1)
+		edges = append(edges, graph.Edge{U: comps[i-1][0], V: comps[i][0], W: 1})
 	}
+	return graph.Build(g.N(), edges)
 }

@@ -13,10 +13,7 @@ func TestCenterPath(t *testing.T) {
 }
 
 func TestCenterStar(t *testing.T) {
-	g := New(5)
-	for i := 1; i < 5; i++ {
-		g.AddEdge(0, i, 1)
-	}
+	g := Build(5, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}})
 	if c := g.Center(); c != 0 {
 		t.Fatalf("Center(star) = %d, want hub 0", c)
 	}
@@ -25,15 +22,14 @@ func TestCenterStar(t *testing.T) {
 func TestCenterTieBreakByDegreeWeight(t *testing.T) {
 	// 4-cycle: all vertices have eccentricity 2. Boost vertex 3's weighted
 	// degree; it should win the tie.
-	g := Ring(4)
-	g.SetEdge(3, 0, 10)
+	g := Build(4, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 0, 10}})
 	if c := g.Center(); c != 3 && c != 0 {
 		t.Fatalf("Center = %d, want 0 or 3 (highest weighted degree)", c)
 	}
 }
 
 func TestCenterSingleton(t *testing.T) {
-	if c := New(1).Center(); c != 0 {
+	if c := Build(1, nil).Center(); c != 0 {
 		t.Fatalf("Center(singleton) = %d, want 0", c)
 	}
 }
@@ -44,7 +40,7 @@ func TestCenterEmptyPanics(t *testing.T) {
 			t.Fatal("Center of empty graph should panic")
 		}
 	}()
-	New(0).Center()
+	Build(0, nil).Center()
 }
 
 func TestKClosestPath(t *testing.T) {
@@ -62,8 +58,7 @@ func TestKClosestPath(t *testing.T) {
 }
 
 func TestKClosestClampsToReachable(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
+	g := Build(5, []Edge{{0, 1, 1}})
 	got := g.KClosest(0, 10)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("KClosest = %v, want [1]", got)

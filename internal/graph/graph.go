@@ -3,23 +3,24 @@
 // partition graphs exchanged between the placement stages.
 //
 // Vertices are dense integers in [0, N). Edge weights are float64 and
-// symmetric. The zero value of Graph is not usable; construct with New.
+// symmetric. A graph is immutable: it is built once, from an edge list
+// (Build) or a dense weight matrix (FromMatrix), so any number of
+// goroutines may share it. The zero value of Graph is not usable.
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 )
 
-// Graph is a weighted undirected graph over vertices 0..N-1.
-// Parallel edges are merged by summing weights. Self-loops are rejected.
+// Graph is an immutable weighted undirected graph over vertices 0..N-1.
+// Self-loops are rejected.
 //
-// Each vertex stores its adjacency list sorted by neighbour index, kept
-// sorted by every mutation. Traversals walk it in place, so they visit
-// neighbours in ascending order without sorting or allocating per
-// vertex, and a graph that is no longer mutated (a cloud topology) can
-// be read from many goroutines at once.
+// Each vertex stores its adjacency list sorted by neighbour index.
+// Traversals walk it in place, so they visit neighbours in ascending
+// order without sorting or allocating per vertex.
 type Graph struct {
 	n   int
 	adj [][]Arc
@@ -32,20 +33,71 @@ type Arc struct {
 	W  float64
 }
 
-// New returns an empty graph with n vertices and no edges.
-func New(n int) *Graph {
+// Edge is one undirected edge {U, V} of weight W.
+type Edge struct {
+	U, V int
+	W    float64
+}
+
+// Build returns the graph on n vertices with the given edges. Parallel
+// edges are merged: their weights are summed in input order, starting
+// from 0. A listed pair keeps its edge even when its weights sum to 0.
+// A negative n, an out-of-range endpoint or a self-loop panics: each
+// indicates a programming error in the caller, not a recoverable
+// condition. No sort runs over all half-edges: a counting pass buckets
+// them by endpoint, and each bucket is merged and sorted on its own.
+func Build(n int, edges []Edge) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Graph{n: n, adj: make([][]Arc, n)}
+	g, off := &Graph{n: n, adj: make([][]Arc, n)}, make([]int, n+1)
+	for _, e := range edges {
+		g.checkPair(e.U, e.V)
+		off[e.U]++
+		off[e.V]++
+	}
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	// Filling backwards keeps each bucket in input order and leaves
+	// half[off[u]:off[u+1]] as u's bucket.
+	half := make([]Arc, off[n])
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		off[e.U]--
+		half[off[e.U]] = Arc{To: e.V, W: e.W}
+		off[e.V]--
+		half[off[e.V]] = Arc{To: e.U, W: e.W}
+	}
+	// Merge each bucket in place into u's list half[lo:out]. out never
+	// passes the read position, and slot[v] holds where v's arc went in
+	// the latest list to meet it, so slot[v] >= lo marks v as in u's.
+	slot, out := make([]int, n), 0
+	for i := range slot {
+		slot[i] = -1
+	}
+	for u := 0; u < n; u++ {
+		lo := out
+		for _, a := range half[off[u]:off[u+1]] {
+			if s := slot[a.To]; s >= lo {
+				half[s].W += a.W
+				continue
+			}
+			slot[a.To] = out
+			half[out] = Arc{To: a.To}
+			half[out].W += a.W // from 0, like every later weight
+			out++
+		}
+		g.adj[u] = half[lo:out:out]
+		slices.SortFunc(g.adj[u], func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
+	}
+	return g
 }
 
 // FromMatrix returns the graph on n vertices whose edge {u, v} weighs
 // w[u*n+v], with an edge for every nonzero entry. w must be symmetric
 // with a zero diagonal. The adjacency lists are filled in ascending
-// order into one backing array, with none of AddEdge's sorted inserts,
-// and each list is capped at its own length, so mutating the graph
-// later reallocates a list instead of overwriting the next one.
+// order into one backing array.
 func FromMatrix(n int, w []float64) *Graph {
 	if len(w) != n*n {
 		panic(fmt.Sprintf("graph: %d matrix entries for %d vertices", len(w), n))
@@ -56,7 +108,7 @@ func FromMatrix(n int, w []float64) *Graph {
 			arcs++
 		}
 	}
-	g, all := New(n), make([]Arc, 0, arcs)
+	g, all := &Graph{n: n, adj: make([][]Arc, n)}, make([]Arc, 0, arcs)
 	for u := 0; u < n; u++ {
 		lo := len(all)
 		for v, x := range w[u*n : (u+1)*n] {
@@ -67,6 +119,25 @@ func FromMatrix(n int, w []float64) *Graph {
 		g.adj[u] = all[lo:len(all):len(all)]
 	}
 	return g
+}
+
+// Without returns a copy of g without the edges {u, v} for which
+// drop(u, v) reports true. drop is asked with u < v, once for each half
+// of an edge, so it must give the same answer for the same pair. g is
+// unchanged.
+func (g *Graph) Without(drop func(u, v int) bool) *Graph {
+	all := make([]Arc, 0, 2*g.NumEdges())
+	c := &Graph{n: g.n, adj: make([][]Arc, g.n)}
+	for u, as := range g.adj {
+		lo := len(all)
+		for _, a := range as {
+			if !drop(min(u, a.To), max(u, a.To)) {
+				all = append(all, a)
+			}
+		}
+		c.adj[u] = all[lo:len(all):len(all)]
+	}
+	return c
 }
 
 // N returns the number of vertices.
@@ -86,45 +157,6 @@ func (g *Graph) find(u, v int) (int, bool) {
 		}
 	}
 	return lo, lo < len(as) && as[lo].To == v
-}
-
-// arc returns u's entry for v, inserting a zero-weight one if absent.
-// The pointer is valid until the next insertion or removal.
-func (g *Graph) arc(u, v int) *Arc {
-	i, ok := g.find(u, v)
-	if !ok {
-		g.adj[u] = slices.Insert(g.adj[u], i, Arc{To: v})
-	}
-	return &g.adj[u][i]
-}
-
-// remove drops the half-edge u→v if present.
-func (g *Graph) remove(u, v int) {
-	if i, ok := g.find(u, v); ok {
-		g.adj[u] = slices.Delete(g.adj[u], i, i+1)
-	}
-}
-
-// AddEdge adds weight w to the edge {u, v}, creating it if absent.
-// Adding a self-loop or an out-of-range endpoint panics: both indicate a
-// programming error in the caller, not a recoverable condition.
-func (g *Graph) AddEdge(u, v int, w float64) {
-	g.checkPair(u, v)
-	g.arc(u, v).W += w
-	g.arc(v, u).W += w
-}
-
-// SetEdge sets the weight of edge {u, v}, overwriting any previous weight.
-// A weight of 0 removes the edge.
-func (g *Graph) SetEdge(u, v int, w float64) {
-	g.checkPair(u, v)
-	if w == 0 {
-		g.remove(u, v)
-		g.remove(v, u)
-		return
-	}
-	g.arc(u, v).W = w
-	g.arc(v, u).W = w
 }
 
 // Weight returns the weight of edge {u, v}, or 0 if the edge is absent.
@@ -161,31 +193,11 @@ func (g *Graph) WeightedDegree(u int) float64 {
 	return s
 }
 
-// Neighbors returns the neighbors of u in ascending order. The returned
-// slice is a fresh copy that the graph never touches again: callers may
-// modify it, and may mutate the graph (say, SetEdge(u, nb, 0) for every
-// nb) while ranging over it. Read-only loops that want no copy use Arcs.
-func (g *Graph) Neighbors(u int) []int {
-	g.check(u)
-	ns := make([]int, len(g.adj[u]))
-	for i, a := range g.adj[u] {
-		ns[i] = a.To
-	}
-	return ns
-}
-
 // Arcs returns u's adjacency list in ascending neighbour order. The
-// slice is the graph's own storage: callers must not modify it, and it
-// is valid only until the graph is next mutated.
+// slice is the graph's own storage: callers must not modify it.
 func (g *Graph) Arcs(u int) []Arc {
 	g.check(u)
 	return g.adj[u]
-}
-
-// Edge is one undirected edge with U < V.
-type Edge struct {
-	U, V int
-	W    float64
 }
 
 // Edges returns all edges sorted by (U, V). Each undirected edge appears
@@ -224,15 +236,6 @@ func (g *Graph) TotalWeight() float64 {
 	return s
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u, as := range g.adj {
-		c.adj[u] = slices.Clone(as)
-	}
-	return c
-}
-
 // Subgraph returns the induced subgraph on the given vertices along with
 // the mapping from new vertex index to original vertex. Duplicate vertices
 // in the input are ignored.
@@ -250,7 +253,7 @@ func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
 	for i, v := range keep {
 		index[v] = i
 	}
-	sub := New(len(keep))
+	sub := &Graph{n: len(keep), adj: make([][]Arc, len(keep))}
 	for i, v := range keep {
 		// Ascending originals map to ascending new indices, so each
 		// list comes out sorted.

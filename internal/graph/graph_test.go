@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewEmpty(t *testing.T) {
-	g := New(5)
+	g := Build(5, nil)
 	if g.N() != 5 {
 		t.Fatalf("N() = %d, want 5", g.N())
 	}
@@ -20,10 +20,10 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
-func TestAddEdgeAccumulates(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 0, 3)
+// TestBuildSumsParallelEdges: parallel edges, in either orientation,
+// merge into one edge whose weight is their sum.
+func TestBuildSumsParallelEdges(t *testing.T) {
+	g := Build(3, []Edge{{0, 1, 2}, {1, 0, 3}})
 	if w := g.Weight(0, 1); w != 5 {
 		t.Fatalf("Weight(0,1) = %v, want 5", w)
 	}
@@ -35,61 +35,57 @@ func TestAddEdgeAccumulates(t *testing.T) {
 	}
 }
 
-func TestSetEdgeOverwritesAndRemoves(t *testing.T) {
-	g := New(3)
-	g.SetEdge(0, 2, 4)
-	if w := g.Weight(0, 2); w != 4 {
-		t.Fatalf("Weight = %v, want 4", w)
-	}
-	g.SetEdge(0, 2, 7)
-	if w := g.Weight(0, 2); w != 7 {
-		t.Fatalf("Weight after overwrite = %v, want 7", w)
-	}
-	g.SetEdge(0, 2, 0)
-	if g.HasEdge(0, 2) {
-		t.Fatal("edge should be removed by SetEdge(..., 0)")
+// TestBuildKeepsZeroWeightEdges: a listed pair is an edge even when its
+// weights sum to zero.
+func TestBuildKeepsZeroWeightEdges(t *testing.T) {
+	g := Build(3, []Edge{{0, 1, 0}, {1, 2, 1}, {2, 1, -1}})
+	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) || g.NumEdges() != 2 {
+		t.Fatalf("edges %v, want {0,1} and {1,2} at weight 0", g.Edges())
 	}
 }
 
 func TestSelfLoopPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AddEdge self-loop should panic")
+			t.Fatal("Build with a self-loop should panic")
 		}
 	}()
-	New(2).AddEdge(1, 1, 1)
+	Build(2, []Edge{{0, 1, 1}, {1, 1, 1}})
 }
 
 func TestOutOfRangePanics(t *testing.T) {
+	for _, e := range []Edge{{0, 2, 1}, {2, 0, 1}, {-1, 0, 1}, {0, -1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Build(2) with edge %v should panic", e)
+				}
+			}()
+			Build(2, []Edge{e})
+		}()
+	}
+}
+
+func TestNegativeVertexCountPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-range vertex should panic")
+			t.Fatal("Build with a negative vertex count should panic")
 		}
 	}()
-	New(2).AddEdge(0, 2, 1)
+	Build(-1, nil)
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := New(5)
-	g.AddEdge(2, 4, 1)
-	g.AddEdge(2, 0, 1)
-	g.AddEdge(2, 3, 1)
-	got := g.Neighbors(2)
-	want := []int{0, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Neighbors = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Neighbors = %v, want %v", got, want)
-		}
+	g := Build(5, []Edge{{2, 4, 1}, {2, 0, 1}, {2, 3, 1}})
+	got := g.Arcs(2)
+	want := []Arc{{0, 1}, {3, 1}, {4, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Arcs = %v, want %v", got, want)
 	}
 }
 
 func TestEdgesCanonical(t *testing.T) {
-	g := New(4)
-	g.AddEdge(3, 1, 2)
-	g.AddEdge(0, 2, 1)
+	g := Build(4, []Edge{{3, 1, 2}, {0, 2, 1}})
 	es := g.Edges()
 	if len(es) != 2 {
 		t.Fatalf("len(Edges) = %d, want 2", len(es))
@@ -99,49 +95,43 @@ func TestEdgesCanonical(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	c := g.Clone()
-	c.AddEdge(1, 2, 5)
-	if g.HasEdge(1, 2) {
-		t.Fatal("mutating clone affected original")
+// TestWithoutLeavesReceiverUntouched: Without returns a filtered copy
+// and the graph it was called on keeps every edge.
+func TestWithoutLeavesReceiverUntouched(t *testing.T) {
+	g := Ring(4)
+	c := g.Without(func(u, v int) bool { return u == 0 })
+	if c.HasEdge(0, 1) || c.HasEdge(0, 3) || c.NumEdges() != 2 {
+		t.Fatalf("Without kept %v, want the edges {1,2} and {2,3}", c.Edges())
 	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("clone missing original edge")
+	if !slices.Equal(g.Edges(), Ring(4).Edges()) {
+		t.Fatalf("Without changed its receiver to %v", g.Edges())
 	}
 }
 
-// TestFromMatrixMatchesAddEdge: a graph built from a weight matrix has
-// the same adjacency lists, arc for arc, as one built by AddEdge from
-// the same pairs, and a later AddEdge on one vertex leaves its
-// neighbour's list in the shared backing array intact.
-func TestFromMatrixMatchesAddEdge(t *testing.T) {
+// TestFromMatrixMatchesBuild: a graph built from a weight matrix has
+// the same adjacency lists, arc for arc and bit for bit, as one Build
+// makes from the same pairs in the same order, each capped at its own
+// length.
+func TestFromMatrixMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(12)
-		want, w := New(n), make([]float64, n*n)
+		var edges []Edge
+		w := make([]float64, n*n)
 		for i := rng.Intn(3 * n); i > 0; i-- {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
 			x := 0.1 * float64(1+rng.Intn(9))
-			want.AddEdge(u, v, x)
+			edges = append(edges, Edge{U: u, V: v, W: x})
 			w[u*n+v] += x
 			w[v*n+u] += x
 		}
-		got := FromMatrix(n, w)
+		got, want := FromMatrix(n, w), Build(n, edges)
 		for u := 0; u < n; u++ {
-			if !slices.Equal(got.Arcs(u), want.Arcs(u)) {
-				t.Fatalf("trial %d vertex %d: arcs %v, AddEdge gave %v", trial, u, got.Arcs(u), want.Arcs(u))
-			}
-		}
-		if n >= 3 {
-			row1 := slices.Clone(got.Arcs(1))
-			got.AddEdge(0, n-1, 1)
-			if !slices.Equal(got.Arcs(1), row1) {
-				t.Fatalf("trial %d: AddEdge(0, %d) changed vertex 1's arcs to %v from %v", trial, n-1, got.Arcs(1), row1)
+			if as := got.Arcs(u); !slices.Equal(as, want.Arcs(u)) || cap(as) != len(as) {
+				t.Fatalf("trial %d vertex %d: arcs %v (cap %d), Build gave %v", trial, u, as, cap(as), want.Arcs(u))
 			}
 		}
 	}
@@ -163,9 +153,7 @@ func TestSubgraph(t *testing.T) {
 }
 
 func TestWeightedDegree(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1.5)
-	g.AddEdge(0, 2, 2.5)
+	g := Build(4, []Edge{{0, 1, 1.5}, {0, 2, 2.5}})
 	if d := g.WeightedDegree(0); d != 4 {
 		t.Fatalf("WeightedDegree(0) = %v, want 4", d)
 	}
@@ -175,9 +163,7 @@ func TestWeightedDegree(t *testing.T) {
 }
 
 func TestTotalWeight(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3)
+	g := Build(3, []Edge{{0, 1, 2}, {1, 2, 3}})
 	if tw := g.TotalWeight(); tw != 5 {
 		t.Fatalf("TotalWeight = %v, want 5", tw)
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,8 +11,30 @@ import (
 
 // refGraph is a naive map-of-maps graph with the textbook traversals,
 // kept as the oracle for the sorted-adjacency Graph: every answer of
-// Graph must equal refGraph's on the same edit sequence.
+// Graph must equal refGraph's on the same edge multiset. It sums
+// parallel edges with r[u][v] += w in input order, which fixes the
+// bits Build must produce.
 type refGraph []map[int]float64
+
+func newRef(n int, edges []Edge) refGraph {
+	r := make(refGraph, n)
+	for i := range r {
+		r[i] = map[int]float64{}
+	}
+	for _, e := range edges {
+		r[e.U][e.V] += e.W
+		r[e.V][e.U] += e.W
+	}
+	return r
+}
+
+func (r refGraph) arcs(u int) []Arc {
+	as := make([]Arc, 0, len(r[u]))
+	for _, v := range r.neighbors(u) {
+		as = append(as, Arc{To: v, W: r[u][v]})
+	}
+	return as
+}
 
 func (r refGraph) neighbors(u int) []int {
 	ns := make([]int, 0, len(r[u]))
@@ -98,93 +121,125 @@ func (r refGraph) kClosest(v, k int) []int {
 	return cs[:min(k, len(cs))]
 }
 
-// randomEdits builds the same random graph in both representations:
-// AddEdge merges onto existing edges, SetEdge overwrites, and
-// SetEdge(…, 0) removals (some of absent edges).
-func randomEdits(seed int64) (*Graph, refGraph) {
+// randomMultigraph draws a seeded edge list on up to 14 vertices with
+// parallel edges, in either orientation, non-integer and zero weights,
+// and vertices that no edge touches.
+func randomMultigraph(seed int64) (int, []Edge) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 + rng.Intn(14)
-	g, r := New(n), make(refGraph, n)
-	for i := range r {
-		r[i] = map[int]float64{}
+	// Only the first m vertices carry edges; the rest stay isolated.
+	m := n - rng.Intn(3)
+	if m < 2 {
+		return n, nil
 	}
-	if n < 2 {
-		return g, r
-	}
-	for i, ops := 0, rng.Intn(4*n); i < ops; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
+	ws := []float64{0, 0.1, 0.2, 0.3, 0.7, 1.1, 2}
+	var edges []Edge
+	for i := rng.Intn(5 * m); i > 0; i-- {
+		u, v := rng.Intn(m), rng.Intn(m)
 		if u == v {
 			continue
 		}
-		w := float64(1 + rng.Intn(3))
-		switch rng.Intn(4) {
-		case 0, 1:
-			g.AddEdge(u, v, w)
-			r[u][v] += w
-			r[v][u] += w
-		case 2:
-			g.SetEdge(u, v, w)
-			r[u][v], r[v][u] = w, w
-		default:
-			g.SetEdge(u, v, 0)
-			delete(r[u], v)
-			delete(r[v], u)
+		edges = append(edges, Edge{U: u, V: v, W: ws[rng.Intn(len(ws))]})
+		if rng.Intn(4) == 0 { // repeat the pair, reversed
+			edges = append(edges, Edge{U: v, V: u, W: ws[rng.Intn(len(ws))]})
 		}
 	}
-	return g, r
+	return n, edges
 }
 
+// mismatch returns how g's answers differ from r's, or "" when every
+// one is equal: arcs (weights bit for bit), degrees, traversals,
+// shortest paths, k-closest sets, the center and the edge count.
+func mismatch(g *Graph, r refGraph) string {
+	n := g.N()
+	if n != len(r) {
+		return fmt.Sprintf("N %d, reference %d", n, len(r))
+	}
+	if n > 0 && g.Center() != r.center() {
+		return fmt.Sprintf("Center %d, reference %d", g.Center(), r.center())
+	}
+	edges := 0
+	for u := 0; u < n; u++ {
+		edges += len(r[u])
+		if as := g.Arcs(u); !slices.Equal(as, r.arcs(u)) || cap(as) != len(as) {
+			return fmt.Sprintf("arcs of %d: %v (cap %d), reference %v", u, as, cap(as), r.arcs(u))
+		}
+		if g.WeightedDegree(u) != r.weightedDegree(u) {
+			return fmt.Sprintf("weighted degree of %d differs", u)
+		}
+		order, dist, parent := r.bfs(u)
+		gd, gp := g.HopTree(u)
+		if !slices.Equal(g.BFSOrder(u), order) || !slices.Equal(g.HopDistances(u), dist) ||
+			!slices.Equal(gd, dist) || !slices.Equal(gp, parent) {
+			return fmt.Sprintf("BFS from %d differs", u)
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(g.ShortestPath(u, v), r.shortestPath(u, v)) {
+				return fmt.Sprintf("ShortestPath(%d, %d) differs", u, v)
+			}
+		}
+		for _, k := range []int{1, 3, n} {
+			if !slices.Equal(g.KClosest(u, k), r.kClosest(u, k)) {
+				return fmt.Sprintf("KClosest(%d, %d) differs", u, k)
+			}
+		}
+	}
+	if g.NumEdges() != edges/2 {
+		return fmt.Sprintf("NumEdges %d, reference %d", g.NumEdges(), edges/2)
+	}
+	return ""
+}
+
+// TestQuickMatchesReference: Build on a random multigraph answers as
+// the reference built from the same edge list.
 func TestQuickMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
-		g, r := randomEdits(seed)
-		n := g.N()
-		if g.Center() != r.center() {
-			t.Logf("seed %d: Center %d, reference %d", seed, g.Center(), r.center())
+		n, edges := randomMultigraph(seed)
+		if d := mismatch(Build(n, edges), newRef(n, edges)); d != "" {
+			t.Logf("seed %d: %s", seed, d)
 			return false
 		}
-		edges := 0
-		for u := 0; u < n; u++ {
-			edges += len(r[u])
-			if !slices.Equal(g.Neighbors(u), r.neighbors(u)) ||
-				g.WeightedDegree(u) != r.weightedDegree(u) {
-				t.Logf("seed %d: adjacency of %d differs", seed, u)
-				return false
-			}
-			order, dist, parent := r.bfs(u)
-			gd, gp := g.HopTree(u)
-			if !slices.Equal(g.BFSOrder(u), order) || !slices.Equal(g.HopDistances(u), dist) ||
-				!slices.Equal(gd, dist) || !slices.Equal(gp, parent) {
-				t.Logf("seed %d: BFS from %d differs", seed, u)
-				return false
-			}
-			for v := 0; v < n; v++ {
-				if !slices.Equal(g.ShortestPath(u, v), r.shortestPath(u, v)) {
-					t.Logf("seed %d: ShortestPath(%d, %d) differs", seed, u, v)
-					return false
-				}
-			}
-			for _, k := range []int{1, 3, n} {
-				if !slices.Equal(g.KClosest(u, k), r.kClosest(u, k)) {
-					t.Logf("seed %d: KClosest(%d, %d) differs", seed, u, k)
-					return false
-				}
-			}
-		}
-		return g.NumEdges() == edges/2
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestNeighborsCopyAllowsMutation: Neighbors returns a copy, so a loop
-// may detach a vertex while ranging over it (route's Yen spur loop does).
-func TestNeighborsCopyAllowsMutation(t *testing.T) {
-	g := Grid(3, 3)
-	for _, nb := range g.Neighbors(4) {
-		g.SetEdge(4, nb, 0)
+// TestQuickWithoutMatchesReference: Without drops exactly the pairs its
+// predicate names, as deleting them from the reference does, and leaves
+// its receiver as it was.
+func TestQuickWithoutMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		n, edges := randomMultigraph(seed)
+		g, r := Build(n, edges), newRef(n, edges)
+		before := g.Edges()
+		rng := rand.New(rand.NewSource(seed))
+		dropped := map[[2]int]bool{}
+		for _, e := range before {
+			if rng.Intn(3) == 0 {
+				dropped[[2]int{e.U, e.V}] = true
+				delete(r[e.U], e.V)
+				delete(r[e.V], e.U)
+			}
+		}
+		w := g.Without(func(u, v int) bool {
+			if u >= v {
+				t.Errorf("seed %d: drop asked about (%d, %d)", seed, u, v)
+			}
+			return dropped[[2]int{u, v}]
+		})
+		if d := mismatch(w, r); d != "" {
+			t.Logf("seed %d: %s", seed, d)
+			return false
+		}
+		if !slices.Equal(g.Edges(), before) {
+			t.Logf("seed %d: Without changed its receiver", seed)
+			return false
+		}
+		return true
 	}
-	if g.Degree(4) != 0 || g.NumEdges() != 8 {
-		t.Fatalf("after detaching the hub: degree %d, %d edges; want 0, 8", g.Degree(4), g.NumEdges())
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -39,8 +39,7 @@ func TestHopDistancesPath(t *testing.T) {
 }
 
 func TestHopDistancesUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
+	g := Build(3, []Edge{{0, 1, 1}})
 	d := g.HopDistances(0)
 	if d[2] != -1 {
 		t.Fatalf("dist to isolated vertex = %d, want -1", d[2])
@@ -72,9 +71,7 @@ func TestShortestPathSelf(t *testing.T) {
 }
 
 func TestShortestPathUnreachable(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	g := Build(4, []Edge{{0, 1, 1}, {2, 3, 1}})
 	if p := g.ShortestPath(0, 3); p != nil {
 		t.Fatalf("path across components = %v, want nil", p)
 	}
@@ -84,21 +81,17 @@ func TestConnected(t *testing.T) {
 	if !Path(5).Connected() {
 		t.Fatal("path should be connected")
 	}
-	g := New(4)
-	g.AddEdge(0, 1, 1)
+	g := Build(4, []Edge{{0, 1, 1}})
 	if g.Connected() {
 		t.Fatal("graph with isolated vertices should not be connected")
 	}
-	if !New(0).Connected() || !New(1).Connected() {
+	if !Build(0, nil).Connected() || !Build(1, nil).Connected() {
 		t.Fatal("empty and singleton graphs are connected by definition")
 	}
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 4, 1)
+	g := Build(6, []Edge{{0, 1, 1}, {2, 3, 1}, {3, 4, 1}})
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3: %v", len(comps), comps)

@@ -129,22 +129,22 @@ func (l *level) coarsen(seed int64, maxW int) *pass {
 		numCoarse++
 	}
 
-	coarse := graph.New(numCoarse)
 	weights := make([]int, numCoarse)
 	for v := 0; v < n; v++ {
 		weights[coarseMap[v]] += l.weights[v]
 	}
+	edges := make([]graph.Edge, 0, l.g.NumEdges())
 	for u := 0; u < n; u++ {
 		cu := coarseMap[u]
 		for _, nb := range l.g.Arcs(u) {
 			if u < nb.To {
 				if cv := coarseMap[nb.To]; cu != cv {
-					coarse.AddEdge(cu, cv, nb.W)
+					edges = append(edges, graph.Edge{U: cu, V: cv, W: nb.W})
 				}
 			}
 		}
 	}
-	p.coarseMap, p.child = coarseMap, &level{g: coarse, weights: weights}
+	p.coarseMap, p.child = coarseMap, &level{g: graph.Build(numCoarse, edges), weights: weights}
 	return p
 }
 

@@ -26,7 +26,7 @@ type sweepPoint struct {
 // edgeless graph on which no pass ever makes progress.
 func hierarchyGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	gs := map[string]*graph.Graph{"edgeless_n30": graph.New(30)}
+	gs := map[string]*graph.Graph{"edgeless_n30": graph.Build(30, nil)}
 	for _, name := range []string{"knn_n67", "bv_n70", "qugan_n71", "ising_n66"} {
 		c, err := qlib.Build(name)
 		if err != nil {

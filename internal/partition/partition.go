@@ -7,6 +7,9 @@
 // "Partitioning quantum circuit"), sweeping the imbalance factor to
 // produce candidate placements. The factor only sets the part-size cap
 // (Capacity), which is what a Hierarchy partitions at.
+//
+// Graphs are immutable, so a Hierarchy reads its input graph in place
+// and builds each coarse level once, with one graph.Build.
 package partition
 
 import (
@@ -82,8 +85,7 @@ type Hierarchy struct {
 }
 
 // NewHierarchy returns an empty hierarchy over g; levels are built as
-// Partition asks for them. g must not be mutated while the Hierarchy
-// is in use.
+// Partition asks for them.
 func NewHierarchy(g *graph.Graph, seed int64) *Hierarchy {
 	return &Hierarchy{root: newLevel(g), seed: seed}
 }

@@ -102,10 +102,11 @@ func TestPathGraphCutQuality(t *testing.T) {
 func TestChainWeightTwoCutQuality(t *testing.T) {
 	// Ising-style chain with weight-2 edges: 34 vertices, 2 parts.
 	// Optimal cut = 2 (one edge of weight 2).
-	g := graph.New(34)
+	var edges []graph.Edge
 	for i := 0; i+1 < 34; i++ {
-		g.AddEdge(i, i+1, 2)
+		edges = append(edges, graph.Edge{U: i, V: i + 1, W: 2})
 	}
+	g := graph.Build(34, edges)
 	res, err := KWay(g, 2, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -118,14 +119,13 @@ func TestChainWeightTwoCutQuality(t *testing.T) {
 func TestTwoCliquesSplitCleanly(t *testing.T) {
 	// Two 8-cliques joined by one bridge edge: the partitioner must find
 	// the bridge (cut = 1).
-	g := graph.New(16)
+	var edges []graph.Edge
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
-			g.AddEdge(a, b, 1)
-			g.AddEdge(8+a, 8+b, 1)
+			edges = append(edges, graph.Edge{U: a, V: b, W: 1}, graph.Edge{U: 8 + a, V: 8 + b, W: 1})
 		}
 	}
-	g.AddEdge(0, 8, 1)
+	g := graph.Build(16, append(edges, graph.Edge{U: 0, V: 8, W: 1}))
 	res, err := KWay(g, 2, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +236,11 @@ func TestDeterminism(t *testing.T) {
 func TestStarGraph(t *testing.T) {
 	// Star with 20 leaves, 2 parts: optimal cut keeps the hub with as
 	// many leaves as capacity allows; cut = leaves in the other part.
-	g := graph.New(21)
+	var edges []graph.Edge
 	for i := 1; i <= 20; i++ {
-		g.AddEdge(0, i, 1)
+		edges = append(edges, graph.Edge{U: 0, V: i, W: 1})
 	}
+	g := graph.Build(21, edges)
 	res, err := KWay(g, 2, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +270,7 @@ func TestGridCut(t *testing.T) {
 }
 
 func TestEdgelessGraph(t *testing.T) {
-	g := graph.New(10)
+	g := graph.Build(10, nil)
 	res, err := KWay(g, 3, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +329,8 @@ func TestQuickLocalOptimality(t *testing.T) {
 				continue
 			}
 			conn := make([]float64, 3)
-			for _, nb := range g.Neighbors(v) {
-				conn[res.Parts[nb]] += g.Weight(v, nb)
+			for _, nb := range g.Arcs(v) {
+				conn[res.Parts[nb.To]] += nb.W
 			}
 			for to := 0; to < 3; to++ {
 				if to == from || res.Sizes[to]+1 > cap {

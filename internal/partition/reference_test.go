@@ -192,11 +192,11 @@ func sweepCaps(n int) [][2]int {
 func reweighted(g *graph.Graph, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	ws := []float64{0.1, 0.2, 0.3, 0.7, 1.1}
-	out := graph.New(g.N())
-	for _, e := range g.Edges() {
-		out.AddEdge(e.U, e.V, ws[rng.Intn(len(ws))])
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].W = ws[rng.Intn(len(ws))]
 	}
-	return out
+	return graph.Build(g.N(), edges)
 }
 
 // TestPartitionMatchesReference: the frontier-driven initial partition

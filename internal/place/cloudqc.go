@@ -320,8 +320,8 @@ func (t *capacityTier) setFor(k int) int {
 // heaviest of those neighbors, is therefore fixed by the partition.
 //
 // The part graph's weights are summed into a dense k×k matrix in edge
-// order, as AddEdge would sum them, and the graph is built from it in
-// one pass. Interaction edges weigh at least one gate, so two parts
+// order, as graph.Build sums parallel edges, and the graph is built
+// from it in one pass. Interaction edges weigh at least one gate, so two parts
 // are adjacent exactly when their entry is nonzero.
 func newCandidate(edges []graph.Edge, res *partition.Result) *candidate {
 	k := res.K

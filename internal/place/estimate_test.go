@@ -87,10 +87,7 @@ func scanCircuits() []*circuit.Circuit {
 // edge 3–4, plus the isolated QPU 5: it has pairs at one and two hops
 // and unreachable pairs (Distance = −1).
 func twoIslands() *cloud.Cloud {
-	g := graph.New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g := graph.Build(6, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 3, V: 4, W: 1}})
 	return cloud.New(g, 20, 5)
 }
 
@@ -105,7 +102,7 @@ func TestEstimateTimeMatchesDAG(t *testing.T) {
 		cloud.NewRandom(4, 0.5, 20, 5, 1),
 		cloud.NewRandom(10, 0.3, 20, 5, 2),
 		cloud.NewRandom(20, 0.3, 20, 5, 3),
-		cloud.New(graph.New(6), 20, 5),
+		cloud.New(graph.Build(6, nil), 20, 5),
 		twoIslands(),
 	}
 	odd := epr.DefaultModel()

@@ -12,6 +12,18 @@ import (
 	"cloudqc/internal/qlib"
 )
 
+// partGraph builds the part interaction graph of res from the
+// circuit's interaction edges, summing them in edge order.
+func partGraph(edges []graph.Edge, res *partition.Result) *graph.Graph {
+	var pes []graph.Edge
+	for _, e := range edges {
+		if pu, pv := res.Parts[e.U], res.Parts[e.V]; pu != pv {
+			pes = append(pes, graph.Edge{U: pu, V: pv, W: e.W})
+		}
+	}
+	return graph.Build(res.K, pes)
+}
+
 // refMapParts is Algorithm 2 computed from scratch on every call, as
 // mapParts did before candidates carried their order and anchors: build
 // the part interaction graph, walk it breadth-first from its center,
@@ -19,12 +31,7 @@ import (
 // QPU.
 func refMapParts(t *capacityTier, edges []graph.Edge, res *partition.Result) ([]int, error) {
 	k := res.K
-	pg := graph.New(k)
-	for _, e := range edges {
-		if res.Parts[e.U] != res.Parts[e.V] {
-			pg.AddEdge(res.Parts[e.U], res.Parts[e.V], e.W)
-		}
-	}
+	pg := partGraph(edges, res)
 
 	set := t.setFor(k)
 	candidates, all := t.sets[set], t.sets[len(t.sets)-1]
@@ -98,14 +105,15 @@ func randomPartition(rng *rand.Rand, n, k int, islands bool) ([]graph.Edge, *par
 		}
 	}
 	rng.Shuffle(n, func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
-	g := graph.New(n)
+	var edges []graph.Edge
 	for i := rng.Intn(3 * n); i > 0; i-- {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v || (islands && parts[u]%2 != parts[v]%2) {
 			continue
 		}
-		g.AddEdge(u, v, float64(1+rng.Intn(3)))
+		edges = append(edges, graph.Edge{U: u, V: v, W: float64(1 + rng.Intn(3))})
 	}
+	g := graph.Build(n, edges)
 	sizes := make([]int, k)
 	for _, p := range parts {
 		sizes[p]++
@@ -166,13 +174,7 @@ func TestMapPartsMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: unexpected error %v", trial, gotErr)
 		}
 
-		pg := graph.New(res.K)
-		for _, e := range edges {
-			if pu, pv := res.Parts[e.U], res.Parts[e.V]; pu != pv {
-				pg.AddEdge(pu, pv, e.W)
-			}
-		}
-		if !pg.Connected() {
+		if !partGraph(edges, res).Connected() {
 			disconnected++
 		}
 		if gotErr == nil {

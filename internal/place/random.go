@@ -75,11 +75,11 @@ func (r *Random) randomQPUSet(cl *cloud.Cloud, size int) []int {
 		freeSum += cl.FreeComputing(cur)
 	}
 	for freeSum < size {
-		nbs := cl.Topology().Neighbors(cur)
+		nbs := cl.Topology().Arcs(cur)
 		if len(nbs) == 0 {
 			break
 		}
-		cur = nbs[r.rng.Intn(len(nbs))]
+		cur = nbs[r.rng.Intn(len(nbs))].To
 		if !visited[cur] {
 			visited[cur] = true
 			if cl.FreeComputing(cur) > 0 {

@@ -12,6 +12,7 @@
 package route
 
 import (
+	"slices"
 	"sort"
 
 	"cloudqc/internal/graph"
@@ -34,6 +35,7 @@ func KShortest(g *graph.Graph, u, v, k int) [][]int {
 		return paths
 	}
 	var candidates [][]int
+	cut := make([]bool, g.N()) // cut[x]: the spur's edge to x is on a known path
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
 		// Yen: for each spur node in the previous path, remove the edges
@@ -41,21 +43,18 @@ func KShortest(g *graph.Graph, u, v, k int) [][]int {
 		for i := 0; i < len(prev)-1; i++ {
 			spur := prev[i]
 			root := prev[:i+1]
-			work := g.Clone()
+			clear(cut)
 			for _, p := range paths {
 				if len(p) > i && equalPrefix(p, root) {
-					work.SetEdge(p[i], p[i+1], 0)
+					cut[p[i+1]] = true
 				}
 			}
 			// Remove root nodes (except spur) by detaching their edges,
 			// keeping paths loopless.
-			for _, rn := range root[:len(root)-1] {
-				// Neighbors returns a copy, so detaching rn while
-				// ranging over it is safe.
-				for _, nb := range work.Neighbors(rn) {
-					work.SetEdge(rn, nb, 0)
-				}
-			}
+			work := g.Without(func(a, b int) bool {
+				return slices.Contains(prev[:i], a) || slices.Contains(prev[:i], b) ||
+					(a == spur && cut[b]) || (b == spur && cut[a])
+			})
 			spurPath := work.ShortestPath(spur, v)
 			if spurPath == nil {
 				continue

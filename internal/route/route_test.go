@@ -1,9 +1,12 @@
 package route
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"cloudqc/internal/cloud"
 	"cloudqc/internal/graph"
 )
 
@@ -29,14 +32,15 @@ func TestKShortestOnRing(t *testing.T) {
 func TestKShortestOrderedByLength(t *testing.T) {
 	// Diamond with a long detour: 0-1-3 (short), 0-2-3 (short),
 	// 0-4-5-3 (long).
-	g := graph.New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(0, 4, 1)
-	g.AddEdge(4, 5, 1)
-	g.AddEdge(5, 3, 1)
+	g := graph.Build(6, []graph.Edge{
+		{U: 0, V: 1, W: 1},
+		{U: 1, V: 3, W: 1},
+		{U: 0, V: 2, W: 1},
+		{U: 2, V: 3, W: 1},
+		{U: 0, V: 4, W: 1},
+		{U: 4, V: 5, W: 1},
+		{U: 5, V: 3, W: 1},
+	})
 	paths := KShortest(g, 0, 3, 5)
 	if len(paths) != 3 {
 		t.Fatalf("paths = %v", paths)
@@ -47,8 +51,7 @@ func TestKShortestOrderedByLength(t *testing.T) {
 }
 
 func TestKShortestUnreachable(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
+	g := graph.Build(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if paths := KShortest(g, 0, 3, 2); paths != nil {
 		t.Fatalf("unreachable should be nil, got %v", paths)
 	}
@@ -176,4 +179,55 @@ func samePath(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// topologyAnswers is every read the controller and the router make of
+// a cloud's topology for the pair (a, b).
+type topologyAnswers struct {
+	kShortest [][]int
+	path      []int
+	distance  int
+	bfs       []int
+}
+
+func answersFor(cl *cloud.Cloud, a, b int) topologyAnswers {
+	topo := cl.Topology()
+	return topologyAnswers{
+		kShortest: KShortest(topo, a, b, 3),
+		path:      cl.Path(a, b),
+		distance:  cl.Distance(a, b),
+		bfs:       topo.ShortestPath(a, b),
+	}
+}
+
+// TestConcurrentSharedTopology: goroutines running Yen's k-shortest
+// paths and the cloud's path queries on one shared cloud topology get
+// exactly the answers of a serial run. Graphs are immutable once built,
+// so the reads need no lock; run under -race, this checks that none of
+// them writes.
+func TestConcurrentSharedTopology(t *testing.T) {
+	cl := cloud.NewRandom(12, 0.3, 20, 5, 1)
+	n := cl.NumQPUs()
+	serial := make([]topologyAnswers, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			serial[a*n+b] = answersFor(cl, a, b)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each goroutine walks the pairs from a different start.
+			for i := 0; i < n*n; i++ {
+				pair := (i + w*n*n/4) % (n * n)
+				if got := answersFor(cl, pair/n, pair%n); !reflect.DeepEqual(got, serial[pair]) {
+					t.Errorf("goroutine %d, pair (%d, %d): %+v, serial run %+v", w, pair/n, pair%n, got, serial[pair])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -164,19 +164,11 @@ func samePath(a, b []int) bool {
 // detourGraph has a 2-hop path 0-1-2 and a 3-hop detour 0-3-4-2, so
 // tie ordering between unequal lengths is observable.
 func detourGraph() *graph.Graph {
-	g := graph.New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 3, 1)
-	g.AddEdge(3, 4, 1)
-	g.AddEdge(4, 2, 1)
-	return g
+	return graph.Build(5, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 3, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 2, W: 1}})
 }
 
 func TestTableUnreachablePair(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1) // two components
+	g := graph.Build(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}) // two components
 	table := route.NewTable(g, [][2]int{{0, 3}, {0, 1}}, 2)
 	if p := table.Paths(0, 3); p != nil {
 		t.Fatalf("Paths across components = %v, want nil", p)
@@ -204,8 +196,8 @@ func TestOrderedRouteUnreachableFallsBack(t *testing.T) {
 	}
 	cur := append([]int(nil), s.Path(ready[0])...)
 
-	disconnected := graph.New(6)
-	disconnected.AddEdge(0, 1, 1) // no route from 0 to 3 in the table's graph
+	// No route from 0 to 3 in the table's graph.
+	disconnected := graph.Build(6, []graph.Edge{{U: 0, V: 1, W: 1}})
 	table := route.NewTable(disconnected, [][2]int{{0, 3}}, 2)
 	virtual := []int{5, 5, 5, 5, 5, 5}
 	orderedRoute(s, ready, table, virtual)
