@@ -1004,6 +1004,32 @@ func BenchmarkGraphCenter(b *testing.B) {
 // centerSink keeps BenchmarkGraphCenter's call from being optimized away.
 var centerSink int
 
+// BenchmarkParseQASM parses the ten templates of perfbench's sim-compile
+// stream as inline QASM, the daemon's submit path. Each op is one parse
+// of all ten. Its allocs/op are the circuits and the growth of their
+// gate lists, so an allocation per line, statement or gate coming back
+// fails CI's bench gate.
+func BenchmarkParseQASM(b *testing.B) {
+	names := []string{"knn_n67", "qugan_n39", "qugan_n71", "ising_n66", "bv_n70",
+		"adder_n64", "qaoa_n64", "cc_n64", "vqe_uccsd_n28", "wstate_n36"}
+	srcs := make([]string, len(names))
+	for i, name := range names {
+		c, err := BuildCircuit(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs[i] = WriteQASM(c)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, src := range srcs {
+			if _, err := ParseQASM(names[j], src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkRemoteDAGQFT160(b *testing.B) {
 	circ, err := BuildCircuit("qft_n160")
 	if err != nil {

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"cloudqc/internal/graph"
@@ -56,9 +57,19 @@ func (c *Circuit) Append(gs ...Gate) {
 		}
 		c.gates = append(c.gates, g)
 	}
-	c.fp.Store(nil)
-	c.counts.Store(nil)
+	// An atomic load costs less than a store, and a circuit being built
+	// has no memo to clear.
+	if c.fp.Load() != nil {
+		c.fp.Store(nil)
+	}
+	if c.counts.Load() != nil {
+		c.counts.Store(nil)
+	}
 }
+
+// Grow makes room for n more gates, so the next n appended gates do not
+// reallocate the gate list.
+func (c *Circuit) Grow(n int) { c.gates = slices.Grow(c.gates, n) }
 
 // TwoQubitGateCount returns the number of two-qubit gates (the "#2-Qubit
 // Gates" column of Table II), memoized until the next Append.

@@ -43,28 +43,6 @@ func TestCenterEmptyPanics(t *testing.T) {
 	Build(0, nil).Center()
 }
 
-func TestKClosestPath(t *testing.T) {
-	g := Path(6)
-	got := g.KClosest(0, 3)
-	want := []int{1, 2, 3}
-	if len(got) != 3 {
-		t.Fatalf("KClosest = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("KClosest = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestKClosestClampsToReachable(t *testing.T) {
-	g := Build(5, []Edge{{0, 1, 1}})
-	got := g.KClosest(0, 10)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("KClosest = %v, want [1]", got)
-	}
-}
-
 // Property: the center's eccentricity is minimal among all vertices.
 func TestQuickCenterEccentricityMinimal(t *testing.T) {
 	ecc := func(g *Graph, v int) int {

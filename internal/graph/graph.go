@@ -177,12 +177,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return ok
 }
 
-// Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int) int {
-	g.check(u)
-	return len(g.adj[u])
-}
-
 // WeightedDegree returns the sum of edge weights incident to u.
 func (g *Graph) WeightedDegree(u int) float64 {
 	g.check(u)

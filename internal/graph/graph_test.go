@@ -157,9 +157,6 @@ func TestWeightedDegree(t *testing.T) {
 	if d := g.WeightedDegree(0); d != 4 {
 		t.Fatalf("WeightedDegree(0) = %v, want 4", d)
 	}
-	if d := g.Degree(0); d != 2 {
-		t.Fatalf("Degree(0) = %d, want 2", d)
-	}
 }
 
 func TestTotalWeight(t *testing.T) {

@@ -100,27 +100,6 @@ func (r refGraph) center() int {
 	return best
 }
 
-func (r refGraph) kClosest(v, k int) []int {
-	_, dist, _ := r.bfs(v)
-	var cs []int
-	for u := range r {
-		if u != v && dist[u] >= 0 {
-			cs = append(cs, u)
-		}
-	}
-	sort.SliceStable(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
-		if dist[a] != dist[b] {
-			return dist[a] < dist[b]
-		}
-		if da, db := r.weightedDegree(a), r.weightedDegree(b); da != db {
-			return da > db
-		}
-		return a < b
-	})
-	return cs[:min(k, len(cs))]
-}
-
 // randomMultigraph draws a seeded edge list on up to 14 vertices with
 // parallel edges, in either orientation, non-integer and zero weights,
 // and vertices that no edge touches.
@@ -149,7 +128,7 @@ func randomMultigraph(seed int64) (int, []Edge) {
 
 // mismatch returns how g's answers differ from r's, or "" when every
 // one is equal: arcs (weights bit for bit), degrees, traversals,
-// shortest paths, k-closest sets, the center and the edge count.
+// shortest paths, the center and the edge count.
 func mismatch(g *Graph, r refGraph) string {
 	n := g.N()
 	if n != len(r) {
@@ -176,11 +155,6 @@ func mismatch(g *Graph, r refGraph) string {
 		for v := 0; v < n; v++ {
 			if !slices.Equal(g.ShortestPath(u, v), r.shortestPath(u, v)) {
 				return fmt.Sprintf("ShortestPath(%d, %d) differs", u, v)
-			}
-		}
-		for _, k := range []int{1, 3, n} {
-			if !slices.Equal(g.KClosest(u, k), r.kClosest(u, k)) {
-				return fmt.Sprintf("KClosest(%d, %d) differs", u, k)
 			}
 		}
 	}

@@ -79,16 +79,6 @@ func (s *HopScratch) HopDistances(g *Graph, start int) []int {
 	return s.dist
 }
 
-// AllPairsHops returns the hop-count distance matrix via one BFS per
-// vertex. Unreachable pairs are -1.
-func (g *Graph) AllPairsHops() [][]int {
-	d := make([][]int, g.n)
-	for u := 0; u < g.n; u++ {
-		d[u] = g.HopDistances(u)
-	}
-	return d
-}
-
 // HopTree returns start's BFS distances together with the BFS-tree
 // parent of every vertex (parent[start] = start; unreachable vertices
 // get dist -1 and parent -1). Neighbors are visited in ascending index

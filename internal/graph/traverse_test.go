@@ -106,7 +106,10 @@ func TestComponents(t *testing.T) {
 func TestQuickTriangleInequality(t *testing.T) {
 	f := func(seed int64) bool {
 		g := Random(12, 0.25, seed)
-		d := g.AllPairsHops()
+		d := make([][]int, g.N())
+		for u := range d {
+			d[u] = g.HopDistances(u)
+		}
 		for a := 0; a < g.N(); a++ {
 			for b := 0; b < g.N(); b++ {
 				for c := 0; c < g.N(); c++ {

@@ -31,20 +31,37 @@ const (
 
 // Parse converts OpenQASM 2.0 source into a circuit. The circuit name is
 // taken from the caller since QASM has no name construct.
+//
+// Parse walks the source once by byte offset: each line loses its "//"
+// comment and splits at ';' into statements, and each non-blank
+// statement is trimmed and parsed in place. Every piece is a substring
+// of src, so a valid source allocates only the circuit and its gate
+// list. Gate names are gateSpecs' string literals, so the circuit keeps
+// no pointer into src.
 func Parse(name, src string) (*circuit.Circuit, error) {
-	p := &parser{name: name}
-	for lineNum, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		for _, stmt := range strings.Split(line, ";") {
+	// The gate list is presized to the number of ';', which counts every
+	// statement that one ends: a gate statement appends one gate, and
+	// only a whole-register measure appends more. The cap at maxGates
+	// keeps the presize within what an accepted source can fill.
+	p := parser{name: name, statements: min(strings.Count(src, ";"), maxGates)}
+	for lineNum, rest, more := 1, src, true; more; lineNum++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
+		}
+		for semi := true; semi; {
+			var stmt string
+			stmt, line, semi = strings.Cut(line, ";")
 			stmt = strings.TrimSpace(stmt)
 			if stmt == "" {
 				continue
 			}
 			if err := p.statement(stmt); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %q: %v", ErrSyntax, lineNum+1, stmt, err)
+				return nil, fmt.Errorf("%w: line %d: %q: %v", ErrSyntax, lineNum, stmt, err)
 			}
 			if p.circ != nil && p.circ.Len() > maxGates {
-				return nil, fmt.Errorf("%w: line %d: circuit exceeds %d gates", ErrSyntax, lineNum+1, maxGates)
+				return nil, fmt.Errorf("%w: line %d: circuit exceeds %d gates", ErrSyntax, lineNum, maxGates)
 			}
 		}
 	}
@@ -54,17 +71,11 @@ func Parse(name, src string) (*circuit.Circuit, error) {
 	return p.circ, nil
 }
 
-func stripComment(line string) string {
-	if i := strings.Index(line, "//"); i >= 0 {
-		return line[:i]
-	}
-	return line
-}
-
 type parser struct {
-	name string
-	circ *circuit.Circuit
-	qreg string
+	name       string
+	statements int // gate-list presize, from Parse
+	circ       *circuit.Circuit
+	qreg       string
 }
 
 func (p *parser) statement(stmt string) error {
@@ -96,6 +107,7 @@ func (p *parser) qregDecl(stmt string) error {
 	}
 	p.qreg = name
 	p.circ = circuit.New(p.name, size)
+	p.circ.Grow(p.statements)
 	return nil
 }
 
@@ -105,8 +117,8 @@ func (p *parser) measure(stmt string) error {
 	}
 	// measure q[3] -> c[3]   (also: measure q -> c)
 	rest := strings.TrimSpace(strings.TrimPrefix(stmt, "measure"))
-	parts := strings.SplitN(rest, "->", 2)
-	src := strings.TrimSpace(parts[0])
+	src, _, _ := strings.Cut(rest, "->")
+	src = strings.TrimSpace(src)
 	if src == p.qreg { // whole-register measure
 		p.circ.MeasureAll()
 		return nil
@@ -119,25 +131,46 @@ func (p *parser) measure(stmt string) error {
 	return nil
 }
 
+// gate parses "rz(pi/2) q[0]" or "cx q[0],q[1]". The operand list is
+// walked twice, so that an empty operand is reported before a bad head
+// and a bad head before a bad qubit: first to count the operands and
+// reject an empty one, then, after the head, to read each qubit in
+// order. Only the first two qubits are kept; makeGate gets the true
+// count for its arity check.
 func (p *parser) gate(stmt string) error {
 	if p.circ == nil {
 		return errors.New("gate before qreg")
 	}
-	head, args, err := splitGate(stmt)
-	if err != nil {
-		return err
+	cut := headEnd(stmt)
+	if cut < 0 {
+		return errors.New("missing gate operands")
 	}
-	gname, param, err := gateHead(head)
-	if err != nil {
-		return err
-	}
-	qs := make([]int, len(args))
-	for i, a := range args {
-		if qs[i], err = p.qubit(a); err != nil {
-			return err
+	operands := stmt[cut:]
+	n := 0
+	for rest, more := operands, true; more; n++ {
+		var a string
+		a, rest, more = strings.Cut(rest, ",")
+		if strings.TrimSpace(a) == "" {
+			return errors.New("empty operand")
 		}
 	}
-	g, err := makeGate(gname, param, qs)
+	gname, param, err := gateHead(strings.TrimSpace(stmt[:cut]))
+	if err != nil {
+		return err
+	}
+	var qs [2]int
+	for i, rest, more := 0, operands, true; more; i++ {
+		var a string
+		a, rest, more = strings.Cut(rest, ",")
+		q, err := p.qubit(strings.TrimSpace(a))
+		if err != nil {
+			return err
+		}
+		if i < len(qs) {
+			qs[i] = q
+		}
+	}
+	g, err := makeGate(gname, param, qs, n)
 	if err != nil {
 		return err
 	}
@@ -145,39 +178,24 @@ func (p *parser) gate(stmt string) error {
 	return nil
 }
 
-// splitGate separates "rz(pi/2) q[0]" into head "rz(pi/2)" and operand
-// list ["q[0]"].
-func splitGate(stmt string) (head string, args []string, err error) {
-	// The head ends at the first space that is outside parentheses.
+// headEnd returns the index of the first space or tab outside
+// parentheses in a gate statement, where its head ("rz(pi/2)") ends, or
+// -1 when there is none.
+func headEnd(stmt string) int {
 	depth := 0
-	cut := -1
-	for i, r := range stmt {
-		switch r {
+	for i := 0; i < len(stmt); i++ {
+		switch stmt[i] {
 		case '(':
 			depth++
 		case ')':
 			depth--
 		case ' ', '\t':
 			if depth == 0 {
-				cut = i
+				return i
 			}
 		}
-		if cut >= 0 {
-			break
-		}
 	}
-	if cut < 0 {
-		return "", nil, errors.New("missing gate operands")
-	}
-	head = strings.TrimSpace(stmt[:cut])
-	for _, a := range strings.Split(stmt[cut:], ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return "", nil, errors.New("empty operand")
-		}
-		args = append(args, a)
-	}
-	return head, args, nil
+	return -1
 }
 
 func gateHead(head string) (name string, param float64, err error) {
@@ -195,30 +213,43 @@ func gateHead(head string) (name string, param float64, err error) {
 	return head, 0, nil
 }
 
-func makeGate(name string, param float64, qs []int) (circuit.Gate, error) {
-	need := func(n int) error {
-		if len(qs) != n {
-			return fmt.Errorf("gate %s needs %d qubits, got %d", name, n, len(qs))
-		}
-		return nil
+// gateSpec is a supported gate's name and kind.
+type gateSpec struct {
+	name string
+	kind circuit.Kind
+}
+
+// gateSpecs maps each supported gate name to its spec. Its names are
+// the string literals below, so a gate built from a spec shares no bytes
+// with the source it was parsed from.
+var gateSpecs = func() map[string]gateSpec {
+	m := make(map[string]gateSpec)
+	for _, n := range []string{"h", "x", "y", "z", "s", "sdg", "t", "tdg", "id", "u1", "u2", "u3", "rx", "ry", "rz", "p", "u"} {
+		m[n] = gateSpec{n, circuit.Single}
 	}
-	switch name {
-	case "h", "x", "y", "z", "s", "sdg", "t", "tdg", "id", "u1", "u2", "u3", "rx", "ry", "rz", "p", "u":
-		if err := need(1); err != nil {
-			return circuit.Gate{}, err
-		}
-		return circuit.Gate{Name: name, Kind: circuit.Single, Qubits: [2]int{qs[0], -1}, Param: param}, nil
-	case "cx", "cz", "cy", "ch", "swap", "cp", "cu1", "crz", "rzz":
-		if err := need(2); err != nil {
-			return circuit.Gate{}, err
-		}
-		if qs[0] == qs[1] {
-			return circuit.Gate{}, fmt.Errorf("gate %s with identical qubits %d", name, qs[0])
-		}
-		return circuit.Gate{Name: name, Kind: circuit.Two, Qubits: [2]int{qs[0], qs[1]}, Param: param}, nil
-	default:
+	for _, n := range []string{"cx", "cz", "cy", "ch", "swap", "cp", "cu1", "crz", "rzz"} {
+		m[n] = gateSpec{n, circuit.Two}
+	}
+	return m
+}()
+
+// makeGate builds the named gate from its parameter and the first two
+// of its n qubits.
+func makeGate(name string, param float64, qs [2]int, n int) (circuit.Gate, error) {
+	spec, ok := gateSpecs[name]
+	if !ok {
 		return circuit.Gate{}, fmt.Errorf("unsupported gate %q", name)
 	}
+	g := circuit.Gate{Name: spec.name, Kind: spec.kind, Qubits: qs, Param: param}
+	if n != g.Arity() {
+		return circuit.Gate{}, fmt.Errorf("gate %s needs %d qubits, got %d", name, g.Arity(), n)
+	}
+	if g.Kind == circuit.Single {
+		g.Qubits[1] = -1
+	} else if qs[0] == qs[1] {
+		return circuit.Gate{}, fmt.Errorf("gate %s with identical qubits %d", name, qs[0])
+	}
+	return g, nil
 }
 
 func (p *parser) qubit(ref string) (int, error) {

@@ -76,29 +76,31 @@ func TestParseWholeRegisterMeasure(t *testing.T) {
 	}
 }
 
+// errorCases are sources Parse must reject with ErrSyntax.
+var errorCases = []struct {
+	name, src string
+}{
+	{"no qreg", "h q[0];"},
+	{"bad register", "qreg q[2]; h r[0];"},
+	{"out of range", "qreg q[2]; h q[5];"},
+	{"unknown gate", "qreg q[2]; frobnicate q[0];"},
+	{"same qubit cx", "qreg q[2]; cx q[1],q[1];"},
+	{"bad param", "qreg q[1]; rz(banana) q[0];"},
+	{"div zero", "qreg q[1]; rz(pi/0) q[0];"},
+	{"double qreg", "qreg q[1]; qreg p[1];"},
+	{"missing operands", "qreg q[1]; h;"},
+	{"bad index", "qreg q[x];"},
+	{"empty", ""},
+	// A whole-register measure appends one gate per qubit, so these
+	// short sources would otherwise expand into 10^6 gates and ask
+	// for about 10^11 bytes.
+	{"huge qreg", "qreg q[100000];" + strings.Repeat(" measure q;", 10)},
+	{"giant qreg", "qreg q[2000000000]; measure q;"},
+	{"too many gates", fmt.Sprintf("qreg q[%d];", maxQubits) + strings.Repeat(" measure q;", maxGates/maxQubits+1)},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"no qreg", "h q[0];"},
-		{"bad register", "qreg q[2]; h r[0];"},
-		{"out of range", "qreg q[2]; h q[5];"},
-		{"unknown gate", "qreg q[2]; frobnicate q[0];"},
-		{"same qubit cx", "qreg q[2]; cx q[1],q[1];"},
-		{"bad param", "qreg q[1]; rz(banana) q[0];"},
-		{"div zero", "qreg q[1]; rz(pi/0) q[0];"},
-		{"double qreg", "qreg q[1]; qreg p[1];"},
-		{"missing operands", "qreg q[1]; h;"},
-		{"bad index", "qreg q[x];"},
-		{"empty", ""},
-		// A whole-register measure appends one gate per qubit, so these
-		// short sources would otherwise expand into 10^6 gates and ask
-		// for about 10^11 bytes.
-		{"huge qreg", "qreg q[100000];" + strings.Repeat(" measure q;", 10)},
-		{"giant qreg", "qreg q[2000000000]; measure q;"},
-		{"too many gates", fmt.Sprintf("qreg q[%d];", maxQubits) + strings.Repeat(" measure q;", maxGates/maxQubits+1)},
-	}
-	for _, tc := range cases {
+	for _, tc := range errorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Parse("bad", tc.src); !errors.Is(err, ErrSyntax) {
 				t.Fatalf("Parse(%q) err = %v, want ErrSyntax", tc.src, err)
