@@ -987,17 +987,25 @@ func BenchmarkKWayKnn67(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphCenter times Graph.Center (one BFS per vertex) on a
-// qlib interaction graph.
+// BenchmarkGraphCenter times Graph.Center on two qlib interaction
+// graphs, one call each per op: knn_n67's has a vertex adjacent to all
+// others, so Center scans degrees and runs no search; ising_n66's is a
+// chain, so every vertex runs a BFS cut off past the best eccentricity
+// so far.
 func BenchmarkGraphCenter(b *testing.B) {
-	circ, err := BuildCircuit("knn_n67")
-	if err != nil {
-		b.Fatal(err)
+	var igs []*Topology
+	for _, name := range []string{"knn_n67", "ising_n66"} {
+		circ, err := BuildCircuit(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		igs = append(igs, circ.InteractionGraph())
 	}
-	ig := circ.InteractionGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		centerSink = ig.Center()
+		for _, ig := range igs {
+			centerSink = ig.Center()
+		}
 	}
 }
 

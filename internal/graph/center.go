@@ -6,22 +6,74 @@ package graph
 // center is computed over each vertex's reachable set, which makes the
 // function total; callers that care should check Connected first.
 //
+// A vertex adjacent to all n−1 others makes the graph connected and has
+// eccentricity min(1, n−1), the least possible; every other vertex then
+// has a vertex it does not touch, at two or more hops. So when such a
+// vertex exists, the center is found among the full-degree vertices
+// alone, with no search. Otherwise each vertex's BFS stops once its
+// depth passes the best eccentricity so far: such a vertex cannot win,
+// while one that ties still compares weighted degree. Both scans visit
+// vertices in index order with the same comparison, so NaN degrees and
+// ties resolve as a BFS from every vertex would resolve them.
+//
 // Center panics on an empty graph.
 func (g *Graph) Center() int {
 	if g.n == 0 {
 		panic("graph: center of empty graph")
 	}
-	// One BFS per vertex, all sharing one distance array and queue.
+	best, bestDeg := -1, 0.0
+	for v, as := range g.adj {
+		if len(as) != g.n-1 {
+			continue
+		}
+		if deg := g.WeightedDegree(v); best < 0 || deg > bestDeg {
+			best, bestDeg = v, deg
+		}
+	}
+	if best >= 0 {
+		return best
+	}
 	dist, queue := make([]int, g.n), make([]int, 0, g.n)
-	best, bestEcc, bestDeg := -1, -1, 0.0
+	for i := range dist {
+		dist[i] = -1
+	}
+	bestEcc := g.n // above every eccentricity, so the first search runs to the end
 	for v := 0; v < g.n; v++ {
 		var ecc int
-		ecc, queue = g.hops(v, dist, queue)
+		ecc, queue = g.eccentricityWithin(v, bestEcc, dist, queue)
+		if ecc > bestEcc {
+			continue
+		}
 		deg := g.WeightedDegree(v)
 		switch {
-		case best < 0, ecc < bestEcc, ecc == bestEcc && deg > bestDeg:
+		case best < 0, ecc < bestEcc, deg > bestDeg:
 			best, bestEcc, bestDeg = v, ecc, deg
 		}
 	}
 	return best
+}
+
+// eccentricityWithin returns start's eccentricity, or a value above
+// limit as soon as the search passes depth limit. dist must hold −1
+// everywhere on entry and does again on return; queue is scratch,
+// returned for reuse.
+func (g *Graph) eccentricityWithin(start, limit int, dist, queue []int) (int, []int) {
+	dist[start] = 0
+	queue = append(queue[:0], start)
+	ecc := 0
+	for head := 0; head < len(queue) && ecc <= limit; head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, a := range g.adj[u] {
+			if dist[a.To] < 0 {
+				dist[a.To] = du
+				ecc = du
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	for _, u := range queue {
+		dist[u] = -1
+	}
+	return ecc, queue
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -98,6 +99,113 @@ func (r refGraph) center() int {
 		}
 	}
 	return best
+}
+
+// refCenter is Center as it was before its full-degree shortcut and
+// BFS cut-off: one complete BFS per vertex, comparing eccentricity,
+// then weighted degree, in index order. It is the oracle for
+// TestQuickCenterMatchesReference.
+func refCenter(g *Graph) int {
+	dist, queue := make([]int, g.n), make([]int, 0, g.n)
+	best, bestEcc, bestDeg := -1, -1, 0.0
+	for v := 0; v < g.n; v++ {
+		var ecc int
+		ecc, queue = g.hops(v, dist, queue)
+		deg := g.WeightedDegree(v)
+		switch {
+		case best < 0, ecc < bestEcc, ecc == bestEcc && deg > bestDeg:
+			best, bestEcc, bestDeg = v, ecc, deg
+		}
+	}
+	return best
+}
+
+// centerCase draws one seeded graph from the families Center has to
+// get right: sparse and dense G(n, p) graphs, complete and nearly complete graphs with
+// tied and NaN weights, stars with extra leaf edges, multigraphs with
+// isolated vertices and zero-weight arcs, and FromMatrix part graphs.
+func centerCase(seed int64) (string, *Graph) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 + rng.Intn(12)
+	ws := []float64{1, 1, 2, 0, math.NaN(), 0.5}
+	w := func() float64 { return ws[rng.Intn(len(ws))] }
+	switch family := rng.Intn(5); family {
+	case 0: // up to 40 vertices, sparse enough for long eccentricities
+		return "random", Random(1+rng.Intn(40), rng.Float64()*rng.Float64(), seed)
+	case 1: // complete, less a few edges now and then
+		var edges []Edge
+		drop := rng.Intn(3)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if drop > 0 && rng.Intn(n) == 0 {
+					drop--
+					continue
+				}
+				edges = append(edges, Edge{U: u, V: v, W: w()})
+			}
+		}
+		return "complete", Build(n, edges)
+	case 2: // a star around hub, plus a few edges between leaves
+		hub := rng.Intn(n)
+		var edges []Edge
+		for v := 0; v < n; v++ {
+			if v != hub {
+				edges = append(edges, Edge{U: hub, V: v, W: w()})
+			}
+		}
+		for i := rng.Intn(n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v && u != hub && v != hub {
+				edges = append(edges, Edge{U: u, V: v, W: w()})
+			}
+		}
+		return "star", Build(n, edges)
+	case 3:
+		n, edges := randomMultigraph(seed)
+		return "multigraph", Build(n, edges)
+	default: // a part graph: symmetric, zero diagonal, zero means no edge
+		m := make([]float64, n*n)
+		p := rng.Float64()
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					x := w()
+					m[u*n+v], m[v*n+u] = x, x
+				}
+			}
+		}
+		return "matrix", FromMatrix(n, m)
+	}
+}
+
+// TestQuickCenterMatchesReference: Center, with its full-degree
+// shortcut and BFS cut-off, picks the vertex refCenter picks, on every
+// family centerCase draws and on the smallest graphs.
+func TestQuickCenterMatchesReference(t *testing.T) {
+	small := []*Graph{
+		Build(1, nil),
+		Build(2, nil),
+		Build(2, []Edge{{U: 0, V: 1, W: 0}}),
+		Build(2, []Edge{{U: 1, V: 0, W: math.NaN()}}),
+		Build(3, []Edge{{U: 1, V: 2, W: 1}}), // an isolated vertex first
+		Build(5, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}}),
+		Build(5, []Edge{{4, 1, 1}, {4, 2, 1}, {4, 3, 1}, {4, 0, 1}}),
+	}
+	for i, g := range small {
+		if got, want := g.Center(), refCenter(g); got != want {
+			t.Fatalf("small graph %d: Center %d, reference %d", i, got, want)
+		}
+	}
+	f := func(seed int64) bool {
+		name, g := centerCase(seed)
+		if got, want := g.Center(), refCenter(g); got != want {
+			t.Logf("seed %d (%s, n=%d): Center %d, reference %d", seed, name, g.N(), got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // randomMultigraph draws a seeded edge list on up to 14 vertices with

@@ -118,17 +118,6 @@ func (r *Recorder) MeanUtilizationUntil(end float64) float64 {
 	return area / span
 }
 
-// MaxQueued returns the longest observed queue.
-func (r *Recorder) MaxQueued() int {
-	m := 0
-	for _, s := range r.samples {
-		if s.Queued > m {
-			m = s.Queued
-		}
-	}
-	return m
-}
-
 // OnlineStats aggregates per-job outcomes of one online ("incoming
 // jobs") run into the figures the paper's multi-tenant evaluation
 // reports: throughput, completion-time percentiles, and queueing delay.

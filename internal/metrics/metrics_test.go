@@ -143,13 +143,3 @@ func TestAggregateOnline(t *testing.T) {
 		t.Fatalf("empty aggregate = %+v", empty)
 	}
 }
-
-func TestMaxQueued(t *testing.T) {
-	r := NewRecorder(0)
-	for _, q := range []int{1, 7, 3} {
-		r.Record(Sample{Queued: q})
-	}
-	if r.MaxQueued() != 7 {
-		t.Fatalf("max queued = %d", r.MaxQueued())
-	}
-}

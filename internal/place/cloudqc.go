@@ -2,6 +2,7 @@ package place
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"cloudqc/internal/circuit"
@@ -126,21 +127,16 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 		return &Placement{Circuit: c, QubitToQPU: assign}, nil
 	}
 
-	kMin := minParts(size, cl)
-	kMax := feasibleQPUs(cl)
-	if kMax > size {
-		kMax = size
-	}
-	if kMin < 2 {
-		kMin = 2
-	}
-	if kMin > kMax {
-		return nil, &ErrInfeasible{Circuit: c.Name, Need: size, Free: cl.TotalFreeComputing()}
-	}
-
 	parts, ig := p.parts(c)
 	tier := p.newCapacityTier(cl, size)
+	// Each of a point's k parts takes a QPU of its own, so no partition
+	// into fewer parts than tier.minQPUs(size) maps: the sweep starts
+	// there, without partitioning below it or touching the memo for it.
+	kMin := max(2, tier.minQPUs(size))
+	kMax := min(feasibleQPUs(cl), size)
 	lat := remoteLatencies(cl, p.cfg.Model)
+	bounded := boundsTime(lat, p.cfg.Model)
+	ready := make([]float64, size)
 	var (
 		h         *partition.Hierarchy // built on the first memo miss
 		best      *Placement
@@ -170,8 +166,11 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 				}
 				parts.record(pt, cd)
 			}
-			if cd == nil {
-				continue
+			if cd == nil || !tier.fits(cd) {
+				continue // the partitioner rejected pt, or mapParts would fail
+			}
+			if bounded && best != nil && !(Score(parts.tLocal, cd.cCut) > bestScore) {
+				continue // scores at most bestScore: see boundsTime
 			}
 			assign, err := tier.mapParts(cd)
 			if err != nil {
@@ -182,7 +181,7 @@ func (p *CloudQC) Place(cl *cloud.Cloud, c *circuit.Circuit) (*Placement, error)
 					continue
 				}
 			}
-			t := estimateTime(c, cl, p.cfg.Model, assign, lat)
+			t := estimateTime(parts.prog, ready, cl, assign, lat)
 			cost := commCostEdges(parts.edges, cl, assign)
 			s := Score(t, cost)
 			if best == nil || s > bestScore {
@@ -207,16 +206,6 @@ func sweptBefore(alphas []float64, size int, pt sweepPoint) bool {
 		}
 	}
 	return false
-}
-
-// minParts is ⌈size / largest-free-QPU⌉: the fewest parts that could
-// possibly fit.
-func minParts(size int, cl *cloud.Cloud) int {
-	maxFree := cl.MaxFreeComputing()
-	if maxFree == 0 {
-		return size + 1 // forces infeasibility upstream
-	}
-	return (size + maxFree - 1) / maxFree
 }
 
 func feasibleQPUs(cl *cloud.Cloud) int {
@@ -276,7 +265,7 @@ func (p *CloudQC) newCapacityTier(cl *cloud.Cloud, size int) *capacityTier {
 
 // newTierSets appends the whole cloud to the candidate QPU sets groups
 // and sums each set's free capacity and finds its center under the
-// snapshot free.
+// snapshot free. It also sorts the snapshot's free counts.
 func newTierSets(cl *cloud.Cloud, free []int, groups [][]int) *tierSets {
 	sets := append(groups, allQPUs(cl))
 	ts := &tierSets{sets: sets, setFree: make([]int, len(sets)), centers: make([]int, len(sets))}
@@ -287,7 +276,39 @@ func newTierSets(cl *cloud.Cloud, free []int, groups [][]int) *tierSets {
 		sub, verts := cl.Topology().Subgraph(set)
 		ts.centers[i] = verts[sub.Center()]
 	}
+	ts.freeDesc = descending(free)
 	return ts
+}
+
+// descending returns a sorted copy of xs, largest first.
+func descending(xs []int) []int {
+	d := slices.Clone(xs)
+	slices.SortFunc(d, func(a, b int) int { return b - a })
+	return d
+}
+
+// minQPUs returns the fewest QPUs whose free counts sum to size or
+// more. The snapshot must hold size free qubits in all.
+func (ts *tierSets) minQPUs(size int) int {
+	k, sum := 0, 0
+	for ; sum < size; k++ {
+		sum += ts.freeDesc[k]
+	}
+	return k
+}
+
+// fits reports whether cd's parts could go to distinct QPUs of the
+// snapshot, each part on a QPU with room for it. mapParts maps every
+// part to a QPU of its own with that much room, and the i largest
+// parts then need i QPUs with room for the i-th largest: so a part
+// larger than the free count at its rank fails every mapping.
+func (ts *tierSets) fits(cd *candidate) bool {
+	for i, s := range cd.sizesDesc {
+		if s > ts.freeDesc[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // setFor returns the index of the QPU set k parts map into: the BFS set
@@ -322,14 +343,17 @@ func (t *capacityTier) setFor(k int) int {
 // The part graph's weights are summed into a dense k×k matrix in edge
 // order, as graph.Build sums parallel edges, and the graph is built
 // from it in one pass. Interaction edges weigh at least one gate, so two parts
-// are adjacent exactly when their entry is nonzero.
+// are adjacent exactly when their entry is nonzero. The same pass sums
+// the crossing weights, in edge order, into the candidate's cCut.
 func newCandidate(edges []graph.Edge, res *partition.Result) *candidate {
 	k := res.K
 	w := make([]float64, k*k)
+	var cut float64
 	for _, e := range edges {
 		if pu, pv := res.Parts[e.U], res.Parts[e.V]; pu != pv {
 			w[pu*k+pv] += e.W
 			w[pv*k+pu] += e.W
+			cut += e.W
 		}
 	}
 	pg := graph.FromMatrix(k, w)
@@ -359,7 +383,7 @@ func newCandidate(edges []graph.Edge, res *partition.Result) *candidate {
 		}
 		anchor[i] = best
 	}
-	return &candidate{res: res, order: order, anchor: anchor}
+	return &candidate{res: res, order: order, anchor: anchor, cCut: cut, sizesDesc: descending(res.Sizes)}
 }
 
 // mapParts is Algorithm 2: take the feasible QPU set for the

@@ -91,12 +91,20 @@ func twoIslands() *cloud.Cloud {
 	return cloud.New(g, 20, 5)
 }
 
+// estimateOf is the whole estimate for one placement: c's estimate
+// program under m, scanned with cl's remote latencies tabulated.
+func estimateOf(c *circuit.Circuit, cl *cloud.Cloud, m epr.Model, qubitToQPU []int) float64 {
+	return estimateTime(compileEstimate(c, m), make([]float64, c.NumQubits()), cl, qubitToQPU, remoteLatencies(cl, m))
+}
+
 // TestEstimateTimeMatchesDAG checks the scan, which reads remote
 // latencies off the hop-indexed table, against the DAG reference, which
 // calls ExpectedRemoteLatency per remote gate, bit for bit: under random
 // assignments on random clouds, on an edgeless one and on one with both
 // reachable and unreachable pairs (Distance = −1 clamps to one hop), for
 // the default model and for one whose latencies are negative or NaN.
+// localTime, the all-on-one-QPU scan, must match the DAG with every gate
+// local.
 func TestEstimateTimeMatchesDAG(t *testing.T) {
 	clouds := []*cloud.Cloud{
 		cloud.NewRandom(4, 0.5, 20, 5, 1),
@@ -111,6 +119,12 @@ func TestEstimateTimeMatchesDAG(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range scanCircuits() {
 		gates := c.Gates()
+		for mi, m := range models {
+			want := dagCriticalPath(c, func(i int) float64 { return m.GateDuration(gates[i].Kind) })
+			if got := localTime(compileEstimate(c, m), c.NumQubits()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s model %d: localTime %v, DAG reference = %v", c.Name, mi, got, want)
+			}
+		}
 		for ci, cl := range clouds {
 			for trial := 0; trial < 4; trial++ {
 				assign := make([]int, c.NumQubits())
@@ -127,9 +141,9 @@ func TestEstimateTimeMatchesDAG(t *testing.T) {
 						}
 						return m.GateDuration(g.Kind)
 					})
-					got := EstimateTime(c, cl, m, assign)
+					got := estimateOf(c, cl, m, assign)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s cloud %d trial %d model %d: EstimateTime = %v, DAG reference = %v",
+						t.Fatalf("%s cloud %d trial %d model %d: estimate %v, DAG reference = %v",
 							c.Name, ci, trial, mi, got, want)
 					}
 				}

@@ -12,16 +12,21 @@ import (
 // compile. Algorithm 1 first partitions the circuit and only then maps
 // the parts onto free QPUs (Algorithm 2); the partitions depend on the
 // circuit alone, never on free capacity. The entry keeps the
-// interaction graph's edge list and every (k, cap) candidate the sweep
-// has asked for, failed ones included, so a job re-placed after a
-// release partitions only at sweep points it has never seen. A
-// candidate carries the part-side half of Algorithm 2 with its
-// partition: the order parts are mapped in and the part each one
-// anchors on. It retains no DAGs, graphs or partition hierarchies;
-// candidates are shared read-only between calls.
+// interaction graph's edge list, the circuit's estimate program and
+// every (k, cap) candidate the sweep has asked for, failed ones
+// included, so a job re-placed after a release partitions only at
+// sweep points it has never seen. A candidate carries the part-side
+// half of Algorithm 2 with its partition: the order parts are mapped in
+// and the part each one anchors on, plus what the sweep prunes with. It
+// retains no DAGs, graphs or partition hierarchies; candidates are
+// shared read-only between calls.
 type circuitParts struct {
 	// edges is the interaction graph's edge list (graph.Edges order).
 	edges []graph.Edge
+	// prog is the circuit's estimate program under the placer's model,
+	// and tLocal its runtime with every qubit on one QPU.
+	prog   []estOp
+	tLocal float64
 
 	mu sync.Mutex
 	// results maps a sweep point to its candidate; a nil value records
@@ -39,6 +44,12 @@ type candidate struct {
 	// anchor[i] is the part order[i] is mapped next to: its heaviest
 	// neighbor among order[:i], or -1 when it has none.
 	anchor []int
+	// cCut is the weight of the interaction edges between parts, summed
+	// in edge order: the least communication cost any mapping of the
+	// partition can have (see boundsTime).
+	cCut float64
+	// sizesDesc holds the part sizes, largest first (see tierSets.fits).
+	sizesDesc []int
 }
 
 // sweepPoint is one point of Algorithm 1's sweep: k parts of at most
@@ -47,8 +58,9 @@ type candidate struct {
 // cap at k share a point.
 type sweepPoint struct{ k, cap int }
 
-// parts returns c's circuit-tier entry, creating it with the
-// interaction graph's edge list on first sight. When it had to build
+// parts returns c's circuit-tier entry, creating it on first sight with
+// the interaction graph's edge list and the estimate program (the
+// placer's model is fixed, so the program is too). When it had to build
 // the interaction graph it returns that too, for the caller to
 // partition; otherwise ig is nil. Two callers racing on a cold circuit
 // may both build an entry; either one is exact, and the later insert
@@ -59,7 +71,13 @@ func (p *CloudQC) parts(c *circuit.Circuit) (e *circuitParts, ig *graph.Graph) {
 		return e, nil
 	}
 	ig = c.InteractionGraph()
-	e = &circuitParts{edges: ig.Edges(), results: make(map[sweepPoint]*candidate)}
+	prog := compileEstimate(c, p.cfg.Model)
+	e = &circuitParts{
+		edges:   ig.Edges(),
+		prog:    prog,
+		tLocal:  localTime(prog, c.NumQubits()),
+		results: make(map[sweepPoint]*candidate),
+	}
 	p.circuits.Insert(fp, nil, e)
 	return e, ig
 }
@@ -96,4 +114,6 @@ type tierSets struct {
 	sets    [][]int
 	setFree []int // free capacity of each set
 	centers []int // each set's topology center
+	// freeDesc holds the snapshot's free counts, largest first.
+	freeDesc []int
 }

@@ -399,15 +399,15 @@ func TestEstimateTimeLocalVsRemote(t *testing.T) {
 	c := circuit.New("t", 2)
 	c.Append(circuit.CX(0, 1))
 	cfg := DefaultConfig()
-	local := EstimateTime(c, cl, cfg.Model, []int{0, 0})
-	remote := EstimateTime(c, cl, cfg.Model, []int{0, 3})
+	local := estimateOf(c, cl, cfg.Model, []int{0, 0})
+	remote := estimateOf(c, cl, cfg.Model, []int{0, 3})
 	if local != 1 {
 		t.Fatalf("local estimate = %v, want 1", local)
 	}
 	if remote <= local {
 		t.Fatal("remote gate must cost more than local")
 	}
-	nearer := EstimateTime(c, cl, cfg.Model, []int{0, 1})
+	nearer := estimateOf(c, cl, cfg.Model, []int{0, 1})
 	if nearer >= remote {
 		t.Fatal("closer QPUs must cost less than distant ones")
 	}

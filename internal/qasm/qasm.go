@@ -12,6 +12,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"cloudqc/internal/circuit"
 )
@@ -78,18 +80,41 @@ type parser struct {
 	qreg       string
 }
 
+// statement dispatches a trimmed, non-empty statement on its first
+// word, so a keyword must be the whole statement or be followed by white
+// space: "cregs q[0]" or "measurement q[0]" is read as a gate and
+// rejected as an unsupported one.
 func (p *parser) statement(stmt string) error {
-	switch {
-	case strings.HasPrefix(stmt, "OPENQASM"), strings.HasPrefix(stmt, "include"),
-		strings.HasPrefix(stmt, "creg"), strings.HasPrefix(stmt, "barrier"):
+	switch firstWord(stmt) {
+	case "OPENQASM", "include", "creg", "barrier":
 		return nil
-	case strings.HasPrefix(stmt, "qreg"):
+	case "qreg":
 		return p.qregDecl(stmt)
-	case strings.HasPrefix(stmt, "measure"):
+	case "measure":
 		return p.measure(stmt)
 	default:
 		return p.gate(stmt)
 	}
+}
+
+// firstWord returns s up to its first white-space rune, as
+// strings.TrimSpace defines white space.
+func firstWord(s string) string {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c == ' ' || ('\t' <= c && c <= '\r') {
+				return s[:i]
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			return s[:i]
+		}
+		i += n
+	}
+	return s
 }
 
 func (p *parser) qregDecl(stmt string) error {

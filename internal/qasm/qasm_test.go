@@ -90,6 +90,13 @@ var errorCases = []struct {
 	{"double qreg", "qreg q[1]; qreg p[1];"},
 	{"missing operands", "qreg q[1]; h;"},
 	{"bad index", "qreg q[x];"},
+	// A keyword must end at white space or the end of the statement.
+	{"creg prefix", "qreg q[1]; cregs q[0];"},
+	{"include prefix", "qreg q[1]; includes x;"},
+	{"barrier prefix", "qreg q[1]; barriers q;"},
+	{"version prefix", "qreg q[1]; OPENQASM3;"},
+	{"qreg prefix", "qreg q[1]; qregs p[1];"},
+	{"measure prefix", "qreg q[1]; measurement q[0];"},
 	{"empty", ""},
 	// A whole-register measure appends one gate per qubit, so these
 	// short sources would otherwise expand into 10^6 gates and ask

@@ -60,9 +60,17 @@ var handCases = []string{
 	"qreg q[1]; rz(pi/) q[0];",
 	"qreg q[1]; rz(*pi) q[0];",
 	"qreg q[1]; rz() q[0];",
-	"qreg q[1]; cregs q[0]; includes x; barriers q; OPENQASM3;",
+	"qreg q[1]; cregs q[0];",
+	"qreg q[1]; includes x;",
+	"qreg q[1]; barriers q;",
+	"qreg q[1]; OPENQASM3;",
 	"qreg q[1]; measurement q[0];",
 	"qreg q[1]; qregs p[1];",
+	"qregs q[1];",
+	"qreg q[1]; creg; barrier; include; OPENQASM; h q[0];",
+	"OPENQASM\t2.0; include\u00a0\"x\"; qreg\u2003q[1]; creg\vc[1]; measure\fq[0] -> c[0];",
+	"qreg q[1]; measure\u00a0q;",
+	"qreg q[1]; creg\xa0c[1];",
 	"qreg q[3]; cx q[0],q[1],q[2];",
 	"qreg q[3]; h q[0],q[1],q[2];",
 	"qreg q[3]; cx q[0],q[1],r[2];",
@@ -191,14 +199,15 @@ type refParser struct {
 	qreg string
 }
 
+// statement dispatches on the statement's first white-space separated
+// field.
 func (p *refParser) statement(stmt string) error {
-	switch {
-	case strings.HasPrefix(stmt, "OPENQASM"), strings.HasPrefix(stmt, "include"),
-		strings.HasPrefix(stmt, "creg"), strings.HasPrefix(stmt, "barrier"):
+	switch strings.Fields(stmt)[0] {
+	case "OPENQASM", "include", "creg", "barrier":
 		return nil
-	case strings.HasPrefix(stmt, "qreg"):
+	case "qreg":
 		return p.qregDecl(stmt)
-	case strings.HasPrefix(stmt, "measure"):
+	case "measure":
 		return p.measure(stmt)
 	default:
 		return p.gate(stmt)

@@ -8,13 +8,8 @@ import (
 
 // AppendToffoli appends the standard 6-CX Toffoli decomposition with
 // controls a, b and target c. Exported so semantic validation (simq)
-// and downstream users can reuse the exact decomposition the generators
-// emit.
+// can check the exact decomposition the generators emit.
 func AppendToffoli(circ *circuit.Circuit, a, b, c int) { toffoli(circ, a, b, c) }
-
-// AppendFredkin appends a controlled-SWAP (control a, swapping b and c)
-// in the 8-gate CX-conjugated Toffoli construction the generators use.
-func AppendFredkin(circ *circuit.Circuit, a, b, c int) { fredkin(circ, a, b, c) }
 
 // toffoli appends the standard 6-CX decomposition of a Toffoli gate with
 // controls a, b and target c.

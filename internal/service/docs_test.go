@@ -23,12 +23,12 @@ func TestAPIDocCoverage(t *testing.T) {
 	}
 	text := string(doc)
 	srv, _, _, _, _ := newWALServer(t, "")
-	routes := srv.Routes()
+	routes := srv.routes()
 	if len(routes) < 7 {
 		t.Fatalf("routes table lists %d endpoints, want at least 7", len(routes))
 	}
 	for _, rt := range routes {
-		if sig := rt.Method + " " + rt.Pattern; !strings.Contains(text, sig) {
+		if sig := rt.method + " " + rt.pattern; !strings.Contains(text, sig) {
 			t.Errorf("docs/API.md does not document %q", sig)
 		}
 	}

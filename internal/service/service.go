@@ -200,48 +200,31 @@ func New(cfg Config) (*Server, error) {
 	f.SetOnTransition(s.onTransition)
 	s.mux = http.NewServeMux()
 	for _, rt := range s.routes() {
-		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
+		s.mux.HandleFunc(rt.method+" "+rt.pattern, rt.handler)
 	}
 	return s, nil
 }
 
-// Route describes one registered endpoint. The same table drives mux
-// registration and TestAPIDocCoverage, so docs/API.md cannot silently
-// drift from the served surface.
-type Route struct {
-	Method  string `json:"method"`
-	Pattern string `json:"pattern"`
-	Summary string `json:"summary"`
-}
-
-// route pairs a Route with its handler (handlers stay unexported).
+// route is one registered endpoint and its handler. The same table
+// drives mux registration and TestAPIDocCoverage, so docs/API.md cannot
+// silently drift from the served surface.
 type route struct {
-	Route
-	handler http.HandlerFunc
+	method, pattern, summary string
+	handler                  http.HandlerFunc
 }
 
 func (s *Server) routes() []route {
 	return []route{
-		{Route{"POST", "/v1/jobs", "submit a circuit for execution"}, s.handleSubmit},
-		{Route{"GET", "/v1/jobs/{id}", "one job's status and result"}, s.handleJob},
-		{Route{"GET", "/v1/jobs/{id}/events", "one job's lifecycle as server-sent events"}, s.handleJobEvents},
-		{Route{"GET", "/v1/jobs/{id}/trace", "one job's span tree and JCT attribution"}, s.handleTrace},
-		{Route{"GET", "/v1/events", "all jobs' lifecycle events (SSE)"}, s.handleEvents},
-		{Route{"POST", "/v1/faults", "inject a fault event (admin)"}, s.handleFaults},
-		{Route{"GET", "/v1/stats", "stream aggregates: online, SLO, routing"}, s.handleStats},
-		{Route{"GET", "/v1/cluster", "cluster state under the virtual clock"}, s.handleCluster},
-		{Route{"GET", "/metrics", "Prometheus text-format metrics"}, s.handleMetrics},
+		{"POST", "/v1/jobs", "submit a circuit for execution", s.handleSubmit},
+		{"GET", "/v1/jobs/{id}", "one job's status and result", s.handleJob},
+		{"GET", "/v1/jobs/{id}/events", "one job's lifecycle as server-sent events", s.handleJobEvents},
+		{"GET", "/v1/jobs/{id}/trace", "one job's span tree and JCT attribution", s.handleTrace},
+		{"GET", "/v1/events", "all jobs' lifecycle events (SSE)", s.handleEvents},
+		{"POST", "/v1/faults", "inject a fault event (admin)", s.handleFaults},
+		{"GET", "/v1/stats", "stream aggregates: online, SLO, routing", s.handleStats},
+		{"GET", "/v1/cluster", "cluster state under the virtual clock", s.handleCluster},
+		{"GET", "/metrics", "Prometheus text-format metrics", s.handleMetrics},
 	}
-}
-
-// Routes lists every registered endpoint.
-func (s *Server) Routes() []Route {
-	rts := s.routes()
-	out := make([]Route, len(rts))
-	for i, rt := range rts {
-		out[i] = rt.Route
-	}
-	return out
 }
 
 // ServeHTTP implements http.Handler.

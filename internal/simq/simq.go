@@ -46,15 +46,6 @@ func (s *State) Probability(i int) float64 {
 	return float64(real(a)*real(a)) + float64(imag(a)*imag(a))
 }
 
-// Norm returns the state's total probability (1 for a valid state).
-func (s *State) Norm() float64 {
-	var p float64
-	for i := range s.amp {
-		p += s.Probability(i)
-	}
-	return p
-}
-
 // mul is complex multiplication with every product rounded, so no
 // architecture fuses it into multiply-adds: amplitudes come out with
 // the same bits everywhere.
@@ -191,13 +182,4 @@ func Run(c *circuit.Circuit, seed int64) (*State, []int) {
 		s.Apply(g)
 	}
 	return s, outcomes
-}
-
-// Probabilities returns the full basis-state probability vector.
-func (s *State) Probabilities() []float64 {
-	ps := make([]float64, len(s.amp))
-	for i := range s.amp {
-		ps[i] = s.Probability(i)
-	}
-	return ps
 }

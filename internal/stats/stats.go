@@ -48,20 +48,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
 
-// Min returns the smallest element, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element, or NaN for empty input.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -118,18 +104,6 @@ func ECDF(xs []float64) []CDFPoint {
 		pts = append(pts, CDFPoint{X: sorted[i], P: float64(i+1) / n})
 	}
 	return pts
-}
-
-// CDFAt evaluates an ECDF at x: the fraction of samples <= x.
-func CDFAt(pts []CDFPoint, x float64) float64 {
-	p := 0.0
-	for _, pt := range pts {
-		if pt.X > x {
-			break
-		}
-		p = pt.P
-	}
-	return p
 }
 
 // Table renders rows as an aligned plain-text table with a header rule.

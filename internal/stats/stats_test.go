@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,13 +37,12 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
+func TestMax(t *testing.T) {
+	if got := Max([]float64{3, -1, 7}); got != 7 {
+		t.Fatalf("Max = %v", got)
 	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Fatal("empty Min/Max should be NaN")
+	if !math.IsNaN(Max(nil)) {
+		t.Fatal("empty Max should be NaN")
 	}
 }
 
@@ -62,18 +62,6 @@ func TestECDFSteps(t *testing.T) {
 	}
 	if ECDF(nil) != nil {
 		t.Fatal("ECDF(nil) should be nil")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	pts := ECDF([]float64{10, 20, 30})
-	cases := []struct{ x, want float64 }{
-		{5, 0}, {10, 1.0 / 3}, {25, 2.0 / 3}, {30, 1}, {99, 1},
-	}
-	for _, tc := range cases {
-		if got := CDFAt(pts, tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("CDFAt(%v) = %v, want %v", tc.x, got, tc.want)
-		}
 	}
 }
 
@@ -100,8 +88,8 @@ func TestF(t *testing.T) {
 	}
 }
 
-// Property: ECDF is nondecreasing in both X and P, ends at P=1, and
-// CDFAt(max) = 1.
+// Property: ECDF is increasing in both X and P and ends at P=1 on the
+// sample's maximum.
 func TestQuickECDFMonotone(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -117,7 +105,7 @@ func TestQuickECDFMonotone(t *testing.T) {
 				return false
 			}
 		}
-		return math.Abs(pts[len(pts)-1].P-1) < 1e-12 && CDFAt(pts, Max(xs)) == 1
+		return math.Abs(pts[len(pts)-1].P-1) < 1e-12 && pts[len(pts)-1].X == Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -136,7 +124,7 @@ func TestQuickPercentileBounds(t *testing.T) {
 		}
 		p := float64(pRaw) / 255
 		v := Percentile(xs, p)
-		return v >= Min(xs)-1e-12 && v <= Max(xs)+1e-12
+		return v >= slices.Min(xs)-1e-12 && v <= Max(xs)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
