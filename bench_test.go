@@ -740,6 +740,86 @@ func BenchmarkFaultRecovery(b *testing.B) {
 	b.ReportMetric(rescued/float64(b.N), "rescued/run")
 }
 
+// BenchmarkEPRRounds is the EPR-round layer at perfbench's sim-rounds
+// shape: FIFO admission at EPR success 0.1 on the daemon's default
+// cloud, a warm-up burst of five templates that fills the plan cache,
+// then eprRoundsBursts identical bursts, each meeting an empty cloud.
+// Every timed admission is a plan-cache hit, so the timed phase is the
+// scheduler half: the event loop, the per-round allocation and the
+// attempts. The warm-up runs with the timer stopped, so allocs/op
+// counts the timed bursts only. rounds/run and events/run are
+// deterministic, and CI gates them with allocs/op.
+func BenchmarkEPRRounds(b *testing.B) {
+	const (
+		seed            = 1
+		eprRoundsBursts = 20
+		period          = 60000.0
+	)
+	templates := []string{"multiplier_n45", "qft_n29", "knn_n67", "qaoa_n64", "qugan_n71"}
+	burst := make([]*Circuit, len(templates))
+	for i, name := range templates {
+		c, err := BuildCircuit(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		burst[i] = c
+	}
+	submit := func(lc *Cluster, k int) {
+		for i, c := range burst {
+			j := &Job{ID: k*len(burst) + i, Circuit: c, Arrival: float64(k) * period, Tenant: i % 4}
+			if err := lc.Submit(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	model := DefaultModel()
+	model.SuccessProb = 0.1
+	var rounds, events float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pcfg := DefaultPlacerConfig()
+		pcfg.Seed = seed
+		lc, err := NewCluster(ClusterConfig{
+			Cloud:  NewRandomCloud(20, 0.3, 20, 5, 1),
+			Placer: NewPlacer(pcfg),
+			Model:  model,
+			Mode:   FIFOMode,
+			Seed:   seed,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		submit(lc, 0)
+		if err := lc.StepUntil(period); err != nil {
+			b.Fatal(err)
+		}
+		warm := lc.RunStats()
+		b.StartTimer()
+		for k := 1; k <= eprRoundsBursts; k++ {
+			if err := lc.StepUntil(float64(k) * period); err != nil {
+				b.Fatal(err)
+			}
+			submit(lc, k)
+		}
+		res, err := lc.Drain()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Failed {
+				b.Fatal("unexpected failed job")
+			}
+		}
+		if st := lc.PlanCacheStats(); st.Misses != int64(len(burst)) {
+			b.Fatalf("%d plan-cache misses, want only the warm-up's %d", st.Misses, len(burst))
+		}
+		rounds += float64(lc.RunStats().Rounds - warm.Rounds)
+		events += float64(lc.RunStats().Events - warm.Events)
+	}
+	b.ReportMetric(rounds/float64(b.N), "rounds/run")
+	b.ReportMetric(events/float64(b.N), "events/run")
+}
+
 // Allocation-policy micro-benchmarks: the per-round cost of dividing
 // the communication-qubit budget across competing gates, through
 // sched.AllocateInto as the controller runs it. These benches pin the

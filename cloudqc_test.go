@@ -1,6 +1,7 @@
 package cloudqc
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -352,5 +353,61 @@ func TestSLOThroughPublicAPI(t *testing.T) {
 	}
 	if _, err := edf.Run(jobs2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepUntilNaNKeepsClock: a NaN step is rejected and leaves the
+// virtual clock where it was, so a later earlier step cannot move the
+// clock back and a late submission still arrives at the current time.
+// Before the check, StepUntil(NaN) returned nil with Now() at NaN, and
+// StepUntil(50) then moved the clock from 100 back to 50.
+func TestStepUntilNaNKeepsClock(t *testing.T) {
+	type stepper interface {
+		StepUntil(float64) error
+		Submit(*Job) error
+		Now() float64
+		Drain() ([]*JobResult, error)
+	}
+	cluster, err := NewCluster(ClusterConfig{Cloud: NewRandomCloud(8, 0.3, 20, 5, 2), Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := NewFederation(FederationConfig{
+		Shard:  ClusterConfig{Seed: 2},
+		Clouds: []*Cloud{NewRandomCloud(8, 0.3, 20, 5, 2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghz, err := BuildCircuit("qft_n29")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]stepper{"cluster": cluster, "federation": fed} {
+		if err := s.StepUntil(100); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepUntil(math.NaN()); err == nil {
+			t.Fatalf("%s: StepUntil(NaN) returned nil", name)
+		}
+		if now := s.Now(); now != 100 {
+			t.Fatalf("%s: Now() = %v after StepUntil(NaN), want 100", name, now)
+		}
+		if err := s.Submit(&Job{ID: 0, Circuit: ghz, Arrival: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepUntil(50); err != nil {
+			t.Fatal(err)
+		}
+		if now := s.Now(); now != 100 {
+			t.Fatalf("%s: Now() = %v after StepUntil(50), want 100", name, now)
+		}
+		res, err := s.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Failed || res[0].PlacedAt < 100 {
+			t.Fatalf("%s: results %+v, want the job placed at or after 100", name, res)
+		}
 	}
 }

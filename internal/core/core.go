@@ -311,13 +311,15 @@ type LiveController struct {
 	budget          []int
 	// Per-round scratch, reused across ticks so the hot path stops
 	// allocating: the flattened request list, each active job's ready
-	// set (inner slices keep their capacity), the pairs granted to each
-	// request by position, and the states slice scheduleNext hands to
-	// EarliestEnableTime.
-	reqBuf    []sched.Request
-	readyBuf  [][]int
-	grants    []int
-	statesBuf []*sched.JobState
+	// set (inner slices keep their capacity), and the pairs granted to
+	// each request by position.
+	reqBuf   []sched.Request
+	readyBuf [][]int
+	grants   []int
+	// succ[k] is cfg.Model.RoundSuccess(k) for k up to the largest
+	// communication-qubit count at construction, so a round looks the
+	// probability up instead of calling math.Pow (see roundSuccess).
+	succ []float64
 	// nextRound is the next shared EPR round's time. Round times advance
 	// by repeated EPRAttempt addition from the instant multi-tenant
 	// execution (re)started, and are NaN while no job is active.
@@ -325,10 +327,13 @@ type LiveController struct {
 	// capacityChanged gates admission: set by arrivals and maturing
 	// releases, consumed by the next tick.
 	capacityChanged bool
-	// tickGen invalidates superseded tick events: the engine has no
-	// cancel, so a rescheduled tick bumps the generation and the stale
-	// closure becomes a no-op.
-	tickGen int
+	// tickSeq is the engine sequence number of the live tick event. The
+	// engine has no cancel, so a superseded tick still fires; onTick runs
+	// only the event whose number matches, and 0 (which no event
+	// carries) cancels the pending one. tickFn is onTick bound once, so
+	// scheduling a tick allocates nothing.
+	tickSeq int64
+	tickFn  func()
 	// tickAt is the scheduled live tick's time (NaN when none).
 	tickAt float64
 	// maxFinished tracks the latest job completion for the closing
@@ -413,12 +418,17 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 	if err := validateFaults(&cfg); err != nil {
 		return nil, err
 	}
-	totalComputing := 0
+	totalComputing, maxComm := 0, 0
 	for i := 0; i < cfg.Cloud.NumQPUs(); i++ {
 		if cfg.Cloud.QPU(i).Comm < 1 {
 			return nil, fmt.Errorf("core: QPU %d has no communication qubits", i)
 		}
 		totalComputing += cfg.Cloud.QPU(i).Computing
+		maxComm = max(maxComm, cfg.Cloud.QPU(i).Comm)
+	}
+	succ := make([]float64, maxComm+1)
+	for k := range succ {
+		succ[k] = cfg.Model.RoundSuccess(k)
 	}
 	lc := &LiveController{
 		cfg:            cfg,
@@ -428,12 +438,14 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 		results:        make(map[int]*JobResult),
 		totalComputing: totalComputing,
 		budget:         make([]int, cfg.Cloud.NumQPUs()),
+		succ:           succ,
 		nextRound:      math.NaN(),
 		tickAt:         math.NaN(),
 		status:         make(map[int]JobStatus),
 		resume:         make(map[int]*resumeState),
 		rescued:        make(map[int]bool),
 	}
+	lc.tickFn = lc.onTick
 	if lc.wfq == nil {
 		lc.wfq = NewWFQClock()
 	}
@@ -605,16 +617,19 @@ func (lc *LiveController) requestTick(at float64) {
 	if !math.IsNaN(lc.tickAt) && lc.tickAt <= at {
 		return
 	}
-	lc.tickGen++
-	gen := lc.tickGen
 	lc.tickAt = at
-	lc.eng.Schedule(at, func() {
-		if gen != lc.tickGen || lc.err != nil {
-			return
-		}
-		lc.tickAt = math.NaN()
-		lc.tick()
-	})
+	lc.tickSeq = lc.eng.Schedule(at, lc.tickFn)
+}
+
+// onTick is every tick event's callback. A superseded or cancelled tick
+// still fires, but its sequence number is no longer tickSeq, so it only
+// advances the clock.
+func (lc *LiveController) onTick() {
+	if lc.eng.Running() != lc.tickSeq || lc.err != nil {
+		return
+	}
+	lc.tickAt = math.NaN()
+	lc.tick()
 }
 
 // tick is one controller pass at the current instant: apply matured
@@ -825,13 +840,18 @@ func (lc *LiveController) scheduleNext(t float64) {
 
 	// Earliest instant any active job can attempt EPR generation; a
 	// maturing release also matters (placement retries, utilization
-	// samples), processed on the round grid.
-	lc.statesBuf = lc.statesBuf[:0]
+	// samples), processed on the round grid. No answer is earlier than
+	// t, so the scan stops at the first job that can attempt at t.
+	wake := math.Inf(1)
 	for _, aj := range lc.active {
-		lc.statesBuf = append(lc.statesBuf, aj.state)
+		if ne, ok := aj.state.NextEnableTime(t); ok && ne < wake {
+			wake = ne
+			if wake == t {
+				break
+			}
+		}
 	}
-	wake, ok := sched.EarliestEnableTime(lc.statesBuf, t)
-	if !ok {
+	if math.IsInf(wake, 1) {
 		// Unreachable: an unfinished job always has a runnable node. Keep
 		// the round cadence rather than spinning the skip loop forever.
 		wake = t

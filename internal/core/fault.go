@@ -363,7 +363,17 @@ func (lc *LiveController) attempt(s *sched.JobState, u, pairs int, t float64) {
 	if f := lc.faults; f != nil && len(f.scale) > 0 {
 		prob = f.probFn
 	}
-	s.Attempt(u, pairs, t, lc.cfg.Model, lc.rng, prob)
+	s.Attempt(u, pairs, lc.roundSuccess(pairs), t, lc.cfg.Model, lc.rng, prob)
+}
+
+// roundSuccess is cfg.Model.RoundSuccess(pairs), read from the table
+// NewLiveController filled; a pair count past it (a Comm raised after
+// construction) falls back to the call, which gives the same bits.
+func (lc *LiveController) roundSuccess(pairs int) float64 {
+	if pairs >= 0 && pairs < len(lc.succ) {
+		return lc.succ[pairs]
+	}
+	return lc.cfg.Model.RoundSuccess(pairs)
 }
 
 // faultRetryPass runs after a round's attempts: each granted node still

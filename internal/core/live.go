@@ -193,8 +193,12 @@ func (lc *LiveController) begin(target float64) {
 // strictly before t (arrivals, admission ticks, EPR rounds, releases).
 // Events at exactly t stay pending so the caller can still Submit jobs
 // arriving at t before they run; a clock already past t only replays
-// due events. Returns the first execution error, which is sticky.
+// due events. Returns the first execution error, which is sticky. A
+// NaN t is rejected before anything runs.
 func (lc *LiveController) StepUntil(t float64) error {
+	if math.IsNaN(t) {
+		return errors.New("core: StepUntil at NaN")
+	}
 	if lc.drained {
 		return ErrDrained
 	}
@@ -226,7 +230,7 @@ func (lc *LiveController) Drain() ([]*JobResult, error) {
 	lc.draining = true
 	if len(lc.active) == 0 && len(lc.queue) == 0 && lc.pendingArrivals == 0 &&
 		!math.IsNaN(lc.tickAt) {
-		lc.tickGen++
+		lc.tickSeq = 0
 		lc.tickAt = math.NaN()
 	}
 	lc.eng.Run()

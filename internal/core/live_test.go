@@ -342,6 +342,77 @@ func TestLiveControllerMisuse(t *testing.T) {
 	}
 }
 
+// TestLiveStepUntilNaN: a NaN step fails before touching any state —
+// the clock, the pending events and the sticky error stay as they were.
+func TestLiveStepUntilNaN(t *testing.T) {
+	cfg, _ := liveEquivConfig(1, BatchMode)
+	lc, err := NewLiveController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Submit(&Job{ID: 0, Circuit: qlib.GHZ(4), Arrival: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.StepUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.StepUntil(math.NaN()); err == nil {
+		t.Fatal("StepUntil(NaN) returned nil")
+	}
+	if lc.Now() != 100 || lc.Status(0) != StatusPending {
+		t.Fatalf("after StepUntil(NaN): Now %v, job 0 %v; want 100, pending", lc.Now(), lc.Status(0))
+	}
+	if err := lc.StepUntil(50); err != nil || lc.Now() != 100 {
+		t.Fatalf("StepUntil(50): err %v, Now %v; want nil, 100", err, lc.Now())
+	}
+	res, err := lc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Failed || res[0].PlacedAt != 200 {
+		t.Fatalf("job 0 = %+v, want placed at its arrival 200", res[0])
+	}
+}
+
+// TestDrainCancelsIdleWake: once the last job retires, the controller
+// keeps a tick pending at its release. Drain applies trailing releases
+// silently, so it cancels that wake: the stale tick still fires and
+// moves the clock, but runs no controller pass.
+func TestDrainCancelsIdleWake(t *testing.T) {
+	cfg, _ := liveEquivConfig(1, BatchMode)
+	lc, err := NewLiveController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Submit(&Job{ID: 0, Circuit: qlib.GHZ(30)}); err != nil {
+		t.Fatal(err)
+	}
+	for step := 1.0; lc.Status(0) != StatusCompleted; step++ {
+		if step > 1e5 {
+			t.Fatal("job never completed")
+		}
+		if err := lc.StepUntil(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !(lc.tickAt > lc.Now()) {
+		t.Fatalf("no idle wake pending after the last retirement (tickAt %v, now %v)", lc.tickAt, lc.Now())
+	}
+	wake, events := lc.tickAt, lc.RunStats().Events
+	if _, err := lc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.RunStats().Events; got != events {
+		t.Fatalf("Drain ran the cancelled wake: %d events, want %d", got, events)
+	}
+	if lc.Now() != wake {
+		t.Fatalf("Now() = %v after Drain, want the stale wake's %v", lc.Now(), wake)
+	}
+	if free := cfg.Cloud.TotalFreeComputing(); free != lc.totalComputing {
+		t.Fatalf("%d of %d computing qubits free after Drain", free, lc.totalComputing)
+	}
+}
+
 // TestRunOnce: Run ends in Drain, so a controller runs once — a second
 // Run fails with ErrDrained and leaves the first run's results alone.
 func TestRunOnce(t *testing.T) {

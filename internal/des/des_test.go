@@ -1,6 +1,10 @@
 package des
 
 import (
+	"container/heap"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -170,5 +174,182 @@ func TestNextAt(t *testing.T) {
 	e.Schedule(3, func() {})
 	if at, ok := e.NextAt(); !ok || at != 3 {
 		t.Fatalf("NextAt = %v, %v, want 3, true", at, ok)
+	}
+}
+
+func TestNaNTimePanics(t *testing.T) {
+	for name, call := range map[string]func(e *Engine){
+		"Schedule":         func(e *Engine) { e.Schedule(math.NaN(), func() {}) },
+		"SchedulePriority": func(e *Engine) { e.SchedulePriority(math.NaN(), func() {}) },
+		"RunBefore":        func(e *Engine) { e.RunBefore(math.NaN()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			e.RunBefore(100)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a NaN time should panic")
+				}
+				if e.Now() != 100 {
+					t.Fatalf("Now = %v after the rejected call, want 100", e.Now())
+				}
+			}()
+			call(e)
+		})
+	}
+}
+
+// Schedule numbers its events, and Running names the one being run, so
+// a callback bound once can ignore its superseded events.
+func TestRunningNamesTheFiringEvent(t *testing.T) {
+	e := NewEngine()
+	if e.Running() != 0 {
+		t.Fatalf("Running before any Step = %d, want 0", e.Running())
+	}
+	var live int64
+	var fired []float64
+	tick := func() {
+		if e.Running() == live {
+			fired = append(fired, e.Now())
+		}
+	}
+	e.Schedule(5, tick) // superseded below
+	live = e.Schedule(3, tick)
+	e.Run()
+	if len(fired) != 1 || fired[0] != 3 || e.Now() != 5 {
+		t.Fatalf("fired %v, Now %v: want only the live tick at 3, clock at 5", fired, e.Now())
+	}
+}
+
+// refEngine is the engine this package shipped before events moved by
+// value into a hand-written heap: *event values boxed through
+// container/heap. TestEngineMatchesReference drives both in lockstep.
+type refEngine struct {
+	now     float64
+	seq     int64
+	headSeq int64
+	queue   refHeap
+}
+
+func (e *refEngine) Schedule(at float64, fn func()) {
+	if at < e.now {
+		panic("past")
+	}
+	e.seq++
+	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
+}
+
+func (e *refEngine) SchedulePriority(at float64, fn func()) {
+	if at < e.now {
+		panic("past")
+	}
+	e.headSeq++
+	heap.Push(&e.queue, &event{at: at, seq: e.headSeq, fn: fn})
+}
+
+func (e *refEngine) Step() bool {
+	if len(e.queue) == 0 {
+		return false
+	}
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.at
+	ev.fn()
+	return true
+}
+
+func (e *refEngine) RunBefore(t float64) {
+	for len(e.queue) > 0 && e.queue[0].at < t {
+		e.Step()
+	}
+	e.now = t
+}
+
+type refHeap []*event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// TestEngineMatchesReference drives the engine and refEngine with the
+// same seeded interleavings of Schedule, SchedulePriority, superseded
+// ticks, RunBefore and Step, and compares the firing order and the
+// clock after every call. Times sit on a coarse grid so simultaneous
+// events, and so the FIFO and priority tiebreaks, are common. A tick
+// is scheduled the way the controller does it: one callback, bound
+// once, that acts only when the engine runs the latest tick's number;
+// the reference captures a generation instead.
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, ref := NewEngine(), &refEngine{headSeq: headSeqBase}
+		var got, want []int
+		var tickSeq int64
+		var tickGen, refGen int
+		tick := func() {
+			if e.Running() == tickSeq {
+				got = append(got, -1)
+			}
+		}
+		id := 0
+		for op := 0; op < 200; op++ {
+			at := e.Now() + float64(rng.Intn(6))
+			switch k := rng.Intn(10); {
+			case k < 3:
+				id++
+				n := id
+				e.Schedule(at, func() { got = append(got, n) })
+				ref.Schedule(at, func() { want = append(want, n) })
+			case k < 5:
+				id++
+				n := id
+				e.SchedulePriority(at, func() { got = append(got, n) })
+				ref.SchedulePriority(at, func() { want = append(want, n) })
+			case k < 7:
+				// A new tick supersedes the pending one, stale or not.
+				tickSeq = e.Schedule(at, tick)
+				tickGen++
+				gen := tickGen
+				ref.Schedule(at, func() {
+					if gen == refGen {
+						want = append(want, -1)
+					}
+				})
+				refGen = gen
+			case k < 8:
+				e.RunBefore(at)
+				ref.RunBefore(at)
+			default:
+				if e.Step() != ref.Step() {
+					t.Fatalf("seed %d op %d: Step results differ", seed, op)
+				}
+			}
+			if e.Now() != ref.now || !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: now %v/%v, fired %v, want %v", seed, op, e.Now(), ref.now, got, want)
+			}
+			if at, ok := e.NextAt(); ok != (len(ref.queue) > 0) || ok && at != ref.queue[0].at {
+				t.Fatalf("seed %d op %d: NextAt differs", seed, op)
+			}
+		}
+		for e.Step() {
+			ref.Step()
+			if e.Now() != ref.now || !slices.Equal(got, want) {
+				t.Fatalf("seed %d drain: now %v/%v, fired %v, want %v", seed, e.Now(), ref.now, got, want)
+			}
+		}
+		if ref.Step() {
+			t.Fatalf("seed %d: reference still has events", seed)
+		}
 	}
 }

@@ -86,7 +86,7 @@ func (e Event) Validate() error {
 		if e.QPU < 0 {
 			return fmt.Errorf("fault: qpu_outage with negative QPU %d", e.QPU)
 		}
-		if e.To <= e.From {
+		if !(e.To > e.From) { // a NaN end is no interval either
 			return fmt.Errorf("fault: qpu_outage interval [%v, %v) is empty", e.From, e.To)
 		}
 	case KindLinkDegrade:
@@ -98,7 +98,7 @@ func (e Event) Validate() error {
 		if e.Scale < 0 || e.Scale > 1 || math.IsNaN(e.Scale) {
 			return fmt.Errorf("fault: link_degrade scale %v outside [0, 1]", e.Scale)
 		}
-		if e.To <= e.From {
+		if !(e.To > e.From) {
 			return fmt.Errorf("fault: link_degrade interval [%v, %v) is empty", e.From, e.To)
 		}
 	case KindShardDrain:

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,6 +34,8 @@ func TestEventValidate(t *testing.T) {
 		{Kind: KindLinkDegrade, U: 0, V: 1, Scale: -0.1, From: 0, To: 5}, // negative scale
 		{Kind: KindLinkDegrade, U: 0, V: 1, Scale: 1.5, From: 0, To: 5},  // amplifying
 		{Kind: KindLinkDegrade, U: 0, V: 1, Scale: 0.5, From: 5, To: 5},
+		{Kind: KindQPUOutage, QPU: 0, From: 0, To: math.NaN()}, // NaN end
+		{Kind: KindLinkDegrade, U: 0, V: 1, Scale: 0.5, From: 0, To: math.NaN()},
 		{Kind: KindShardDrain, From: -2},
 	}
 	for i, e := range bad {

@@ -286,8 +286,11 @@ func (f *Federation) nextID(shard int) int {
 // drain instant, the doomed shard is evacuated and rehomed, and the
 // step continues — so a drain lands at the same virtual time however
 // the caller slices its steps. Returns the first shard error, which is
-// sticky on that shard.
+// sticky on that shard. A NaN t is rejected before any shard steps.
 func (f *Federation) StepUntil(t float64) error {
+	if math.IsNaN(t) {
+		return errors.New("fed: StepUntil at NaN")
+	}
 	if f.drained {
 		return fmt.Errorf("fed: %w", core.ErrDrained)
 	}

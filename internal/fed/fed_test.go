@@ -2,12 +2,14 @@ package fed
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"cloudqc/internal/circuit"
 	"cloudqc/internal/cloud"
 	"cloudqc/internal/core"
+	"cloudqc/internal/fault"
 	"cloudqc/internal/graph"
 	"cloudqc/internal/metrics"
 	"cloudqc/internal/place"
@@ -303,6 +305,34 @@ func TestFederationDrainedErrors(t *testing.T) {
 	}
 	if _, err := f.Drain(); !errors.Is(err, core.ErrDrained) {
 		t.Fatalf("second drain: err = %v, want ErrDrained", err)
+	}
+}
+
+// TestFederationStepUntilNaN: a NaN step fails before any shard steps
+// or any drain fires, and the clock stays where it was.
+func TestFederationStepUntilNaN(t *testing.T) {
+	f, err := New(Config{
+		Shard:  shardTemplate(1, core.FIFOMode),
+		Clouds: uniformClouds(2, 8),
+		Faults: &fault.Plan{Events: []fault.Event{{Kind: fault.KindShardDrain, Shard: 1, From: 150}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.StepUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.StepUntil(math.NaN()); err == nil {
+		t.Fatal("StepUntil(NaN) returned nil")
+	}
+	if now := f.Now(); now != 100 {
+		t.Fatalf("Now() = %v after StepUntil(NaN), want 100", now)
+	}
+	if len(f.drains) != 1 {
+		t.Fatalf("StepUntil(NaN) fired a drain: %d pending, want 1", len(f.drains))
+	}
+	if err := f.StepUntil(50); err != nil || f.Now() != 100 {
+		t.Fatalf("StepUntil(50): err %v, Now %v; want nil, 100", err, f.Now())
 	}
 }
 

@@ -208,21 +208,23 @@ func (s *JobState) AppendRequests(dst []Request, job int, ready []int) []Request
 // sampling one Bernoulli trial per unfinished hop. If every hop is
 // entangled by the round's end, the gate completes: entanglement
 // swapping at intermediates, gate execution, and measurement follow.
-// roundStart is the round's opening time.
+// q is the round's per-hop success probability, m.RoundSuccess(pairs);
+// the caller passes it so a controller can look it up once per pair
+// count instead of calling math.Pow per attempt. roundStart is the
+// round's opening time.
 //
 // edgeProb, when non-nil, is a per-edge success-probability overlay for
 // degraded links: hop k of u's path (the edge path[k]→path[k+1]) then
-// succeeds with edgeProb(path[k], path[k+1]) instead of the model's
-// uniform probability. The unentangled hops are the path's suffix (the
+// succeeds with epr.RoundSuccessProb(edgeProb(path[k], path[k+1]),
+// pairs) instead of q. The unentangled hops are the path's suffix (the
 // first len(path)-1-hopsLeft are banked). Either way each unfinished
 // hop draws exactly one trial, so a uniform overlay reproduces the nil
 // one bit-for-bit on the same RNG stream.
-func (s *JobState) Attempt(u, pairs int, roundStart float64, m epr.Model, rng *rand.Rand, edgeProb func(a, b int) float64) {
+func (s *JobState) Attempt(u, pairs int, q, roundStart float64, m epr.Model, rng *rand.Rand, edgeProb func(a, b int) float64) {
 	if pairs <= 0 || s.hopsLeft[u] == 0 {
 		return
 	}
 	s.attempted[u] = true
-	q := m.RoundSuccess(pairs)
 	path := s.paths[u]
 	hops := len(path) - 1
 	for k := hops - s.hopsLeft[u]; k < hops; k++ {
@@ -326,7 +328,7 @@ func runSingle(dag *RemoteDAG, cl *cloud.Cloud, m epr.Model, p Policy, rng *rand
 		grants = slices.Grow(grants[:0], len(reqs))[:len(reqs)]
 		AllocateInto(p, reqs, budget, grants, rng)
 		for k, u := range ready {
-			s.Attempt(u, grants[k], t, m, rng, nil)
+			s.Attempt(u, grants[k], m.RoundSuccess(grants[k]), t, m, rng, nil)
 		}
 		res.Rounds++
 		t += m.EPRAttempt
@@ -347,9 +349,10 @@ func (s *JobState) nextEnableTime(t float64) float64 {
 
 // NextEnableTime returns the earliest time >= t at which some runnable
 // node may attempt EPR generation (a node whose readyAt has passed is
-// enabled immediately, so t itself is returned). The second result is
-// false when the job has no runnable unfinished nodes — either it is
-// done, or every unfinished node still waits on predecessors.
+// enabled immediately, so t itself is returned, and the scan stops
+// there: no answer is earlier than t). The second result is false when
+// the job has no runnable unfinished nodes — either it is done, or
+// every unfinished node still waits on predecessors.
 func (s *JobState) NextEnableTime(t float64) (float64, bool) {
 	next := math.Inf(1)
 	for _, i := range s.runnable {
@@ -357,25 +360,12 @@ func (s *JobState) NextEnableTime(t float64) (float64, bool) {
 			continue
 		}
 		ra := s.readyAt[i]
-		if ra < t {
-			ra = t
+		if ra <= t {
+			next = t
+			break
 		}
 		if ra < next {
 			next = ra
-		}
-	}
-	return next, !math.IsInf(next, 1)
-}
-
-// EarliestEnableTime is the multi-job analogue of NextEnableTime: the
-// earliest time >= t at which any of the given jobs has an EPR-ready
-// node. The multi-tenant controller uses it to jump its round clock over
-// spans where every active job is waiting on local tails.
-func EarliestEnableTime(states []*JobState, t float64) (float64, bool) {
-	next := math.Inf(1)
-	for _, s := range states {
-		if ne, ok := s.NextEnableTime(t); ok && ne < next {
-			next = ne
 		}
 	}
 	return next, !math.IsInf(next, 1)

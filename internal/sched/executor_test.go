@@ -183,7 +183,7 @@ func TestJobStateSuccessorsUnlockAfterFinish(t *testing.T) {
 	s := NewJobState(d, 0)
 	rng := rand.New(rand.NewSource(1))
 	for _, u := range s.Ready(0) {
-		s.Attempt(u, 1, 0, m, rng, nil)
+		s.Attempt(u, 1, m.RoundSuccess(1), 0, m, rng, nil)
 	}
 	// Gates 0 and 1 finish at 10 + 1 + 5 = 16; successors are not ready
 	// at time 10 but are ready at 16.

@@ -103,7 +103,7 @@ func TestSetPathRules(t *testing.T) {
 	}
 	// Attempt freezes the path.
 	m := epr.Model{Latency: epr.DefaultLatency(), SuccessProb: 0.01}
-	s.Attempt(0, 1, 0, m, rand.New(rand.NewSource(1)), nil)
+	s.Attempt(0, 1, m.RoundSuccess(1), 0, m, rand.New(rand.NewSource(1)), nil)
 	if !s.Attempted(0) {
 		t.Fatal("Attempted not recorded")
 	}
