@@ -34,13 +34,14 @@ func (g *Graph) Center() int {
 		return best
 	}
 	dist, queue := make([]int, g.n), make([]int, 0, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
+	fill(dist, -1)
 	bestEcc := g.n // above every eccentricity, so the first search runs to the end
 	for v := 0; v < g.n; v++ {
 		var ecc int
-		ecc, queue = g.eccentricityWithin(v, bestEcc, dist, queue)
+		ecc, queue = g.search(v, bestEcc, dist, nil, queue)
+		for _, u := range queue {
+			dist[u] = -1
+		}
 		if ecc > bestEcc {
 			continue
 		}
@@ -51,29 +52,4 @@ func (g *Graph) Center() int {
 		}
 	}
 	return best
-}
-
-// eccentricityWithin returns start's eccentricity, or a value above
-// limit as soon as the search passes depth limit. dist must hold −1
-// everywhere on entry and does again on return; queue is scratch,
-// returned for reuse.
-func (g *Graph) eccentricityWithin(start, limit int, dist, queue []int) (int, []int) {
-	dist[start] = 0
-	queue = append(queue[:0], start)
-	ecc := 0
-	for head := 0; head < len(queue) && ecc <= limit; head++ {
-		u := queue[head]
-		du := dist[u] + 1
-		for _, a := range g.adj[u] {
-			if dist[a.To] < 0 {
-				dist[a.To] = du
-				ecc = du
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	for _, u := range queue {
-		dist[u] = -1
-	}
-	return ecc, queue
 }

@@ -104,13 +104,12 @@ func (r refGraph) center() int {
 // refCenter is Center as it was before its full-degree shortcut and
 // BFS cut-off: one complete BFS per vertex, comparing eccentricity,
 // then weighted degree, in index order. It is the oracle for
-// TestQuickCenterMatchesReference.
+// TestQuickCenterMatchesReference, and runs its own BFS over g.Arcs so
+// that it shares no search code with Center.
 func refCenter(g *Graph) int {
-	dist, queue := make([]int, g.n), make([]int, 0, g.n)
 	best, bestEcc, bestDeg := -1, -1, 0.0
-	for v := 0; v < g.n; v++ {
-		var ecc int
-		ecc, queue = g.hops(v, dist, queue)
+	for v := 0; v < g.N(); v++ {
+		ecc := refEccentricity(g, v)
 		deg := g.WeightedDegree(v)
 		switch {
 		case best < 0, ecc < bestEcc, ecc == bestEcc && deg > bestDeg:
@@ -118,6 +117,24 @@ func refCenter(g *Graph) int {
 		}
 	}
 	return best
+}
+
+// refEccentricity is the longest hop distance from start to a vertex it
+// reaches, by a textbook BFS over g.Arcs.
+func refEccentricity(g *Graph, start int) int {
+	dist := map[int]int{start: 0}
+	ecc := 0
+	for queue := []int{start}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		ecc = max(ecc, dist[u])
+		for _, a := range g.Arcs(u) {
+			if _, seen := dist[a.To]; !seen {
+				dist[a.To] = dist[u] + 1
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	return ecc
 }
 
 // centerCase draws one seeded graph from the families Center has to
@@ -236,8 +253,10 @@ func randomMultigraph(seed int64) (int, []Edge) {
 
 // mismatch returns how g's answers differ from r's, or "" when every
 // one is equal: arcs (weights bit for bit), degrees, traversals,
-// shortest paths, the center and the edge count.
-func mismatch(g *Graph, r refGraph) string {
+// shortest paths, the center and the edge count. Hop distances are also
+// read through s, which callers reuse across graphs of different sizes
+// so that the scratch both grows and shrinks.
+func mismatch(g *Graph, r refGraph, s *HopScratch) string {
 	n := g.N()
 	if n != len(r) {
 		return fmt.Sprintf("N %d, reference %d", n, len(r))
@@ -257,7 +276,8 @@ func mismatch(g *Graph, r refGraph) string {
 		order, dist, parent := r.bfs(u)
 		gd, gp := g.HopTree(u)
 		if !slices.Equal(g.BFSOrder(u), order) || !slices.Equal(g.HopDistances(u), dist) ||
-			!slices.Equal(gd, dist) || !slices.Equal(gp, parent) {
+			!slices.Equal(gd, dist) || !slices.Equal(gp, parent) ||
+			!slices.Equal(s.HopDistances(g, u), dist) {
 			return fmt.Sprintf("BFS from %d differs", u)
 		}
 		for v := 0; v < n; v++ {
@@ -275,9 +295,10 @@ func mismatch(g *Graph, r refGraph) string {
 // TestQuickMatchesReference: Build on a random multigraph answers as
 // the reference built from the same edge list.
 func TestQuickMatchesReference(t *testing.T) {
+	var s HopScratch
 	f := func(seed int64) bool {
 		n, edges := randomMultigraph(seed)
-		if d := mismatch(Build(n, edges), newRef(n, edges)); d != "" {
+		if d := mismatch(Build(n, edges), newRef(n, edges), &s); d != "" {
 			t.Logf("seed %d: %s", seed, d)
 			return false
 		}
@@ -292,6 +313,7 @@ func TestQuickMatchesReference(t *testing.T) {
 // predicate names, as deleting them from the reference does, and leaves
 // its receiver as it was.
 func TestQuickWithoutMatchesReference(t *testing.T) {
+	var s HopScratch
 	f := func(seed int64) bool {
 		n, edges := randomMultigraph(seed)
 		g, r := Build(n, edges), newRef(n, edges)
@@ -311,7 +333,7 @@ func TestQuickWithoutMatchesReference(t *testing.T) {
 			}
 			return dropped[[2]int{u, v}]
 		})
-		if d := mismatch(w, r); d != "" {
+		if d := mismatch(w, r, &s); d != "" {
 			t.Logf("seed %d: %s", seed, d)
 			return false
 		}

@@ -1,28 +1,58 @@
 package graph
 
-// Every breadth-first search here walks the sorted adjacency lists in
-// place with an index-head queue: neighbours are visited in ascending
-// index order, so results are deterministic, and a search allocates only
-// the slices it returns plus one queue.
+// Every breadth-first search in this package is one call of search,
+// which walks the sorted adjacency lists in place with an index-head
+// queue: neighbours are visited in ascending index order, so results are
+// deterministic. Callers hand it a queue with room for every vertex, so
+// a search allocates only the slices its caller makes.
+
+// search runs a breadth-first search from start. dist must hold −1
+// everywhere on entry; search sets the hop distance of every vertex it
+// reaches and, when parent is non-nil, its BFS-tree parent
+// (parent[start] = start). It stops expanding once it has reached a
+// vertex deeper than limit, so a limit of g.n or more searches the whole
+// component. queue is scratch. search returns the last depth it reached,
+// start's eccentricity when the search ran to the end, and the queue,
+// which holds the reached vertices in BFS order.
+func (g *Graph) search(start, limit int, dist, parent, queue []int) (int, []int) {
+	dist[start] = 0
+	if parent != nil {
+		parent[start] = start
+	}
+	queue = append(queue[:0], start)
+	depth := 0
+	for head := 0; head < len(queue) && depth <= limit; head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, a := range g.adj[u] {
+			if dist[a.To] < 0 {
+				dist[a.To] = du
+				if parent != nil {
+					parent[a.To] = u
+				}
+				depth = du
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	return depth, queue
+}
+
+// fill sets every element of s to v.
+func fill(s []int, v int) {
+	for i := range s {
+		s[i] = v
+	}
+}
 
 // BFSOrder returns the vertices reachable from start in breadth-first
 // order. Neighbors are visited in ascending index order, so the result is
 // deterministic.
 func (g *Graph) BFSOrder(start int) []int {
 	g.check(start)
-	visited := make([]bool, g.n)
-	order := make([]int, 1, g.n)
-	order[0] = start
-	visited[start] = true
-	// order doubles as the queue: it holds exactly the enqueued vertices.
-	for head := 0; head < len(order); head++ {
-		for _, a := range g.adj[order[head]] {
-			if !visited[a.To] {
-				visited[a.To] = true
-				order = append(order, a.To)
-			}
-		}
-	}
+	dist := make([]int, g.n)
+	fill(dist, -1)
+	_, order := g.search(start, g.n, dist, nil, make([]int, 0, g.n))
 	return order
 }
 
@@ -31,32 +61,9 @@ func (g *Graph) BFSOrder(start int) []int {
 func (g *Graph) HopDistances(start int) []int {
 	g.check(start)
 	dist := make([]int, g.n)
-	g.hops(start, dist, make([]int, 0, g.n))
+	fill(dist, -1)
+	g.search(start, g.n, dist, nil, make([]int, 0, g.n))
 	return dist
-}
-
-// hops fills dist with start's hop distances (-1 for unreachable) using
-// queue as scratch, and returns the eccentricity of start together with
-// the queue so callers can reuse its storage. len(dist) must be g.n.
-func (g *Graph) hops(start int, dist, queue []int) (int, []int) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[start] = 0
-	queue = append(queue[:0], start)
-	ecc := 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u] + 1
-		for _, a := range g.adj[u] {
-			if dist[a.To] < 0 {
-				dist[a.To] = du
-				ecc = du
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return ecc, queue
 }
 
 // HopScratch is reusable storage for repeated hop-distance searches:
@@ -75,7 +82,8 @@ func (s *HopScratch) HopDistances(g *Graph, start int) []int {
 		s.queue = make([]int, 0, g.n)
 	}
 	s.dist = s.dist[:g.n]
-	_, s.queue = g.hops(start, s.dist, s.queue)
+	fill(s.dist, -1)
+	_, s.queue = g.search(start, g.n, s.dist, nil, s.queue)
 	return s.dist
 }
 
@@ -90,24 +98,9 @@ func (g *Graph) HopTree(start int) (dist, parent []int) {
 	g.check(start)
 	dist = make([]int, g.n)
 	parent = make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	dist[start] = 0
-	parent[start] = start
-	queue := make([]int, 1, g.n)
-	queue[0] = start
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, a := range g.adj[u] {
-			if dist[a.To] < 0 {
-				dist[a.To] = dist[u] + 1
-				parent[a.To] = u
-				queue = append(queue, a.To)
-			}
-		}
-	}
+	fill(dist, -1)
+	fill(parent, -1)
+	g.search(start, g.n, dist, parent, make([]int, 0, g.n))
 	return dist, parent
 }
 
@@ -117,34 +110,17 @@ func (g *Graph) HopTree(start int) (dist, parent []int) {
 func (g *Graph) ShortestPath(u, v int) []int {
 	g.check(u)
 	g.check(v)
-	if u == v {
-		return []int{u}
-	}
-	prev := make([]int, g.n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[u] = u
-	queue := make([]int, 1, g.n)
-	queue[0] = u
-	for head := 0; head < len(queue) && prev[v] < 0; head++ {
-		x := queue[head]
-		for _, a := range g.adj[x] {
-			if prev[a.To] < 0 {
-				prev[a.To] = x
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	if prev[v] < 0 {
+	// One backing array holds dist, parent and the queue, so a query
+	// allocates only it and the path.
+	buf := make([]int, 3*g.n)
+	dist, parent := buf[:g.n], buf[g.n:2*g.n]
+	fill(dist, -1)
+	g.search(u, g.n, dist, parent, buf[2*g.n:2*g.n])
+	if dist[v] < 0 {
 		return nil
 	}
-	n := 1
-	for x := v; x != u; x = prev[x] {
-		n++
-	}
-	path := make([]int, n)
-	for x, i := v, n-1; i >= 0; x, i = prev[x], i-1 {
+	path := make([]int, dist[v]+1)
+	for x, i := v, dist[v]; i >= 0; x, i = parent[x], i-1 {
 		path[i] = x
 	}
 	return path

@@ -65,12 +65,12 @@ func (s *JobState) Reinit(dag *RemoteDAG, prio []int, start float64) {
 	}
 	s.dag = dag
 	s.prio = prio
-	s.pending = growInts(s.pending, n)
-	s.readyAt = growFloats(s.readyAt, n)
-	s.hopsLeft = growInts(s.hopsLeft, n)
-	s.paths = growPaths(s.paths, n)
-	s.attempted = growBools(s.attempted, n)
-	s.finish = growFloats(s.finish, n)
+	s.pending = grow(s.pending, n)
+	s.readyAt = grow(s.readyAt, n)
+	s.hopsLeft = grow(s.hopsLeft, n)
+	s.paths = grow(s.paths, n)
+	s.attempted = grow(s.attempted, n)
+	s.finish = grow(s.finish, n)
 	s.remaining = n
 	s.maxFinish = 0
 	s.start = start
@@ -88,32 +88,11 @@ func (s *JobState) Reinit(dag *RemoteDAG, prio []int, start float64) {
 	}
 }
 
-// growInts returns a length-n slice reusing buf's backing array when it
-// is large enough.
-func growInts(buf []int, n int) []int {
+// grow returns a length-n slice reusing buf's backing array when it is
+// large enough.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
-}
-
-func growPaths(buf [][]int, n int) [][]int {
-	if cap(buf) < n {
-		return make([][]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -27,9 +27,9 @@ type RemoteGate struct {
 	// gate's remote predecessors finishing and its EPR attempts starting
 	// (longest chain of local gates in between).
 	Lag float64
-	// Teleport marks qubit-migration nodes inserted by
-	// BuildMigratingDAG: the EPR pair moves a qubit instead of executing
-	// a gate.
+	// Teleport marks a qubit-migration node: the EPR pair moves a qubit
+	// instead of executing a gate. Only BuildMigratingDAG inserts them;
+	// the executor and policies run them as any other node.
 	Teleport bool
 }
 
@@ -59,45 +59,86 @@ func (d *RemoteDAG) Len() int { return len(d.Nodes) }
 // assign maps qubits to QPUs; lat supplies local gate durations for the
 // lag/tail bookkeeping.
 func BuildRemoteDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.Latency) *RemoteDAG {
-	d := &RemoteDAG{}
+	d, _ := contract(c, cl, assign, lat, false)
+	return d
+}
+
+// contract walks c's gate stream once and builds its remote DAG, with
+// qubit q on QPU assign[q]. With migrate set it plans teleports as
+// BuildMigratingDAG describes, on a copy of assign; without, every
+// inter-QPU gate becomes a node, assign is only read and the stats'
+// FinalAssign is assign itself.
+func contract(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.Latency, migrate bool) (*RemoteDAG, MigrationStats) {
 	n := c.NumQubits()
+	cur := assign
+	var free []int
+	if migrate {
+		cur = append([]int(nil), assign...)
+		// Free computing slots per QPU beyond the circuit's own footprint.
+		free = make([]int, cl.NumQPUs())
+		for i := range free {
+			free[i] = cl.FreeComputing(i)
+		}
+		for _, q := range cur {
+			free[q]--
+		}
+	}
+
+	d := &RemoteDAG{}
+	var stats MigrationStats
 	// frontier[q]: remote nodes that are the latest remote ancestors on
 	// qubit q's line. lag[q]: local latency accumulated since then.
 	frontier := make([][]int, n)
 	lag := make([]float64, n)
+	gates := c.Gates()
 
-	for gi, g := range c.Gates() {
-		switch {
-		case g.Kind == circuit.Two && assign[g.Qubits[0]] != assign[g.Qubits[1]]:
-			a, b := g.Qubits[0], g.Qubits[1]
-			id := len(d.Nodes)
-			node := RemoteGate{
-				ID:        id,
-				GateIndex: gi,
-				Path:      cl.Path(assign[a], assign[b]),
-				Lag:       maxf(lag[a], lag[b]),
-			}
-			parents := mergeSorted(frontier[a], frontier[b])
-			d.Nodes = append(d.Nodes, node)
-			d.Succs = append(d.Succs, nil)
-			d.Preds = append(d.Preds, parents)
-			for _, p := range parents {
-				d.Succs[p] = append(d.Succs[p], id)
-			}
-			frontier[a] = []int{id}
-			frontier[b] = []int{id}
-			lag[a], lag[b] = 0, 0
-		case g.Kind == circuit.Two:
-			a, b := g.Qubits[0], g.Qubits[1]
-			merged := mergeSorted(frontier[a], frontier[b])
-			t := maxf(lag[a], lag[b]) + lat.GateDuration(g.Kind)
-			frontier[a] = merged
-			frontier[b] = append([]int(nil), merged...)
-			lag[a], lag[b] = t, t
-		default:
-			q := g.Qubits[0]
-			lag[q] += lat.GateDuration(g.Kind)
+	for gi, g := range gates {
+		if g.Kind != circuit.Two {
+			lag[g.Qubits[0]] += lat.GateDuration(g.Kind)
+			continue
 		}
+		a, b := g.Qubits[0], g.Qubits[1]
+		if cur[a] != cur[b] {
+			mover, dest := -1, -1
+			if migrate {
+				mover, dest = teleportChoice(gates, gi, a, b, cur, free)
+			}
+			if mover < 0 {
+				id := d.add(RemoteGate{
+					GateIndex: gi,
+					Path:      cl.Path(cur[a], cur[b]),
+					Lag:       maxf(lag[a], lag[b]),
+				}, mergeSorted(frontier[a], frontier[b]))
+				frontier[a] = []int{id}
+				frontier[b] = []int{id}
+				lag[a], lag[b] = 0, 0
+				stats.RemoteGates++
+				continue
+			}
+			// Teleport node: depends on the moving qubit's history
+			// only; the EPR spans the current QPU pair.
+			src := cur[mover]
+			id := d.add(RemoteGate{
+				GateIndex: gi,
+				Path:      cl.Path(src, dest),
+				Lag:       lag[mover],
+				Teleport:  true,
+			}, append([]int(nil), frontier[mover]...))
+			frontier[mover] = []int{id}
+			lag[mover] = 0
+			free[src]++
+			free[dest]--
+			cur[mover] = dest
+			stats.Teleports++
+			stats.LocalizedGates++ // the triggering gate is now local
+		} else if assign[a] != assign[b] { // was remote under the static plan
+			stats.LocalizedGates++
+		}
+		merged := mergeSorted(frontier[a], frontier[b])
+		t := maxf(lag[a], lag[b]) + lat.GateDuration(g.Kind)
+		frontier[a] = merged
+		frontier[b] = append([]int(nil), merged...)
+		lag[a], lag[b] = t, t
 	}
 
 	for q := 0; q < n; q++ {
@@ -111,7 +152,22 @@ func BuildRemoteDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.L
 		// duration ≥ 0 (epr.Model.Validate): ready times then never fall.
 		d.LocalOnly, d.Tail = d.Tail, 0
 	}
-	return d
+	stats.FinalAssign = cur
+	return d, stats
+}
+
+// add appends node with the next ID and the given parents, links it
+// into its parents' successor lists, and returns its ID.
+func (d *RemoteDAG) add(node RemoteGate, parents []int) int {
+	id := len(d.Nodes)
+	node.ID = id
+	d.Nodes = append(d.Nodes, node)
+	d.Succs = append(d.Succs, nil)
+	d.Preds = append(d.Preds, parents)
+	for _, p := range parents {
+		d.Succs[p] = append(d.Succs[p], id)
+	}
+	return id
 }
 
 // Priorities returns each node's priority: the length in edges of the

@@ -50,102 +50,8 @@ type MigrationStats struct {
 // EPR rounds and swap latency), flagged via RemoteGate.Teleport, so the
 // unmodified executor and policies run migration plans directly.
 func BuildMigratingDAG(c *circuit.Circuit, cl *cloud.Cloud, assign []int, lat epr.Latency) (*RemoteDAG, *MigrationStats) {
-	n := c.NumQubits()
-	cur := append([]int(nil), assign...)
-	// Free computing slots per QPU beyond the circuit's own footprint.
-	free := make([]int, cl.NumQPUs())
-	for i := range free {
-		free[i] = cl.FreeComputing(i)
-	}
-	for _, q := range cur {
-		free[q]--
-	}
-
-	d := &RemoteDAG{}
-	stats := &MigrationStats{}
-	frontier := make([][]int, n)
-	lag := make([]float64, n)
-	gates := c.Gates()
-
-	addNode := func(node RemoteGate, parents []int, qubits ...int) int {
-		id := len(d.Nodes)
-		node.ID = id
-		d.Nodes = append(d.Nodes, node)
-		d.Succs = append(d.Succs, nil)
-		d.Preds = append(d.Preds, parents)
-		for _, p := range parents {
-			d.Succs[p] = append(d.Succs[p], id)
-		}
-		for _, q := range qubits {
-			frontier[q] = []int{id}
-			lag[q] = 0
-		}
-		return id
-	}
-
-	for gi, g := range gates {
-		switch {
-		case g.Kind == circuit.Two && cur[g.Qubits[0]] != cur[g.Qubits[1]]:
-			a, b := g.Qubits[0], g.Qubits[1]
-			if mover, dest := teleportChoice(gates, gi, a, b, cur, free); mover >= 0 {
-				// Teleport node: depends on the moving qubit's history
-				// only; the EPR spans the current QPU pair.
-				src := cur[mover]
-				tele := RemoteGate{
-					GateIndex: gi,
-					Path:      cl.Path(src, dest),
-					Lag:       lag[mover],
-					Teleport:  true,
-				}
-				addNode(tele, append([]int(nil), frontier[mover]...), mover)
-				free[src]++
-				free[dest]--
-				cur[mover] = dest
-				stats.Teleports++
-				// The triggering gate is now local.
-				t := maxf(lag[a], lag[b]) + lat.GateDuration(g.Kind)
-				merged := mergeSorted(frontier[a], frontier[b])
-				frontier[a] = merged
-				frontier[b] = append([]int(nil), merged...)
-				lag[a], lag[b] = t, t
-				stats.LocalizedGates++
-				continue
-			}
-			node := RemoteGate{
-				GateIndex: gi,
-				Path:      cl.Path(cur[a], cur[b]),
-				Lag:       maxf(lag[a], lag[b]),
-			}
-			addNode(node, mergeSorted(frontier[a], frontier[b]), a, b)
-			stats.RemoteGates++
-		case g.Kind == circuit.Two:
-			a, b := g.Qubits[0], g.Qubits[1]
-			merged := mergeSorted(frontier[a], frontier[b])
-			t := maxf(lag[a], lag[b]) + lat.GateDuration(g.Kind)
-			frontier[a] = merged
-			frontier[b] = append([]int(nil), merged...)
-			lag[a], lag[b] = t, t
-			if assign[a] != assign[b] { // was remote under the static plan
-				stats.LocalizedGates++
-			}
-		default:
-			lag[g.Qubits[0]] += lat.GateDuration(g.Kind)
-		}
-	}
-
-	for q := 0; q < n; q++ {
-		if lag[q] > d.Tail {
-			d.Tail = lag[q]
-		}
-	}
-	if len(d.Nodes) == 0 {
-		// With no remote nodes, lag[q] is qubit q's local ready time, so
-		// the largest lag is the local critical path. That needs every
-		// duration ≥ 0 (epr.Model.Validate): ready times then never fall.
-		d.LocalOnly, d.Tail = d.Tail, 0
-	}
-	stats.FinalAssign = cur
-	return d, stats
+	d, stats := contract(c, cl, assign, lat, true)
+	return d, &stats
 }
 
 // teleportChoice decides whether the remote gate at index gi between
@@ -162,10 +68,7 @@ func teleportChoice(gates []circuit.Gate, gi, a, b int, cur, free []int) (mover,
 		g := gates[i]
 		scanned++
 		if g.Kind != circuit.Two {
-			if g.On(a) || g.On(b) {
-				continue // 1q gates and measures don't break a burst
-			}
-			continue
+			continue // 1q gates and measures don't break a burst
 		}
 		onA, onB := g.On(a), g.On(b)
 		switch {
