@@ -45,21 +45,3 @@ func (w *WFQClock) slot(tenant int) int {
 	w.service = append(w.service, 0)
 	return s
 }
-
-// Service returns a tenant's accumulated virtual service (0 for
-// tenants the clock has never seen).
-func (w *WFQClock) Service(tenant int) float64 {
-	if s, ok := w.slots[tenant]; ok {
-		return w.service[s]
-	}
-	return 0
-}
-
-// VTime returns the global virtual time.
-func (w *WFQClock) VTime() float64 { return w.vtime }
-
-// Tenants returns the tenant ids the clock has seen, in slot order
-// (first-seen order).
-func (w *WFQClock) Tenants() []int {
-	return append([]int(nil), w.ids...)
-}

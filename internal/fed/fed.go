@@ -605,9 +605,6 @@ func (f *Federation) Trace() *trace.Recorder { return f.trace }
 // Routing returns the configured routing discipline.
 func (f *Federation) Routing() Routing { return f.router.routing }
 
-// WFQClock returns the clock every shard bills WFQ admission into.
-func (f *Federation) WFQClock() *core.WFQClock { return f.wfq }
-
 // Snapshot aggregates the shards' live snapshots: job counts, rounds,
 // and events sum; Now is the furthest shard clock; Utilization is
 // weighted by each shard's computing capacity so it stays the

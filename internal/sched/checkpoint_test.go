@@ -20,7 +20,7 @@ func sureModel() epr.Model {
 
 // driveRound runs one EPR round granting every ready node one pair.
 func driveRound(s *JobState, t float64, m epr.Model, rng *rand.Rand) {
-	for _, u := range s.Ready(t) {
+	for _, u := range s.AppendReady(nil, t) {
 		s.Attempt(u, 1, m.RoundSuccess(1), t, m, rng, nil)
 	}
 }

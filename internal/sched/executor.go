@@ -145,14 +145,11 @@ func (s *JobState) MaxFinish() float64 {
 	return s.maxFinish
 }
 
-// Ready returns the node ids allowed to attempt EPR generation in the
-// round starting at time t. Completed nodes are compacted out of the
-// runnable list lazily.
-func (s *JobState) Ready(t float64) []int { return s.AppendReady(nil, t) }
-
-// AppendReady is Ready appending into dst (usually a reused scratch
-// buffer sliced to length 0), so per-round collection on the
+// AppendReady appends to dst (usually a reused scratch buffer sliced
+// to length 0) the node ids allowed to attempt EPR generation in the
+// round starting at time t, so per-round collection on the
 // controller's hot path allocates nothing once the buffers warm up.
+// Completed nodes are compacted out of the runnable list lazily.
 func (s *JobState) AppendReady(dst []int, t float64) []int {
 	w := 0
 	for _, i := range s.runnable {

@@ -156,10 +156,10 @@ func TestJobStateReadyRespectsLag(t *testing.T) {
 	c.Append(circuit.H(0), circuit.CX(0, 1)) // lag 0.1 before the remote gate
 	d := BuildRemoteDAG(c, cl, []int{0, 1}, epr.DefaultLatency())
 	s := NewJobState(d, 0)
-	if len(s.Ready(0)) != 0 {
+	if len(s.AppendReady(nil, 0)) != 0 {
 		t.Fatal("gate should not be ready before its local lag elapses")
 	}
-	if len(s.Ready(0.1)) != 1 {
+	if len(s.AppendReady(nil, 0.1)) != 1 {
 		t.Fatal("gate should be ready once lag has elapsed")
 	}
 }
@@ -168,10 +168,10 @@ func TestJobStateStartOffset(t *testing.T) {
 	c, cl, assign := fig3Setup()
 	d := BuildRemoteDAG(c, cl, assign, epr.DefaultLatency())
 	s := NewJobState(d, 100)
-	if len(s.Ready(50)) != 0 {
+	if len(s.AppendReady(nil, 50)) != 0 {
 		t.Fatal("no gate ready before the job's start time")
 	}
-	if len(s.Ready(100)) == 0 {
+	if len(s.AppendReady(nil, 100)) == 0 {
 		t.Fatal("front layer ready at start time")
 	}
 }
@@ -182,15 +182,15 @@ func TestJobStateSuccessorsUnlockAfterFinish(t *testing.T) {
 	m := epr.Model{Latency: epr.DefaultLatency(), SuccessProb: 1} // always succeed
 	s := NewJobState(d, 0)
 	rng := rand.New(rand.NewSource(1))
-	for _, u := range s.Ready(0) {
+	for _, u := range s.AppendReady(nil, 0) {
 		s.Attempt(u, 1, m.RoundSuccess(1), 0, m, rng, nil)
 	}
 	// Gates 0 and 1 finish at 10 + 1 + 5 = 16; successors are not ready
 	// at time 10 but are ready at 16.
-	if got := s.Ready(10); len(got) != 0 {
+	if got := s.AppendReady(nil, 10); len(got) != 0 {
 		t.Fatalf("Ready(10) = %v, want none before finish", got)
 	}
-	ready := s.Ready(16)
+	ready := s.AppendReady(nil, 16)
 	if len(ready) != 3 { // gates 2, 3, 5 unlocked
 		t.Fatalf("Ready(16) = %v, want 3 gates", ready)
 	}

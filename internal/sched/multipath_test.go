@@ -190,7 +190,7 @@ func TestOrderedRouteUnreachableFallsBack(t *testing.T) {
 	cl := ringCloud(5)
 	d := BuildRemoteDAG(c, cl, assign, epr.DefaultLatency())
 	s := NewJobState(d, 0)
-	ready := s.Ready(0)
+	ready := s.AppendReady(nil, 0)
 	if len(ready) != 1 {
 		t.Fatalf("ready = %v, want one gate", ready)
 	}
@@ -286,7 +286,7 @@ func TestOrderedRoutePriorityClaims(t *testing.T) {
 	cl := ringCloud(5)
 	d := BuildRemoteDAG(c, cl, assign, epr.DefaultLatency())
 	s := NewJobState(d, 0)
-	ready := s.Ready(0)
+	ready := s.AppendReady(nil, 0)
 	if len(ready) != 2 {
 		t.Fatalf("ready = %v, want gates A and B", ready)
 	}

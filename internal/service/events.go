@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -123,9 +124,10 @@ func (l *eventLog) waitCh() chan struct{} { return l.wake }
 // onTransition is the federation's status-transition hook: it maps core
 // lifecycle transitions onto wire events and settles completed and
 // failed jobs. It fires synchronously inside StepUntil — the caller
-// already holds s.mu, so it must only touch plain state (never lock,
-// never call back into the federation beyond reading the result slot
-// of the shard that delivered the transition). That shard holds the
+// (locked's advance, Drain or Replay) already holds s.mu, so it must
+// only touch plain state (never lock, never call back into the
+// federation beyond reading the result slot of the shard that
+// delivered the transition). That shard holds the
 // job even mid-rehome, when ShardOf may still name another.
 func (s *Server) onTransition(shard int, tr core.Transition) {
 	if tr.To == core.StatusPending {
@@ -157,52 +159,27 @@ func (s *Server) onTransition(shard int, tr core.Transition) {
 	s.events.append(ev)
 }
 
+// handleEvents serves one SSE connection on either events route:
+// replay the retained backlog past the client's cursor, then block for
+// new events, advancing the virtual clock on a heartbeat so streams
+// make progress even with no other traffic. /v1/jobs/{id}/events
+// filters to one job and ends after its done event; /v1/events streams
+// everything until the client disconnects. The first poll is also the
+// per-job stream's existence check, so an unknown job's 404 goes out
+// before any stream header.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.streamEvents(w, r, -1)
-}
-
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "job id must be an integer", 0)
-		return
+	job := -1
+	if r.PathValue("id") != "" {
+		id, err := jobID(r)
+		if err != nil {
+			reply(w, 0, nil, err)
+			return
+		}
+		job = id
 	}
-	if s.status(id) == core.StatusUnknown {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %d", id), 0)
-		return
-	}
-	s.streamEvents(w, r, id)
-}
-
-// status reports a job's lifecycle state under s.mu.
-func (s *Server) status(id int) core.JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, status := s.f.Result(id)
-	return status
-}
-
-// poll is one streamEvents pass under s.mu: advance the clock and
-// return the retained events past since plus the channel that signals
-// the next append.
-func (s *Server) poll(since int) ([]Event, chan struct{}, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return nil, nil, err
-	}
-	return s.events.after(since), s.events.waitCh(), nil
-}
-
-// streamEvents serves one SSE connection: replay the retained backlog
-// past the client's cursor, then block for new events, advancing the
-// virtual clock on a heartbeat so streams make progress even with no
-// other traffic. jobID ≥ 0 filters to one job and ends after its done
-// event; -1 streams everything until the client disconnects.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID int) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported", 0)
+		reply(w, 0, nil, errors.New("streaming unsupported"))
 		return
 	}
 	since := -1
@@ -215,20 +192,34 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID int)
 			since = n
 		}
 	}
-	// SSE outlives any server write deadline by design.
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	_ = rc.SetReadDeadline(time.Time{})
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
-	heartbeat := time.NewTimer(s.cfg.Heartbeat)
+	heartbeat := time.NewTimer(s.heartbeat)
 	defer heartbeat.Stop()
-	for {
-		evs, wake, err := s.poll(since)
-		if err != nil {
+	for first := true; ; first = false {
+		var evs []Event
+		var wake chan struct{}
+		err := s.locked(func(time.Time) error {
+			if first && job >= 0 {
+				if err := s.lookup(job); err != nil {
+					return err
+				}
+			}
+			evs, wake = s.events.after(since), s.events.waitCh()
+			return nil
+		})
+		if first {
+			if err != nil {
+				reply(w, 0, nil, err)
+				return
+			}
+			// SSE outlives any server write deadline by design.
+			rc := http.NewResponseController(w)
+			_ = rc.SetWriteDeadline(time.Time{})
+			_ = rc.SetReadDeadline(time.Time{})
+			w.Header().Set("Content-Type", "text/event-stream")
+			w.Header().Set("Cache-Control", "no-cache")
+			w.WriteHeader(http.StatusOK)
+		} else if err != nil {
 			return
 		}
 
@@ -237,17 +228,15 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID int)
 			since = ev.Seq
 			// Dropped markers pass the per-job filter: a gap in the ring
 			// may have swallowed this job's events too.
-			if jobID >= 0 && ev.Job != jobID && ev.Type != EventDropped {
+			if job >= 0 && ev.Job != job && ev.Type != EventDropped {
 				continue
 			}
 			writeSSE(w, ev)
-			if jobID >= 0 && ev.Type == EventDone {
+			if job >= 0 && ev.Type == EventDone {
 				done = true
 			}
 		}
-		if len(evs) > 0 {
-			fl.Flush()
-		}
+		fl.Flush()
 		if done {
 			return
 		}
@@ -257,14 +246,14 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jobID int)
 			default:
 			}
 		}
-		heartbeat.Reset(s.cfg.Heartbeat)
+		heartbeat.Reset(s.heartbeat)
 		select {
 		case <-r.Context().Done():
 			return
 		case <-wake:
 		case <-heartbeat.C:
 			// Keep proxies from idling the connection out, and re-enter
-			// the loop so the advance above moves virtual time along.
+			// the loop so the poll above moves virtual time along.
 			if _, err := io.WriteString(w, ": heartbeat\n\n"); err != nil {
 				return
 			}

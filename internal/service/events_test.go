@@ -168,7 +168,8 @@ func TestSSEGlobalResume(t *testing.T) {
 // keep the connection open, and the heartbeat path keeps advancing
 // virtual time (the stream is a pacer even with no other traffic).
 func TestSSEHeartbeat(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Heartbeat: 5 * time.Millisecond}, 7, core.FIFOMode)
+	srv, ts, _ := newTestServer(t, Config{}, 7, core.FIFOMode)
+	srv.heartbeat = 5 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/events", nil)

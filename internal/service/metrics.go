@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"time"
 )
 
 // metricFamily is one /metrics series: its name, Prometheus type, and
@@ -62,8 +63,8 @@ var metricFamilies = []metricFamily{
 // dependency for what is a few fmt.Fprintf calls.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	if err := s.scrape(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
+	if err := s.locked(func(time.Time) error { s.renderMetrics(&buf); return nil }); err != nil {
+		reply(w, 0, nil, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -71,20 +72,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// scrape is handleMetrics' locked section: advance and render the
-// exposition into buf.
-func (s *Server) scrape(buf *bytes.Buffer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return err
-	}
-	s.renderMetrics(buf)
-	return nil
-}
-
-// renderMetrics writes the full exposition. Callers hold s.mu and have
-// advanced.
+// renderMetrics writes the full exposition; handleMetrics calls it
+// inside locked.
 func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	snap := s.f.Snapshot()
 	shardSnaps := s.f.ShardSnapshots()

@@ -31,9 +31,10 @@
 //	GET  /metrics             Prometheus text-format scrape
 //
 // The server owns a fed.Federation (a single cloud is a one-shard
-// federation, bit-identical to a bare live controller) and serializes
-// all access; the wall clock is injectable, so tests drive virtual
-// time deterministically with httptest.
+// federation, bit-identical to a bare live controller). Every route
+// reaches it through one seam, Server.locked, which serializes access
+// and paces the virtual clock; the wall clock is injectable, so tests
+// drive virtual time deterministically with httptest.
 //
 // Durability: with Config.WAL set, every clock advance and accepted
 // submission is appended to a write-ahead log (submissions fsynced
@@ -110,14 +111,17 @@ type Config struct {
 	// are shed with 503 + Retry-After (never logged to the WAL, never
 	// admitted). Non-positive disables shedding.
 	ShedBacklog int
-	// EventBuffer bounds the in-memory SSE event ring (default 8192);
-	// clients further behind than the ring miss the overwritten events.
-	EventBuffer int
-	// Heartbeat is the SSE keep-alive interval: how often an idle event
-	// stream re-advances virtual time and emits a comment line so
-	// proxies keep the connection open (default 1s of wall time).
-	Heartbeat time.Duration
 }
+
+const (
+	// eventBuffer bounds the in-memory SSE event ring; clients further
+	// behind than the ring miss the overwritten events.
+	eventBuffer = 8192
+	// heartbeat is the SSE keep-alive interval: how often an idle event
+	// stream re-advances virtual time and emits a comment line so
+	// proxies keep the connection open.
+	heartbeat = time.Second
+)
 
 // Server is the HTTP front of one federation. Create with New, mount
 // anywhere (it implements http.Handler), and call Drain on shutdown to
@@ -138,11 +142,12 @@ type Server struct {
 	settled      []*core.JobResult
 	settledDirty bool
 	submitted    int
-	rejected     int
 	draining     bool
 	// events is the bounded SSE ring fed by the federation's
-	// status-transition hook.
-	events *eventLog
+	// status-transition hook; heartbeat is the streams' keep-alive
+	// interval. Both start at their constants; tests shrink them.
+	events    *eventLog
+	heartbeat time.Duration
 	// walV is the highest virtual time logged to the WAL; -1 until the
 	// first advance so a freshly anchored epoch's v=0 is still logged
 	// (and duplicate replay is detected from the very first record).
@@ -151,11 +156,11 @@ type Server struct {
 	// degraded shards return to; degraded records the current state.
 	baseMode core.Mode
 	degraded bool
-	// Per-tenant rejection counters for /metrics, by cause.
+	// Per-tenant rejection counters for /metrics, by cause; /v1/stats
+	// reports their sums.
 	rejRate  map[int]int
 	rejQuota map[int]int
 	shed     map[int]int
-	shedded  int
 }
 
 // New validates the configuration and returns a serving-ready Server.
@@ -179,23 +184,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 8192
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = time.Second
-	}
 	s := &Server{
-		cfg:      cfg,
-		f:        f,
-		buckets:  make(map[int]*bucket),
-		inflight: make(map[int]int),
-		events:   newEventLog(cfg.EventBuffer),
-		walV:     -1,
-		baseMode: f.Mode(),
-		rejRate:  make(map[int]int),
-		rejQuota: make(map[int]int),
-		shed:     make(map[int]int),
+		cfg:       cfg,
+		f:         f,
+		buckets:   make(map[int]*bucket),
+		inflight:  make(map[int]int),
+		events:    newEventLog(eventBuffer),
+		heartbeat: heartbeat,
+		walV:      -1,
+		baseMode:  f.Mode(),
+		rejRate:   make(map[int]int),
+		rejQuota:  make(map[int]int),
+		shed:      make(map[int]int),
 	}
 	f.SetOnTransition(s.onTransition)
 	s.mux = http.NewServeMux()
@@ -217,7 +217,7 @@ func (s *Server) routes() []route {
 	return []route{
 		{"POST", "/v1/jobs", "submit a circuit for execution", s.handleSubmit},
 		{"GET", "/v1/jobs/{id}", "one job's status and result", s.handleJob},
-		{"GET", "/v1/jobs/{id}/events", "one job's lifecycle as server-sent events", s.handleJobEvents},
+		{"GET", "/v1/jobs/{id}/events", "one job's lifecycle as server-sent events", s.handleEvents},
 		{"GET", "/v1/jobs/{id}/trace", "one job's span tree and JCT attribution", s.handleTrace},
 		{"GET", "/v1/events", "all jobs' lifecycle events (SSE)", s.handleEvents},
 		{"POST", "/v1/faults", "inject a fault event (admin)", s.handleFaults},
@@ -230,8 +230,27 @@ func (s *Server) routes() []route {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// locked is the one way a route reaches the server's state. It takes
+// s.mu, advances the pacer once to cfg.Now(), and runs fn with that
+// instant, so submit's token bucket refills to the instant the clock
+// advanced to; an advance error is returned without running fn. The
+// unlock is deferred, so a panic inside fn (which net/http recovers)
+// cannot leave the daemon wedged. Routes build their answer inside fn
+// and write it after locked returns: a client that stops reading its
+// socket stalls only its own connection, never the daemon. Drain and
+// Replay lock directly because neither may advance the pacer.
+func (s *Server) locked(fn func(now time.Time) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.cfg.Now()
+	if err := s.advance(now); err != nil {
+		return err
+	}
+	return fn(now)
+}
+
 // advance maps the current wall instant onto virtual time and steps
-// every shard there. Callers hold s.mu. The first call anchors the
+// every shard there; only locked calls it. The first call anchors the
 // epoch, so virtual time 0 is the first request, not server start.
 func (s *Server) advance(now time.Time) error {
 	if s.draining {
@@ -349,99 +368,95 @@ type ErrorResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err), 0)
-		return
-	}
-	circ, err := buildCircuit(req)
+	var resp JobResponse
+	req, circ, err := parseSubmit(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		reply(w, 0, nil, err)
 		return
 	}
+	err = s.locked(func(now time.Time) error {
+		if s.draining {
+			return errorf(http.StatusConflict, "server is drained; submissions are closed")
+		}
+		// Load shedding before any per-tenant accounting: a shed
+		// submission is never WAL-logged and must not debit the tenant's
+		// token bucket.
+		if wm := s.cfg.ShedBacklog; wm > 0 {
+			if backlog := s.backlog(); backlog >= wm {
+				s.shed[req.Tenant]++
+				return &apiError{http.StatusServiceUnavailable,
+					fmt.Sprintf("backlog %d at or above shedding watermark %d", backlog, wm), s.shedRetryAfter()}
+			}
+		}
+		// Quota before rate: a submission the quota refuses must not debit
+		// the tenant's token bucket, or retry-polling for a free slot would
+		// exhaust the rate budget the eventual accepted submission needs.
+		if q := s.cfg.MaxInFlight; q > 0 && s.inflight[req.Tenant] >= q {
+			s.rejQuota[req.Tenant]++
+			return &apiError{http.StatusTooManyRequests,
+				fmt.Sprintf("tenant %d has %d jobs in flight (quota %d)", req.Tenant, s.inflight[req.Tenant], q), 1}
+		}
+		if ok, wait := s.allow(req.Tenant, now); !ok {
+			s.rejRate[req.Tenant]++
+			return &apiError{http.StatusTooManyRequests, fmt.Sprintf("tenant %d over submission rate", req.Tenant), wait}
+		}
 
-	// The response is built under the lock but written after releasing
-	// it (all handlers do this): a client that stops reading its socket
-	// must stall only its own connection, never the daemon. Every locked
-	// section is a helper that unlocks with defer, so a panic inside it
-	// (which net/http recovers) cannot leave the daemon wedged.
-	code, resp, retryAfter := s.submit(req, circ)
-	if code == http.StatusAccepted {
-		writeJSON(w, code, resp)
-	} else {
-		writeError(w, code, resp.(string), retryAfter)
-	}
+		arrival := s.f.Now()
+		rec := wal.Record{
+			Type: wal.TypeJob, V: arrival,
+			Tenant: req.Tenant, Priority: req.Priority,
+			Circuit: req.Circuit, QASM: req.QASM,
+		}
+		if req.DeadlineSlack > 0 {
+			rec.Deadline = arrival + float64(float64(circ.Depth())*req.DeadlineSlack)
+		}
+		// Durability before admission: every job a client saw accepted
+		// survives a crash.
+		if err := s.logDurable(rec); err != nil {
+			return err
+		}
+		id, err := s.accept(rec, circ)
+		if errors.Is(err, core.ErrDrained) {
+			return errorf(http.StatusConflict, "%v", err)
+		}
+		if err != nil {
+			return err
+		}
+		resp = s.jobResponse(id)
+		return nil
+	})
+	reply(w, http.StatusAccepted, &resp, err)
 }
 
-// submit is handleSubmit's locked section; it returns the status code,
-// the response payload (JobResponse on 202, error text otherwise), and
-// the 429 retry hint.
-func (s *Server) submit(req SubmitRequest, circ *circuit.Circuit) (int, any, float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return http.StatusConflict, "server is drained; submissions are closed", 0
+// parseSubmit decodes and validates a submission before it meets any
+// server state: the body, its circuit, and its deadline, which must be
+// finite (JSON carries no infinity, to the WAL or back to the client).
+func parseSubmit(w http.ResponseWriter, r *http.Request) (req SubmitRequest, circ *circuit.Circuit, err error) {
+	if err = decodeBody(w, r, &req); err != nil {
+		return req, nil, err
 	}
-	now := s.cfg.Now()
-	if err := s.advance(now); err != nil {
-		return http.StatusInternalServerError, err.Error(), 0
+	if circ, err = buildCircuit(req); err != nil {
+		return req, nil, errorf(http.StatusBadRequest, "%v", err)
 	}
-	// Load shedding before any per-tenant accounting: a shed submission
-	// is never WAL-logged and must not debit the tenant's token bucket.
-	if wm := s.cfg.ShedBacklog; wm > 0 {
-		if backlog := s.backlog(); backlog >= wm {
-			s.shed[req.Tenant]++
-			s.shedded++
-			return http.StatusServiceUnavailable,
-				fmt.Sprintf("backlog %d at or above shedding watermark %d", backlog, wm), s.shedRetryAfter()
-		}
+	if math.IsInf(float64(circ.Depth())*req.DeadlineSlack, 1) {
+		return req, nil, errorf(http.StatusBadRequest,
+			"deadline_slack %g times circuit depth %d overflows the deadline", req.DeadlineSlack, circ.Depth())
 	}
-	// Quota before rate: a submission the quota refuses must not debit
-	// the tenant's token bucket, or retry-polling for a free slot would
-	// exhaust the rate budget the eventual accepted submission needs.
-	if q := s.cfg.MaxInFlight; q > 0 && s.inflight[req.Tenant] >= q {
-		s.rejected++
-		s.rejQuota[req.Tenant]++
-		return http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %d has %d jobs in flight (quota %d)", req.Tenant, s.inflight[req.Tenant], q), 1
-	}
-	if ok, wait := s.allow(req.Tenant, now); !ok {
-		s.rejected++
-		s.rejRate[req.Tenant]++
-		return http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %d over submission rate", req.Tenant), wait
-	}
+	return req, circ, nil
+}
 
-	arrival := s.f.Now()
-	rec := wal.Record{
-		Type: wal.TypeJob, V: arrival,
-		Tenant: req.Tenant, Priority: req.Priority,
-		Circuit: req.Circuit, QASM: req.QASM,
+// logDurable appends rec to the WAL, if there is one, and fsyncs it. A
+// WAL failure refuses the operation: accepting it un-logged would break
+// the replay guarantee.
+func (s *Server) logDurable(rec wal.Record) error {
+	w := s.cfg.WAL
+	if w == nil {
+		return nil
 	}
-	if req.DeadlineSlack > 0 {
-		rec.Deadline = arrival + float64(float64(circ.Depth())*req.DeadlineSlack)
+	if err := w.Append(rec); err != nil {
+		return err
 	}
-	// Durability before admission: the submission is framed, appended,
-	// and fsynced first, so every job a client saw accepted survives a
-	// crash. A WAL failure refuses the job — accepting it un-logged
-	// would break the replay guarantee.
-	if w := s.cfg.WAL; w != nil {
-		if err := w.Append(rec); err != nil {
-			return http.StatusInternalServerError, err.Error(), 0
-		}
-		if err := w.Sync(); err != nil {
-			return http.StatusInternalServerError, err.Error(), 0
-		}
-	}
-	id, err := s.accept(rec, circ)
-	if err != nil {
-		if errors.Is(err, core.ErrDrained) {
-			return http.StatusConflict, err.Error(), 0
-		}
-		return http.StatusInternalServerError, err.Error(), 0
-	}
-	return http.StatusAccepted, s.jobResponse(id), 0
+	return w.Sync()
 }
 
 // accept admits one logged submission. It is the one path for both
@@ -487,45 +502,29 @@ type FaultResponse struct {
 
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	var e fault.Event
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err), 0)
-		return
+	var resp FaultResponse
+	err := decodeBody(w, r, &e)
+	if err == nil {
+		// The federation validates and schedules the event atomically (an
+		// error means nothing changed), and only an accepted injection is
+		// logged, fsynced before the 202 like an accepted submission, so a
+		// restarted daemon re-injects it at the same position in the
+		// replayed operation stream.
+		err = s.locked(func(time.Time) error {
+			if s.draining {
+				return errorf(http.StatusConflict, "server is drained; fault injection is closed")
+			}
+			if err := s.f.Inject(e); err != nil {
+				return errorf(http.StatusBadRequest, "%v", err)
+			}
+			if err := s.logDurable(wal.Record{Type: wal.TypeFault, V: e.From, Fault: &e}); err != nil {
+				return err
+			}
+			resp = FaultResponse{Kind: e.Kind, Shard: e.Shard, From: e.From, VirtualNow: s.f.Now()}
+			return nil
+		})
 	}
-	code, resp := s.injectFault(e)
-	if code == http.StatusAccepted {
-		writeJSON(w, code, resp)
-	} else {
-		writeError(w, code, resp.(string), 0)
-	}
-}
-
-// injectFault is handleFaults' locked section. The federation validates
-// and schedules the event atomically (an error means nothing changed),
-// and only an accepted injection is logged — fsynced before the 202, the
-// same durability bar as accepted submissions, so a restarted daemon
-// re-injects it at the same position in the replayed operation stream.
-func (s *Server) injectFault(e fault.Event) (int, any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return http.StatusConflict, "server is drained; fault injection is closed"
-	}
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return http.StatusInternalServerError, err.Error()
-	}
-	if err := s.f.Inject(e); err != nil {
-		return http.StatusBadRequest, err.Error()
-	}
-	if w := s.cfg.WAL; w != nil {
-		if err := w.Append(wal.Record{Type: wal.TypeFault, V: e.From, Fault: &e}); err != nil {
-			return http.StatusInternalServerError, err.Error()
-		}
-		if err := w.Sync(); err != nil {
-			return http.StatusInternalServerError, err.Error()
-		}
-	}
-	return http.StatusAccepted, FaultResponse{Kind: e.Kind, Shard: e.Shard, From: e.From, VirtualNow: s.f.Now()}
+	reply(w, http.StatusAccepted, &resp, err)
 }
 
 // backlog is the federation-wide count of jobs waiting for service
@@ -569,38 +568,30 @@ func (s *Server) shedRetryAfter() float64 {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "job id must be an integer", 0)
-		return
+	var resp JobResponse
+	id, err := jobID(r)
+	if err == nil {
+		err = s.locked(func(time.Time) error {
+			if err := s.lookup(id); err != nil {
+				return err
+			}
+			resp = s.jobResponse(id)
+			return nil
+		})
 	}
-	resp, ok, err := s.job(id)
-	switch {
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-	case !ok:
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no job %d", id), 0)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
+	reply(w, http.StatusOK, &resp, err)
 }
 
-// job is handleJob's locked section: advance the clock and render the
-// job, ok false for an unknown id.
-func (s *Server) job(id int) (JobResponse, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return JobResponse{}, false, err
-	}
+// lookup is the 404 for an id the federation has never seen.
+func (s *Server) lookup(id int) error {
 	if _, status := s.f.Result(id); status == core.StatusUnknown {
-		return JobResponse{}, false, nil
+		return errorf(http.StatusNotFound, "no job %d", id)
 	}
-	return s.jobResponse(id), true, nil
+	return nil
 }
 
-// jobResponse renders a job's current state; callers hold s.mu and
-// have verified the id exists.
+// jobResponse renders a job's current state; callers are inside locked
+// and have verified the id exists.
 func (s *Server) jobResponse(id int) JobResponse {
 	res, status := s.f.Result(id)
 	resp := JobResponse{
@@ -654,44 +645,29 @@ type TraceResponse struct {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "job id must be an integer", 0)
-		return
-	}
+	var resp TraceResponse
+	id, err := jobID(r)
+	// The recorder is fixed when the federation is built, so asking
+	// whether there is one reads no state the lock guards.
 	rec := s.f.Trace()
-	if rec == nil {
-		writeError(w, http.StatusNotFound, "tracing is disabled (start the daemon with -trace)", 0)
-		return
+	if err == nil && rec == nil {
+		err = errorf(http.StatusNotFound, "tracing is disabled (start the daemon with -trace)")
 	}
-	resp, ok, err := s.jobTrace(rec, id)
-	switch {
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-	case !ok:
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no trace for job %d", id), 0)
-	default:
-		writeJSON(w, http.StatusOK, resp)
+	if err == nil {
+		err = s.locked(func(time.Time) error {
+			tr := rec.Get(id)
+			if tr == nil {
+				return errorf(http.StatusNotFound, "no trace for job %d", id)
+			}
+			resp = traceResponse(tr)
+			return nil
+		})
 	}
+	reply(w, http.StatusOK, &resp, err)
 }
 
-// jobTrace is handleTrace's locked section: advance the clock and render
-// the job's trace, ok false when the recorder holds none.
-func (s *Server) jobTrace(rec *trace.Recorder, id int) (TraceResponse, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return TraceResponse{}, false, err
-	}
-	tr := rec.Get(id)
-	if tr == nil {
-		return TraceResponse{}, false, nil
-	}
-	return traceResponse(tr), true, nil
-}
-
-// traceResponse renders one trace; callers hold s.mu (the recorder
-// shares the federation's synchronization).
+// traceResponse renders one trace; callers are inside locked (the
+// recorder shares the federation's synchronization).
 func traceResponse(tr *trace.JobTrace) TraceResponse {
 	resp := TraceResponse{
 		ID:            tr.ID,
@@ -770,7 +746,7 @@ type ShardWire struct {
 	PlanCache plan.Stats        `json:"plan_cache"`
 }
 
-// federationWire renders the routing tier; callers hold s.mu.
+// federationWire renders the routing tier; callers are inside locked.
 func (s *Server) federationWire() FederationWire {
 	fw := FederationWire{
 		Shards:   s.f.NumShards(),
@@ -835,39 +811,37 @@ type TenantSLOWire struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.stats()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	var resp StatsResponse
+	err := s.locked(func(time.Time) error {
+		settled := s.sortedSettled()
+		resp = StatsResponse{
+			VirtualNow: s.f.Now(),
+			Submitted:  s.submitted,
+			Settled:    len(settled),
+			Rejected:   total(s.rejRate) + total(s.rejQuota),
+			Shed:       total(s.shed),
+			Online:     core.OnlineStatsOf(settled),
+			SLO:        sloWire(metrics.AggregateSLO(core.Outcomes(settled))),
+			PlanCache:  s.f.PlanCacheStats(),
+			Preemption: s.f.PreemptStats(),
+			Faults:     s.f.FaultStats(),
+			Federation: s.federationWire(),
+		}
+		if rec := s.f.Trace(); rec != nil {
+			resp.Attribution = rec.Tenants()
+		}
+		return nil
+	})
+	reply(w, http.StatusOK, &resp, err)
 }
 
-// stats is handleStats' locked section.
-func (s *Server) stats() (StatsResponse, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return StatsResponse{}, err
+// total sums a per-tenant counter.
+func total(m map[int]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
 	}
-	settled := s.sortedSettled()
-	resp := StatsResponse{
-		VirtualNow: s.f.Now(),
-		Submitted:  s.submitted,
-		Settled:    len(settled),
-		Rejected:   s.rejected,
-		Shed:       s.shedded,
-		Online:     core.OnlineStatsOf(settled),
-		SLO:        sloWire(metrics.AggregateSLO(core.Outcomes(settled))),
-		PlanCache:  s.f.PlanCacheStats(),
-		Preemption: s.f.PreemptStats(),
-		Faults:     s.f.FaultStats(),
-		Federation: s.federationWire(),
-	}
-	if rec := s.f.Trace(); rec != nil {
-		resp.Attribution = rec.Tenants()
-	}
-	return resp, nil
+	return n
 }
 
 // ClusterResponse is GET /v1/cluster: the federation's instantaneous
@@ -891,35 +865,24 @@ type ShardClusterWire struct {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.cluster()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// cluster is handleCluster's locked section.
-func (s *Server) cluster() (ClusterResponse, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advance(s.cfg.Now()); err != nil {
-		return ClusterResponse{}, err
-	}
-	snaps := s.f.ShardSnapshots()
-	loads := s.f.QPULoads()
-	resp := ClusterResponse{
-		VirtualNow: s.f.Now(),
-		TimeScale:  s.cfg.TimeScale,
-		Draining:   s.draining,
-		Snapshot:   s.f.Snapshot(),
-		Shards:     make([]ShardClusterWire, s.f.NumShards()),
-	}
-	for i := range resp.Shards {
-		resp.Shards[i] = ShardClusterWire{Shard: i, Snapshot: snaps[i], QPUs: loads[i]}
-		resp.QPUs = append(resp.QPUs, loads[i]...)
-	}
-	return resp, nil
+	var resp ClusterResponse
+	err := s.locked(func(time.Time) error {
+		snaps := s.f.ShardSnapshots()
+		loads := s.f.QPULoads()
+		resp = ClusterResponse{
+			VirtualNow: s.f.Now(),
+			TimeScale:  s.cfg.TimeScale,
+			Draining:   s.draining,
+			Snapshot:   s.f.Snapshot(),
+			Shards:     make([]ShardClusterWire, s.f.NumShards()),
+		}
+		for i := range resp.Shards {
+			resp.Shards[i] = ShardClusterWire{Shard: i, Snapshot: snaps[i], QPUs: loads[i]}
+			resp.QPUs = append(resp.QPUs, loads[i]...)
+		}
+		return nil
+	})
+	reply(w, http.StatusOK, &resp, err)
 }
 
 // bucket is one tenant's token bucket (tokens = submissions).
@@ -997,17 +960,57 @@ func sloWire(s metrics.SLOStats) SLOWire {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// apiError is a route's refusal: the status code, the error envelope's
+// text, and the Retry-After hint in seconds (0 for none). Any other
+// error a route returns answers 500 with its text.
+type apiError struct {
+	code       int
+	msg        string
+	retryAfter float64
+}
+
+func (e *apiError) Error() string { return e.msg }
+
+// errorf is an apiError without a retry hint.
+func errorf(code int, format string, args ...any) *apiError {
+	return &apiError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// jobID parses the {id} path segment.
+func jobID(r *http.Request) (int, error) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		return 0, errorf(http.StatusBadRequest, "job id must be an integer")
+	}
+	return id, nil
+}
+
+// decodeBody decodes a POST body of at most 1 MiB into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return errorf(http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return nil
+}
+
+// reply writes a route's answer: v as the JSON body under code, or,
+// when err is set, the error envelope under err's status, with
+// Retry-After when the refusal carries a hint.
+func reply(w http.ResponseWriter, code int, v any, err error) {
+	if err != nil {
+		var ae *apiError
+		if !errors.As(err, &ae) {
+			ae = &apiError{code: http.StatusInternalServerError, msg: err.Error()}
+		}
+		if ae.retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ae.retryAfter))))
+		}
+		code, v = ae.code, ErrorResponse{Error: ae.msg, RetryAfterSeconds: ae.retryAfter}
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string, retryAfter float64) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter))))
-	}
-	writeJSON(w, code, ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
 }

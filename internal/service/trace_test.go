@@ -294,10 +294,11 @@ func TestTraceCrossShardRehome(t *testing.T) {
 // none, and the daemon-wide drop counter surfaces on /metrics.
 func TestEventsDroppedMarker(t *testing.T) {
 	clock := newFakeClock()
-	srv, err := New(Config{Federation: oneShard(t, testControllerConfig(7, core.FIFOMode)), Now: clock.now, TimeScale: 1000, EventBuffer: 4})
+	srv, err := New(Config{Federation: oneShard(t, testControllerConfig(7, core.FIFOMode)), Now: clock.now, TimeScale: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.events = newEventLog(4)
 	for i := 0; i < 6; i++ {
 		clock.advance(5 * time.Millisecond)
 		submitRaw(t, srv, SubmitRequest{Tenant: i % 2, QASM: ghz3QASM}, http.StatusAccepted)
