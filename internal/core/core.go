@@ -357,25 +357,25 @@ type LiveController struct {
 	// draining means no more submissions are coming (Drain, and so all
 	// of Run): trailing releases are applied silently at the end instead
 	// of waking the controller, and nothing is exported. drained latches
-	// once Drain or Evacuate retired the controller.
+	// once Drain or Evacuate retired the controller. A drained engine
+	// can still hold events only after Evacuate (Drain runs it dry), and
+	// those stale closures must not resurrect exported jobs, so arrivals
+	// and fault transitions check it.
 	draining bool
 	drained  bool
 	err      error
 	// Preemption state, empty with PreemptOff configured so the off path
 	// carries no behavior change: resume maps a preempted or evicted
-	// job's ID to its checkpoint for the re-admission pass, rescued marks
-	// jobs whose queueing triggered a rescue preemption (their on-time
-	// finish increments RescuedDeadlines), and exported collects victims
-	// awaiting federation re-routing (TakePreempted).
-	resume   map[int]*resumeState
+	// job's ID to its resume record for the re-admission pass, rescued
+	// marks jobs whose queueing triggered a rescue preemption (their
+	// on-time finish increments RescuedDeadlines), and exported collects
+	// victims awaiting federation re-routing (TakePreempted, Evacuate).
+	resume   map[int]PreemptedJob
 	rescued  map[int]bool
 	exported []PreemptedJob
 	// faults is the fault injector's overlay (see fault.go), nil
 	// without a plan so the fault-free path carries no behavior change.
 	faults *faultState
-	// halted marks an evacuated shard (fed drained it): stale event
-	// closures still in the engine must not resurrect exported jobs.
-	halted bool
 }
 
 // statePoolCap bounds the JobState pool: enough for any realistic
@@ -442,7 +442,7 @@ func NewLiveController(cfg Config) (*LiveController, error) {
 		nextRound:      math.NaN(),
 		tickAt:         math.NaN(),
 		status:         make(map[int]JobStatus),
-		resume:         make(map[int]*resumeState),
+		resume:         make(map[int]PreemptedJob),
 		rescued:        make(map[int]bool),
 	}
 	lc.tickFn = lc.onTick
@@ -588,7 +588,7 @@ func (lc *LiveController) fail(id int, t float64) {
 // tick at the current instant places it if capacity allows, so an
 // arrival is admitted on arrival rather than at the next release.
 func (lc *LiveController) arrive(j *Job) {
-	if lc.halted {
+	if lc.drained {
 		// Evacuated shard: the job was exported for rehoming (Evacuate
 		// adjusted pendingArrivals); the stale closure must not
 		// resurrect it here.
@@ -933,10 +933,10 @@ func (lc *LiveController) admit(t float64) error {
 // WFQ virtual-clock charge from the first placement stands (resuming is
 // not new service, so the tenant is not billed twice).
 func (lc *LiveController) startJob(j *Job, pl *place.Placement, dag *sched.RemoteDAG, prio []int, cacheHit bool, t float64) {
-	rs := lc.resume[j.ID]
+	pj, resumed := lc.resume[j.ID]
 	var wfqStart float64
 	wfqBilled := false
-	if lc.cfg.Mode == WFQMode && rs == nil {
+	if lc.cfg.Mode == WFQMode && !resumed {
 		// Bill only what was actually served: jobs bounced back to
 		// waiting must not inflate their tenant's virtual service.
 		wfqStart = lc.chargeWFQ(j)
@@ -944,24 +944,24 @@ func (lc *LiveController) startJob(j *Job, pl *place.Placement, dag *sched.Remot
 	}
 	state := lc.takeJobState(dag, prio, t)
 	first := t
-	if rs != nil {
-		state.ApplyCheckpoint(rs.cp, t)
-		first = rs.firstPlacedAt
+	if resumed {
+		state.ApplyCheckpoint(pj.cp, t)
+		first = pj.firstPlacedAt
 		delete(lc.resume, j.ID)
 		lc.preempt.Resumes++
 	}
 	aj := &activeJob{job: j, state: state, placement: pl, placedAt: t, firstPlacedAt: first}
 	if tc := lc.cfg.Trace; tc != nil {
 		if tr := tc.Get(j.ID); tr != nil {
-			tr.Compiled(t, cacheHit, rs != nil)
-			tr.Place(t, lc.cfg.Mode.String(), wfqStart, wfqBilled, rs != nil)
+			tr.Compiled(t, cacheHit, resumed)
+			tr.Place(t, lc.cfg.Mode.String(), wfqStart, wfqBilled, resumed)
 			aj.tr = tr
 		}
 	}
 	lc.active = append(lc.active, aj)
 	lc.results[j.ID].RemoteGates = dag.Len()
 	lc.results[j.ID].Placement = pl
-	if rs != nil {
+	if resumed {
 		lc.setStatusReason(j.ID, StatusRunning, ReasonResumed)
 	} else {
 		lc.setStatus(j.ID, StatusRunning)

@@ -168,7 +168,7 @@ func (lc *LiveController) faultInit() {
 func (lc *LiveController) scheduleFault(e fault.Event) {
 	guard := func(fn func()) func() {
 		return func() {
-			if lc.err != nil || lc.halted {
+			if lc.err != nil || lc.drained {
 				return
 			}
 			fn()
@@ -282,8 +282,9 @@ func (lc *LiveController) compactActive() {
 	lc.active = remaining
 }
 
-// rescueVictim checkpoints one evicted job whose reservations the
-// caller already released — preemptVictim's twin on the fault path,
+// rescueVictim checkpoints one job evicted by a fault of the given kind
+// (a QPU outage, or the shard drain behind Evacuate) whose reservations
+// the caller already released — preemptVictim's twin on the fault path,
 // with ReasonEvicted transitions and a fault span. The checkpoint
 // deliberately skips the Checkpointable gate: a failure forfeits
 // in-flight partial entanglement, which is physically what an outage
@@ -293,7 +294,7 @@ func (lc *LiveController) rescueVictim(aj *activeJob, t float64, kind string) {
 		aj.tr.Fault(t, kind)
 		aj.tr.Preempt(t)
 	}
-	lc.requeue(aj, ReasonEvicted)
+	lc.requeue(aj, ReasonEvicted, t)
 }
 
 // failVictim fails one evicted job outright (RecoveryNone, or an

@@ -96,12 +96,12 @@ func (lc *LiveController) Submit(j *Job) error { return lc.enqueue(j, nil) }
 // strict superset of nothing, so execution only moves forward. Like
 // Submit, the arrival event fires at max(Job.Arrival, Now()).
 func (lc *LiveController) SubmitResume(pj PreemptedJob) error {
-	return lc.enqueue(pj.Job, &resumeState{cp: pj.cp, firstPlacedAt: pj.firstPlacedAt})
+	return lc.enqueue(pj.Job, &pj)
 }
 
 // enqueue validates j, claims its result slot, and schedules its arrival
-// event; a non-nil rs makes it a resume-job carrying that checkpoint.
-func (lc *LiveController) enqueue(j *Job, rs *resumeState) error {
+// event; a non-nil pj makes it a resume-job carrying that checkpoint.
+func (lc *LiveController) enqueue(j *Job, pj *PreemptedJob) error {
 	if lc.drained {
 		return ErrDrained
 	}
@@ -112,8 +112,8 @@ func (lc *LiveController) enqueue(j *Job, rs *resumeState) error {
 		return err
 	}
 	why := ReasonNone
-	if rs != nil {
-		lc.resume[j.ID] = rs
+	if pj != nil {
+		lc.resume[j.ID] = *pj
 		why = ReasonResumed
 	}
 	at := j.Arrival
@@ -129,8 +129,9 @@ func (lc *LiveController) enqueue(j *Job, rs *resumeState) error {
 	return nil
 }
 
-// TakePreempted hands over the jobs preempted since the last call (only
-// a controller configured with ExportPreempted accumulates any). The
+// TakePreempted hands over the jobs preempted or evicted since the last
+// call (only a controller configured with ExportPreempted accumulates
+// any; Evacuate hands its own over through it). The
 // controller forgets them completely — result slots, status, and
 // submission-order entries are gone, as if the jobs were never
 // submitted here — so the federation layer can SubmitResume each one on
@@ -394,38 +395,33 @@ func (lc *LiveController) InjectFault(e fault.Event) error {
 }
 
 // Evacuate checkpoints every unsettled job off the controller and
-// halts it — the core half of a federation shard drain. Active jobs
-// checkpoint like an eviction; queued and pending jobs move as-is
-// (preempted ones carry their existing checkpoints); already-exported
-// preemptions ride along. Settled results stay readable. The cloud's
-// reservations, trailing releases, and outage holds are all returned,
-// so the drained shard ends with zero resident jobs and a fully free
-// cloud. After Evacuate the controller is drained: stale engine events
-// are inert and every mutating call fails with ErrDrained.
+// retires it — the core half of a federation shard drain. Once it has
+// marked itself drained, every reservation, trailing release and outage
+// hold goes back to the cloud, and each active job is evicted through
+// rescueVictim, so requeue exports its checkpoint with the
+// Running → Queued (ReasonEvicted) transition an outage rescue makes.
+// Queued and pending jobs move as-is (preempted ones carry their
+// existing resume records); already-exported preemptions ride along.
+// Settled results stay readable, and the drained shard ends with zero
+// resident jobs and a fully free cloud. After Evacuate stale engine
+// events are inert and every mutating call fails with ErrDrained.
 func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 	t := lc.eng.Now()
-	tc := lc.cfg.Trace
+	lc.drained = true
 	active := lc.active
 	lc.releaseAll()
 	for _, aj := range active {
-		cp := aj.state.Checkpoint()
-		lc.releaseJobState(aj.state)
-		aj.state = nil
-		if aj.tr != nil {
-			aj.tr.Fault(t, fault.KindShardDrain)
-			aj.tr.Preempt(t)
-		}
-		resumes = append(resumes, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
+		lc.rescueVictim(aj, t, fault.KindShardDrain)
 	}
 	collect := func(j *Job) {
-		if tc != nil {
+		if tc := lc.cfg.Trace; tc != nil {
 			if tr := tc.Get(j.ID); tr != nil {
 				tr.Fault(t, fault.KindShardDrain)
 			}
 		}
-		if rs := lc.resume[j.ID]; rs != nil {
+		if pj, ok := lc.resume[j.ID]; ok {
 			delete(lc.resume, j.ID)
-			resumes = append(resumes, PreemptedJob{Job: j, cp: rs.cp, firstPlacedAt: rs.firstPlacedAt})
+			lc.exported = append(lc.exported, pj)
 		} else {
 			waiting = append(waiting, j)
 		}
@@ -440,19 +436,12 @@ func (lc *LiveController) Evacuate() (resumes []PreemptedJob, waiting []*Job) {
 			collect(j)
 		}
 	}
-	resumes = append(resumes, lc.exported...)
-	lc.exported = nil
-	gone := make(map[int]bool, len(resumes)+len(waiting))
-	for _, pj := range resumes {
-		gone[pj.Job.ID] = true
-	}
+	gone := make(map[int]bool, len(waiting))
 	for _, j := range waiting {
 		gone[j.ID] = true
 	}
 	lc.forget(gone)
-	lc.halted = true
-	lc.drained = true
-	return resumes, waiting
+	return lc.TakePreempted(), waiting
 }
 
 // OnlineStatsOf aggregates a result set's completed-job JCTs and waits,

@@ -81,20 +81,16 @@ func (s *PreemptStats) Add(other PreemptStats) {
 	s.RescuedDeadlines += other.RescuedDeadlines
 }
 
-// PreemptedJob is a preempted job exported for resumption elsewhere: the
-// federation layer collects these from a shard (TakePreempted) and
-// re-routes them, possibly to a different shard, via SubmitResume. The
-// resume payload is opaque outside core.
+// PreemptedJob is the one resume record of a job checkpointed off the
+// cloud by preemption, a QPU outage or a shard drain (see requeue): a
+// controller keeps it while the job waits to resume locally, and the
+// federation layer collects it from a shard (TakePreempted, Evacuate)
+// and re-routes it, possibly to a different shard, via SubmitResume.
+// The resume payload is opaque outside core.
 type PreemptedJob struct {
-	Job           *Job
-	cp            sched.Checkpoint
-	firstPlacedAt float64
-}
-
-// resumeState is the controller-internal half of a preempted job: admit
-// replays the checkpoint onto the job's next placement and restores its
-// original admission timestamps.
-type resumeState struct {
+	Job *Job
+	// At is the virtual instant the job was taken off its QPUs.
+	At            float64
 	cp            sched.Checkpoint
 	firstPlacedAt float64
 }
@@ -263,28 +259,28 @@ func (lc *LiveController) preemptVictim(aj *activeJob, t float64) {
 		// since the recorder is shared.
 		aj.tr.Preempt(t)
 	}
-	lc.requeue(aj, ReasonPreempted)
+	lc.requeue(aj, ReasonPreempted, t)
 }
 
-// requeue checkpoints a job taken off the cloud (its reservations
-// already released): snapshot its completed remote gates, retire its
-// execution state to the pool, and move it to StatusQueued. A
-// federation shard still taking submissions (ExportPreempted, not
-// draining) exports it for the router to re-route, possibly to another
-// shard, and forgets it at TakePreempted; otherwise it re-enqueues
-// locally as a resume-job. Either way the job keeps its ID, arrival,
-// and first-placement timestamp, so its eventual result reports
-// admission wait only (requeue time lands in JCT, not WaitTime).
-func (lc *LiveController) requeue(aj *activeJob, why TransitionReason) {
-	cp := aj.state.Checkpoint()
+// requeue checkpoints a job taken off the cloud at t (its reservations
+// already released) into its PreemptedJob, retires its execution state
+// to the pool, and moves it to StatusQueued: the one checkpoint-off
+// path, behind preemption, outage rescue and Evacuate. An evacuated
+// controller, and a federation shard still taking submissions
+// (ExportPreempted, not draining), export the record for the router to
+// re-route; otherwise the job re-enqueues locally as a resume-job.
+// Either way it keeps its ID, arrival, and first-placement timestamp,
+// so its eventual result reports admission wait only (requeue time
+// lands in JCT, not WaitTime).
+func (lc *LiveController) requeue(aj *activeJob, why TransitionReason, t float64) {
+	pj := PreemptedJob{Job: aj.job, At: t, cp: aj.state.Checkpoint(), firstPlacedAt: aj.firstPlacedAt}
 	lc.releaseJobState(aj.state)
 	aj.state = nil
-	id := aj.job.ID
-	lc.setStatusReason(id, StatusQueued, why)
-	if lc.cfg.ExportPreempted && !lc.draining {
-		lc.exported = append(lc.exported, PreemptedJob{Job: aj.job, cp: cp, firstPlacedAt: aj.firstPlacedAt})
+	lc.setStatusReason(pj.Job.ID, StatusQueued, why)
+	if lc.drained || lc.cfg.ExportPreempted && !lc.draining {
+		lc.exported = append(lc.exported, pj)
 		return
 	}
-	lc.resume[id] = &resumeState{cp: cp, firstPlacedAt: aj.firstPlacedAt}
-	lc.queue = append(lc.queue, aj.job)
+	lc.resume[pj.Job.ID] = pj
+	lc.queue = append(lc.queue, pj.Job)
 }

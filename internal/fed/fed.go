@@ -105,13 +105,12 @@ type Federation struct {
 	trace *trace.Recorder
 	// drains is the pending shard_drain schedule, ordered by (From,
 	// Shard); StepUntil intercepts each before stepping past its
-	// instant. disabled marks drained shards: never stepped, never
-	// routed to, results still readable. fstats counts federation-tier
-	// fault activity (drains and drain rescues; shard counters live on
-	// the shards).
-	drains   []fault.Event
-	disabled []bool
-	fstats   fault.Stats
+	// instant. A drained shard is disabled in the router: never stepped,
+	// never routed to, results still readable. fstats counts
+	// federation-tier fault activity (drains and drain rescues; shard
+	// counters live on the shards).
+	drains []fault.Event
+	fstats fault.Stats
 }
 
 // New validates the configuration and builds the federation: shard i
@@ -153,12 +152,11 @@ func New(cfg Config) (*Federation, error) {
 		}
 	}
 	f := &Federation{
-		wfq:      core.NewWFQClock(),
-		shardOf:  make(map[int]int),
-		seq:      make([]int, n),
-		trace:    cfg.Trace,
-		drains:   cfg.Faults.Drains(),
-		disabled: make([]bool, n),
+		wfq:     core.NewWFQClock(),
+		shardOf: make(map[int]int),
+		seq:     make([]int, n),
+		trace:   cfg.Trace,
+		drains:  cfg.Faults.Drains(),
 	}
 	for i := 0; i < n; i++ {
 		if cfg.Clouds[i] == nil {
@@ -321,7 +319,7 @@ func (f *Federation) fireDrains(t float64) error {
 // preemption exports.
 func (f *Federation) stepShards(t float64) error {
 	for i, s := range f.shards {
-		if f.disabled[i] {
+		if f.router.disabled[i] {
 			continue
 		}
 		if err := s.StepUntil(t); err != nil {
@@ -338,21 +336,14 @@ func (f *Federation) stepShards(t float64) error {
 // jobs re-enter admission as they were). Settled results stay readable
 // on the drained shard. The last enabled shard refuses to drain.
 func (f *Federation) drainShard(shard int, at float64) error {
-	if f.disabled[shard] {
+	if f.router.disabled[shard] {
 		return fmt.Errorf("fed: shard %d is already drained", shard)
 	}
-	enabled := 0
-	for i := range f.shards {
-		if !f.disabled[i] {
-			enabled++
-		}
-	}
-	if enabled <= 1 {
+	if len(f.shards)-f.router.numDisabled <= 1 {
 		return fmt.Errorf("fed: refusing to drain shard %d: it is the last enabled shard", shard)
 	}
 	f.fstats.ShardDrains++
 	resumes, waiting := f.shards[shard].Evacuate()
-	f.disabled[shard] = true
 	f.router.disable(shard)
 	for i := range resumes {
 		if err := f.reroute(resumes[i].Job, &resumes[i], shard, at); err != nil {
@@ -409,7 +400,7 @@ func (f *Federation) Inject(e fault.Event) error {
 	if e.Shard >= len(f.shards) {
 		return fmt.Errorf("fed: fault targets shard %d, federation has %d", e.Shard, len(f.shards))
 	}
-	if f.disabled[e.Shard] {
+	if f.router.disabled[e.Shard] {
 		return fmt.Errorf("fed: shard %d is drained", e.Shard)
 	}
 	if e.Kind == fault.KindShardDrain {
@@ -451,15 +442,8 @@ func (f *Federation) FaultStats() fault.Stats {
 func (f *Federation) rehome() error {
 	for src, s := range f.shards {
 		for _, pj := range s.TakePreempted() {
-			// The rehome happened at the preemption instant: the open
-			// suspension's From.
-			at := 0.0
-			if f.trace != nil {
-				if tr := f.trace.Get(pj.Job.ID); tr != nil && len(tr.Suspends) > 0 {
-					at = tr.Suspends[len(tr.Suspends)-1].From
-				}
-			}
-			if err := f.reroute(pj.Job, &pj, src, at); err != nil {
+			// The rehome happened at the preemption instant.
+			if err := f.reroute(pj.Job, &pj, src, pj.At); err != nil {
 				return err
 			}
 		}
@@ -489,9 +473,9 @@ func (f *Federation) Drain() ([]*core.JobResult, error) {
 		firstErr = err
 	}
 	for i, s := range f.shards {
-		if f.disabled[i] {
+		if f.router.disabled[i] {
 			// Already evacuated by a shard_drain fault; its controller is
-			// halted and holds only settled results.
+			// drained and holds only settled results.
 			continue
 		}
 		if _, err := s.Drain(); err != nil && firstErr == nil {

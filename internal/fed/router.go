@@ -90,8 +90,8 @@ type router struct {
 	// with 4.
 	caps []float64
 	// disabled marks shards removed from routing by a shard_drain
-	// fault; numDisabled caches the count so the fault-free random arm
-	// keeps its exact Intn(n) draw (bit-identical off-path).
+	// fault (the federation's one record of drained shards), and
+	// numDisabled counts them.
 	disabled    []bool
 	numDisabled int
 }
@@ -126,11 +126,10 @@ func newRouter(shards []*core.LiveController, routing Routing, spillDepth int, s
 }
 
 // disable removes a drained shard from every future routing decision.
+// The caller disables each shard once.
 func (r *router) disable(shard int) {
-	if !r.disabled[shard] {
-		r.disabled[shard] = true
-		r.numDisabled++
-	}
+	r.disabled[shard] = true
+	r.numDisabled++
 }
 
 // route picks the shard for one job and names the decision kind —
@@ -146,11 +145,8 @@ func (r *router) route(j *core.Job) (int, string) {
 	}
 	if r.routing == RouteRandom {
 		r.stats.Random++
-		if r.numDisabled == 0 {
-			return r.rng.Intn(n), "random"
-		}
-		// Draw over the enabled shards only, walking the seeded stream
-		// once per decision exactly as the fault-free arm does.
+		// Draw over the enabled shards only, one draw per decision: with
+		// none disabled this is Intn(n) and the walk returns shard k.
 		k := r.rng.Intn(n - r.numDisabled)
 		for i := 0; i < n; i++ {
 			if r.disabled[i] {

@@ -22,6 +22,10 @@ type swarmConfig struct {
 	preempt core.PreemptPolicy
 	outages int // QPU outages per run; 0 runs fault-free
 	traced  bool
+	// drain is the drawn shard_drain on 2 or more shards (nil on one):
+	// a single drain, so never of the last enabled shard. String leaves
+	// it out, so subtest names stay those of the drain-free draw.
+	drain *fault.Event
 }
 
 func (c swarmConfig) String() string {
@@ -41,6 +45,9 @@ func drawSwarmConfig(seed int64) swarmConfig {
 	}
 	if rng.Intn(2) == 0 {
 		c.outages = 1 + rng.Intn(3)
+	}
+	if c.shards >= 2 {
+		c.drain = &fault.Event{Kind: fault.KindShardDrain, Shard: rng.Intn(c.shards), From: 200 + rng.Float64()*2800}
 	}
 	return c
 }
@@ -86,6 +93,12 @@ func swarmRun(t *testing.T, c swarmConfig) swarmOutcome {
 		p.Recovery = fault.RecoveryRescue
 		cfg.Faults = p
 	}
+	if c.drain != nil {
+		if cfg.Faults == nil {
+			cfg.Faults = &fault.Plan{}
+		}
+		cfg.Faults.Events = append(cfg.Faults.Events, *c.drain)
+	}
 	if c.traced {
 		cfg.Trace = trace.New()
 	}
@@ -94,12 +107,22 @@ func swarmRun(t *testing.T, c swarmConfig) swarmOutcome {
 		t.Fatal(err)
 	}
 	settles := make(map[int]int)
+	last := make(map[int]core.JobStatus)
 	transitions := 0
-	f.SetOnTransition(func(_ int, tr core.Transition) {
+	f.SetOnTransition(func(shard int, tr core.Transition) {
 		transitions++
 		if tr.To.Settled() {
 			settles[tr.JobID]++
 		}
+		// A running job leaves Running only by being checkpointed off
+		// the cloud (preempted or evicted) or by settling.
+		if last[tr.JobID] == core.StatusRunning {
+			off := tr.To == core.StatusQueued && (tr.Reason == core.ReasonPreempted || tr.Reason == core.ReasonEvicted)
+			if !off && !tr.To.Settled() {
+				t.Fatalf("job %d: running → %v (%v) on shard %d at %v", tr.JobID, tr.To, tr.Reason, shard, tr.At)
+			}
+		}
+		last[tr.JobID] = tr.To
 	})
 	checkCapacity := func(step string) {
 		t.Helper()
@@ -182,6 +205,9 @@ func swarmRun(t *testing.T, c swarmConfig) swarmOutcome {
 	if int64(ps.Resumes) > int64(ps.Preemptions)+fs.RescuedOutage+fs.RescuedDrain {
 		t.Fatalf("resumes exceed preemptions + rescues: %+v, %+v", ps, fs)
 	}
+	if c.drain != nil && fs.ShardDrains != 1 {
+		t.Fatalf("drawn drain %+v fired %d times", *c.drain, fs.ShardDrains)
+	}
 
 	out := swarmOutcome{Preempt: ps, Faults: fs, Transitions: transitions}
 	for _, r := range res {
@@ -194,11 +220,13 @@ func swarmRun(t *testing.T, c swarmConfig) swarmOutcome {
 }
 
 // TestSwarmInvariants draws seeded feature combinations (shard count,
-// admission mode, preemption policy, QPU outages, tracing) and checks
-// the invariants that must hold across all of them: capacity stays
-// within bounds at every step and is all free after a drain, every
-// accepted job settles exactly once, a traced job's attribution sums
-// to its JCT up to rounding, every resume follows a preemption or a rescue, and a
+// admission mode, preemption policy, QPU outages, a shard drain on 2 or
+// more shards, tracing) and checks the invariants that must hold across
+// all of them: capacity stays within bounds at every step and is all
+// free after a drain, every accepted job settles exactly once, a
+// running job leaves Running only preempted, evicted or settled, a
+// traced job's attribution sums to its JCT up to rounding, every resume
+// follows a preemption or a rescue, a drawn drain fires once, and a
 // same-seed rerun is identical.
 func TestSwarmInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
@@ -208,7 +236,12 @@ func TestSwarmInvariants(t *testing.T) {
 			if again := swarmRun(t, c); !reflect.DeepEqual(first, again) {
 				t.Fatalf("same-seed rerun differs:\n%+v\n%+v", first, again)
 			}
-			t.Logf("%d jobs, preempt %+v, outages rescued %d", len(first.Jobs), first.Preempt, first.Faults.RescuedOutage)
+			drain := "none"
+			if c.drain != nil {
+				drain = fmt.Sprintf("shard %d at %.0f", c.drain.Shard, c.drain.From)
+			}
+			t.Logf("%d jobs, preempt %+v, drain %s, rescued %d off outages and %d off drains",
+				len(first.Jobs), first.Preempt, drain, first.Faults.RescuedOutage, first.Faults.RescuedDrain)
 		})
 	}
 }

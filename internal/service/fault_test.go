@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cloudqc/internal/cloud"
+	"cloudqc/internal/core"
 	"cloudqc/internal/fault"
 	"cloudqc/internal/wal"
 )
@@ -122,6 +123,48 @@ func TestServiceFaultEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	postFault(t, srv, `{"kind":"qpu_outage","qpu":0,"from":0,"to":10}`, http.StatusConflict)
+}
+
+// TestDrainEvictsRunningJob: a job running on a shard when it drains
+// leaves it the way an outage rescue does — placed, then evicted on the
+// drained shard — and re-enters admission on the surviving shard, where
+// it is queued and resumes from its checkpoint before it completes.
+func TestDrainEvictsRunningJob(t *testing.T) {
+	srv, clock, f := newCrossShardWALServer(t, "")
+	var ids []int
+	for i := 0; i < 6; i++ {
+		ids = append(ids, submitRaw(t, srv, SubmitRequest{Tenant: i, Circuit: "qugan_n39"}, http.StatusAccepted).ID)
+	}
+	clock.advance(10 * time.Millisecond)
+	rawGET(t, srv, "/v1/stats")
+	victim := -1
+	for _, id := range ids {
+		if s, _ := f.ShardOf(id); s == 1 && f.Status(id) == core.StatusRunning {
+			victim = id
+		}
+	}
+	if victim < 0 {
+		t.Fatal("setup: no job running on shard 1")
+	}
+
+	postFault(t, srv, `{"kind":"shard_drain","shard":1,"from":0}`, http.StatusAccepted)
+	for i := 0; i < 100 && f.FaultStats().ShardDrains == 0; i++ {
+		clock.advance(50 * time.Millisecond)
+		rawGET(t, srv, "/v1/stats")
+	}
+	if _, err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range srv.events.after(-1) {
+		if ev.Job == victim && ev.Type != EventSubmit {
+			got = append(got, fmt.Sprintf("%s@%d%s", ev.Type, ev.Shard, ev.Status))
+		}
+	}
+	want := []string{"queued@1", "placed@1", "evicted@1", "queued@0", "resumed@0", "done@0completed"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("job %d events %v, want %v", victim, got, want)
+	}
 }
 
 // driveFaultWALStream is driveWALStream with two admin fault injections

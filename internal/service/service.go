@@ -45,6 +45,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -996,8 +997,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 // reply writes a route's answer: v as the JSON body under code, or,
 // when err is set, the error envelope under err's status, with
-// Retry-After when the refusal carries a hint.
+// Retry-After when the refusal carries a hint. The body is encoded
+// before the status goes out, so a value JSON cannot encode (a NaN or
+// infinite float) answers 500 with the envelope, not code with an
+// empty body.
 func reply(w http.ResponseWriter, code int, v any, err error) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err == nil {
+		err = enc.Encode(v) // writes nothing when it fails
+	}
 	if err != nil {
 		var ae *apiError
 		if !errors.As(err, &ae) {
@@ -1006,11 +1016,10 @@ func reply(w http.ResponseWriter, code int, v any, err error) {
 		if ae.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ae.retryAfter))))
 		}
-		code, v = ae.code, ErrorResponse{Error: ae.msg, RetryAfterSeconds: ae.retryAfter}
+		code = ae.code
+		_ = enc.Encode(ErrorResponse{Error: ae.msg, RetryAfterSeconds: ae.retryAfter})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body.Bytes())
 }

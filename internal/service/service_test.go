@@ -631,3 +631,24 @@ func TestServiceQuotaMessageReportsInFlight(t *testing.T) {
 		t.Fatalf("429 error %q, want %q", e.Error, want)
 	}
 }
+
+// TestReplyUnencodableValue: a response value JSON cannot encode (here
+// a NaN float) answers 500 with an error envelope that decodes, not
+// the route's status with an empty body.
+func TestReplyUnencodableValue(t *testing.T) {
+	rw := httptest.NewRecorder()
+	reply(rw, http.StatusOK, struct{ X float64 }{math.NaN()}, nil)
+	if rw.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500\n%s", rw.Code, rw.Body.String())
+	}
+	if ct := rw.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(rw.Body.Bytes(), &e); err != nil {
+		t.Fatalf("envelope does not decode: %v\n%q", err, rw.Body.String())
+	}
+	if !strings.Contains(e.Error, "NaN") {
+		t.Fatalf("error %q does not name the unencodable value", e.Error)
+	}
+}
